@@ -164,8 +164,18 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _read_series(path) -> np.ndarray:
+    """Decay series rows (T, value[, stderr]); a sweep CSV gives (T_or_Ep, total)."""
+    with open(path, encoding="utf-8") as fh:
+        header = [name.strip() for name in fh.readline().split(",")]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if "T_or_Ep" in header and "total" in header:
+        data = data[:, [header.index("T_or_Ep"), header.index("total")]]
+    return data
+
+
 def _cmd_fit(args) -> int:
-    data = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+    data = _read_series(args.data)
     if args.kind == "exponential":
         result = estimators.fit_exponential(data)
     else:
@@ -270,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("fit", help="fit a decay series CSV (T,value[,stderr])")
+    p = sub.add_parser("fit", help="fit a decay series CSV (T,value[,stderr]) "
+                                   "or the CSV of a readout_delay sweep")
     p.add_argument("--kind", choices=("exponential", "memory"), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None, help="required for --kind memory")

@@ -146,7 +146,6 @@ class ExperimentConfig:
     detectors: DetectorParams
     noise: NoiseParams
     source: SourceParams
-    fock_cutoff: int
 
 
 _SECTION_TYPES = {
@@ -198,10 +197,6 @@ class ValidatedConfig:
     def source(self) -> SourceParams:
         return self.raw.source
 
-    @property
-    def fock_cutoff(self) -> int:
-        return self.raw.fock_cutoff
-
     def noise_mean_per_trigger(self) -> float:
         """Mean detected noise photons per trigger at the configured p energy."""
         return self.raw.noise.noise_mean_per_nj * self.raw.pulses.energy_p_nj
@@ -218,9 +213,6 @@ class ValidatedConfig:
         raw = self.raw
         for key, value in dotted.items():
             section_name, _, field = key.partition(".")
-            if section_name == "fock_cutoff" and not field:
-                raw = dataclasses.replace(raw, fock_cutoff=int(value))
-                continue
             if section_name not in _SECTION_TYPES:
                 raise UnknownConfigKey(f"no config section named {section_name!r}")
             section = getattr(raw, section_name)
@@ -357,8 +349,6 @@ def validate_config(raw) -> ValidatedConfig:
     _validate_detectors(raw.detectors)
     _validate_noise(raw.noise)
     _validate_source(raw.source)
-    if int(raw.fock_cutoff) != raw.fock_cutoff or raw.fock_cutoff < 4:
-        raise NonPhysicalParameter(f"fock_cutoff must be an integer >= 4, got {raw.fock_cutoff}")
 
     tau = raw.pulses.control_fwhm_ps / FWHM_TO_TAU
     zeta = raw.cavity.walkoff_ps_per_m * raw.cavity.length_m / tau
@@ -391,7 +381,7 @@ def _section_from_dict(name: str, cls, data: dict):
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    expected = set(_SECTION_TYPES) | {"fock_cutoff"}
+    expected = set(_SECTION_TYPES)
     unknown = set(doc) - expected
     if unknown:
         raise UnknownConfigKey(f"unknown top-level key(s): {sorted(unknown)}")
@@ -402,15 +392,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         name: _section_from_dict(name, cls, doc[name])
         for name, cls in _SECTION_TYPES.items()
     }
-    return ExperimentConfig(fock_cutoff=doc["fock_cutoff"], **sections)
+    return ExperimentConfig(**sections)
 
 
 def config_to_dict(config) -> dict:
     if isinstance(config, ValidatedConfig):
         config = config.raw
-    doc = {name: dataclasses.asdict(getattr(config, name)) for name in _SECTION_TYPES}
-    doc["fock_cutoff"] = config.fock_cutoff
-    return doc
+    return {name: dataclasses.asdict(getattr(config, name)) for name in _SECTION_TYPES}
 
 
 def dumps_config(config) -> str:

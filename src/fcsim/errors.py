@@ -32,14 +32,6 @@ class GridTooCoarse(FcsimError):
     """The time grid cannot resolve the signal envelope."""
 
 
-class TruncationTooTight(FcsimError):
-    """Photon-number truncation would discard non-negligible probability."""
-
-
-class UnknownMode(FcsimError):
-    """A mode label does not exist in the distribution."""
-
-
 class DivisionByZeroRate(FcsimError):
     """A correlation denominator is zero (vacuum input or zero efficiency)."""
 
@@ -67,3 +59,7 @@ class SingularFit(FcsimError):
 
 class EmptyInput(FcsimError):
     """An estimator was called with no records."""
+
+
+class CorruptRecords(FcsimError):
+    """A record file disagrees with its manifest or with the record format."""

@@ -1,9 +1,9 @@
-"""Closed-form photon-number statistics on truncated number bases.
+"""Exact, closed-form click statistics from probability-generating functions.
 
-The per-trigger state is a photon-number table over named modes. The
-standard chain is:
+The per-trigger model is:
 
-    pair source (number-correlated herald/signal)
+    pair source (number-correlated herald/signal, negative binomial over
+                 the Schmidt modes)
       -> binomial loss on the herald arm
       -> three-way split of each signal photon: leaks to the monitor arm
          in the readout bin, is read out, or stays/disappears
@@ -11,8 +11,12 @@ standard chain is:
       -> threshold detectors (herald, monitor, and a two-way split of the
          readout mode), each with a dark-count probability per gate
 
-Everything downstream (click probabilities, correlation functions,
-calibration) is computed exactly on the truncated table.
+Every photon is routed independently, so the probability that no detector
+of a set A clicks is the generating function of each source evaluated at
+the probability that one of its photons misses A (Christ & Silberhorn,
+PRA 85, 023829 (2012)). Everything downstream (click probabilities,
+correlation functions, calibration) follows from those 16 numbers, with no
+photon-number truncation.
 """
 
 from __future__ import annotations
@@ -21,219 +25,18 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import nbinom
 
-from .config import DetectorParams, ValidatedConfig
+from .config import ValidatedConfig
 from .errors import (
     DivisionByZeroRate,
     NoConvergence,
     NonPhysicalParameter,
-    TruncationTooTight,
     Underdetermined,
-    UnknownMode,
 )
 from . import readout
 
-TRUNCATION_LEAK_TOL = 1e-6
-NOISE_LEAK_TOL = 1e-9
-
 DETECTOR_NAMES = ("H", "S", "R1", "R2")
-
-
-@dataclass(frozen=True)
-class PhotonNumberDistribution:
-    """Dense joint photon-number table over named modes.
-
-    probabilities[n1, n2, ...] is the probability of that occupation
-    pattern; leakage is the probability mass lost to truncation.
-    """
-
-    mode_labels: tuple
-    probabilities: np.ndarray
-    leakage: float = 0.0
-
-    def axis(self, mode: str) -> int:
-        try:
-            return self.mode_labels.index(mode)
-        except ValueError:
-            raise UnknownMode(f"no mode named {mode!r}; have {self.mode_labels}") from None
-
-    def total(self) -> float:
-        return float(self.probabilities.sum())
-
-    def marginal(self, mode: str) -> np.ndarray:
-        axes = tuple(i for i in range(self.probabilities.ndim) if i != self.axis(mode))
-        return self.probabilities.sum(axis=axes)
-
-    def mean(self, mode: str) -> float:
-        p = self.marginal(mode)
-        return float(np.dot(np.arange(p.size), p)) / self.total()
-
-    def auto_g2(self, mode: str) -> float:
-        """Normalized second factorial moment <n(n-1)>/<n>^2."""
-        p = self.marginal(mode)
-        n = np.arange(p.size)
-        norm = self.total()
-        mean = np.dot(n, p) / norm
-        if mean == 0:
-            raise DivisionByZeroRate(f"mode {mode!r} has zero mean photon number")
-        fact2 = np.dot(n * (n - 1), p) / norm
-        return float(fact2 / mean**2)
-
-    def cross_g2(self, mode_a: str, mode_b: str) -> float:
-        """Normalized cross-correlation <n_a n_b>/(<n_a><n_b>)."""
-        ia, ib = self.axis(mode_a), self.axis(mode_b)
-        na = np.arange(self.probabilities.shape[ia])
-        nb = np.arange(self.probabilities.shape[ib])
-        norm = self.total()
-        mean_a = self.mean(mode_a)
-        mean_b = self.mean(mode_b)
-        if mean_a == 0 or mean_b == 0:
-            raise DivisionByZeroRate("cross_g2 undefined for a vacuum mode")
-        joint = np.tensordot(
-            np.tensordot(self.probabilities, nb, axes=([ib], [0])),
-            na,
-            axes=([ia if ia < ib else ia - 1], [0]),
-        )
-        # remaining axes (if any) are summed out
-        joint = float(np.sum(joint)) / norm
-        return joint / (mean_a * mean_b)
-
-
-def _pair_number_pmf(mu: float, schmidt_modes: float, n_max: int):
-    """Pair-number pmf for a sum of schmidt_modes equal squeezed modes."""
-    if mu < 0:
-        raise NonPhysicalParameter(f"mean pair number must be >= 0, got {mu}")
-    if schmidt_modes < 1:
-        raise NonPhysicalParameter("schmidt_modes must be >= 1")
-    n = np.arange(n_max + 1)
-    if mu == 0:
-        pmf = np.zeros(n_max + 1)
-        pmf[0] = 1.0
-        return pmf, 0.0
-    k = schmidt_modes
-    p_success = 1.0 / (1.0 + mu / k)
-    pmf = nbinom.pmf(n, k, p_success)
-    leak = float(1.0 - pmf.sum())
-    return pmf, max(leak, 0.0)
-
-
-def tmsv_state(mu: float, schmidt_modes: float, n_max: int) -> PhotonNumberDistribution:
-    """Number-correlated pair state over modes ('herald', 'signal').
-
-    For one Schmidt mode the joint diagonal is geometric,
-    P(n, n) = mu^n / (1+mu)^(n+1); for k modes it is the k-fold
-    convolution with mean mu/k each (negative binomial).
-    """
-    pmf, leak = _pair_number_pmf(mu, schmidt_modes, n_max)
-    if leak >= TRUNCATION_LEAK_TOL:
-        raise TruncationTooTight(
-            f"pair-number truncation at n_max={n_max} leaks {leak:.2e} "
-            f">= {TRUNCATION_LEAK_TOL:.0e}; raise fock_cutoff"
-        )
-    table = np.zeros((n_max + 1, n_max + 1))
-    np.fill_diagonal(table, pmf)
-    return PhotonNumberDistribution(("herald", "signal"), table, leak)
-
-
-def _binomial_matrix(n_max: int, eta: float) -> np.ndarray:
-    """T[m, n] = P(m survivors out of n) under independent thinning."""
-    t = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        for m in range(n + 1):
-            t[m, n] = math.comb(n, m) * eta**m * (1.0 - eta) ** (n - m)
-    return t
-
-
-def apply_loss(dist: PhotonNumberDistribution, mode: str, eta: float) -> PhotonNumberDistribution:
-    """Binomial thinning of one mode; the mean scales by exactly eta.
-
-    Composition law: thinning by eta1 then eta2 equals thinning by
-    eta1*eta2 (exact on the truncated table, no extra leakage).
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise NonPhysicalParameter(f"loss transmission must be in [0, 1], got {eta}")
-    ax = dist.axis(mode)
-    n_max = dist.probabilities.shape[ax] - 1
-    t = _binomial_matrix(n_max, eta)
-    probs = np.tensordot(t, np.moveaxis(dist.probabilities, ax, 0), axes=([1], [0]))
-    return PhotonNumberDistribution(dist.mode_labels,
-                                    np.moveaxis(probs, 0, ax),
-                                    dist.leakage)
-
-
-def split_mode(dist: PhotonNumberDistribution, mode: str,
-               p_first: float, p_second: float,
-               labels=("first", "second")) -> PhotonNumberDistribution:
-    """Trinomial split of one mode into two new detected modes.
-
-    Each photon independently lands in the first branch (p_first), the
-    second branch (p_second), or is lost. The branches are mutually
-    exclusive per photon, so one photon can never appear in both.
-    """
-    if p_first < 0 or p_second < 0 or p_first + p_second > 1.0 + 1e-12:
-        raise NonPhysicalParameter("branch probabilities must be >= 0 and sum <= 1")
-    ax = dist.axis(mode)
-    n_max = dist.probabilities.shape[ax] - 1
-    rest = max(1.0 - p_first - p_second, 0.0)
-    tri = np.zeros((n_max + 1, n_max + 1, n_max + 1))  # [a, b, n]
-    for n in range(n_max + 1):
-        for a in range(n + 1):
-            for b in range(n - a + 1):
-                tri[a, b, n] = (
-                    math.comb(n, a) * math.comb(n - a, b)
-                    * p_first**a * p_second**b * rest ** (n - a - b)
-                )
-    moved = np.moveaxis(dist.probabilities, ax, 0)
-    probs = np.tensordot(tri, moved, axes=([2], [0]))  # axes: a, b, rest...
-    labels_out = (dist.mode_labels[:ax] + dist.mode_labels[ax + 1:])
-    probs = np.moveaxis(probs, (0, 1), (len(labels_out), len(labels_out) + 1))
-    return PhotonNumberDistribution(labels_out + tuple(labels), probs, dist.leakage)
-
-
-def _nb_pmf(mean: float, mode_count: float, tol: float = NOISE_LEAK_TOL):
-    """Multimode-thermal (negative binomial) pmf with automatic cutoff."""
-    if mean < 0:
-        raise NonPhysicalParameter(f"noise mean must be >= 0, got {mean}")
-    if mode_count < 1:
-        raise NonPhysicalParameter("mode_count must be >= 1")
-    if mean == 0:
-        return np.array([1.0]), 0.0
-    p_success = 1.0 / (1.0 + mean / mode_count)
-    k_max = 8
-    while True:
-        pmf = nbinom.pmf(np.arange(k_max + 1), mode_count, p_success)
-        leak = float(1.0 - pmf.sum())
-        if leak < tol:
-            return pmf, max(leak, 0.0)
-        if k_max > 4096:
-            raise TruncationTooTight(
-                f"thermal noise pmf needs more than {k_max} terms for leak < {tol}"
-            )
-        k_max *= 2
-
-
-def add_thermal_noise(dist: PhotonNumberDistribution, mode: str,
-                      n_bar: float, mode_count: float) -> PhotonNumberDistribution:
-    """Add an independent multimode-thermal contribution to one mode.
-
-    The pure noise mode has auto-g2 = 1 + 1/mode_count; the target axis is
-    extended so the convolution loses less than NOISE_LEAK_TOL mass.
-    """
-    pmf, leak = _nb_pmf(n_bar, mode_count)
-    ax = dist.axis(mode)
-    moved = np.moveaxis(dist.probabilities, ax, -1)
-    old = moved.shape[-1]
-    new = old + pmf.size - 1
-    out = np.zeros(moved.shape[:-1] + (new,))
-    for k, w in enumerate(pmf):
-        if w > 0:
-            out[..., k:k + old] += w * moved
-    return PhotonNumberDistribution(dist.mode_labels,
-                                    np.moveaxis(out, -1, ax),
-                                    dist.leakage + leak)
 
 
 # ---------------------------------------------------------------------------
@@ -271,75 +74,6 @@ class ClickProbabilities:
             for sub in itertools.combinations(sorted(clicked), r):
                 total += (-1) ** len(sub) * self.no_click[frozenset(silent) | frozenset(sub)]
         return max(total, 0.0)
-
-
-def threshold_click_prob(dist: PhotonNumberDistribution, mode: str,
-                         eta: float, dark: float = 0.0) -> float:
-    """Threshold detector on one mode: 1 - (1-dark) * E[(1-eta)^n]."""
-    p = dist.marginal(mode)
-    n = np.arange(p.size)
-    survive = np.dot(p, (1.0 - eta) ** n)
-    return float(1.0 - (1.0 - dark) * survive / dist.total())
-
-
-def detect(dist: PhotonNumberDistribution, detectors: DetectorParams,
-           efficiencies=None) -> ClickProbabilities:
-    """Threshold-detect the modes 'herald', 'monitor', 'readout'.
-
-    The readout mode is partitioned at a beam splitter into R1/R2 before
-    detection. Efficiencies default to the configured path efficiencies
-    and may be overridden per mode (the analytic pipeline pre-applies its
-    losses and passes 1.0 here). Missing modes are treated as vacuum.
-    """
-    eff = {
-        "herald": detectors.eta_herald_path,
-        "monitor": detectors.eta_s_path,
-        "readout": detectors.eta_r_path,
-    }
-    if efficiencies:
-        eff.update(efficiencies)
-    dark = detectors.dark_prob_per_gate
-    f = detectors.splitter_ratio
-
-    def axis_len(mode):
-        return dist.probabilities.shape[dist.axis(mode)] if mode in dist.mode_labels else 1
-
-    # per-detector no-click weights along their mode axis (photon part only)
-    nh = np.arange(axis_len("herald"))
-    nm = np.arange(axis_len("monitor"))
-    nr = np.arange(axis_len("readout"))
-    w_h = (1.0 - eff["herald"]) ** nh
-    w_s = (1.0 - eff["monitor"]) ** nm
-    w_r = {
-        frozenset(): np.ones_like(nr, dtype=float),
-        frozenset(["R1"]): (1.0 - f * eff["readout"]) ** nr,
-        frozenset(["R2"]): (1.0 - (1.0 - f) * eff["readout"]) ** nr,
-        frozenset(["R1", "R2"]): (1.0 - eff["readout"]) ** nr,
-    }
-
-    def expectation(vec_by_mode):
-        probs = dist.probabilities
-        out = probs
-        # contract highest axis first to keep indices stable
-        for mode in sorted(vec_by_mode, key=dist.axis, reverse=True):
-            out = np.tensordot(out, vec_by_mode[mode], axes=([dist.axis(mode)], [0]))
-        return float(np.sum(out)) / dist.total()
-
-    no_click = {}
-    for r in range(5):
-        for subset in itertools.combinations(DETECTOR_NAMES, r):
-            a = frozenset(subset)
-            vecs = {}
-            if "H" in a and "herald" in dist.mode_labels:
-                vecs["herald"] = w_h
-            if "S" in a and "monitor" in dist.mode_labels:
-                vecs["monitor"] = w_s
-            r_part = a & {"R1", "R2"}
-            if r_part and "readout" in dist.mode_labels:
-                vecs["readout"] = w_r[frozenset(r_part)]
-            val = expectation(vecs) if vecs else 1.0
-            no_click[a] = (1.0 - dark) ** len(a) * val
-    return ClickProbabilities(no_click)
 
 
 # ---------------------------------------------------------------------------
@@ -420,25 +154,43 @@ def click_model(cfg: ValidatedConfig, delay_cycles: int = 1,
                 include_source: bool = True):
     """Click statistics of one trigger of the full chain.
 
-    Returns (distribution, clicks) where the distribution holds the
-    detected photon numbers in modes ('herald', 'monitor', 'readout').
+    Returns (means, clicks): the mean detected photon numbers of the modes
+    'herald', 'monitor' and 'readout', and the joint click statistics.
     With include_source=False the pair source is off (controls-only run).
+
+    For each detector set A, with e_A = f [R1 in A] + (1-f) [R2 in A] the
+    chance that a readout photon reaches A and
+    z_A = (1 - eta_h [H in A]) (1 - q_mon [S in A] - c e_A) the chance
+    that no photon of one pair does,
+
+        Q(A) = (1-d)^|A| (1 + mu/k (1-z_A))^-k (1 + nbar/M e_A)^-M.
+
+    The powers go through log1p so Q stays accurate for large k and M.
     """
     mu = cfg.source.mean_pairs_per_pulse if include_source else 0.0
-    dist = tmsv_state(mu, cfg.source.schmidt_modes, cfg.fock_cutoff)
-    dist = apply_loss(dist, "herald", cfg.detectors.eta_herald_path)
+    k = cfg.source.schmidt_modes
+    n_bar = cfg.noise_mean_per_trigger()
+    m = cfg.noise.mode_count
+    det = cfg.detectors
+    eta_h, f, dark = det.eta_herald_path, det.splitter_ratio, det.dark_prob_per_gate
     q_mon, chain = signal_branch_probs(cfg, delay_cycles)
-    dist = split_mode(dist, "signal", q_mon, chain, labels=("monitor", "readout"))
-    dist = add_thermal_noise(dist, "readout", cfg.noise_mean_per_trigger(),
-                             cfg.noise.mode_count)
-    clicks = detect(dist, cfg.detectors,
-                    efficiencies={"herald": 1.0, "monitor": 1.0, "readout": 1.0})
-    return dist, clicks
+
+    no_click = {}
+    for r in range(len(DETECTOR_NAMES) + 1):
+        for subset in itertools.combinations(DETECTOR_NAMES, r):
+            a = frozenset(subset)
+            e = f * ("R1" in a) + (1.0 - f) * ("R2" in a)
+            z = (1.0 - eta_h * ("H" in a)) * (1.0 - q_mon * ("S" in a) - chain * e)
+            no_click[a] = (1.0 - dark) ** len(a) * math.exp(
+                -k * math.log1p(mu / k * (1.0 - z)) - m * math.log1p(n_bar / m * e))
+    means = {"herald": mu * eta_h, "monitor": mu * q_mon,
+             "readout": mu * chain + n_bar}
+    return means, ClickProbabilities(no_click)
 
 
 def model_report(cfg: ValidatedConfig, delay_cycles: int = 1) -> dict:
     """Rates (cps), correlation values and efficiencies of the forward model."""
-    dist, clicks = click_model(cfg, delay_cycles)
+    _, clicks = click_model(cfg, delay_cycles)
     _, controls = click_model(cfg, delay_cycles, include_source=False)
     clock = cfg.pulses.clock_rate_khz * 1e3
     p_r = 1.0 - clicks.no_click[frozenset(["R1", "R2"])]
@@ -457,25 +209,24 @@ def model_report(cfg: ValidatedConfig, delay_cycles: int = 1) -> dict:
 def heralded_signal_moments(cfg: ValidatedConfig):
     """(mean, auto_g2) of the detected signal conditioned on a herald click.
 
-    Computed on the noiseless model at unit delay; the normalized auto-g2
-    is invariant under further binomial thinning, so it applies at any
-    delay, while the mean scales with the retrieval probability.
+    Computed on the noiseless model at unit delay. With G the pair-number
+    generating function and x = 1 - eta_h, a herald click has probability
+    1 - G(x); given n pairs the detected signal is binomial(n, c), so
+    E[n_r; click] = c (G'(1) - x G'(x)) and
+    E[n_r (n_r-1); click] = c^2 (G''(1) - x^2 G''(x)). The normalized
+    auto-g2 is invariant under further binomial thinning, so it applies at
+    any delay, while the mean scales with the retrieval probability.
     """
-    quiet = cfg.replace_fields(**{"noise.noise_mean_per_nj": 0.0,
-                                  "detectors.dark_prob_per_gate": 0.0})
-    dist, _ = click_model(quiet, 1)
-    probs = dist.probabilities
-    nh = np.arange(probs.shape[dist.axis("herald")])
-    nr = np.arange(probs.shape[dist.axis("readout")])
-    herald_click = (nh > 0).astype(float)
-    ax_h, ax_r = dist.axis("herald"), dist.axis("readout")
-    w = np.moveaxis(probs, (ax_h, ax_r), (0, 1))
-    w = w.sum(axis=tuple(range(2, w.ndim)))  # joint table over (n_h, n_r)
-    p_h = float(np.dot(herald_click, w.sum(axis=1)))
+    mu, k = cfg.source.mean_pairs_per_pulse, cfg.source.schmidt_modes
+    _, chain = signal_branch_probs(cfg, 1)
+    eta_h = cfg.detectors.eta_herald_path
+    x = 1.0 - eta_h
+    base = 1.0 + mu / k * eta_h  # G(x) = base^-k
+    p_h = -math.expm1(-k * math.log1p(mu / k * eta_h))
     if p_h == 0:
         raise DivisionByZeroRate("herald never clicks in the noiseless model")
-    mean = float(herald_click @ w @ nr) / p_h
-    fact2 = float(herald_click @ w @ (nr * (nr - 1))) / p_h
+    mean = chain * mu * (1.0 - x * base ** (-k - 1)) / p_h
+    fact2 = chain**2 * mu**2 * (1.0 + 1.0 / k) * (1.0 - x**2 * base ** (-k - 2)) / p_h
     if mean == 0:
         raise DivisionByZeroRate("signal mean is zero given a herald")
     return mean, fact2 / mean**2
@@ -518,6 +269,17 @@ _CALIBRATION_ORDER = ("g2_xc_hs", "eta_conversion", "herald_rate_cps",
                       "g2_noise", "r_rate_cps", "heralded_prob")
 
 
+def _invert(model, lo: float, hi: float, name: str, value: float, xtol: float) -> float:
+    """Solve model(x) = value on [lo, hi]; NoConvergence if the ends do not bracket it."""
+    at_lo, at_hi = model(lo), model(hi)
+    if (at_lo - value) * (at_hi - value) > 0:
+        raise NoConvergence(
+            f"{name} target {value!r} is unreachable: varying "
+            f"{CALIBRATION_PAIRS[name]} over its bracket gives {name} only from "
+            f"{min(at_lo, at_hi):.6g} to {max(at_lo, at_hi):.6g}")
+    return brentq(lambda x: model(x) - value, lo, hi, xtol=xtol)
+
+
 def _solve_target(cfg: ValidatedConfig, name: str, value: float) -> ValidatedConfig:
     clock = cfg.pulses.clock_rate_khz * 1e3
 
@@ -537,45 +299,41 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float) -> ValidatedCon
         return cfg.replace_fields(**{"pulses.nonlinear_coeff": coeff})
 
     if name == "herald_rate_cps":
-        target_p = value / clock
-
-        def f(eta):
+        def model(eta):
             c = cfg.replace_fields(**{"detectors.eta_herald_path": eta})
             _, clicks = click_model(c, 1)
-            return clicks.p("H") - target_p
+            return clicks.p("H") * clock
 
         return cfg.replace_fields(**{
-            "detectors.eta_herald_path": brentq(f, 1e-9, 1.0, xtol=1e-14)})
+            "detectors.eta_herald_path": _invert(model, 1e-9, 1.0, name, value, 1e-14)})
 
     if name == "g2_noise":
-        def f(log_m):
+        def model(log_m):
             c = cfg.replace_fields(**{"noise.mode_count": math.exp(log_m)})
             _, clicks = click_model(c, 1, include_source=False)
-            return correlations(clicks)["g2_noise"] - value
+            return correlations(clicks)["g2_noise"]
 
-        log_m = brentq(f, 0.0, math.log(1e6), xtol=1e-12)
+        log_m = _invert(model, 0.0, math.log(1e6), name, value, 1e-12)
         return cfg.replace_fields(**{"noise.mode_count": math.exp(log_m)})
 
     if name == "r_rate_cps":
-        target_p = value / clock
-
-        def f(per_nj):
+        def model(per_nj):
             c = cfg.replace_fields(**{"noise.noise_mean_per_nj": per_nj})
             _, clicks = click_model(c, 1)
-            return (1.0 - clicks.no_click[frozenset(["R1", "R2"])]) - target_p
+            return (1.0 - clicks.no_click[frozenset(["R1", "R2"])]) * clock
 
         return cfg.replace_fields(**{
-            "noise.noise_mean_per_nj": brentq(f, 0.0, 2.0, xtol=1e-14)})
+            "noise.noise_mean_per_nj": _invert(model, 0.0, 2.0, name, value, 1e-14)})
 
     if name == "heralded_prob":
-        def f(eta):
+        def model(eta):
             c = cfg.replace_fields(**{"detectors.eta_r_path": eta})
             _, clicks = click_model(c, 1)
             _, controls = click_model(c, 1, include_source=False)
-            return correlations(clicks, controls)["heralding_efficiency"] - value
+            return correlations(clicks, controls)["heralding_efficiency"]
 
         return cfg.replace_fields(**{
-            "detectors.eta_r_path": brentq(f, 1e-9, 1.0, xtol=1e-14)})
+            "detectors.eta_r_path": _invert(model, 1e-9, 1.0, name, value, 1e-14)})
 
     raise Underdetermined(f"no calibration rule for target {name!r}")
 

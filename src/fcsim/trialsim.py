@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ValidatedConfig, config_hash
-from .errors import EmptyInput, NonPhysicalParameter
+from .errors import CorruptRecords, EmptyInput, NonPhysicalParameter
 from .fockstats import signal_branch_probs
 
 MASK_H = 1
@@ -231,13 +231,23 @@ def write_records(records: ClickRecords, path) -> None:
 
 
 def read_records(path) -> ClickRecords:
+    """Read records and their manifest; CorruptRecords if they disagree.
+
+    Triggers must be strictly increasing and below the manifest's trigger
+    count, every mask a combination of the four detector bits, and every
+    delay the manifest's readout delay.
+    """
     p = Path(path)
     mpath = manifest_path(p)
     if not mpath.exists():
         raise EmptyInput(f"missing manifest sidecar {mpath}")
     manifest = RunManifest.from_json(mpath.read_text(encoding="utf-8"))
     if p.suffix == ".bin":
-        arr = np.frombuffer(p.read_bytes(), dtype=BINARY_DTYPE)
+        data = p.read_bytes()
+        if len(data) % BINARY_DTYPE.itemsize:
+            raise CorruptRecords(f"{p}: {len(data)} bytes is not a whole number of "
+                                 f"{BINARY_DTYPE.itemsize}-byte records")
+        arr = np.frombuffer(data, dtype=BINARY_DTYPE)
         trigger = arr["trigger"].astype(np.uint64)
         delay = arr["T"].astype(np.uint16)
         mask = arr["mask"].astype(np.uint8)
@@ -245,8 +255,22 @@ def read_records(path) -> ClickRecords:
         raw = np.loadtxt(p, delimiter=",", skiprows=1, dtype=np.uint64, ndmin=2)
         if raw.size == 0:
             raw = raw.reshape(0, 6)
+        if np.any(raw[:, 2:] > 1):
+            raise CorruptRecords(f"{p}: detector columns must be 0 or 1")
         trigger = raw[:, 0].astype(np.uint64)
-        delay = raw[:, 1].astype(np.uint16)
+        delay = raw[:, 1]
         mask = (raw[:, 2] * MASK_H + raw[:, 3] * MASK_S
                 + raw[:, 4] * MASK_R1 + raw[:, 5] * MASK_R2).astype(np.uint8)
-    return ClickRecords(trigger=trigger, delay=delay, mask=mask, manifest=manifest)
+    if np.any(trigger[1:] <= trigger[:-1]):
+        raise CorruptRecords(f"{p}: trigger indices are not strictly increasing")
+    if trigger.size and trigger[-1] >= manifest.n_triggers:
+        raise CorruptRecords(f"{p}: trigger {int(trigger[-1])} is beyond the "
+                             f"manifest's {manifest.n_triggers} triggers")
+    all_bits = MASK_H | MASK_S | MASK_R1 | MASK_R2
+    if np.any(mask > all_bits):
+        raise CorruptRecords(f"{p}: click mask above {all_bits}")
+    if np.any(delay != manifest.readout_delay):
+        raise CorruptRecords(f"{p}: readout delays differ from the manifest's "
+                             f"{manifest.readout_delay}")
+    return ClickRecords(trigger=trigger, delay=delay.astype(np.uint16, copy=False),
+                        mask=mask, manifest=manifest)

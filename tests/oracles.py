@@ -1,12 +1,26 @@
 """Independent oracles used only by the tests.
 
-Nothing here shares code with the package's analytic engine: the click
-statistics are obtained by directly enumerating every photon-number
-outcome with plain Python loops and math.comb / lgamma arithmetic.
+Two references for the package's closed-form click engine, neither of
+which shares its arithmetic:
+
+- brute_click_patterns enumerates every photon-number outcome with plain
+  Python loops and math.comb / lgamma arithmetic;
+- the photon-number table engine (PhotonNumberDistribution and the chain
+  tmsv_state -> apply_loss -> split_mode -> add_thermal_noise -> detect)
+  propagates dense joint photon-number tables truncated at a cutoff.
+
+Only the container for the resulting no-click probabilities,
+fockstats.ClickProbabilities, and the per-photon branch probabilities of
+the readout (fockstats.signal_branch_probs) come from the package.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
+
+from fcsim import fockstats
 
 DETECTORS = ("H", "S", "R1", "R2")
 
@@ -15,20 +29,20 @@ def pair_pmf(n, mu, modes):
     """Probability of n pairs from a sum of `modes` equal squeezed modes."""
     if mu == 0:
         return 1.0 if n == 0 else 0.0
-    p = 1.0 / (1.0 + mu / modes)
+    x = mu / modes
     log_coef = (math.lgamma(n + modes) - math.lgamma(modes)
                 - math.lgamma(n + 1))
-    return math.exp(log_coef + modes * math.log(p) + n * math.log1p(-p))
+    return math.exp(log_coef - modes * math.log1p(x)) * (x / (1.0 + x)) ** n
 
 
 def thermal_pmf(k, mean, modes):
     """Multimode-thermal (negative binomial) photon-number probability."""
     if mean == 0:
         return 1.0 if k == 0 else 0.0
-    p = 1.0 / (1.0 + mean / modes)
+    x = mean / modes
     log_coef = (math.lgamma(k + modes) - math.lgamma(modes)
                 - math.lgamma(k + 1))
-    return math.exp(log_coef + modes * math.log(p) + k * math.log1p(-p))
+    return math.exp(log_coef - modes * math.log1p(x)) * (x / (1.0 + x)) ** k
 
 
 def binom(n, k, p):
@@ -101,3 +115,145 @@ def thin_pmf(pmf, eta):
         for m in range(n + 1):
             out[m] += pn * binom(n, m, eta)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Photon-number table engine
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PhotonNumberDistribution:
+    """Dense joint photon-number table over named modes.
+
+    probabilities[n1, n2, ...] is the probability of that occupation
+    pattern; mass beyond the cutoff is simply missing.
+    """
+
+    mode_labels: tuple
+    probabilities: np.ndarray
+
+    def axis(self, mode: str) -> int:
+        return self.mode_labels.index(mode)
+
+    def total(self) -> float:
+        return float(self.probabilities.sum())
+
+    def marginal(self, mode: str) -> np.ndarray:
+        axes = tuple(i for i in range(self.probabilities.ndim) if i != self.axis(mode))
+        return self.probabilities.sum(axis=axes)
+
+    def mean(self, mode: str) -> float:
+        p = self.marginal(mode)
+        return float(np.dot(np.arange(p.size), p)) / self.total()
+
+    def auto_g2(self, mode: str) -> float:
+        """Normalized second factorial moment <n(n-1)>/<n>^2."""
+        p = self.marginal(mode)
+        n = np.arange(p.size)
+        fact2 = float(np.dot(n * (n - 1), p)) / self.total()
+        return fact2 / self.mean(mode) ** 2
+
+    def cross_g2(self, mode_a: str, mode_b: str) -> float:
+        """Normalized cross-correlation <n_a n_b>/(<n_a><n_b>)."""
+        probs = np.moveaxis(self.probabilities,
+                            (self.axis(mode_a), self.axis(mode_b)), (0, 1))
+        joint = probs.reshape(probs.shape[0], probs.shape[1], -1).sum(axis=2)
+        na, nb = np.arange(joint.shape[0]), np.arange(joint.shape[1])
+        moment = float(na @ joint @ nb) / self.total()
+        return moment / (self.mean(mode_a) * self.mean(mode_b))
+
+
+def tmsv_state(mu, schmidt_modes, n_max):
+    """Number-correlated pair state over modes ('herald', 'signal')."""
+    table = np.diag([pair_pmf(n, mu, schmidt_modes) for n in range(n_max + 1)])
+    return PhotonNumberDistribution(("herald", "signal"), table)
+
+
+def apply_loss(dist, mode, eta):
+    """Binomial thinning of one mode."""
+    ax = dist.axis(mode)
+    size = dist.probabilities.shape[ax]
+    t = np.array([[binom(n, m, eta) for n in range(size)] for m in range(size)])
+    probs = np.tensordot(t, np.moveaxis(dist.probabilities, ax, 0), axes=([1], [0]))
+    return PhotonNumberDistribution(dist.mode_labels, np.moveaxis(probs, 0, ax))
+
+
+def split_mode(dist, mode, p_first, p_second, labels=("first", "second")):
+    """Each photon of one mode lands in the first branch, the second, or is lost."""
+    ax = dist.axis(mode)
+    size = dist.probabilities.shape[ax]
+    rest = max(1.0 - p_first - p_second, 0.0)
+    tri = np.zeros((size, size, size))  # [a, b, n]
+    for n in range(size):
+        for a in range(n + 1):
+            for b in range(n - a + 1):
+                tri[a, b, n] = (math.comb(n, a) * math.comb(n - a, b)
+                                * p_first**a * p_second**b * rest ** (n - a - b))
+    probs = np.tensordot(tri, np.moveaxis(dist.probabilities, ax, 0), axes=([2], [0]))
+    labels_out = dist.mode_labels[:ax] + dist.mode_labels[ax + 1:]
+    probs = np.moveaxis(probs, (0, 1), (len(labels_out), len(labels_out) + 1))
+    return PhotonNumberDistribution(labels_out + tuple(labels), probs)
+
+
+def add_thermal_noise(dist, mode, n_bar, mode_count, k_max=40):
+    """Convolve one mode with a multimode-thermal count of k_max + 1 terms."""
+    pmf = [thermal_pmf(k, n_bar, mode_count) for k in range(k_max + 1)]
+    ax = dist.axis(mode)
+    moved = np.moveaxis(dist.probabilities, ax, -1)
+    old = moved.shape[-1]
+    out = np.zeros(moved.shape[:-1] + (old + k_max,))
+    for k, w in enumerate(pmf):
+        out[..., k:k + old] += w * moved
+    return PhotonNumberDistribution(dist.mode_labels, np.moveaxis(out, -1, ax))
+
+
+def threshold_click_prob(dist, mode, eta, dark=0.0):
+    """Threshold detector on one mode: 1 - (1-dark) * E[(1-eta)^n]."""
+    p = dist.marginal(mode)
+    survive = np.dot(p, (1.0 - eta) ** np.arange(p.size))
+    return float(1.0 - (1.0 - dark) * survive / dist.total())
+
+
+def detect(dist, detectors, efficiencies=None):
+    """Threshold-detect the modes 'herald', 'monitor', 'readout'.
+
+    The readout mode is split onto R1/R2 before detection. Efficiencies
+    default to the configured path efficiencies and may be overridden per
+    mode. Missing modes are treated as vacuum.
+    """
+    eff = {"herald": detectors.eta_herald_path, "monitor": detectors.eta_s_path,
+           "readout": detectors.eta_r_path}
+    eff.update(efficiencies or {})
+    f = detectors.splitter_ratio
+    # per-photon probability of reaching a detector of the set, by mode
+    reach = {
+        "herald": lambda a: eff["herald"] * ("H" in a),
+        "monitor": lambda a: eff["monitor"] * ("S" in a),
+        "readout": lambda a: eff["readout"] * (f * ("R1" in a) + (1 - f) * ("R2" in a)),
+    }
+    no_click = {}
+    for r in range(5):
+        for subset in combinations(DETECTORS, r):
+            a = frozenset(subset)
+            out = dist.probabilities
+            for ax in reversed(range(out.ndim)):
+                mode = dist.mode_labels[ax]
+                miss = 1.0 - reach[mode](a) if mode in reach else 1.0
+                out = np.tensordot(out, miss ** np.arange(out.shape[ax]), axes=([ax], [0]))
+            no_click[a] = ((1.0 - detectors.dark_prob_per_gate) ** len(a)
+                           * float(out) / dist.total())
+    return fockstats.ClickProbabilities(no_click)
+
+
+def table_click_model(cfg, delay_cycles=1, include_source=True, n_max=16, k_max=40):
+    """The full per-trigger chain on photon-number tables: (table, clicks)."""
+    mu = cfg.source.mean_pairs_per_pulse if include_source else 0.0
+    dist = tmsv_state(mu, cfg.source.schmidt_modes, n_max)
+    dist = apply_loss(dist, "herald", cfg.detectors.eta_herald_path)
+    q_mon, chain = fockstats.signal_branch_probs(cfg, delay_cycles)
+    dist = split_mode(dist, "signal", q_mon, chain, labels=("monitor", "readout"))
+    dist = add_thermal_noise(dist, "readout", cfg.noise_mean_per_trigger(),
+                             cfg.noise.mode_count, k_max)
+    clicks = detect(dist, cfg.detectors,
+                    efficiencies={"herald": 1.0, "monitor": 1.0, "readout": 1.0})
+    return dist, clicks

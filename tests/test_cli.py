@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fcsim
 from fcsim import default_config_path
 from fcsim.cli import main
 
@@ -128,6 +133,42 @@ def test_fit_subcommand(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["values"]["lifetime"] == pytest.approx(111.0, abs=1e-6)
     assert doc["r_squared"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_fit_reads_sweep_output(tmp_path, capsys):
+    sweep = tmp_path / "delay.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--config", CONFIG, "--param", "readout_delay",
+        "--from", "1", "--to", "200", "--steps", "40", "--out", str(sweep),
+        "--jobs", "1")
+    assert code == 0
+    code, out, err = run_cli(capsys, "fit", "--kind", "exponential",
+                             "--data", str(sweep))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["n_points"] == 40
+    assert 0.0 < doc["values"]["lifetime"] < 200.0
+
+
+def test_config_with_fock_cutoff_rejected(tmp_path, capsys):
+    doc = json.loads(default_config_path("primary_cavity").read_text())
+    doc["fock_cutoff"] = 8
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "validate", "--config", str(old))
+    assert code == 2
+    assert json.loads(err)["error"] == "UnknownConfigKey"
+
+
+def test_cli_import_skips_scipy_stats():
+    env = dict(os.environ)
+    src = str(Path(fcsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import fcsim.cli, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_multiplex_subcommand(tmp_path, capsys):

@@ -6,27 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcsim.config import DetectorParams
-from fcsim.errors import (
-    DivisionByZeroRate,
-    TruncationTooTight,
-    UnknownMode,
-)
+from fcsim.errors import DivisionByZeroRate, NoConvergence
 from fcsim import fockstats
 from fcsim.fockstats import (
-    PhotonNumberDistribution,
-    add_thermal_noise,
-    apply_loss,
     calibrate,
     click_model,
     correlations,
-    detect,
     g2_mixture,
+)
+
+from oracles import (
+    PhotonNumberDistribution,
+    add_thermal_noise,
+    apply_loss,
+    brute_click_patterns,
+    detect,
     split_mode,
+    table_click_model,
+    thin_pmf,
     threshold_click_prob,
     tmsv_state,
 )
-
-from oracles import brute_click_patterns, thin_pmf
 
 IDEAL_DETECTORS = DetectorParams(eta_herald_path=1.0, eta_r_path=1.0,
                                  eta_s_path=1.0, dark_prob_per_gate=0.0,
@@ -38,7 +38,7 @@ def single_mode(pmf, label="readout"):
 
 
 # ---------------------------------------------------------------------------
-# pair source
+# pair source (table oracle)
 # ---------------------------------------------------------------------------
 
 def test_tmsv_vacuum():
@@ -65,11 +65,6 @@ def test_tmsv_marginal_is_thermal():
     assert dist.mean("signal") == pytest.approx(mu, rel=1e-9)
 
 
-def test_tmsv_truncation_guard():
-    with pytest.raises(TruncationTooTight):
-        tmsv_state(2.0, 1.0, 6)
-
-
 def test_tmsv_cross_correlation_identity():
     # <n_h n_s> / (<n_h><n_s>) = 2 + 1/mu for one Schmidt mode
     mu = 0.1
@@ -85,7 +80,7 @@ def test_multimode_cross_correlation():
 
 
 # ---------------------------------------------------------------------------
-# loss
+# loss (table oracle)
 # ---------------------------------------------------------------------------
 
 def test_loss_identity_and_vacuum():
@@ -96,12 +91,6 @@ def test_loss_identity_and_vacuum():
     marg = dead.marginal("signal")
     assert marg[0] == pytest.approx(dead.total(), abs=1e-15)
     assert marg[0] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_loss_unknown_mode():
-    dist = tmsv_state(0.5, 1.0, 20)
-    with pytest.raises(UnknownMode):
-        apply_loss(dist, "idler", 0.5)
 
 
 def test_thermal_closed_under_loss_matches_bruteforce():
@@ -136,7 +125,7 @@ def test_normalization_through_composition(primary):
 
 
 # ---------------------------------------------------------------------------
-# thermal noise
+# thermal noise (table oracle)
 # ---------------------------------------------------------------------------
 
 def test_noise_g2_identities():
@@ -231,11 +220,8 @@ def test_heralded_autocorrelation_low_flux():
 
 def test_clicks_match_bruteforce_enumeration(primary):
     """Full chain against the independent direct-sum oracle."""
-    cfg = primary.replace_fields(**{
-        "source.mean_pairs_per_pulse": 0.05,
-        "fock_cutoff": 6,
-    })
-    dist, clicks = click_model(cfg, delay_cycles=3)
+    cfg = primary.replace_fields(**{"source.mean_pairs_per_pulse": 0.05})
+    _, clicks = click_model(cfg, delay_cycles=3)
     q_mon, chain = fockstats.signal_branch_probs(cfg, 3)
     brute = brute_click_patterns(
         mu=0.05, schmidt_modes=cfg.source.schmidt_modes, n_max=6,
@@ -245,11 +231,63 @@ def test_clicks_match_bruteforce_enumeration(primary):
         noise_modes=cfg.noise.mode_count,
         dark=cfg.detectors.dark_prob_per_gate,
         splitter=cfg.detectors.splitter_ratio,
-        k_max=dist.probabilities.shape[dist.axis("readout")] - 1 - 6,
     )
     for pattern in _all_patterns():
         assert clicks.p_exact(pattern) == pytest.approx(
             brute.get(pattern, 0.0), abs=1e-6), f"pattern {set(pattern) or '{}'}"
+
+
+# ---------------------------------------------------------------------------
+# closed form against the table oracle
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=30)
+@given(
+    mu=st.floats(0.0, 0.2), schmidt=st.sampled_from([1.0, 2.0, 3.5]),
+    eta_h=st.floats(0.0, 1.0), eta_r=st.floats(0.0, 1.0), eta_s=st.floats(0.0, 1.0),
+    dark=st.floats(0.0, 1e-3), splitter=st.floats(0.0, 1.0),
+    noise=st.floats(0.0, 0.01), modes=st.floats(1.0, 1e4),
+    lifetime=st.floats(5.0, 200.0), delay=st.integers(1, 60),
+    include_source=st.booleans(),
+)
+def test_closed_form_matches_table_oracle(primary, mu, schmidt, eta_h, eta_r, eta_s,
+                                          dark, splitter, noise, modes, lifetime,
+                                          delay, include_source):
+    """All 16 no-click probabilities agree with the photon-number tables.
+
+    At mu <= 0.2 the pair table cut at 16 photons leaves out less than
+    1e-12 of the probability, and the noise table cut at 40 far less.
+    """
+    cfg = primary.replace_fields(**{
+        "source.mean_pairs_per_pulse": mu, "source.schmidt_modes": schmidt,
+        "detectors.eta_herald_path": eta_h, "detectors.eta_r_path": eta_r,
+        "detectors.eta_s_path": eta_s, "detectors.dark_prob_per_gate": dark,
+        "detectors.splitter_ratio": splitter, "noise.noise_mean_per_nj": noise,
+        "noise.mode_count": modes, "cavity.ringdown_lifetime_cycles": lifetime,
+    })
+    means, clicks = click_model(cfg, delay, include_source=include_source)
+    table, oracle = table_click_model(cfg, delay, include_source=include_source)
+    assert set(clicks.no_click) == set(oracle.no_click)
+    for subset, q in oracle.no_click.items():
+        assert clicks.no_click[subset] == pytest.approx(q, abs=1e-9), sorted(subset)
+    for mode, mean in means.items():
+        assert mean == pytest.approx(table.mean(mode), rel=1e-9, abs=1e-12)
+
+
+def test_heralded_signal_moments_match_table_oracle(primary):
+    quiet = primary.replace_fields(**{"noise.noise_mean_per_nj": 0.0,
+                                      "detectors.dark_prob_per_gate": 0.0,
+                                      "source.mean_pairs_per_pulse": 0.2})
+    table, _ = table_click_model(quiet, 1)
+    joint = table.probabilities.sum(axis=table.axis("monitor"))  # over (n_h, n_r)
+    n_r = np.arange(joint.shape[1])
+    heralded = joint[1:].sum(axis=0)
+    p_h = heralded.sum()
+    mean = float(heralded @ n_r) / p_h
+    g2 = float(heralded @ (n_r * (n_r - 1))) / p_h / mean**2
+    got_mean, got_g2 = fockstats.heralded_signal_moments(quiet)
+    assert got_mean == pytest.approx(mean, rel=1e-9)
+    assert got_g2 == pytest.approx(g2, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +360,16 @@ def test_calibrate_heralded_prob(primary):
     _, controls = click_model(cal, 1, include_source=False)
     assert correlations(clicks, controls)["heralding_efficiency"] == pytest.approx(
         0.096, abs=1e-9)
+
+
+@pytest.mark.parametrize("target, value", [
+    ("herald_rate_cps", 1e9),
+    ("heralded_prob", 0.99),
+    ("g2_noise", 5.0),
+])
+def test_calibrate_unreachable_target(primary, target, value):
+    with pytest.raises(NoConvergence, match=f"{target} target {value!r} is unreachable"):
+        calibrate(primary, {target: value})
 
 
 def test_calibrate_underdetermined(primary):

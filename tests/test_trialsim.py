@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from fcsim import estimators, fockstats, trialsim
+from fcsim.errors import CorruptRecords
 from fcsim.trialsim import (
     MASK_H,
     MASK_R1,
@@ -105,6 +107,54 @@ def test_binary_roundtrip(tmp_path, primary):
     assert np.array_equal(back.trigger, run.trigger)
     assert np.all(back.delay == 17)
     assert np.array_equal(back.mask, run.mask)
+
+
+def _halve_triggers(run, path):
+    manifest = dataclasses.replace(run.manifest, n_triggers=run.n_triggers // 2)
+    trialsim.manifest_path(path).write_text(manifest.to_json(), encoding="utf-8")
+
+
+def _swap_first_two(run, path):
+    arr = np.fromfile(path, dtype=trialsim.BINARY_DTYPE)
+    arr[[0, 1]] = arr[[1, 0]]
+    arr.tofile(path)
+
+
+def _set_field(field, value):
+    def tamper(run, path):
+        arr = np.fromfile(path, dtype=trialsim.BINARY_DTYPE)
+        arr[field][3] = value
+        arr.tofile(path)
+    return tamper
+
+
+def _truncate(run, path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def _csv_flag_two(run, path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    trigger, delay, *_ = lines[1].split(",")
+    lines[1] = f"{trigger},{delay},2,0,0,0"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("suffix, tamper", [
+    (".bin", _halve_triggers),
+    (".bin", _swap_first_two),
+    (".bin", _set_field("mask", 16)),
+    (".bin", _set_field("T", 2)),
+    (".bin", _truncate),
+    (".csv", _csv_flag_two),
+], ids=["beyond_n_triggers", "not_increasing", "mask_above_15", "delay_differs",
+        "partial_record", "csv_flag_not_bit"])
+def test_read_records_rejects_mismatch(tmp_path, primary, suffix, tamper):
+    run = simulate_run(primary, seed=8, n_triggers=120_000)
+    path = tmp_path / ("clicks" + suffix)
+    write_records(run, path)
+    tamper(run, path)
+    with pytest.raises(CorruptRecords):
+        read_records(path)
 
 
 def test_file_estimates_equal_memory_estimates(tmp_path, primary):
