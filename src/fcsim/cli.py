@@ -14,12 +14,10 @@ import json
 import os
 import secrets
 import sys
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
-from . import __version__, estimators, fockstats, multiplex, readout, trialsim
+from . import __version__, atomic, estimators, fockstats, multiplex, readout, trialsim
 from .config import ValidatedConfig, config_hash, load_config
 from .errors import ConfigError, FcsimError
 
@@ -34,31 +32,17 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic.write_text(path, "\n".join(lines) + "\n")
 
 
 def _emit(doc: dict, out_path=None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
-        _atomic_write_text(out_path, text)
+        atomic.write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -128,20 +112,10 @@ def _cmd_stats(args) -> int:
     report["version"] = __version__
     if args.calibrate and args.out_config:
         from .config import dumps_config
-        _atomic_write_text(args.out_config, dumps_config(cfg))
+        atomic.write_text(args.out_config, dumps_config(cfg))
         report["calibrated_config"] = str(args.out_config)
     _emit(report, args.out)
     return 0
-
-
-def _sweep_point(cfg: ValidatedConfig, param: str, value: float, delay: int):
-    if param == "readout_delay":
-        t = int(value)
-        survival, eta, total = readout.readout_probability(t, cfg)
-        return (t, survival, eta, total, cfg.noise_mean_per_trigger())
-    cfg = cfg.replace_fields(**{param: value})
-    survival, eta, total = readout.readout_probability(delay, cfg)
-    return (value, survival, eta, total, cfg.noise_mean_per_trigger())
 
 
 def _cmd_sweep(args) -> int:
@@ -150,13 +124,14 @@ def _cmd_sweep(args) -> int:
     if args.param == "readout_delay":
         values = np.unique(np.rint(values).astype(int))
         values = values[values >= 1]
-    points = [(cfg, args.param, float(v), args.readout_delay) for v in values]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_point, *zip(*points)))
+        rows = list(zip(values, *readout.readout_curve(cfg, values),
+                        np.full(values.size, cfg.noise_mean_per_trigger())))
     else:
-        rows = [_sweep_point(*p) for p in points]
+        rows = []
+        for v in values:
+            c = cfg.replace_fields(**{args.param: float(v)})
+            rows.append((float(v), *readout.readout_probability(args.readout_delay, c),
+                         c.noise_mean_per_trigger()))
     _write_csv(args.out, ("T_or_Ep", "survival", "eta_conv", "total", "noise_mean"),
                rows)
     _emit({"out": str(args.out), "points": len(rows),
@@ -277,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--readout-delay", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect (one batched readout)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit", help="fit a decay series CSV (T,value[,stderr]) "

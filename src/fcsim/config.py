@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from . import atomic
 from .errors import (
     EnergyConservationViolated,
     MissingConfigKey,
@@ -420,8 +421,7 @@ def load_config(path) -> ValidatedConfig:
 
 
 def save_config(config, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_config(config))
+    atomic.write_text(path, dumps_config(config))
 
 
 def config_hash(config) -> str:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .config import ValidatedConfig
 from .errors import (
@@ -249,6 +248,8 @@ def fit_exponential(series) -> FitResult:
         raise SingularFit("series is constant within precision; lifetime unconstrained")
     if slope >= 0:
         raise SingularFit("series does not decay; lifetime would be negative")
+    from scipy.optimize import least_squares
+
     p0 = np.array([math.exp(intercept), -1.0 / slope])
     w = 1.0 / sigma if sigma is not None else np.ones_like(y)
 
@@ -310,7 +311,7 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
         "psi2": cfg.cavity.dispersion_ps2_per_cycle,
     }
     w = 1.0 / sigma if sigma is not None else np.ones_like(y)
-    delays = np.asarray(np.rint(t), dtype=int)
+    delays, index = np.unique(np.rint(t), return_inverse=True)
 
     def model_curve(params):
         p = dict(defaults)
@@ -320,12 +321,12 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
             "cavity.mismatch_ps_per_cycle": max(p["delta"], 0.0),
             "cavity.dispersion_ps2_per_cycle": max(p["psi2"], 0.0),
         })
-        totals = {d: readout.readout_probability(int(d), c)[2]
-                  for d in np.unique(delays)}
-        return p["amplitude"] * np.array([totals[d] for d in delays])
+        return p["amplitude"] * readout.readout_curve(c, delays)[2][index]
 
     def resid(params):
         return (model_curve(params) - y) * w
+
+    from scipy.optimize import least_squares
 
     p0 = np.array([defaults[name] for name in free])
     res = least_squares(resid, p0, xtol=1e-8, ftol=1e-12,

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .config import ValidatedConfig
 from .errors import (
@@ -144,9 +143,8 @@ def signal_branch_probs(cfg: ValidatedConfig, delay_cycles: int):
     """
     s = cfg.survival_per_cycle
     q_mon = (1.0 - s) * s ** (delay_cycles - 1) * cfg.detectors.eta_s_path
-    _, eta_conv, _ = readout.readout_probability(delay_cycles, cfg)
-    chain = (s**delay_cycles * eta_conv
-             * (1.0 - cfg.cavity.reflectivity_r) * cfg.detectors.eta_r_path)
+    _, _, total = readout.readout_probability(delay_cycles, cfg)
+    chain = total * (1.0 - cfg.cavity.reflectivity_r) * cfg.detectors.eta_r_path
     return q_mon, chain
 
 
@@ -240,14 +238,12 @@ def heralded_g2_curve(cfg: ValidatedConfig, delays) -> list:
     auto-g2 = 1 + 1/mode_count. Returns [(T, g2), ...].
     """
     n_a1, g2_a = heralded_signal_moments(cfg)
-    _, _, total1 = readout.readout_probability(1, cfg)
+    delays = [int(t) for t in delays]
+    total1, *totals = readout.readout_curve(cfg, [1, *delays])[2].tolist()
     n_b = cfg.noise_mean_per_trigger()
     g2_b = 1.0 + 1.0 / cfg.noise.mode_count
-    out = []
-    for t in delays:
-        _, _, total = readout.readout_probability(int(t), cfg)
-        out.append((int(t), g2_mixture(g2_a, n_a1 * total / total1, g2_b, n_b)))
-    return out
+    return [(t, g2_mixture(g2_a, n_a1 * total / total1, g2_b, n_b))
+            for t, total in zip(delays, totals)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +260,34 @@ CALIBRATION_PAIRS = {
     "heralded_prob": "detectors.eta_r_path",
 }
 
+# brentq tolerance on each solved field, as a fraction of calibrate's rel_tol
+SOLVE_TOL_FRACTION = 1e-2
+
 # solving order within one pass (later entries depend on earlier ones)
 _CALIBRATION_ORDER = ("g2_xc_hs", "eta_conversion", "herald_rate_cps",
                       "g2_noise", "r_rate_cps", "heralded_prob")
 
 
-def _invert(model, lo: float, hi: float, name: str, value: float, xtol: float) -> float:
-    """Solve model(x) = value on [lo, hi]; NoConvergence if the ends do not bracket it."""
+def _invert(model, lo: float, hi: float, name: str, value: float, rel_tol: float) -> float:
+    """Solve model(x) = value on [lo, hi]; NoConvergence if the ends do not bracket it.
+
+    Each target moves at most in proportion to its field (g2_noise to log M),
+    so x resolved to SOLVE_TOL_FRACTION * rel_tol keeps its residual in rel_tol.
+    """
+    from scipy.optimize import brentq
+
     at_lo, at_hi = model(lo), model(hi)
     if (at_lo - value) * (at_hi - value) > 0:
         raise NoConvergence(
             f"{name} target {value!r} is unreachable: varying "
             f"{CALIBRATION_PAIRS[name]} over its bracket gives {name} only from "
             f"{min(at_lo, at_hi):.6g} to {max(at_lo, at_hi):.6g}")
-    return brentq(lambda x: model(x) - value, lo, hi, xtol=xtol)
+    tol = max(SOLVE_TOL_FRACTION * rel_tol, 4.0 * sys.float_info.epsilon)
+    return brentq(lambda x: model(x) - value, lo, hi, xtol=1e-3 * tol, rtol=tol)
 
 
-def _solve_target(cfg: ValidatedConfig, name: str, value: float) -> ValidatedConfig:
+def _solve_target(cfg: ValidatedConfig, name: str, value: float,
+                  rel_tol: float) -> ValidatedConfig:
     clock = cfg.pulses.clock_rate_khz * 1e3
 
     if name == "g2_xc_hs":
@@ -305,7 +312,7 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float) -> ValidatedCon
             return clicks.p("H") * clock
 
         return cfg.replace_fields(**{
-            "detectors.eta_herald_path": _invert(model, 1e-9, 1.0, name, value, 1e-14)})
+            "detectors.eta_herald_path": _invert(model, 1e-9, 1.0, name, value, rel_tol)})
 
     if name == "g2_noise":
         def model(log_m):
@@ -313,7 +320,7 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float) -> ValidatedCon
             _, clicks = click_model(c, 1, include_source=False)
             return correlations(clicks)["g2_noise"]
 
-        log_m = _invert(model, 0.0, math.log(1e6), name, value, 1e-12)
+        log_m = _invert(model, 0.0, math.log(1e6), name, value, rel_tol)
         return cfg.replace_fields(**{"noise.mode_count": math.exp(log_m)})
 
     if name == "r_rate_cps":
@@ -323,7 +330,7 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float) -> ValidatedCon
             return (1.0 - clicks.no_click[frozenset(["R1", "R2"])]) * clock
 
         return cfg.replace_fields(**{
-            "noise.noise_mean_per_nj": _invert(model, 0.0, 2.0, name, value, 1e-14)})
+            "noise.noise_mean_per_nj": _invert(model, 0.0, 2.0, name, value, rel_tol)})
 
     if name == "heralded_prob":
         def model(eta):
@@ -333,7 +340,7 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float) -> ValidatedCon
             return correlations(clicks, controls)["heralding_efficiency"]
 
         return cfg.replace_fields(**{
-            "detectors.eta_r_path": _invert(model, 1e-9, 1.0, name, value, 1e-14)})
+            "detectors.eta_r_path": _invert(model, 1e-9, 1.0, name, value, rel_tol)})
 
     raise Underdetermined(f"no calibration rule for target {name!r}")
 
@@ -381,7 +388,7 @@ def calibrate(cfg: ValidatedConfig, targets: dict, free=None,
 
     for _ in range(passes):
         for name in names:
-            cfg = _solve_target(cfg, name, targets[name])
+            cfg = _solve_target(cfg, name, targets[name], rel_tol)
     residuals = _evaluate_targets(cfg, {n: targets[n] for n in names})
     for name, resid in residuals.items():
         scale = max(abs(targets[name]), 1e-12)

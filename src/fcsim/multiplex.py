@@ -45,8 +45,7 @@ class MultiplexPlan:
 
 def readout_curve(cfg: ValidatedConfig, max_delay_cycles: int) -> np.ndarray:
     """Retrieval probability eta(T) for T = 1..max_delay_cycles."""
-    return np.array([readout.readout_probability(t, cfg)[2]
-                     for t in range(1, max_delay_cycles + 1)])
+    return readout.readout_curve(cfg, np.arange(1, max_delay_cycles + 1))[2]
 
 
 def _eta_at(plan: MultiplexPlan, delay: int) -> float:

@@ -11,7 +11,7 @@ matching the conversion angle accumulated by a signal component at time t
 with tau the control 1/e intensity half-width, zeta = beta*L/tau the
 walk-off window in units of tau. The converted field picks up the factor
 i*exp(4i*xi)*sin(xi); only the conversion probability sin^2(xi) matters
-downstream (the phase is carried by xi_values for completeness).
+downstream.
 
 The stored wavepacket is modeled as a Gaussian intensity envelope whose
 center slips by the cavity mismatch every cycle and whose duration grows
@@ -21,12 +21,18 @@ acquires its own group delay and the RMS duration grows in quadrature:
 
     center(T) = mismatch * T
     sigma(T)^2 = sigma_0^2 + (psi_2 * sigma_omega * T)^2
+
+The conversion efficiency at delay T is the overlap of sin^2(xi(t)) with
+that envelope. sin^2(xi) does not depend on T and is below 1e-30 outside
+|t| <= (zeta/2 + 6) tau, so readout_curve integrates it once, on composite
+16-node Gauss-Legendre panels over that window, and takes the overlaps of
+all delays as one matrix product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -34,10 +40,14 @@ from scipy.special import erf
 from .config import ValidatedConfig
 from .errors import GridTooCoarse, NoConvergence, NonPhysicalParameter
 
-# Minimum grid points for conversion profiles; doubled until the overlap
-# integral moves by less than OVERLAP_TOL between refinements.
-MIN_GRID_POINTS = 2048
-OVERLAP_TOL = 1e-6
+PANEL_NODES = 16
+MIN_PANELS = 8
+# the widest node gap is at most sigma_0 / PANEL_MARGIN; a unit Gaussian then
+# integrates to within 1.2e-11 wherever it sits (1.5e-9 at a margin of 1.25)
+PANEL_MARGIN = 1.5
+MAX_NODES = 2**22
+# delays x nodes entries per matrix product, bounding memory for long scans
+MAX_MATRIX_ENTRIES = 2**16
 
 
 def xi_profile(t, energy_p_nj, energy_q_nj, nonlinear_coeff,
@@ -59,129 +69,82 @@ def xi_profile(t, energy_p_nj, energy_q_nj, nonlinear_coeff,
     return g * (erf(x + walkoff_ratio / 2.0) - erf(x - walkoff_ratio / 2.0))
 
 
-@dataclass(frozen=True)
-class ReadoutProfile:
-    """Sampled conversion profile on a uniform, zero-centered time grid."""
+def envelope_intensity(cfg: ValidatedConfig, delay_cycles, t_ps) -> np.ndarray:
+    """Stored envelope after delay_cycles, at times t_ps; integrates to 1 over t.
 
-    time_grid_ps: np.ndarray
-    xi_values: np.ndarray
-    efficiency_values: np.ndarray  # sin^2(xi), in [0, 1]
-
-    @property
-    def step_ps(self) -> float:
-        return float(self.time_grid_ps[1] - self.time_grid_ps[0])
-
-
-@dataclass(frozen=True)
-class SignalEnvelope:
-    """Gaussian intensity envelope of the stored signal at some delay."""
-
-    center_offset_ps: float
-    duration_rms_ps: float
-    chirp_ps2: float  # accumulated second-order dispersion, informational
-
-    def intensity(self, t_ps) -> np.ndarray:
-        """Normalized intensity; integrates to 1 over the real line."""
-        if self.duration_rms_ps <= 0:
-            raise NonPhysicalParameter("envelope duration must be > 0")
-        t = np.asarray(t_ps, dtype=float)
-        s = self.duration_rms_ps
-        return np.exp(-((t - self.center_offset_ps) ** 2) / (2.0 * s * s)) / (
-            s * math.sqrt(2.0 * math.pi)
-        )
+    Delays and times broadcast against each other.
+    """
+    d = np.asarray(delay_cycles, dtype=float)
+    center = cfg.cavity.mismatch_ps_per_cycle * d
+    s = np.hypot(cfg.source.envelope_rms_ps,
+                 cfg.cavity.dispersion_ps2_per_cycle * cfg.spectral_rms_rad_per_ps * d)
+    return np.exp(-((np.asarray(t_ps) - center) ** 2) / (2.0 * s * s)) / (
+        s * math.sqrt(2.0 * math.pi))
 
 
-def signal_envelope(cfg: ValidatedConfig, delay_cycles: float) -> SignalEnvelope:
-    """Envelope after storing for the given number of cavity cycles."""
-    sigma0 = cfg.source.envelope_rms_ps
-    psi2 = cfg.cavity.dispersion_ps2_per_cycle
-    spread = psi2 * cfg.spectral_rms_rad_per_ps * delay_cycles
-    return SignalEnvelope(
-        center_offset_ps=cfg.cavity.mismatch_ps_per_cycle * delay_cycles,
-        duration_rms_ps=math.hypot(sigma0, spread),
-        chirp_ps2=psi2 * delay_cycles,
-    )
+@functools.lru_cache(maxsize=32)
+def _quadrature(half_ps: float, sigma0_ps: float):
+    """Composite 16-node Gauss-Legendre nodes (ps) and weights on [-half, half].
+
+    Panels are added until the widest node gap, counting the one between
+    neighbouring panels, resolves the generation envelope sigma_0, which
+    every stored envelope is at least as wide as.
+    """
+    x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
+    nodes = (x + 1.0) / 2.0
+    gap = max(np.diff(nodes).max(), 2.0 * nodes[0])
+    panels = max(MIN_PANELS, math.ceil(2.0 * half_ps * gap * PANEL_MARGIN / sigma0_ps))
+    if panels * PANEL_NODES > MAX_NODES:
+        raise GridTooCoarse(
+            f"envelope RMS {sigma0_ps:.3g} ps needs {panels * PANEL_NODES} quadrature "
+            f"nodes on a {2 * half_ps:.3g} ps window, more than {MAX_NODES}")
+    width = 2.0 * half_ps / panels
+    t = (-half_ps + width * np.arange(panels)[:, None] + width * nodes).ravel()
+    weights = np.tile(width * w / 2.0, panels)
+    t.flags.writeable = weights.flags.writeable = False
+    return t, weights
 
 
-def conversion_profile(cfg: ValidatedConfig, energy_p_nj=None, energy_q_nj=None,
-                       half_span_ps=None, points=None) -> ReadoutProfile:
-    """Sample xi and sin^2(xi) for the configured (or overridden) energies."""
+def readout_curve(cfg: ValidatedConfig, delays, energy_p_nj=None, energy_q_nj=None):
+    """(survival, conversion efficiency, total) as arrays over storage delays.
+
+    Delays are cycle counts >= 0 (not necessarily integers); the control
+    energies default to the configured ones. total = survival^T * eta_conv(T)
+    is the intracavity retrieval probability; facet transmission and
+    collection are applied downstream.
+    """
+    d = np.atleast_1d(np.asarray(delays, dtype=float))
+    if d.ndim != 1 or not np.all(np.isfinite(d) & (d >= 0)):
+        raise NonPhysicalParameter("readout delays must be a list of finite values >= 0")
     ep = cfg.pulses.energy_p_nj if energy_p_nj is None else energy_p_nj
     eq = cfg.pulses.energy_q_nj if energy_q_nj is None else energy_q_nj
-    if half_span_ps is None:
-        half_span_ps = 5.0 * cfg.control_tau_ps * (1.0 + cfg.walkoff_ratio / 2.0)
-    n = MIN_GRID_POINTS if points is None else int(points)
-    grid = np.linspace(-half_span_ps, half_span_ps, n + 1)
-    xi = xi_profile(grid, ep, eq, cfg.pulses.nonlinear_coeff,
-                    cfg.cavity.walkoff_ps_per_m, cfg.control_tau_ps,
-                    cfg.walkoff_ratio)
-    return ReadoutProfile(time_grid_ps=grid, xi_values=xi,
-                          efficiency_values=np.sin(xi) ** 2)
-
-
-def overlap_efficiency(profile: ReadoutProfile, envelope: SignalEnvelope) -> float:
-    """Envelope-averaged conversion efficiency on the profile's grid.
-
-    eta = integral of sin^2(xi(t)) * |A(t)|^2 dt; bounded by max sin^2(xi).
-    """
-    fwhm = envelope.duration_rms_ps * 2.0 * math.sqrt(2.0 * math.log(2.0))
-    if fwhm < 4.0 * profile.step_ps:
-        raise GridTooCoarse(
-            f"envelope FWHM {fwhm:.3g} ps spans fewer than 4 grid steps "
-            f"({profile.step_ps:.3g} ps each)"
-        )
-    weights = envelope.intensity(profile.time_grid_ps)
-    return float(np.trapezoid(profile.efficiency_values * weights,
-                              profile.time_grid_ps))
-
-
-def _converged_overlap(cfg: ValidatedConfig, envelope: SignalEnvelope,
-                       energy_p_nj=None, energy_q_nj=None) -> float:
-    """Overlap integral with automatic grid sizing and refinement."""
-    half_span = 5.0 * max(
-        cfg.control_tau_ps * (1.0 + cfg.walkoff_ratio / 2.0),
-        abs(envelope.center_offset_ps) + 4.0 * envelope.duration_rms_ps,
-    )
-    points = MIN_GRID_POINTS
-    # keep at least ~8 samples across the envelope FWHM from the start
-    fwhm = envelope.duration_rms_ps * 2.0 * math.sqrt(2.0 * math.log(2.0))
-    while 2.0 * half_span / points > fwhm / 8.0:
-        points *= 2
-        if points > 2**22:
-            raise GridTooCoarse(
-                f"envelope FWHM {fwhm:.3g} ps is too narrow to resolve on a "
-                f"{2 * half_span:.3g} ps window")
-    prev = None
-    for _ in range(12):
-        prof = conversion_profile(cfg, energy_p_nj, energy_q_nj,
-                                  half_span_ps=half_span, points=points)
-        val = overlap_efficiency(prof, envelope)
-        if prev is not None and abs(val - prev) < OVERLAP_TOL:
-            return val
-        prev = val
-        points *= 2
-    raise NoConvergence("overlap integral did not stabilize", best=prev)
+    t, w = _quadrature((cfg.walkoff_ratio / 2.0 + 6.0) * cfg.control_tau_ps,
+                       cfg.source.envelope_rms_ps)
+    xi = xi_profile(t, ep, eq, cfg.pulses.nonlinear_coeff,
+                    cfg.cavity.walkoff_ps_per_m, cfg.control_tau_ps, cfg.walkoff_ratio)
+    profile = np.sin(xi) ** 2 * w
+    eta = np.empty(d.size)
+    rows = max(1, MAX_MATRIX_ENTRIES // t.size)
+    for i in range(0, d.size, rows):
+        eta[i:i + rows] = envelope_intensity(cfg, d[i:i + rows, None], t) @ profile
+    survival = cfg.survival_per_cycle ** d
+    return survival, eta, survival * eta
 
 
 def conversion_efficiency(cfg: ValidatedConfig, delay_cycles: float = 1.0,
                           energy_p_nj=None, energy_q_nj=None) -> float:
     """Internal conversion efficiency at the given readout delay."""
-    return _converged_overlap(cfg, signal_envelope(cfg, delay_cycles),
-                              energy_p_nj, energy_q_nj)
+    return float(readout_curve(cfg, delay_cycles, energy_p_nj, energy_q_nj)[1][0])
 
 
 def readout_probability(delay_cycles: int, cfg: ValidatedConfig):
     """(survival, conversion efficiency, total) at an integer delay >= 1.
 
-    total = survival^T * eta_conv(T) is the intracavity retrieval
-    probability; facet transmission and collection are applied downstream.
     Monotone nonincreasing in T when mismatch and dispersion are >= 0.
     """
     if delay_cycles < 1 or int(delay_cycles) != delay_cycles:
         raise NonPhysicalParameter(f"readout delay must be an integer >= 1, got {delay_cycles}")
-    survival = cfg.survival_per_cycle ** delay_cycles
-    eta = conversion_efficiency(cfg, delay_cycles)
-    return survival, eta, survival * eta
+    return tuple(float(a[0]) for a in readout_curve(cfg, delay_cycles))
 
 
 def one_over_e_delay(cfg: ValidatedConfig, max_cycles: int = 2000) -> float:
@@ -189,23 +152,21 @@ def one_over_e_delay(cfg: ValidatedConfig, max_cycles: int = 2000) -> float:
 
     The reference is the zero-delay extrapolation (unit survival, envelope
     at its generation duration and position), so a pure ring-down decay
-    returns exactly the configured lifetime. The crossing is located by a
-    scan over integer delays plus linear interpolation in log space.
+    returns exactly the configured lifetime. The crossing is the first
+    integer delay at or below the target, interpolated linearly in log
+    space from the delay before it.
     """
-    ref = _converged_overlap(cfg, signal_envelope(cfg, 0.0))
-    target = ref / math.e
-    prev_t, prev_v = 0.0, ref
-    for t in range(1, max_cycles + 1):
-        _, _, total = readout_probability(t, cfg)
-        if total <= target:
-            # interpolate between (prev_t, prev_v) and (t, total) in log space
-            if prev_v <= 0 or total <= 0:
-                return float(t)
-            f = (math.log(prev_v) - math.log(target)) / (math.log(prev_v) - math.log(total))
-            return prev_t + f * (t - prev_t)
-        prev_t, prev_v = float(t), total
-    raise NoConvergence(f"retrieval probability stayed above 1/e up to {max_cycles} cycles",
-                        best=prev_v)
+    _, _, total = readout_curve(cfg, np.arange(max_cycles + 1))
+    target = total[0] / math.e
+    below = np.flatnonzero(total[1:] <= target)
+    if below.size == 0:
+        raise NoConvergence(f"retrieval probability stayed above 1/e up to {max_cycles} cycles",
+                            best=float(total[-1]))
+    t = int(below[0]) + 1
+    prev, cur = float(total[t - 1]), float(total[t])
+    if prev <= 0 or cur <= 0:
+        return float(t)
+    return t - 1 + (math.log(prev) - math.log(target)) / (math.log(prev) - math.log(cur))
 
 
 def power_scan(energy_p_grid_nj, cfg: ValidatedConfig, delay_cycles: int = 1):
@@ -214,16 +175,8 @@ def power_scan(energy_p_grid_nj, cfg: ValidatedConfig, delay_cycles: int = 1):
     The q-control energy stays at its configured value; the noise mean is
     linear in the p energy. Returns a list of (E_p, eta_conv, noise_mean).
     """
-    rows = []
-    for ep in energy_p_grid_nj:
-        if ep < 0:
-            raise NonPhysicalParameter(f"pulse energy must be >= 0, got {ep}")
-        if ep == 0.0:
-            eta = 0.0
-        else:
-            eta = conversion_efficiency(cfg, delay_cycles, energy_p_nj=ep)
-        rows.append((float(ep), eta, cfg.noise.noise_mean_per_nj * float(ep)))
-    return rows
+    return [(float(ep), conversion_efficiency(cfg, delay_cycles, energy_p_nj=ep),
+             cfg.noise.noise_mean_per_nj * float(ep)) for ep in energy_p_grid_nj]
 
 
 def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float,
@@ -235,11 +188,9 @@ def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float,
     """
     from scipy.optimize import brentq
 
-    env = signal_envelope(cfg, delay_cycles)
-
     def eta_for(coeff):
         c = cfg.replace_fields(**{"pulses.nonlinear_coeff": coeff})
-        return _converged_overlap(c, env)
+        return conversion_efficiency(c, delay_cycles)
 
     lo, hi = 1e-4, 1.0
     # grow hi until past the maximum of the saturation curve

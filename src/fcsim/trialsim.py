@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from .config import ValidatedConfig, config_hash
 from .errors import CorruptRecords, EmptyInput, NonPhysicalParameter
 from .fockstats import signal_branch_probs
@@ -211,23 +212,51 @@ def manifest_path(path) -> Path:
     return p.with_name(p.stem + ".manifest.json")
 
 
+def _csv_bytes(records: ClickRecords) -> bytes:
+    """Rows 'trigger,T,H,S,R1,R2' built as one byte table, without a per-row loop.
+
+    Each column is written right-aligned at the width of its largest value;
+    the keep mask then drops the leading zeros.
+    """
+    columns = [records.trigger, records.delay] + [
+        (records.mask & bit) > 0 for bit in (MASK_H, MASK_S, MASK_R1, MASK_R2)]
+    widths = [len(str(int(c.max()))) if c.size else 1 for c in columns]
+    row = np.full((records.trigger.size, sum(widths) + len(widths)), ord(","), dtype=np.uint8)
+    keep = np.ones(row.shape, dtype=bool)
+    start = 0
+    for values, width in zip(columns, widths):
+        rest = values.astype(np.uint64)
+        for j in range(start + width - 1, start - 1, -1):
+            row[:, j] = rest % 10 + ord("0")
+            rest //= 10
+        for j in range(width - 1):
+            keep[:, start + j] = values >= 10 ** (width - 1 - j)
+        start += width + 1
+    row[:, -1] = ord("\n")
+    return (CSV_HEADER + "\n").encode("ascii") + row[keep].tobytes()
+
+
 def write_records(records: ClickRecords, path) -> None:
-    """Write records (.csv or .bin by extension) plus the manifest sidecar."""
+    """Write records (.csv or .bin by extension) plus the manifest sidecar.
+
+    Both files are written atomically, the sidecar last; if the sidecar
+    cannot be written the record file is removed again, so a failed write
+    leaves neither behind.
+    """
     p = Path(path)
     if p.suffix == ".bin":
         arr = np.empty(records.trigger.size, dtype=BINARY_DTYPE)
         arr["trigger"] = records.trigger
         arr["T"] = records.delay
         arr["mask"] = records.mask
-        p.write_bytes(arr.tobytes())
+        atomic.write_bytes(p, arr.tobytes())
     else:
-        lines = [CSV_HEADER]
-        for t, d, m in zip(records.trigger, records.delay, records.mask):
-            lines.append(f"{int(t)},{int(d)},{int(bool(m & MASK_H))},"
-                         f"{int(bool(m & MASK_S))},{int(bool(m & MASK_R1))},"
-                         f"{int(bool(m & MASK_R2))}")
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    manifest_path(p).write_text(records.manifest.to_json(), encoding="utf-8")
+        atomic.write_bytes(p, _csv_bytes(records))
+    try:
+        atomic.write_text(manifest_path(p), records.manifest.to_json())
+    except BaseException:
+        p.unlink(missing_ok=True)
+        raise
 
 
 def read_records(path) -> ClickRecords:

@@ -12,6 +12,12 @@ which shares its arithmetic:
 Only the container for the resulting no-click probabilities,
 fockstats.ClickProbabilities, and the per-photon branch probabilities of
 the readout (fockstats.signal_branch_probs) come from the package.
+
+Two further references replace fast package code with the plain version
+it was derived from: adaptive_overlap integrates the readout overlap by the
+trapezoid rule on a uniform grid refined until it settles (it shares only
+readout.xi_profile with the package), and csv_records_text formats click
+records one row at a time.
 """
 
 import math
@@ -20,7 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from fcsim import fockstats
+from fcsim import fockstats, readout
+from fcsim.trialsim import CSV_HEADER, MASK_H, MASK_R1, MASK_R2, MASK_S
 
 DETECTORS = ("H", "S", "R1", "R2")
 
@@ -257,3 +264,47 @@ def table_click_model(cfg, delay_cycles=1, include_source=True, n_max=16, k_max=
     clicks = detect(dist, cfg.detectors,
                     efficiencies={"herald": 1.0, "monitor": 1.0, "readout": 1.0})
     return dist, clicks
+
+
+def adaptive_overlap(cfg, delay_cycles, energy_p_nj=None, energy_q_nj=None, tol=1e-6):
+    """Conversion efficiency at a delay on a uniform grid, refined until it settles.
+
+    The grid spans 5x the wider of the control window and the envelope,
+    starts with at least 8 points across the envelope FWHM and doubles until
+    the trapezoid value moves by less than tol.
+    """
+    ep = cfg.pulses.energy_p_nj if energy_p_nj is None else energy_p_nj
+    eq = cfg.pulses.energy_q_nj if energy_q_nj is None else energy_q_nj
+    center = cfg.cavity.mismatch_ps_per_cycle * delay_cycles
+    sigma = math.hypot(cfg.source.envelope_rms_ps, cfg.cavity.dispersion_ps2_per_cycle
+                       * cfg.spectral_rms_rad_per_ps * delay_cycles)
+    half = 5.0 * max(cfg.control_tau_ps * (1.0 + cfg.walkoff_ratio / 2.0),
+                     abs(center) + 4.0 * sigma)
+    fwhm = sigma * 2.0 * math.sqrt(2.0 * math.log(2.0))
+    points = 2048
+    while 2.0 * half / points > fwhm / 8.0:
+        points *= 2
+    prev = None
+    for _ in range(12):
+        t = np.linspace(-half, half, points + 1)
+        xi = readout.xi_profile(t, ep, eq, cfg.pulses.nonlinear_coeff,
+                                cfg.cavity.walkoff_ps_per_m, cfg.control_tau_ps,
+                                cfg.walkoff_ratio)
+        envelope = np.exp(-((t - center) ** 2) / (2.0 * sigma**2)) / (
+            sigma * math.sqrt(2.0 * math.pi))
+        val = float(np.trapezoid(np.sin(xi) ** 2 * envelope, t))
+        if prev is not None and abs(val - prev) < tol:
+            return val
+        prev = val
+        points *= 2
+    raise AssertionError("reference overlap did not settle")
+
+
+def csv_records_text(records):
+    """Record file text in the CSV format, formatted row by row."""
+    lines = [CSV_HEADER]
+    for t, d, m in zip(records.trigger, records.delay, records.mask):
+        lines.append(f"{int(t)},{int(d)},{int(bool(m & MASK_H))},"
+                     f"{int(bool(m & MASK_S))},{int(bool(m & MASK_R1))},"
+                     f"{int(bool(m & MASK_R2))}")
+    return "\n".join(lines) + "\n"

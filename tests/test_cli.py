@@ -119,6 +119,14 @@ def test_delay_sweep(tmp_path, capsys):
     rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
     totals = rows[:, 3]
     assert np.all(np.diff(totals) < 0)
+    # --jobs is accepted but has no effect on the batched readout
+    again = tmp_path / "delay_jobs.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--config", CONFIG, "--param", "readout_delay",
+        "--from", "1", "--to", "101", "--steps", "21", "--out", str(again),
+        "--jobs", "3")
+    assert code == 0
+    assert again.read_bytes() == out_path.read_bytes()
 
 
 def test_fit_subcommand(tmp_path, capsys):
@@ -166,9 +174,10 @@ def test_cli_import_skips_scipy_stats():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import fcsim.cli, sys; print('scipy.stats' in sys.modules)"],
+         "import fcsim.cli, sys; "
+         "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"],
         capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_multiplex_subcommand(tmp_path, capsys):

@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from fcsim import readout
 from fcsim.errors import GridTooCoarse, NonPhysicalParameter
 from fcsim.readout import (
-    ReadoutProfile,
-    SignalEnvelope,
     conversion_efficiency,
-    conversion_profile,
-    overlap_efficiency,
+    readout_curve,
+    envelope_intensity,
     readout_probability,
-    signal_envelope,
     xi_profile,
 )
+from oracles import adaptive_overlap
 
 
 def test_erf_against_high_precision_oracle():
@@ -94,32 +92,74 @@ def test_xi_even_in_time():
 
 
 def test_envelope_normalized(primary):
-    env = signal_envelope(primary, 25)
-    t = np.linspace(env.center_offset_ps - 60, env.center_offset_ps + 60, 20001)
-    integral = np.trapezoid(env.intensity(t), t)
+    center = primary.cavity.mismatch_ps_per_cycle * 25
+    t = np.linspace(center - 60, center + 60, 20001)
+    integral = np.trapezoid(envelope_intensity(primary, 25, t), t)
     assert integral == pytest.approx(1.0, abs=1e-9)
 
 
 def test_overlap_narrow_envelope_reads_profile_peak(primary):
     """A very short wavepacket at the window center sees sin^2(xi(0))."""
-    prof = conversion_profile(primary, points=65536)
-    peak = float(np.max(prof.efficiency_values))
-    env = SignalEnvelope(center_offset_ps=0.0, duration_rms_ps=0.05, chirp_ps2=0.0)
-    eta = overlap_efficiency(prof, env)
-    assert eta == pytest.approx(peak, rel=2e-3)
+    cfg = primary.replace_fields(**{"source.envelope_rms_ps": 0.05,
+                                    "cavity.mismatch_ps_per_cycle": 0.0})
+    xi0 = float(xi_profile(0.0, cfg.pulses.energy_p_nj, cfg.pulses.energy_q_nj,
+                           cfg.pulses.nonlinear_coeff, cfg.cavity.walkoff_ps_per_m,
+                           cfg.control_tau_ps, cfg.walkoff_ratio))
+    _, eta, _ = readout_curve(cfg, [0])
+    assert eta[0] == pytest.approx(math.sin(xi0) ** 2, rel=2e-3)
 
 
 def test_overlap_no_overlap(primary):
-    prof = conversion_profile(primary)
-    env = SignalEnvelope(center_offset_ps=150.0, duration_rms_ps=2.0, chirp_ps2=0.0)
-    assert overlap_efficiency(prof, env) < 1e-6
+    """An envelope parked 150 ps from the window center is not converted."""
+    cfg = primary.replace_fields(**{"source.envelope_rms_ps": 2.0,
+                                    "cavity.mismatch_ps_per_cycle": 1.5,
+                                    "cavity.dispersion_ps2_per_cycle": 0.0})
+    _, eta, _ = readout_curve(cfg, [100])
+    assert eta[0] < 1e-6
 
 
 def test_overlap_grid_too_coarse(primary):
-    prof = conversion_profile(primary, points=256)
-    env = SignalEnvelope(center_offset_ps=0.0, duration_rms_ps=0.05, chirp_ps2=0.0)
+    """An envelope too narrow for 2^22 quadrature nodes is refused."""
+    cfg = primary.replace_fields(**{"source.envelope_rms_ps": 1e-5})
     with pytest.raises(GridTooCoarse):
-        overlap_efficiency(prof, env)
+        readout_curve(cfg, [1])
+
+
+def test_readout_curve_rejects_negative_delay(primary):
+    with pytest.raises(NonPhysicalParameter):
+        readout_curve(primary, [3, -1])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    sigma0=st.floats(0.05, 20),
+    mismatch=st.floats(0.0, 0.5),
+    psi2=st.floats(0.0, 0.2),
+    delays=st.lists(st.integers(0, 400), min_size=1, max_size=3),
+)
+def test_readout_curve_matches_adaptive_grid(primary, sigma0, mismatch, psi2, delays):
+    """The fixed Gauss-Legendre quadrature agrees with the refined trapezoid grid."""
+    cfg = primary.replace_fields(**{"source.envelope_rms_ps": sigma0,
+                                    "cavity.mismatch_ps_per_cycle": mismatch,
+                                    "cavity.dispersion_ps2_per_cycle": psi2})
+    _, eta, _ = readout_curve(cfg, delays)
+    for d, value in zip(delays, eta):
+        assert abs(value - adaptive_overlap(cfg, d)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["primary", "alternate"])
+def test_batched_curve_equals_single_delays(request, name):
+    cfg = request.getfixturevalue(name)
+    delays = np.arange(1, 401)
+    batched = np.column_stack(readout_curve(cfg, delays))
+    single = np.array([readout_probability(int(t), cfg) for t in delays])
+    assert np.max(np.abs(batched - single)) <= 1e-15
+
+
+def test_boosted_conversion_matches_adaptive_grid(primary):
+    ep, eq = 6.9 * 1.4, 8.6 * 1.4
+    assert conversion_efficiency(primary, 1, energy_p_nj=ep, energy_q_nj=eq) == \
+        pytest.approx(adaptive_overlap(primary, 1, ep, eq), abs=1e-12)
 
 
 def test_calibrated_conversion_efficiency(primary):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fcsim.trialsim import (
     simulate_run,
     write_records,
 )
+from oracles import csv_records_text
 
 
 def quiet_config(primary):
@@ -107,6 +109,47 @@ def test_binary_roundtrip(tmp_path, primary):
     assert np.array_equal(back.trigger, run.trigger)
     assert np.all(back.delay == 17)
     assert np.array_equal(back.mask, run.mask)
+
+
+def test_csv_writer_matches_row_by_row_text(tmp_path, primary):
+    """The vectorized CSV writer is byte-identical to row-by-row formatting,
+    including triggers of every digit count up to 2^64 - 1 and varied delays."""
+    run = simulate_run(primary, seed=8, n_triggers=120_000, delay_cycles=7)
+    edge = dataclasses.replace(
+        run,
+        trigger=np.array([0, 9, 10, 99, 100, 12345, 2**64 - 1], dtype=np.uint64),
+        delay=np.array([1, 10, 9, 65535, 100, 1, 7], dtype=np.uint16),
+        mask=np.array([1, 2, 4, 8, 15, 0, 6], dtype=np.uint8))
+    empty = dataclasses.replace(run, trigger=run.trigger[:0], delay=run.delay[:0],
+                                mask=run.mask[:0])
+    for i, records in enumerate((run, edge, empty)):
+        path = tmp_path / f"clicks{i}.csv"
+        write_records(records, path)
+        assert path.read_bytes() == csv_records_text(records).encode("utf-8")
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+@pytest.mark.parametrize("failing_rename", [1, 2], ids=["records", "sidecar"])
+def test_write_records_failure_leaves_nothing(tmp_path, primary, monkeypatch,
+                                              suffix, failing_rename):
+    """If either rename fails, neither the record file nor its sidecar remains."""
+    run = simulate_run(primary, seed=8, n_triggers=20_000)
+    path = tmp_path / ("clicks" + suffix)
+    real_replace = os.replace
+    calls = []
+
+    def flaky_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == failing_rename:
+            raise OSError("rename refused")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", flaky_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        write_records(run, path)
+    assert list(tmp_path.iterdir()) == []
+    assert [str(p) for p in calls] == [str(path), str(trialsim.manifest_path(path))][
+        :failing_rename]
 
 
 def _halve_triggers(run, path):
