@@ -10,8 +10,8 @@ from fcsim import readout
 from fcsim.errors import GridTooCoarse, NonPhysicalParameter
 from fcsim.readout import (
     conversion_efficiency,
-    readout_curve,
     envelope_intensity,
+    readout_curve,
     readout_probability,
     xi_profile,
 )
