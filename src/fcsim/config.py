@@ -202,10 +202,6 @@ class ValidatedConfig:
         """Mean detected noise photons per trigger at the configured p energy."""
         return self.raw.noise.noise_mean_per_nj * self.raw.pulses.energy_p_nj
 
-    def replace(self, **section_updates) -> "ValidatedConfig":
-        """Return a new validated config with whole sections replaced."""
-        return validate_config(dataclasses.replace(self.raw, **section_updates))
-
     def replace_fields(self, **dotted) -> "ValidatedConfig":
         """Return a new validated config with individual fields replaced.
 

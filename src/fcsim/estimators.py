@@ -59,17 +59,6 @@ class FitResult:
     n_points: int
 
 
-def _pattern_counts(records: ClickRecords) -> dict:
-    counts = {}
-    mask = records.mask
-    for name, bits in PATTERNS.items():
-        counts[name] = int(np.count_nonzero((mask & bits) == bits))
-    counts["r"] = int(np.count_nonzero(mask & (MASK_R1 | MASK_R2)))
-    counts["hr"] = int(np.count_nonzero(
-        ((mask & MASK_H) > 0) & ((mask & (MASK_R1 | MASK_R2)) > 0)))
-    return counts
-
-
 def estimate_rates(records: ClickRecords, clock_rate_khz: float | None = None) -> dict:
     """Counts per second for each click pattern, with binomial errors."""
     if records.n_triggers < 1:
@@ -77,10 +66,10 @@ def estimate_rates(records: ClickRecords, clock_rate_khz: float | None = None) -
     clock = (records.manifest.clock_rate_khz if clock_rate_khz is None
              else clock_rate_khz) * 1e3
     n = records.n_triggers
-    counts = _pattern_counts(records)
+    table, _ = _block_counts(records, n)  # the whole stream as one block
     out = {}
-    for name, c in counts.items():
-        p = c / n
+    for name, c in table.items():
+        p = int(c[0]) / n
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
         out[name] = CorrelationEstimate(value=p * clock, standard_error=se * clock,
                                         n_triggers=n, pattern=name)
@@ -101,25 +90,28 @@ def subtract_background(rates: dict, control_rates: dict) -> dict:
     return out
 
 
+# one 0/1 column per pattern over the 16 masks; "r" is R1 or R2, "hr" is H and R1 or R2
+_MASKS = np.arange(16)
+_ANY_R = (_MASKS & (MASK_R1 | MASK_R2)) > 0
+_PATTERN_NAMES = (*PATTERNS, "r", "hr")
+_PATTERN_MATRIX = np.column_stack(
+    [(_MASKS & bits) == bits for bits in PATTERNS.values()]
+    + [_ANY_R, ((_MASKS & MASK_H) > 0) & _ANY_R]).astype(np.int64)
+
+
 def _block_counts(records: ClickRecords, block_triggers: int):
-    """Per-block counts of every pattern plus per-block trigger totals."""
+    """Per-block counts of every pattern plus per-block trigger totals.
+
+    A pattern's count in a block sums the (block, mask) histogram over its masks.
+    """
     n = records.n_triggers
     n_blocks = (n + block_triggers - 1) // block_triggers
     sizes = np.full(n_blocks, block_triggers, dtype=np.int64)
     sizes[-1] = n - block_triggers * (n_blocks - 1)
     block_of = (records.trigger // np.uint64(block_triggers)).astype(np.int64)
-
-    def tally(match):
-        counts = np.zeros(n_blocks, dtype=np.int64)
-        np.add.at(counts, block_of[match], 1)
-        return counts
-
-    table = {name: tally((records.mask & bits) == bits)
-             for name, bits in PATTERNS.items()}
-    table["r"] = tally((records.mask & (MASK_R1 | MASK_R2)) > 0)
-    table["hr"] = tally(((records.mask & MASK_H) > 0)
-                        & ((records.mask & (MASK_R1 | MASK_R2)) > 0))
-    return table, sizes
+    hist = np.bincount(block_of * 16 + records.mask, minlength=16 * n_blocks)
+    counts = hist.reshape(n_blocks, 16) @ _PATTERN_MATRIX
+    return dict(zip(_PATTERN_NAMES, counts.T)), sizes
 
 
 _G2_DEFS = {
@@ -132,18 +124,41 @@ _G2_DEFS = {
 }
 
 
-def _g2_from_counts(kind: str, totals: dict, n: float) -> float:
-    num_names, den_names = _G2_DEFS[kind]
-    num = 1.0
-    for name in num_names:
-        num *= totals[name] / n
-    den = 1.0
+def _ratio_from_counts(ratio: tuple, totals: dict, n: float) -> float:
+    num_names, den_names = ratio
     for name in den_names:
-        d = totals[name] / n
-        if d == 0:
+        if totals[name] == 0:
             raise DivisionByZeroRate(f"pattern {name!r} never occurred")
-        den *= d
-    return num / den
+    num = math.prod(totals[name] / n for name in num_names)
+    return num / math.prod(totals[name] / n for name in den_names)
+
+
+def _bootstrap_ratio(records: ClickRecords, ratio: tuple, pattern: str,
+                     block_triggers: int, resamples: int, seed: int) -> CorrelationEstimate:
+    """prod(p_num) / prod(p_den) of ratio = (num, den) pattern names, with
+    block-bootstrap error; resamples whose denominator vanishes are dropped."""
+    if records.n_triggers < 1:
+        raise EmptyInput("record stream covers zero triggers")
+    table, sizes = _block_counts(records, block_triggers)
+    totals = {name: float(c.sum()) for name, c in table.items()}
+    value = _ratio_from_counts(ratio, totals, float(records.n_triggers))
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n_blocks = sizes.size
+    names = sorted(set(ratio[0]) | set(ratio[1]))
+    stacked = np.vstack([table[name] for name in names])
+    samples = []
+    for _ in range(resamples):
+        pick = rng.integers(0, n_blocks, n_blocks)
+        n_res = float(sizes[pick].sum())
+        tot = {name: float(stacked[i, pick].sum()) for i, name in enumerate(names)}
+        try:
+            samples.append(_ratio_from_counts(ratio, tot, n_res))
+        except DivisionByZeroRate:
+            continue
+    se = float(np.std(samples, ddof=1)) if len(samples) > 1 else math.inf
+    return CorrelationEstimate(value=value, standard_error=se,
+                               n_triggers=records.n_triggers, pattern=pattern)
 
 
 def estimate_g2(records: ClickRecords, kind: str,
@@ -153,29 +168,7 @@ def estimate_g2(records: ClickRecords, kind: str,
     """Ratio-of-frequencies correlation estimate with block-bootstrap error."""
     if kind not in _G2_DEFS:
         raise NonPhysicalParameter(f"unknown correlation kind {kind!r}")
-    if records.n_triggers < 1:
-        raise EmptyInput("record stream covers zero triggers")
-    table, sizes = _block_counts(records, block_triggers)
-    totals = {name: float(c.sum()) for name, c in table.items()}
-    value = _g2_from_counts(kind, totals, float(records.n_triggers))
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n_blocks = sizes.size
-    needed = set(_G2_DEFS[kind][0]) | set(_G2_DEFS[kind][1])
-    stacked = np.vstack([table[name] for name in sorted(needed)])
-    names = sorted(needed)
-    samples = []
-    for _ in range(resamples):
-        pick = rng.integers(0, n_blocks, n_blocks)
-        n_res = float(sizes[pick].sum())
-        tot = {name: float(stacked[i, pick].sum()) for i, name in enumerate(names)}
-        try:
-            samples.append(_g2_from_counts(kind, tot, n_res))
-        except DivisionByZeroRate:
-            continue
-    se = float(np.std(samples, ddof=1)) if len(samples) > 1 else math.inf
-    return CorrelationEstimate(value=value, standard_error=se,
-                               n_triggers=records.n_triggers, pattern=kind)
+    return _bootstrap_ratio(records, _G2_DEFS[kind], kind, block_triggers, resamples, seed)
 
 
 def klyshko_efficiency(records: ClickRecords,
@@ -186,25 +179,8 @@ def klyshko_efficiency(records: ClickRecords,
 
     eta_h = p(H and S) / p(S); independent of losses on the monitored arm.
     """
-    if records.n_triggers < 1:
-        raise EmptyInput("record stream covers zero triggers")
-    table, sizes = _block_counts(records, block_triggers)
-    s_total = table["s"].sum()
-    if s_total == 0:
-        raise DivisionByZeroRate("signal monitor never clicked")
-    value = table["hs"].sum() / s_total
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n_blocks = sizes.size
-    samples = []
-    for _ in range(resamples):
-        pick = rng.integers(0, n_blocks, n_blocks)
-        s = table["s"][pick].sum()
-        if s > 0:
-            samples.append(table["hs"][pick].sum() / s)
-    se = float(np.std(samples, ddof=1)) if len(samples) > 1 else math.inf
-    return CorrelationEstimate(value=float(value), standard_error=se,
-                               n_triggers=records.n_triggers, pattern="klyshko")
+    return _bootstrap_ratio(records, (("hs",), ("s",)), "klyshko",
+                            block_triggers, resamples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +197,7 @@ def _series_arrays(series):
     return t, y, sigma
 
 
-def _r_squared(y, fitted, sigma=None):
+def _r_squared(y, fitted):
     resid = y - fitted
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -258,20 +234,10 @@ def fit_exponential(series) -> FitResult:
 
     res = least_squares(resid, p0, xtol=1e-12, ftol=1e-12, max_nfev=2000)
     amp, tau = res.x
-    fitted = amp * np.exp(-t / tau)
-    errors = _param_errors(res, t.size)
-    return FitResult(
-        param_names=("amplitude", "lifetime"),
-        values={"amplitude": float(amp), "lifetime": float(tau)},
-        errors={"amplitude": errors[0], "lifetime": errors[1]},
-        r_squared=_r_squared(y, fitted),
-        residual_rms=float(np.sqrt(np.mean((y - fitted) ** 2))),
-        residual_max=float(np.max(np.abs(y - fitted))),
-        n_points=int(t.size),
-    )
+    return _fit_result(("amplitude", "lifetime"), res, y, amp * np.exp(-t / tau))
 
 
-def _param_errors(res, n_points):
+def _param_errors(res):
     """Standard errors from the jacobian at the solution."""
     m = res.fun.size
     dof = max(m - res.x.size, 1)
@@ -281,6 +247,19 @@ def _param_errors(res, n_points):
         return [float(math.sqrt(max(cov[i, i], 0.0))) for i in range(res.x.size)]
     except np.linalg.LinAlgError:
         return [math.inf] * res.x.size
+
+
+def _fit_result(names: tuple, res, y, fitted) -> FitResult:
+    """FitResult of the least-squares solution res for data y and its model values fitted."""
+    return FitResult(
+        param_names=names,
+        values={name: float(v) for name, v in zip(names, res.x)},
+        errors=dict(zip(names, _param_errors(res))),
+        r_squared=_r_squared(y, fitted),
+        residual_rms=float(np.sqrt(np.mean((y - fitted) ** 2))),
+        residual_max=float(np.max(np.abs(y - fitted))),
+        n_points=int(y.size),
+    )
 
 
 MEMORY_FIT_PARAMS = ("amplitude", "lifetime", "delta", "psi2")
@@ -334,14 +313,4 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
     if not res.success:
         raise NoConvergence("memory-model fit did not converge",
                             best=dict(zip(free, res.x)))
-    fitted = model_curve(res.x)
-    errors = _param_errors(res, t.size)
-    return FitResult(
-        param_names=free,
-        values={name: float(v) for name, v in zip(free, res.x)},
-        errors={name: e for name, e in zip(free, errors)},
-        r_squared=_r_squared(y, fitted),
-        residual_rms=float(np.sqrt(np.mean((y - fitted) ** 2))),
-        residual_max=float(np.max(np.abs(y - fitted))),
-        n_points=int(t.size),
-    )
+    return _fit_result(free, res, y, model_curve(res.x))

@@ -25,6 +25,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .config import ValidatedConfig
 from .errors import (
@@ -54,6 +55,15 @@ class ClickProbabilities:
 
     def p(self, name: str) -> float:
         return 1.0 - self.no_click[frozenset([name])]
+
+    def p_r(self) -> float:
+        """P(at least one readout detector clicks)."""
+        return 1.0 - self.no_click[frozenset(["R1", "R2"])]
+
+    def p_hr(self) -> float:
+        """P(the herald and at least one readout detector click)."""
+        return self.p("H") - (self.no_click[frozenset(["R1", "R2"])]
+                              - self.no_click[frozenset(["H", "R1", "R2"])])
 
     def p_all(self, *names) -> float:
         """P(all named detectors click, others unconstrained)."""
@@ -92,9 +102,8 @@ def correlations(clicks: ClickProbabilities, controls_clicks=None) -> dict:
     p_s = clicks.p("S")
     p_r1 = clicks.p("R1")
     p_r2 = clicks.p("R2")
-    p_r = 1.0 - clicks.no_click[frozenset(["R1", "R2"])]
-    p_hr = p_h - (clicks.no_click[frozenset(["R1", "R2"])]
-                  - clicks.no_click[frozenset(["H", "R1", "R2"])])
+    p_r = clicks.p_r()
+    p_hr = clicks.p_hr()
     if p_h == 0 and p_r == 0:
         raise DivisionByZeroRate(
             "no herald and no readout clicks: vacuum input or zero efficiency")
@@ -111,8 +120,7 @@ def correlations(clicks: ClickProbabilities, controls_clicks=None) -> dict:
     if p_h > 0:
         p_r_given_h = p_hr / p_h
         if controls_clicks is not None:
-            p_r_bg = 1.0 - controls_clicks.no_click[frozenset(["R1", "R2"])]
-            out["heralding_efficiency"] = p_r_given_h - p_r_bg
+            out["heralding_efficiency"] = p_r_given_h - controls_clicks.p_r()
         else:
             out["heralding_efficiency"] = p_r_given_h
     else:
@@ -191,13 +199,11 @@ def model_report(cfg: ValidatedConfig, delay_cycles: int = 1) -> dict:
     _, clicks = click_model(cfg, delay_cycles)
     _, controls = click_model(cfg, delay_cycles, include_source=False)
     clock = cfg.pulses.clock_rate_khz * 1e3
-    p_r = 1.0 - clicks.no_click[frozenset(["R1", "R2"])]
     rates = {
         "herald_cps": clicks.p("H") * clock,
         "monitor_cps": clicks.p("S") * clock,
-        "readout_cps": p_r * clock,
-        "herald_readout_cps": (clicks.p("H") - (clicks.no_click[frozenset(["R1", "R2"])]
-                               - clicks.no_click[frozenset(["H", "R1", "R2"])])) * clock,
+        "readout_cps": clicks.p_r() * clock,
+        "herald_readout_cps": clicks.p_hr() * clock,
         "triple_cps": clicks.p_all("H", "R1", "R2") * clock,
     }
     corr = correlations(clicks, controls)
@@ -250,126 +256,116 @@ def heralded_g2_curve(cfg: ValidatedConfig, delays) -> list:
 # Calibration: invert the forward model onto measured targets
 # ---------------------------------------------------------------------------
 
-# target name -> the single config field it pins down
-CALIBRATION_PAIRS = {
-    "g2_xc_hs": "source.mean_pairs_per_pulse",
-    "herald_rate_cps": "detectors.eta_herald_path",
-    "g2_noise": "noise.mode_count",
-    "eta_conversion": "pulses.nonlinear_coeff",
-    "r_rate_cps": "noise.noise_mean_per_nj",
-    "heralded_prob": "detectors.eta_r_path",
+class _Target(NamedTuple):
+    field: str                     # the config field the target pins
+    value: Callable                # config -> the target's model value
+    solve: Callable | None = None  # dedicated solver (config, target value) -> field,
+    bracket: tuple = ()            # else brentq over this interval of the field,
+    log: bool = False              # or of log(field) when log is set
+
+
+def _g2_xc_hs(cfg: ValidatedConfig) -> float:
+    # number-basis identity for the pair source: g2 = 1 + 1/k + 1/mu
+    mu, k = cfg.source.mean_pairs_per_pulse, cfg.source.schmidt_modes
+    return (1.0 + 1.0 / k + 1.0 / mu) if mu > 0 else math.inf
+
+
+def _mu_for_g2_xc_hs(cfg: ValidatedConfig, value: float) -> float:
+    k = cfg.source.schmidt_modes
+    floor = 1.0 + 1.0 / k
+    if value <= floor:
+        raise NoConvergence(
+            f"g2_xc_hs target {value} is at or below the {floor:.3f} floor "
+            f"of a {k}-mode source")
+    return 1.0 / (value - floor)
+
+
+def _g2_noise(cfg: ValidatedConfig) -> float:
+    _, controls = click_model(cfg, 1, include_source=False)
+    return correlations(controls)["g2_noise"]
+
+
+def _heralded_prob(cfg: ValidatedConfig) -> float:
+    _, clicks = click_model(cfg, 1)
+    _, controls = click_model(cfg, 1, include_source=False)
+    return correlations(clicks, controls)["heralding_efficiency"]
+
+
+# target name -> how it is pinned, in solving order within one pass
+# (later entries depend on earlier ones)
+_TARGETS = {
+    "g2_xc_hs": _Target("source.mean_pairs_per_pulse", _g2_xc_hs,
+                        solve=_mu_for_g2_xc_hs),
+    "eta_conversion": _Target("pulses.nonlinear_coeff",
+                              lambda cfg: readout.conversion_efficiency(cfg, 1),
+                              solve=readout.solve_nonlinear_coeff),
+    "herald_rate_cps": _Target(
+        "detectors.eta_herald_path",
+        lambda cfg: click_model(cfg, 1)[1].p("H") * (cfg.pulses.clock_rate_khz * 1e3),
+        bracket=(1e-9, 1.0)),
+    "g2_noise": _Target("noise.mode_count", _g2_noise,
+                        bracket=(0.0, math.log(1e6)), log=True),
+    "r_rate_cps": _Target(
+        "noise.noise_mean_per_nj",
+        lambda cfg: click_model(cfg, 1)[1].p_r() * (cfg.pulses.clock_rate_khz * 1e3),
+        bracket=(0.0, 2.0)),
+    "heralded_prob": _Target("detectors.eta_r_path", _heralded_prob,
+                             bracket=(1e-9, 1.0)),
 }
+
+# target name -> the single config field it pins down
+CALIBRATION_PAIRS = {name: target.field for name, target in _TARGETS.items()}
 
 # brentq tolerance on each solved field, as a fraction of calibrate's rel_tol
 SOLVE_TOL_FRACTION = 1e-2
 
-# solving order within one pass (later entries depend on earlier ones)
-_CALIBRATION_ORDER = ("g2_xc_hs", "eta_conversion", "herald_rate_cps",
-                      "g2_noise", "r_rate_cps", "heralded_prob")
-
-
-def _invert(model, lo: float, hi: float, name: str, value: float, rel_tol: float) -> float:
-    """Solve model(x) = value on [lo, hi]; NoConvergence if the ends do not bracket it.
-
-    Each target moves at most in proportion to its field (g2_noise to log M),
-    so x resolved to SOLVE_TOL_FRACTION * rel_tol keeps its residual in rel_tol.
-    """
-    from scipy.optimize import brentq
-
-    at_lo, at_hi = model(lo), model(hi)
-    if (at_lo - value) * (at_hi - value) > 0:
-        raise NoConvergence(
-            f"{name} target {value!r} is unreachable: varying "
-            f"{CALIBRATION_PAIRS[name]} over its bracket gives {name} only from "
-            f"{min(at_lo, at_hi):.6g} to {max(at_lo, at_hi):.6g}")
-    tol = max(SOLVE_TOL_FRACTION * rel_tol, 4.0 * sys.float_info.epsilon)
-    return brentq(lambda x: model(x) - value, lo, hi, xtol=1e-3 * tol, rtol=tol)
+# calibration gives up if the residuals are not within rel_tol after this many passes
+MAX_PASSES = 4
 
 
 def _solve_target(cfg: ValidatedConfig, name: str, value: float,
                   rel_tol: float) -> ValidatedConfig:
-    clock = cfg.pulses.clock_rate_khz * 1e3
+    """cfg with the field that target name pins solved so its model value equals value.
 
-    if name == "g2_xc_hs":
-        # number-basis identity for the pair source: g2 = 1 + 1/k + 1/mu
-        k = cfg.source.schmidt_modes
-        floor = 1.0 + 1.0 / k
-        if value <= floor:
-            raise NoConvergence(
-                f"g2_xc_hs target {value} is at or below the {floor:.3f} floor "
-                f"of a {k}-mode source")
-        mu = 1.0 / (value - floor)
-        return cfg.replace_fields(**{"source.mean_pairs_per_pulse": mu})
+    NoConvergence if the bracket ends do not bracket the value. Each target
+    moves at most in proportion to its field (g2_noise to log M), so the
+    field resolved to SOLVE_TOL_FRACTION * rel_tol keeps its residual in rel_tol.
+    """
+    target = _TARGETS[name]
+    if target.solve is not None:
+        return cfg.replace_fields(**{target.field: target.solve(cfg, value)})
+    from scipy.optimize import brentq
 
-    if name == "eta_conversion":
-        coeff = readout.solve_nonlinear_coeff(cfg, value)
-        return cfg.replace_fields(**{"pulses.nonlinear_coeff": coeff})
+    to_field = math.exp if target.log else float
 
-    if name == "herald_rate_cps":
-        def model(eta):
-            c = cfg.replace_fields(**{"detectors.eta_herald_path": eta})
-            _, clicks = click_model(c, 1)
-            return clicks.p("H") * clock
+    def model(x):
+        return target.value(cfg.replace_fields(**{target.field: to_field(x)}))
 
-        return cfg.replace_fields(**{
-            "detectors.eta_herald_path": _invert(model, 1e-9, 1.0, name, value, rel_tol)})
-
-    if name == "g2_noise":
-        def model(log_m):
-            c = cfg.replace_fields(**{"noise.mode_count": math.exp(log_m)})
-            _, clicks = click_model(c, 1, include_source=False)
-            return correlations(clicks)["g2_noise"]
-
-        log_m = _invert(model, 0.0, math.log(1e6), name, value, rel_tol)
-        return cfg.replace_fields(**{"noise.mode_count": math.exp(log_m)})
-
-    if name == "r_rate_cps":
-        def model(per_nj):
-            c = cfg.replace_fields(**{"noise.noise_mean_per_nj": per_nj})
-            _, clicks = click_model(c, 1)
-            return (1.0 - clicks.no_click[frozenset(["R1", "R2"])]) * clock
-
-        return cfg.replace_fields(**{
-            "noise.noise_mean_per_nj": _invert(model, 0.0, 2.0, name, value, rel_tol)})
-
-    if name == "heralded_prob":
-        def model(eta):
-            c = cfg.replace_fields(**{"detectors.eta_r_path": eta})
-            _, clicks = click_model(c, 1)
-            _, controls = click_model(c, 1, include_source=False)
-            return correlations(clicks, controls)["heralding_efficiency"]
-
-        return cfg.replace_fields(**{
-            "detectors.eta_r_path": _invert(model, 1e-9, 1.0, name, value, rel_tol)})
-
-    raise Underdetermined(f"no calibration rule for target {name!r}")
+    lo, hi = target.bracket
+    at_lo, at_hi = model(lo), model(hi)
+    if (at_lo - value) * (at_hi - value) > 0:
+        raise NoConvergence(
+            f"{name} target {value!r} is unreachable: varying "
+            f"{target.field} over its bracket gives {name} only from "
+            f"{min(at_lo, at_hi):.6g} to {max(at_lo, at_hi):.6g}")
+    tol = max(SOLVE_TOL_FRACTION * rel_tol, 4.0 * sys.float_info.epsilon)
+    x = brentq(lambda x: model(x) - value, lo, hi, xtol=1e-3 * tol, rtol=tol)
+    return cfg.replace_fields(**{target.field: to_field(x)})
 
 
 def _evaluate_targets(cfg: ValidatedConfig, targets: dict) -> dict:
-    report = model_report(cfg, 1)
-    corr = report["correlations"]
-    _, controls = click_model(cfg, 1, include_source=False)
-    mu = cfg.source.mean_pairs_per_pulse
-    k = cfg.source.schmidt_modes
-    values = {
-        "g2_xc_hs": (1.0 + 1.0 / k + 1.0 / mu) if mu > 0 else math.inf,
-        "herald_rate_cps": report["rates"]["herald_cps"],
-        "g2_noise": correlations(controls)["g2_noise"],
-        "eta_conversion": readout.conversion_efficiency(cfg, 1),
-        "r_rate_cps": report["rates"]["readout_cps"],
-        "heralded_prob": corr["heralding_efficiency"],
-    }
-    return {name: values[name] - targets[name] for name in targets}
+    return {name: _TARGETS[name].value(cfg) - value for name, value in targets.items()}
 
 
-def calibrate(cfg: ValidatedConfig, targets: dict, free=None,
-              passes: int = 4, rel_tol: float = 1e-6):
+def calibrate(cfg: ValidatedConfig, targets: dict, free=None, rel_tol: float = 1e-6):
     """Solve free parameters so the forward model reproduces the targets.
 
     Each target pins exactly one parameter (see CALIBRATION_PAIRS). The
-    one-dimensional solves are iterated a few passes because the targets
-    are weakly coupled. Returns (config, residuals); raises Underdetermined
-    for unmatched free parameters and NoConvergence if residuals remain.
+    one-dimensional solves run in passes because the targets are weakly
+    coupled; calibration stops after the first pass that leaves every
+    relative residual within rel_tol. Returns (config, residuals); raises
+    Underdetermined for unmatched free parameters and NoConvergence if
+    residuals remain after MAX_PASSES passes.
     """
     unknown = set(targets) - set(CALIBRATION_PAIRS)
     if unknown:
@@ -381,20 +377,18 @@ def calibrate(cfg: ValidatedConfig, targets: dict, free=None,
             raise Underdetermined(
                 f"free parameter(s) {sorted(free - solvable)} are not pinned "
                 "by any provided target")
-        names = [n for n in _CALIBRATION_ORDER
-                 if n in targets and CALIBRATION_PAIRS[n] in free]
-    else:
-        names = [n for n in _CALIBRATION_ORDER if n in targets]
+    names = [n for n in _TARGETS
+             if n in targets and (free is None or CALIBRATION_PAIRS[n] in free)]
 
-    for _ in range(passes):
+    for _ in range(MAX_PASSES):
         for name in names:
             cfg = _solve_target(cfg, name, targets[name], rel_tol)
-    residuals = _evaluate_targets(cfg, {n: targets[n] for n in names})
-    for name, resid in residuals.items():
-        scale = max(abs(targets[name]), 1e-12)
-        if abs(resid) / scale > rel_tol:
-            raise NoConvergence(
-                f"calibration residual for {name} is {resid:.3e} "
-                f"(relative {abs(resid) / scale:.2e})",
-                best=cfg, residual=residuals)
-    return cfg, residuals
+        residuals = _evaluate_targets(cfg, {n: targets[n] for n in names})
+        relative = {n: abs(r) / max(abs(targets[n]), 1e-12) for n, r in residuals.items()}
+        off = [n for n, rel in relative.items() if rel > rel_tol]
+        if not off:
+            return cfg, residuals
+    raise NoConvergence(
+        f"calibration residual for {off[0]} is {residuals[off[0]]:.3e} "
+        f"(relative {relative[off[0]]:.2e}) after {MAX_PASSES} passes",
+        best=cfg, residual=residuals)

@@ -133,6 +133,43 @@ def test_klyshko_invariant_under_signal_loss(primary):
         assert abs(v - ref_v) < 3.5 * math.hypot(se, ref_se)
 
 
+def test_pattern_counts_match_per_record_count():
+    """Rates and per-block counts equal a plain per-record tally, all 16 masks."""
+    n, block = 200, 7
+    rng = np.random.Generator(np.random.PCG64(4))
+    trigger = np.sort(rng.choice(n, size=120, replace=False)).astype(np.uint64)
+    mask = np.concatenate([np.arange(16), rng.integers(0, 16, 104)]).astype(np.uint8)
+    rec = ClickRecords(
+        trigger=trigger, delay=np.ones(trigger.size, dtype=np.uint16), mask=mask,
+        manifest=RunManifest(config_hash="x", seed=0, n_triggers=n, clock_rate_khz=76.8,
+                             readout_delay=1, controls_only=False))
+
+    def matches(name, m):
+        any_r = bool(m & (MASK_R1 | MASK_R2))
+        if name == "r":
+            return any_r
+        if name == "hr":
+            return bool(m & MASK_H) and any_r
+        bits = estimators.PATTERNS[name]
+        return m & bits == bits
+
+    names = [*estimators.PATTERNS, "r", "hr"]
+    n_blocks = -(-n // block)
+    expected = {name: [0] * n_blocks for name in names}
+    for t, m in zip(trigger.tolist(), mask.tolist()):
+        for name in names:
+            expected[name][t // block] += matches(name, m)
+
+    table, sizes = estimators._block_counts(rec, block)
+    assert sorted(table) == sorted(names)
+    assert {name: c.tolist() for name, c in table.items()} == expected
+    assert sizes.tolist() == [block] * (n_blocks - 1) + [n - block * (n_blocks - 1)]
+    rates = estimate_rates(rec)
+    assert list(rates) == names
+    for name in names:
+        assert rates[name].value == sum(expected[name]) / n * 76800.0
+
+
 def test_divide_by_zero_rate():
     n = 1000
     masks = np.zeros(n, dtype=np.uint8)

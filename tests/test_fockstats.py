@@ -366,10 +366,57 @@ def test_calibrate_heralded_prob(primary):
     ("herald_rate_cps", 1e9),
     ("heralded_prob", 0.99),
     ("g2_noise", 5.0),
+    ("r_rate_cps", 1e9),
 ])
 def test_calibrate_unreachable_target(primary, target, value):
     with pytest.raises(NoConvergence, match=f"{target} target {value!r} is unreachable"):
         calibrate(primary, {target: value})
+
+
+PUBLISHED_TARGETS = {"g2_xc_hs": 26.0, "herald_rate_cps": 474.0, "g2_noise": 1.09,
+                     "eta_conversion": 0.80, "heralded_prob": 0.096}
+
+
+def _relative_residuals(targets, residuals):
+    return {name: abs(r) / abs(targets[name]) for name, r in residuals.items()}
+
+
+def test_calibrate_coupled_readout_rate_converges(primary):
+    """The readout rate couples to the heralding efficiency, so this set
+    needs a second pass; calibration must still end within rel_tol."""
+    targets = dict(PUBLISHED_TARGETS, r_rate_cps=3405.0 * 1.03)
+    cal, resid = calibrate(primary, targets)
+    assert set(resid) == set(targets)
+    assert max(_relative_residuals(targets, resid).values()) <= 1e-6
+    rates = fockstats.model_report(cal, 1)["rates"]
+    assert rates["readout_cps"] == pytest.approx(3405.0 * 1.03, rel=1e-6)
+    assert rates["herald_cps"] == pytest.approx(474.0, rel=1e-6)
+
+
+def test_calibrate_gives_up_after_max_passes(primary, monkeypatch):
+    targets = dict(PUBLISHED_TARGETS, r_rate_cps=3405.0 * 1.03)
+    monkeypatch.setattr(fockstats, "MAX_PASSES", 1)
+    with pytest.raises(NoConvergence, match="after 1 pass") as err:
+        calibrate(primary, targets)
+    assert set(err.value.residual) == set(targets)
+    assert max(_relative_residuals(targets, err.value.residual).values()) > 1e-6
+    assert err.value.best.noise.noise_mean_per_nj != primary.noise.noise_mean_per_nj
+
+
+def test_calibrate_stops_at_first_converged_pass(primary, monkeypatch):
+    """The published targets are solved in dependency order, so one pass and
+    one residual check reach them; a second pass would add about 40 evaluations."""
+    calls = []
+    real = fockstats.click_model
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fockstats, "click_model", counting)
+    _, resid = calibrate(primary, PUBLISHED_TARGETS)
+    assert max(_relative_residuals(PUBLISHED_TARGETS, resid).values()) <= 1e-6
+    assert len(calls) <= 50
 
 
 def test_calibrate_underdetermined(primary):
