@@ -47,13 +47,20 @@ def _emit(doc: dict, out_path=None) -> None:
         sys.stdout.write(text)
 
 
+def _number_item(flag: str, item: str):
+    """(key, value) of a KEY=NUMBER argument; ConfigError if it is not one."""
+    key, _, value = item.partition("=")
+    try:
+        return key, float(value)
+    except ValueError:
+        raise ConfigError(f"{flag} expects KEY=NUMBER, got {item!r}") from None
+
+
 def _load(args) -> ValidatedConfig:
     cfg = load_config(args.config)
     for item in args.set or []:
-        key, _, value = item.partition("=")
-        if not value:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        cfg = cfg.replace_fields(**{key: float(value)})
+        key, value = _number_item("--set", item)
+        cfg = cfg.replace_fields(**{key: value})
     return cfg
 
 
@@ -101,10 +108,7 @@ def _cmd_stats(args) -> int:
     cfg = _load(args)
     residuals = {}
     if args.calibrate:
-        targets = {}
-        for item in args.calibrate:
-            key, _, value = item.partition("=")
-            targets[key] = float(value)
+        targets = dict(_number_item("--calibrate", item) for item in args.calibrate)
         cfg, residuals = fockstats.calibrate(cfg, targets)
     report = fockstats.model_report(cfg, args.readout_delay)
     report["residuals"] = residuals
@@ -174,8 +178,7 @@ def _cmd_multiplex(args) -> int:
     if args.herald_prob is not None:
         p_herald = args.herald_prob
     else:
-        _, clicks = fockstats.click_model(cfg, 1)
-        p_herald = clicks.p("H")
+        p_herald = fockstats.model_patterns(cfg)["h"]
     max_delay = (args.max_bins - 1) * args.spacing + args.latency
     curve = multiplex.readout_curve(cfg, max_delay)
     rows = []

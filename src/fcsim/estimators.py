@@ -20,23 +20,19 @@ from .errors import (
     NonPhysicalParameter,
     SingularFit,
 )
-from .trialsim import MASK_H, MASK_R1, MASK_R2, MASK_S, ClickRecords
+from .fockstats import PATTERN_MASKS, PATTERN_MATRIX, PATTERNS, RATIOS  # PATTERNS: public here too
+from .trialsim import ClickRecords
 from . import readout
 
 BOOTSTRAP_BLOCK = 10_000
 BOOTSTRAP_RESAMPLES = 200
 
-# pattern name -> required mask bits (any R means R1 or R2)
-PATTERNS = {
-    "h": MASK_H,
-    "s": MASK_S,
-    "r1": MASK_R1,
-    "r2": MASK_R2,
-    "hs": MASK_H | MASK_S,
-    "hr1": MASK_H | MASK_R1,
-    "hr2": MASK_H | MASK_R2,
-    "r1r2": MASK_R1 | MASK_R2,
-    "hr1r2": MASK_H | MASK_R1 | MASK_R2,
+# estimate_g2 kind -> its correlation in RATIOS
+G2_KINDS = {
+    "cross_hs": "g2_xc_hs",
+    "cross_hr": "g2_xc_hr",
+    "heralded_auto": "g2_ac_heralded",
+    "unheralded_auto": "g2_noise",
 }
 
 
@@ -61,8 +57,6 @@ class FitResult:
 
 def estimate_rates(records: ClickRecords, clock_rate_khz: float | None = None) -> dict:
     """Counts per second for each click pattern, with binomial errors."""
-    if records.n_triggers < 1:
-        raise EmptyInput("record stream covers zero triggers")
     clock = (records.manifest.clock_rate_khz if clock_rate_khz is None
              else clock_rate_khz) * 1e3
     n = records.n_triggers
@@ -90,74 +84,45 @@ def subtract_background(rates: dict, control_rates: dict) -> dict:
     return out
 
 
-# one 0/1 column per pattern over the 16 masks; "r" is R1 or R2, "hr" is H and R1 or R2
-_MASKS = np.arange(16)
-_ANY_R = (_MASKS & (MASK_R1 | MASK_R2)) > 0
-_PATTERN_NAMES = (*PATTERNS, "r", "hr")
-_PATTERN_MATRIX = np.column_stack(
-    [(_MASKS & bits) == bits for bits in PATTERNS.values()]
-    + [_ANY_R, ((_MASKS & MASK_H) > 0) & _ANY_R]).astype(np.int64)
-
-
 def _block_counts(records: ClickRecords, block_triggers: int):
     """Per-block counts of every pattern plus per-block trigger totals.
 
     A pattern's count in a block sums the (block, mask) histogram over its masks.
     """
     n = records.n_triggers
+    if n < 1:
+        raise EmptyInput("record stream covers zero triggers")
     n_blocks = (n + block_triggers - 1) // block_triggers
     sizes = np.full(n_blocks, block_triggers, dtype=np.int64)
     sizes[-1] = n - block_triggers * (n_blocks - 1)
     block_of = (records.trigger // np.uint64(block_triggers)).astype(np.int64)
     hist = np.bincount(block_of * 16 + records.mask, minlength=16 * n_blocks)
-    counts = hist.reshape(n_blocks, 16) @ _PATTERN_MATRIX
-    return dict(zip(_PATTERN_NAMES, counts.T)), sizes
-
-
-_G2_DEFS = {
-    # kind -> (numerator patterns, denominator patterns); value is
-    # prod(p_num) / prod(p_den)
-    "cross_hs": (("hs",), ("h", "s")),
-    "cross_hr": (("hr",), ("h", "r")),
-    "heralded_auto": (("hr1r2", "h"), ("hr1", "hr2")),
-    "unheralded_auto": (("r1r2",), ("r1", "r2")),
-}
-
-
-def _ratio_from_counts(ratio: tuple, totals: dict, n: float) -> float:
-    num_names, den_names = ratio
-    for name in den_names:
-        if totals[name] == 0:
-            raise DivisionByZeroRate(f"pattern {name!r} never occurred")
-    num = math.prod(totals[name] / n for name in num_names)
-    return num / math.prod(totals[name] / n for name in den_names)
+    counts = hist.reshape(n_blocks, 16) @ PATTERN_MATRIX
+    return dict(zip(PATTERN_MASKS, counts.T)), sizes
 
 
 def _bootstrap_ratio(records: ClickRecords, ratio: tuple, pattern: str,
                      block_triggers: int, resamples: int, seed: int) -> CorrelationEstimate:
     """prod(p_num) / prod(p_den) of ratio = (num, den) pattern names, with
     block-bootstrap error; resamples whose denominator vanishes are dropped."""
-    if records.n_triggers < 1:
-        raise EmptyInput("record stream covers zero triggers")
     table, sizes = _block_counts(records, block_triggers)
-    totals = {name: float(c.sum()) for name, c in table.items()}
-    value = _ratio_from_counts(ratio, totals, float(records.n_triggers))
-
+    num, den = ratio
+    for name in den:
+        if not table[name].any():
+            raise DivisionByZeroRate(f"pattern {name!r} never occurred")
     rng = np.random.Generator(np.random.PCG64(seed))
-    n_blocks = sizes.size
-    names = sorted(set(ratio[0]) | set(ratio[1]))
-    stacked = np.vstack([table[name] for name in names])
-    samples = []
-    for _ in range(resamples):
-        pick = rng.integers(0, n_blocks, n_blocks)
-        n_res = float(sizes[pick].sum())
-        tot = {name: float(stacked[i, pick].sum()) for i, name in enumerate(names)}
-        try:
-            samples.append(_ratio_from_counts(ratio, tot, n_res))
-        except DivisionByZeroRate:
-            continue
-    se = float(np.std(samples, ddof=1)) if len(samples) > 1 else math.inf
-    return CorrelationEstimate(value=value, standard_error=se,
+    names = sorted({*num, *den})
+    stacked = np.vstack([sizes] + [table[name] for name in names])
+    # row 0 sums the whole stream, each further row one resample of its blocks
+    sums = np.array([stacked.sum(axis=1)] + [
+        stacked[:, rng.integers(0, sizes.size, sizes.size)].sum(axis=1)
+        for _ in range(resamples)])
+    p = dict(zip(names, (sums[:, 1:] / sums[:, :1]).T))
+    d = math.prod(p[name] for name in den)
+    ok = d > 0
+    values = math.prod(p[name] for name in num)[ok] / d[ok]
+    se = float(np.std(values[1:], ddof=1)) if values.size > 2 else math.inf
+    return CorrelationEstimate(value=float(values[0]), standard_error=se,
                                n_triggers=records.n_triggers, pattern=pattern)
 
 
@@ -165,10 +130,12 @@ def estimate_g2(records: ClickRecords, kind: str,
                 block_triggers: int = BOOTSTRAP_BLOCK,
                 resamples: int = BOOTSTRAP_RESAMPLES,
                 seed: int = 0) -> CorrelationEstimate:
-    """Ratio-of-frequencies correlation estimate with block-bootstrap error."""
-    if kind not in _G2_DEFS:
+    """Ratio-of-frequencies estimate of the correlation G2_KINDS[kind], with
+    block-bootstrap error."""
+    if kind not in G2_KINDS:
         raise NonPhysicalParameter(f"unknown correlation kind {kind!r}")
-    return _bootstrap_ratio(records, _G2_DEFS[kind], kind, block_triggers, resamples, seed)
+    return _bootstrap_ratio(records, RATIOS[G2_KINDS[kind]], kind,
+                            block_triggers, resamples, seed)
 
 
 def klyshko_efficiency(records: ClickRecords,

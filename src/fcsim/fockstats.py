@@ -16,16 +16,18 @@ of a set A clicks is the generating function of each source evaluated at
 the probability that one of its photons misses A (Christ & Silberhorn,
 PRA 85, 023829 (2012)). Everything downstream (click probabilities,
 correlation functions, calibration) follows from those 16 numbers, with no
-photon-number truncation.
+photon-number truncation. They are indexed by record mask, and the pattern
+and ratio tables here serve the model and the record estimators alike.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .config import ValidatedConfig
 from .errors import (
@@ -36,95 +38,77 @@ from .errors import (
 )
 from . import readout
 
-DETECTOR_NAMES = ("H", "S", "R1", "R2")
+# record mask bit of each detector; a detector set A is indexed by its mask
+MASK_H, MASK_S, MASK_R1, MASK_R2 = 1, 2, 4, 8
+DETECTOR_BITS = {"H": MASK_H, "S": MASK_S, "R1": MASK_R1, "R2": MASK_R2}
+
+_MASKS = np.arange(16)
+_HAS = (_MASKS[:, None] & np.array(list(DETECTOR_BITS.values()))) > 0  # (mask, detector)
+_SET_SIZE = _HAS.sum(axis=1)
+# AT_LEAST[b, c]: every detector of set b clicks in the click pattern c
+AT_LEAST = (_MASKS[None, :] & _MASKS[:, None]) == _MASKS[:, None]
+# EXACT[c, a]: coefficient of Q(a) in P(exactly the detectors of c click); by
+# inclusion-exclusion, a is the silent set of c plus a subset s of c, with sign (-1)^|s|
+EXACT = np.where((_MASKS[:, None] | _MASKS[None, :]) == 15,
+                 (-1) ** _SET_SIZE[_MASKS[:, None] & _MASKS[None, :]], 0)
+
+# pattern name -> required mask bits, for the patterns in which all named detectors click
+PATTERNS = {
+    "h": MASK_H,
+    "s": MASK_S,
+    "r1": MASK_R1,
+    "r2": MASK_R2,
+    "hs": MASK_H | MASK_S,
+    "hr1": MASK_H | MASK_R1,
+    "hr2": MASK_H | MASK_R2,
+    "r1r2": MASK_R1 | MASK_R2,
+    "hr1r2": MASK_H | MASK_R1 | MASK_R2,
+}
+_ANY_R = AT_LEAST[MASK_R1] | AT_LEAST[MASK_R2]
+# pattern name -> the record masks it covers; "r" is R1 or R2, "hr" is H and R1 or R2
+PATTERN_MASKS = {**{name: AT_LEAST[bits] for name, bits in PATTERNS.items()},
+                 "r": _ANY_R, "hr": AT_LEAST[MASK_H] & _ANY_R}
+# (mask, pattern) 0/1 matrix: a mask histogram times it counts every pattern
+PATTERN_MATRIX = np.column_stack(tuple(PATTERN_MASKS.values())).astype(np.int64)
+# no-click probabilities times these integer weights give the pattern probabilities
+_PATTERN_WEIGHTS = (EXACT.T @ PATTERN_MATRIX).astype(float)
+_AT_LEAST_WEIGHTS = (EXACT.T @ AT_LEAST.T).astype(float)
+
+# correlation -> (numerator patterns, denominator patterns); its value is
+# prod(p_num) / prod(p_den), from model probabilities and record frequencies alike
+RATIOS = {
+    "g2_xc_hs": (("hs",), ("h", "s")),
+    "g2_xc_hr": (("hr",), ("h", "r")),
+    "g2_ac_heralded": (("hr1r2", "h"), ("hr1", "hr2")),
+    "g2_noise": (("r1r2",), ("r1", "r2")),
+    "heralding_efficiency": (("hr",), ("h",)),
+}
 
 
-# ---------------------------------------------------------------------------
-# Threshold detection
-# ---------------------------------------------------------------------------
+def pattern_probs(q) -> dict:
+    """Pattern name -> probability from no-click probabilities q[..., mask]:
+    arrays over the rows of q, or floats for one row of 16."""
+    p = np.maximum(q @ _PATTERN_WEIGHTS, 0.0)
+    return dict(zip(PATTERN_MASKS, p.tolist() if p.ndim == 1 else p.T))
 
-@dataclass(frozen=True)
-class ClickProbabilities:
-    """Joint click statistics of the detectors H, S, R1, R2.
 
-    Stored as no-click probabilities Q(A) = P(no detector in A clicks),
-    from which any pattern probability follows by inclusion-exclusion.
+def correlations(p: dict, controls: dict | None = None) -> dict:
+    """Every correlation of RATIOS from the pattern probabilities p.
+
+    With the pattern probabilities of a controls-only run, their readout
+    click probability is subtracted from heralding_efficiency (background
+    subtraction by differencing). Quantities whose denominator vanishes are
+    None; no herald and no readout clicks at all raise DivisionByZeroRate.
     """
-
-    no_click: dict
-
-    def p(self, name: str) -> float:
-        return 1.0 - self.no_click[frozenset([name])]
-
-    def p_r(self) -> float:
-        """P(at least one readout detector clicks)."""
-        return 1.0 - self.no_click[frozenset(["R1", "R2"])]
-
-    def p_hr(self) -> float:
-        """P(the herald and at least one readout detector click)."""
-        return self.p("H") - (self.no_click[frozenset(["R1", "R2"])]
-                              - self.no_click[frozenset(["H", "R1", "R2"])])
-
-    def p_all(self, *names) -> float:
-        """P(all named detectors click, others unconstrained)."""
-        total = 0.0
-        names = tuple(names)
-        for r in range(len(names) + 1):
-            for sub in itertools.combinations(names, r):
-                total += (-1) ** len(sub) * self.no_click[frozenset(sub)]
-        return max(total, 0.0)
-
-    def p_exact(self, clicked) -> float:
-        """P(exactly this set of detectors clicks)."""
-        clicked = frozenset(clicked)
-        silent = [d for d in DETECTOR_NAMES if d not in clicked]
-        total = 0.0
-        for r in range(len(clicked) + 1):
-            for sub in itertools.combinations(sorted(clicked), r):
-                total += (-1) ** len(sub) * self.no_click[frozenset(silent) | frozenset(sub)]
-        return max(total, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Correlation functions and the standard model chain
-# ---------------------------------------------------------------------------
-
-def correlations(clicks: ClickProbabilities, controls_clicks=None) -> dict:
-    """Correlation estimators as click-probability ratios.
-
-    heralding_efficiency is the readout click probability given a herald,
-    minus the same probability from a controls-only run when provided
-    (background subtraction by differencing). Quantities whose denominator
-    vanishes are reported as None; a fully dark detector set (no herald
-    and no readout clicks at all) raises DivisionByZeroRate.
-    """
-    p_h = clicks.p("H")
-    p_s = clicks.p("S")
-    p_r1 = clicks.p("R1")
-    p_r2 = clicks.p("R2")
-    p_r = clicks.p_r()
-    p_hr = clicks.p_hr()
-    if p_h == 0 and p_r == 0:
+    if p["h"] == 0 and p["r"] == 0:
         raise DivisionByZeroRate(
             "no herald and no readout clicks: vacuum input or zero efficiency")
-
     out = {}
-    out["g2_xc_hs"] = (clicks.p_all("H", "S") / (p_h * p_s)
-                       if p_h > 0 and p_s > 0 else None)
-    out["g2_xc_hr"] = p_hr / (p_h * p_r) if p_h > 0 and p_r > 0 else None
-    den = clicks.p_all("H", "R1") * clicks.p_all("H", "R2")
-    out["g2_ac_heralded"] = (clicks.p_all("H", "R1", "R2") * p_h / den
-                             if den > 0 else None)
-    out["g2_noise"] = (clicks.p_all("R1", "R2") / (p_r1 * p_r2)
-                       if p_r1 > 0 and p_r2 > 0 else None)
-    if p_h > 0:
-        p_r_given_h = p_hr / p_h
-        if controls_clicks is not None:
-            out["heralding_efficiency"] = p_r_given_h - controls_clicks.p_r()
-        else:
-            out["heralding_efficiency"] = p_r_given_h
-    else:
-        out["heralding_efficiency"] = None
+    for name, (num, den) in RATIOS.items():
+        d = math.prod(p[n] for n in den)
+        out[name] = math.prod(p[n] for n in num) / d if d > 0 else None
+    if controls is not None and out["heralding_efficiency"] is not None:
+        out["heralding_efficiency"] -= controls["r"]
     return out
 
 
@@ -142,32 +126,37 @@ def g2_mixture(g2_a: float, n_a: float, g2_b: float, n_b: float) -> float:
     return (g2_a * n_a**2 + g2_b * n_b**2 + 2.0 * n_a * n_b) / total**2
 
 
-def signal_branch_probs(cfg: ValidatedConfig, delay_cycles: int):
-    """(monitor, readout) per-photon branch probabilities at a delay.
+# ---------------------------------------------------------------------------
+# The click engine
+# ---------------------------------------------------------------------------
 
-    A stored photon either leaks toward the monitor arm during the readout
-    bin, survives to be read out and collected, or neither; the two
-    detected branches are exclusive per photon.
+def signal_branch_probs(cfg: ValidatedConfig, delays, total=None):
+    """(monitor, readout) per-photon branch probabilities as arrays over delays.
+
+    A stored photon leaks toward the monitor arm during the readout bin, is
+    read out and collected, or neither. total is the readout curve's
+    retrieval probability at the delays, computed when not given.
     """
+    d = np.atleast_1d(np.asarray(delays, dtype=float))
+    if not np.all((d >= 1) & (d == np.rint(d))):
+        raise NonPhysicalParameter(f"readout delays must be integers >= 1, got {delays}")
+    if total is None:
+        total = readout.readout_curve(cfg, d)[2]
     s = cfg.survival_per_cycle
-    q_mon = (1.0 - s) * s ** (delay_cycles - 1) * cfg.detectors.eta_s_path
-    _, _, total = readout.readout_probability(delay_cycles, cfg)
+    q_mon = (1.0 - s) * s ** (d - 1) * cfg.detectors.eta_s_path
     chain = total * (1.0 - cfg.cavity.reflectivity_r) * cfg.detectors.eta_r_path
     return q_mon, chain
 
 
-def click_model(cfg: ValidatedConfig, delay_cycles: int = 1,
-                include_source: bool = True):
-    """Click statistics of one trigger of the full chain.
+def no_click_table(cfg: ValidatedConfig, q_mon, chain, include_source: bool = True):
+    """No-click probabilities Q(A) of the 16 detector sets, shape (branches, 16).
 
-    Returns (means, clicks): the mean detected photon numbers of the modes
-    'herald', 'monitor' and 'readout', and the joint click statistics.
-    With include_source=False the pair source is off (controls-only run).
-
-    For each detector set A, with e_A = f [R1 in A] + (1-f) [R2 in A] the
-    chance that a readout photon reaches A and
-    z_A = (1 - eta_h [H in A]) (1 - q_mon [S in A] - c e_A) the chance
-    that no photon of one pair does,
+    Row i has the branch probabilities (q_mon[i], chain[i]), column A is the
+    record mask of the set; include_source=False turns the pair source off
+    (controls-only run), and the branches do not enter. With
+    e_A = f [R1 in A] + (1-f) [R2 in A] the chance that a readout photon
+    reaches A and z_A = (1 - eta_h [H in A]) (1 - q_mon [S in A] - c e_A)
+    the chance that no photon of one pair does,
 
         Q(A) = (1-d)^|A| (1 + mu/k (1-z_A))^-k (1 + nbar/M e_A)^-M.
 
@@ -178,35 +167,69 @@ def click_model(cfg: ValidatedConfig, delay_cycles: int = 1,
     n_bar = cfg.noise_mean_per_trigger()
     m = cfg.noise.mode_count
     det = cfg.detectors
-    eta_h, f, dark = det.eta_herald_path, det.splitter_ratio, det.dark_prob_per_gate
-    q_mon, chain = signal_branch_probs(cfg, delay_cycles)
+    f = det.splitter_ratio
+    h, s, r1, r2 = _HAS.T
+    e = f * r1 + (1.0 - f) * r2
+    q_mon, chain = (np.atleast_1d(v)[:, None] for v in (q_mon, chain))
+    z = (1.0 - det.eta_herald_path * h) * (1.0 - q_mon * s - chain * e)
+    return (1.0 - det.dark_prob_per_gate) ** _SET_SIZE * np.exp(
+        -k * np.log1p(mu / k * (1.0 - z)) - m * np.log1p(n_bar / m * e))
 
-    no_click = {}
-    for r in range(len(DETECTOR_NAMES) + 1):
-        for subset in itertools.combinations(DETECTOR_NAMES, r):
-            a = frozenset(subset)
-            e = f * ("R1" in a) + (1.0 - f) * ("R2" in a)
-            z = (1.0 - eta_h * ("H" in a)) * (1.0 - q_mon * ("S" in a) - chain * e)
-            no_click[a] = (1.0 - dark) ** len(a) * math.exp(
-                -k * math.log1p(mu / k * (1.0 - z)) - m * math.log1p(n_bar / m * e))
-    means = {"herald": mu * eta_h, "monitor": mu * q_mon,
-             "readout": mu * chain + n_bar}
-    return means, ClickProbabilities(no_click)
+
+def model_patterns(cfg: ValidatedConfig, delay_cycles: int = 1, total=None,
+                   include_source: bool = True) -> dict:
+    """Pattern name -> click probability of one trigger at a readout delay;
+    total as in signal_branch_probs. A controls-only run needs no readout."""
+    branches = (signal_branch_probs(cfg, delay_cycles, total) if include_source
+                else (0.0, 0.0))
+    return pattern_probs(no_click_table(cfg, *branches, include_source)[0])
+
+
+@dataclass(frozen=True)
+class ClickProbabilities:
+    """Joint click statistics of H, S, R1, R2 from one row of no_click_table."""
+
+    q: np.ndarray  # no-click probability of each detector set, by record mask
+
+    @property
+    def no_click(self) -> dict:
+        """Detector set (frozenset of names) -> Q(set)."""
+        return {frozenset(d for d, bit in DETECTOR_BITS.items() if mask & bit): float(v)
+                for mask, v in enumerate(self.q)}
+
+    def p_all(self, *names) -> float:
+        """P(all named detectors click, others unconstrained)."""
+        mask = sum(DETECTOR_BITS[d] for d in set(names))
+        return max(float(self.q @ _AT_LEAST_WEIGHTS[:, mask]), 0.0)
+
+    p = p_all  # p(name): P(that detector clicks)
+
+
+def click_model(cfg: ValidatedConfig, delay_cycles: int = 1,
+                include_source: bool = True):
+    """(means, clicks) of one trigger: the mean detected photon numbers of the
+    modes 'herald', 'monitor' and 'readout', and a view of its no_click_table
+    row. With include_source=False the pair source is off (controls-only run).
+    """
+    mu = cfg.source.mean_pairs_per_pulse if include_source else 0.0
+    q_mon, chain = (float(v[0]) for v in signal_branch_probs(cfg, delay_cycles))
+    means = {"herald": mu * cfg.detectors.eta_herald_path, "monitor": mu * q_mon,
+             "readout": mu * chain + cfg.noise_mean_per_trigger()}
+    return means, ClickProbabilities(no_click_table(cfg, q_mon, chain, include_source)[0])
 
 
 def model_report(cfg: ValidatedConfig, delay_cycles: int = 1) -> dict:
     """Rates (cps), correlation values and efficiencies of the forward model."""
-    _, clicks = click_model(cfg, delay_cycles)
-    _, controls = click_model(cfg, delay_cycles, include_source=False)
+    p = model_patterns(cfg, delay_cycles)
     clock = cfg.pulses.clock_rate_khz * 1e3
     rates = {
-        "herald_cps": clicks.p("H") * clock,
-        "monitor_cps": clicks.p("S") * clock,
-        "readout_cps": clicks.p_r() * clock,
-        "herald_readout_cps": clicks.p_hr() * clock,
-        "triple_cps": clicks.p_all("H", "R1", "R2") * clock,
+        "herald_cps": p["h"] * clock,
+        "monitor_cps": p["s"] * clock,
+        "readout_cps": p["r"] * clock,
+        "herald_readout_cps": p["hr"] * clock,
+        "triple_cps": p["hr1r2"] * clock,
     }
-    corr = correlations(clicks, controls)
+    corr = correlations(p, model_patterns(cfg, include_source=False))
     return {"delay_cycles": delay_cycles, "rates": rates, "correlations": corr}
 
 
@@ -222,7 +245,7 @@ def heralded_signal_moments(cfg: ValidatedConfig):
     any delay, while the mean scales with the retrieval probability.
     """
     mu, k = cfg.source.mean_pairs_per_pulse, cfg.source.schmidt_modes
-    _, chain = signal_branch_probs(cfg, 1)
+    chain = float(signal_branch_probs(cfg, 1)[1][0])
     eta_h = cfg.detectors.eta_herald_path
     x = 1.0 - eta_h
     base = 1.0 + mu / k * eta_h  # G(x) = base^-k
@@ -257,14 +280,21 @@ def heralded_g2_curve(cfg: ValidatedConfig, delays) -> list:
 # ---------------------------------------------------------------------------
 
 class _Target(NamedTuple):
+    """How a calibration target is pinned.
+
+    No brentq field enters the readout curve, so a solve evaluates it once.
+    No other target's field enters a field that has a dedicated solve, so
+    calibrate runs those solves in the first pass only.
+    """
+
     field: str                     # the config field the target pins
-    value: Callable                # config -> the target's model value
+    value: Callable                # (config, its readout_curve at [1]) -> model value
     solve: Callable | None = None  # dedicated solver (config, target value) -> field,
     bracket: tuple = ()            # else brentq over this interval of the field,
     log: bool = False              # or of log(field) when log is set
 
 
-def _g2_xc_hs(cfg: ValidatedConfig) -> float:
+def _g2_xc_hs(cfg: ValidatedConfig, curve) -> float:
     # number-basis identity for the pair source: g2 = 1 + 1/k + 1/mu
     mu, k = cfg.source.mean_pairs_per_pulse, cfg.source.schmidt_modes
     return (1.0 + 1.0 / k + 1.0 / mu) if mu > 0 else math.inf
@@ -280,15 +310,20 @@ def _mu_for_g2_xc_hs(cfg: ValidatedConfig, value: float) -> float:
     return 1.0 / (value - floor)
 
 
-def _g2_noise(cfg: ValidatedConfig) -> float:
-    _, controls = click_model(cfg, 1, include_source=False)
-    return correlations(controls)["g2_noise"]
+def _rate(pattern: str) -> Callable:
+    """Model value of a click rate in cps: the pattern's probability times the clock."""
+    def value(cfg: ValidatedConfig, curve) -> float:
+        return model_patterns(cfg, 1, curve[2])[pattern] * (cfg.pulses.clock_rate_khz * 1e3)
+    return value
 
 
-def _heralded_prob(cfg: ValidatedConfig) -> float:
-    _, clicks = click_model(cfg, 1)
-    _, controls = click_model(cfg, 1, include_source=False)
-    return correlations(clicks, controls)["heralding_efficiency"]
+def _g2_noise(cfg: ValidatedConfig, curve) -> float:
+    return correlations(model_patterns(cfg, include_source=False))["g2_noise"]
+
+
+def _heralded_prob(cfg: ValidatedConfig, curve) -> float:
+    return correlations(model_patterns(cfg, 1, curve[2]),
+                        model_patterns(cfg, include_source=False))["heralding_efficiency"]
 
 
 # target name -> how it is pinned, in solving order within one pass
@@ -296,19 +331,13 @@ def _heralded_prob(cfg: ValidatedConfig) -> float:
 _TARGETS = {
     "g2_xc_hs": _Target("source.mean_pairs_per_pulse", _g2_xc_hs,
                         solve=_mu_for_g2_xc_hs),
-    "eta_conversion": _Target("pulses.nonlinear_coeff",
-                              lambda cfg: readout.conversion_efficiency(cfg, 1),
+    "eta_conversion": _Target("pulses.nonlinear_coeff", lambda cfg, curve: float(curve[1][0]),
                               solve=readout.solve_nonlinear_coeff),
-    "herald_rate_cps": _Target(
-        "detectors.eta_herald_path",
-        lambda cfg: click_model(cfg, 1)[1].p("H") * (cfg.pulses.clock_rate_khz * 1e3),
-        bracket=(1e-9, 1.0)),
+    "herald_rate_cps": _Target("detectors.eta_herald_path", _rate("h"),
+                               bracket=(1e-9, 1.0)),
     "g2_noise": _Target("noise.mode_count", _g2_noise,
                         bracket=(0.0, math.log(1e6)), log=True),
-    "r_rate_cps": _Target(
-        "noise.noise_mean_per_nj",
-        lambda cfg: click_model(cfg, 1)[1].p_r() * (cfg.pulses.clock_rate_khz * 1e3),
-        bracket=(0.0, 2.0)),
+    "r_rate_cps": _Target("noise.noise_mean_per_nj", _rate("r"), bracket=(0.0, 2.0)),
     "heralded_prob": _Target("detectors.eta_r_path", _heralded_prob,
                              bracket=(1e-9, 1.0)),
 }
@@ -337,9 +366,10 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float,
     from scipy.optimize import brentq
 
     to_field = math.exp if target.log else float
+    curve = readout.readout_curve(cfg, [1])
 
     def model(x):
-        return target.value(cfg.replace_fields(**{target.field: to_field(x)}))
+        return target.value(cfg.replace_fields(**{target.field: to_field(x)}), curve)
 
     lo, hi = target.bracket
     at_lo, at_hi = model(lo), model(hi)
@@ -354,7 +384,8 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float,
 
 
 def _evaluate_targets(cfg: ValidatedConfig, targets: dict) -> dict:
-    return {name: _TARGETS[name].value(cfg) - value for name, value in targets.items()}
+    curve = readout.readout_curve(cfg, [1])
+    return {name: _TARGETS[name].value(cfg, curve) - value for name, value in targets.items()}
 
 
 def calibrate(cfg: ValidatedConfig, targets: dict, free=None, rel_tol: float = 1e-6):
@@ -362,10 +393,10 @@ def calibrate(cfg: ValidatedConfig, targets: dict, free=None, rel_tol: float = 1
 
     Each target pins exactly one parameter (see CALIBRATION_PAIRS). The
     one-dimensional solves run in passes because the targets are weakly
-    coupled; calibration stops after the first pass that leaves every
-    relative residual within rel_tol. Returns (config, residuals); raises
-    Underdetermined for unmatched free parameters and NoConvergence if
-    residuals remain after MAX_PASSES passes.
+    coupled (see _Target); calibration stops after the first pass that
+    leaves every relative residual within rel_tol. Returns (config,
+    residuals); raises Underdetermined for unmatched free parameters and
+    NoConvergence if residuals remain after MAX_PASSES passes.
     """
     unknown = set(targets) - set(CALIBRATION_PAIRS)
     if unknown:
@@ -380,9 +411,10 @@ def calibrate(cfg: ValidatedConfig, targets: dict, free=None, rel_tol: float = 1
     names = [n for n in _TARGETS
              if n in targets and (free is None or CALIBRATION_PAIRS[n] in free)]
 
-    for _ in range(MAX_PASSES):
+    for n_pass in range(MAX_PASSES):
         for name in names:
-            cfg = _solve_target(cfg, name, targets[name], rel_tol)
+            if n_pass == 0 or _TARGETS[name].solve is None:
+                cfg = _solve_target(cfg, name, targets[name], rel_tol)
         residuals = _evaluate_targets(cfg, {n: targets[n] for n in names})
         relative = {n: abs(r) / max(abs(targets[n]), 1e-12) for n, r in residuals.items()}
         off = [n for n, rel in relative.items() if rel > rel_tol]

@@ -25,12 +25,7 @@ import numpy as np
 from . import atomic
 from .config import ValidatedConfig, config_hash
 from .errors import CorruptRecords, EmptyInput, NonPhysicalParameter
-from .fockstats import signal_branch_probs
-
-MASK_H = 1
-MASK_S = 2
-MASK_R1 = 4
-MASK_R2 = 8
+from .fockstats import MASK_H, MASK_R1, MASK_R2, MASK_S, signal_branch_probs
 
 BLOCK_TRIGGERS = 1 << 20
 GENERATOR_NAME = "numpy-pcg64"
@@ -71,9 +66,6 @@ class ClickRecords:
     def n_triggers(self) -> int:
         return self.manifest.n_triggers
 
-    def flags(self, bit: int) -> np.ndarray:
-        return (self.mask & bit) > 0
-
 
 @dataclass(frozen=True)
 class _TriggerModel:
@@ -92,13 +84,13 @@ class _TriggerModel:
 
 def _trigger_model(cfg: ValidatedConfig, delay_cycles: int,
                    controls_only: bool) -> _TriggerModel:
-    q_mon, chain = signal_branch_probs(cfg, delay_cycles)
+    (q_mon,), (chain,) = signal_branch_probs(cfg, delay_cycles)
     return _TriggerModel(
         mu=0.0 if controls_only else cfg.source.mean_pairs_per_pulse,
         schmidt_modes=cfg.source.schmidt_modes,
         eta_herald=cfg.detectors.eta_herald_path,
-        p_monitor=q_mon,
-        p_readout=chain,
+        p_monitor=float(q_mon),
+        p_readout=float(chain),
         noise_mean=cfg.noise_mean_per_trigger(),
         mode_count=cfg.noise.mode_count,
         splitter=cfg.detectors.splitter_ratio,
@@ -155,34 +147,19 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
         raise NonPhysicalParameter("readout delay must be >= 1 cycle")
     model = _trigger_model(cfg, delay_cycles, controls_only)
 
-    blocks = []
-    start = 0
-    idx = 0
-    while start < n_triggers:
-        count = min(BLOCK_TRIGGERS, n_triggers - start)
-        blocks.append((idx, start, count))
-        idx += 1
-        start += count
-
-    if jobs > 1 and len(blocks) > 1:
+    counts = [min(BLOCK_TRIGGERS, n_triggers - start)
+              for start in range(0, n_triggers, BLOCK_TRIGGERS)]
+    args = ([model] * len(counts), [seed] * len(counts), range(len(counts)), counts)
+    if jobs > 1 and len(counts) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            masks = list(pool.map(_simulate_block,
-                                  [model] * len(blocks),
-                                  [seed] * len(blocks),
-                                  [b[0] for b in blocks],
-                                  [b[2] for b in blocks]))
+            masks = list(pool.map(_simulate_block, *args))
     else:
-        masks = [_simulate_block(model, seed, b[0], b[2]) for b in blocks]
+        masks = list(map(_simulate_block, *args))
 
-    triggers = []
-    kept_masks = []
-    for (idx, start, count), mask in zip(blocks, masks):
-        nz = np.nonzero(mask)[0]
-        triggers.append(nz.astype(np.uint64) + np.uint64(start))
-        kept_masks.append(mask[nz])
-
-    trigger = np.concatenate(triggers) if triggers else np.empty(0, np.uint64)
-    mask = np.concatenate(kept_masks) if kept_masks else np.empty(0, np.uint8)
+    # block i covers triggers from i * BLOCK_TRIGGERS on
+    trigger = np.concatenate([np.flatnonzero(m).astype(np.uint64)
+                              + np.uint64(i * BLOCK_TRIGGERS) for i, m in enumerate(masks)])
+    mask = np.concatenate([m[m > 0] for m in masks])
     manifest = RunManifest(
         config_hash=config_hash(cfg),
         seed=int(seed),
@@ -263,8 +240,8 @@ def read_records(path) -> ClickRecords:
     """Read records and their manifest; CorruptRecords if they disagree.
 
     Triggers must be strictly increasing and below the manifest's trigger
-    count, every mask a combination of the four detector bits, and every
-    delay the manifest's readout delay.
+    count, every mask a combination of the four detector bits, every delay
+    the manifest's readout delay, and every CSV row six unsigned integers.
     """
     p = Path(path)
     mpath = manifest_path(p)
@@ -281,9 +258,15 @@ def read_records(path) -> ClickRecords:
         delay = arr["T"].astype(np.uint16)
         mask = arr["mask"].astype(np.uint8)
     else:
-        raw = np.loadtxt(p, delimiter=",", skiprows=1, dtype=np.uint64, ndmin=2)
+        try:
+            raw = np.loadtxt(p, delimiter=",", skiprows=1, dtype=np.uint64, ndmin=2)
+        except ValueError as exc:
+            raise CorruptRecords(f"{p}: {exc}") from None
         if raw.size == 0:
             raw = raw.reshape(0, 6)
+        if raw.shape[1] != 6:
+            raise CorruptRecords(f"{p}: rows have {raw.shape[1]} columns, "
+                                 f"not the 6 of {CSV_HEADER!r}")
         if np.any(raw[:, 2:] > 1):
             raise CorruptRecords(f"{p}: detector columns must be 0 or 1")
         trigger = raw[:, 0].astype(np.uint64)

@@ -10,8 +10,9 @@ which shares its arithmetic:
   propagates dense joint photon-number tables truncated at a cutoff.
 
 Only the container for the resulting no-click probabilities,
-fockstats.ClickProbabilities, and the per-photon branch probabilities of
-the readout (fockstats.signal_branch_probs) come from the package.
+fockstats.ClickProbabilities (indexed by record mask), and the per-photon
+branch probabilities of the readout (fockstats.signal_branch_probs) come
+from the package.
 
 Two further references replace fast package code with the plain version
 it was derived from: adaptive_overlap integrates the readout overlap by the
@@ -238,17 +239,16 @@ def detect(dist, detectors, efficiencies=None):
         "monitor": lambda a: eff["monitor"] * ("S" in a),
         "readout": lambda a: eff["readout"] * (f * ("R1" in a) + (1 - f) * ("R2" in a)),
     }
-    no_click = {}
-    for r in range(5):
-        for subset in combinations(DETECTORS, r):
-            a = frozenset(subset)
-            out = dist.probabilities
-            for ax in reversed(range(out.ndim)):
-                mode = dist.mode_labels[ax]
-                miss = 1.0 - reach[mode](a) if mode in reach else 1.0
-                out = np.tensordot(out, miss ** np.arange(out.shape[ax]), axes=([ax], [0]))
-            no_click[a] = ((1.0 - detectors.dark_prob_per_gate) ** len(a)
-                           * float(out) / dist.total())
+    no_click = np.empty(16)
+    for mask in range(16):
+        a = frozenset(d for i, d in enumerate(DETECTORS) if mask >> i & 1)
+        out = dist.probabilities
+        for ax in reversed(range(out.ndim)):
+            mode = dist.mode_labels[ax]
+            miss = 1.0 - reach[mode](a) if mode in reach else 1.0
+            out = np.tensordot(out, miss ** np.arange(out.shape[ax]), axes=([ax], [0]))
+        no_click[mask] = ((1.0 - detectors.dark_prob_per_gate) ** len(a)
+                          * float(out) / dist.total())
     return fockstats.ClickProbabilities(no_click)
 
 
@@ -257,7 +257,7 @@ def table_click_model(cfg, delay_cycles=1, include_source=True, n_max=16, k_max=
     mu = cfg.source.mean_pairs_per_pulse if include_source else 0.0
     dist = tmsv_state(mu, cfg.source.schmidt_modes, n_max)
     dist = apply_loss(dist, "herald", cfg.detectors.eta_herald_path)
-    q_mon, chain = fockstats.signal_branch_probs(cfg, delay_cycles)
+    q_mon, chain = (float(v[0]) for v in fockstats.signal_branch_probs(cfg, delay_cycles))
     dist = split_mode(dist, "signal", q_mon, chain, labels=("monitor", "readout"))
     dist = add_thermal_noise(dist, "readout", cfg.noise_mean_per_trigger(),
                              cfg.noise.mode_count, k_max)

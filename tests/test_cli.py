@@ -50,6 +50,25 @@ def test_unknown_override_key_rejected(capsys):
     assert json.loads(err)["error"] == "UnknownConfigKey"
 
 
+@pytest.mark.parametrize("args", [
+    ("validate", "--set", "source.mean_pairs_per_pulse=abc"),
+    ("stats", "--calibrate", "herald_rate_cps=x"),
+    ("stats", "--calibrate", "herald_rate_cps"),
+], ids=["set_not_a_number", "calibrate_not_a_number", "calibrate_without_value"])
+def test_malformed_number_argument_is_config_error(capsys, args):
+    command, *rest = args
+    code, out, err = run_cli(capsys, command, "--config", CONFIG, *rest)
+    assert code == 2
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_unknown_calibration_target_is_runtime_failure(capsys):
+    code, out, err = run_cli(capsys, "stats", "--config", CONFIG,
+                             "--calibrate", "bogus=1")
+    assert code == 3
+    assert json.loads(err)["error"] == "Underdetermined"
+
+
 def test_simulate_deterministic_files(tmp_path, capsys):
     digests = []
     for name in ("one.csv", "two.csv"):

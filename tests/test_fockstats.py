@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcsim.config import DetectorParams
-from fcsim.errors import DivisionByZeroRate, NoConvergence
-from fcsim import fockstats
+from fcsim.errors import DivisionByZeroRate, NoConvergence, NonPhysicalParameter
+from fcsim import estimators, fockstats, readout
 from fcsim.fockstats import (
+    DETECTOR_BITS,
+    EXACT,
     calibrate,
     click_model,
     correlations,
     g2_mixture,
+    model_patterns,
+    pattern_probs,
 )
 
 from oracles import (
@@ -172,20 +176,17 @@ def test_threshold_poisson_click():
 
 def test_detect_marginal_consistency(primary):
     _, clicks = click_model(primary, 1)
-    for name in ("H", "S", "R1", "R2"):
-        total = sum(clicks.p_exact(pattern)
-                    for pattern in _all_patterns() if name in pattern)
+    exact = EXACT @ clicks.q
+    for name, bit in DETECTOR_BITS.items():
+        total = sum(p for mask, p in enumerate(exact) if mask & bit)
         assert total == pytest.approx(clicks.p(name), abs=1e-12)
-    assert sum(clicks.p_exact(p) for p in _all_patterns()) == pytest.approx(1.0, abs=1e-9)
+    assert exact.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def _all_patterns():
-    import itertools
-    names = ("H", "S", "R1", "R2")
-    out = []
-    for r in range(5):
-        out.extend(frozenset(c) for c in itertools.combinations(names, r))
-    return out
+def _exact_by_set(clicks):
+    """{frozenset of clicked detectors: P(exactly those click)} of all 16 patterns."""
+    return {frozenset(d for d, bit in DETECTOR_BITS.items() if mask & bit): p
+            for mask, p in enumerate(EXACT @ clicks.q)}
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +205,7 @@ def test_correlations_vacuum_raises():
     dist = tmsv_state(0.0, 1.0, 6)
     clicks = detect(dist, IDEAL_DETECTORS)
     with pytest.raises(DivisionByZeroRate):
-        correlations(clicks)
+        correlations(pattern_probs(clicks.q))
 
 
 def test_heralded_autocorrelation_low_flux():
@@ -214,7 +215,7 @@ def test_heralded_autocorrelation_low_flux():
     dist = split_mode(dist, "signal", 0.0, 1.0, labels=("monitor", "readout"))
     clicks = detect(dist, IDEAL_DETECTORS,
                     efficiencies={"herald": 1.0, "monitor": 1.0, "readout": 1.0})
-    g2 = correlations(clicks)["g2_ac_heralded"]
+    g2 = correlations(pattern_probs(clicks.q))["g2_ac_heralded"]
     assert g2 == pytest.approx(2 * mu, rel=0.10)
 
 
@@ -222,7 +223,7 @@ def test_clicks_match_bruteforce_enumeration(primary):
     """Full chain against the independent direct-sum oracle."""
     cfg = primary.replace_fields(**{"source.mean_pairs_per_pulse": 0.05})
     _, clicks = click_model(cfg, delay_cycles=3)
-    q_mon, chain = fockstats.signal_branch_probs(cfg, 3)
+    (q_mon,), (chain,) = fockstats.signal_branch_probs(cfg, 3)
     brute = brute_click_patterns(
         mu=0.05, schmidt_modes=cfg.source.schmidt_modes, n_max=6,
         eta_herald=cfg.detectors.eta_herald_path,
@@ -232,9 +233,9 @@ def test_clicks_match_bruteforce_enumeration(primary):
         dark=cfg.detectors.dark_prob_per_gate,
         splitter=cfg.detectors.splitter_ratio,
     )
-    for pattern in _all_patterns():
-        assert clicks.p_exact(pattern) == pytest.approx(
-            brute.get(pattern, 0.0), abs=1e-6), f"pattern {set(pattern) or '{}'}"
+    for pattern, p in _exact_by_set(clicks).items():
+        assert p == pytest.approx(brute.get(pattern, 0.0), abs=1e-6), \
+            f"pattern {set(pattern) or '{}'}"
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,7 @@ def test_klyshko_identity_lossless_chain(primary):
         "detectors.dark_prob_per_gate": 0.0,
         "source.mean_pairs_per_pulse": 1e-4,
     })
-    _, chain = fockstats.signal_branch_probs(cfg, 1)
+    _, (chain,) = fockstats.signal_branch_probs(cfg, 1)
     _, clicks = click_model(cfg, 1)
     p_h = clicks.p("H")
     p_hr = p_h - (clicks.no_click[frozenset(["R1", "R2"])]
@@ -356,10 +357,8 @@ def test_calibrate_mode_count(primary):
 def test_calibrate_heralded_prob(primary):
     cal, resid = calibrate(primary, {"heralded_prob": 0.096})
     assert abs(resid["heralded_prob"]) < 1e-9
-    _, clicks = click_model(cal, 1)
-    _, controls = click_model(cal, 1, include_source=False)
-    assert correlations(clicks, controls)["heralding_efficiency"] == pytest.approx(
-        0.096, abs=1e-9)
+    corr = correlations(model_patterns(cal), model_patterns(cal, include_source=False))
+    assert corr["heralding_efficiency"] == pytest.approx(0.096, abs=1e-9)
 
 
 @pytest.mark.parametrize("target, value", [
@@ -403,20 +402,48 @@ def test_calibrate_gives_up_after_max_passes(primary, monkeypatch):
     assert err.value.best.noise.noise_mean_per_nj != primary.noise.noise_mean_per_nj
 
 
-def test_calibrate_stops_at_first_converged_pass(primary, monkeypatch):
-    """The published targets are solved in dependency order, so one pass and
-    one residual check reach them; a second pass would add about 40 evaluations."""
-    calls = []
-    real = fockstats.click_model
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call; returns the record."""
+    calls, real = [], getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fockstats, "click_model", counting)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_calibrate_stops_at_first_converged_pass(primary, monkeypatch):
+    """The published targets are solved in dependency order, so one pass and
+    one residual check reach them; a second pass would add about 40 engine
+    evaluations. The brentq fields do not enter the readout overlap, so each
+    solve and the residual check evaluate the readout curve once."""
+    engine = _count_calls(monkeypatch, fockstats, "no_click_table")
+    curves = _count_calls(monkeypatch, readout, "readout_curve")
     _, resid = calibrate(primary, PUBLISHED_TARGETS)
     assert max(_relative_residuals(PUBLISHED_TARGETS, resid).values()) <= 1e-6
-    assert len(calls) <= 50
+    assert 0 < len(engine) <= 50
+    assert 0 < len(curves) <= 30
+
+
+@pytest.mark.parametrize("config_name", ["primary", "alternate"])
+def test_calibrate_solves_independent_targets_once(config_name, request, monkeypatch):
+    """g2_xc_hs and eta_conversion depend on no other target's field, so a
+    calibration that needs more passes still solves them only in the first."""
+    cfg = request.getfixturevalue(config_name)
+    calls = []
+    target = fockstats._TARGETS["eta_conversion"]
+
+    def counting(*args):
+        calls.append(args)
+        return target.solve(*args)
+
+    monkeypatch.setitem(fockstats._TARGETS, "eta_conversion", target._replace(solve=counting))
+    targets = dict(PUBLISHED_TARGETS, r_rate_cps=3405.0 * 1.03)
+    _, resid = calibrate(cfg, targets)
+    assert len(calls) == 1
+    assert max(_relative_residuals(targets, resid).values()) <= 1e-6
 
 
 def test_calibrate_underdetermined(primary):
@@ -447,6 +474,68 @@ def test_primary_operating_point(primary):
 def test_alternate_operating_point(alternate):
     """The low-noise cavity trades lifetime for much cleaner statistics."""
     assert alternate.survival_per_cycle == pytest.approx(math.exp(-1 / 12), rel=1e-12)
-    _, clicks = click_model(alternate, 1)
-    g2 = correlations(clicks)["g2_ac_heralded"]
+    g2 = correlations(model_patterns(alternate))["g2_ac_heralded"]
     assert g2 == pytest.approx(0.068, abs=0.002)
+
+
+# ---------------------------------------------------------------------------
+# the mask-indexed engine
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("config_name", ["primary", "alternate"])
+def test_engine_over_delays_equals_single_delay_rows(config_name, request):
+    cfg = request.getfixturevalue(config_name)
+    delays = np.arange(1, 301)
+    total = readout.readout_curve(cfg, delays)[2]
+    q_mon, chain = fockstats.signal_branch_probs(cfg, delays, total)
+    for include_source in (True, False):
+        table = fockstats.no_click_table(cfg, q_mon, chain, include_source)
+        assert table.shape == (delays.size, 16)
+        for i, t in enumerate(delays):
+            branches = fockstats.signal_branch_probs(cfg, t, total[i:i + 1])
+            row = fockstats.no_click_table(cfg, *branches, include_source)
+            assert np.array_equal(row, table[i:i + 1]), (t, include_source)
+
+
+def test_exact_heralded_g2_follows_mixture_curve(primary):
+    """On the criterion-5 configuration (the calibrated primary cavity with
+    a 78-cycle lifetime) the exact heralded g2_AC(T) from one engine call
+    rises monotonically and stays close to the mixture-model curve."""
+    cal, _ = calibrate(primary, PUBLISHED_TARGETS)
+    cfg = cal.replace_fields(**{"cavity.ringdown_lifetime_cycles": 78.0})
+    delays = np.arange(1, 297)
+    p = pattern_probs(fockstats.no_click_table(cfg, *fockstats.signal_branch_probs(cfg, delays)))
+    num, den = fockstats.RATIOS["g2_ac_heralded"]
+    exact = math.prod(p[n] for n in num) / math.prod(p[n] for n in den)
+    mixture = np.array([v for _, v in fockstats.heralded_g2_curve(cfg, delays)])
+    assert np.all(np.diff(exact) > 0)
+    assert np.max(np.abs(exact - mixture)) <= 0.005
+
+
+@pytest.mark.parametrize("delay", [0, 1.5, -3])
+def test_model_rejects_delays_that_are_not_readout_bins(primary, delay):
+    with pytest.raises(NonPhysicalParameter):
+        fockstats.model_report(primary, delay)
+    with pytest.raises(NonPhysicalParameter):
+        click_model(primary, delay)
+
+
+def test_benchmark_facing_views_match_engine(primary):
+    """click_model's no_click, p and p_all, and estimators.PATTERNS, are views
+    of the engine and of the pattern table."""
+    assert estimators.PATTERNS == {"h": 1, "s": 2, "r1": 4, "r2": 8, "hs": 3,
+                                   "hr1": 5, "hr2": 9, "r1r2": 12, "hr1r2": 13}
+    (q_mon,), (chain,) = fockstats.signal_branch_probs(primary, 7)
+    for include_source in (True, False):
+        _, clicks = click_model(primary, 7, include_source=include_source)
+        q = fockstats.no_click_table(primary, q_mon, chain, include_source)[0]
+        p = pattern_probs(q)
+        assert clicks.no_click == {
+            frozenset(d for d, bit in DETECTOR_BITS.items() if mask & bit): q[mask]
+            for mask in range(16)}
+        for name, bit in DETECTOR_BITS.items():
+            assert clicks.p(name) == 1.0 - q[bit]
+            assert clicks.p(name) == p[name.lower()]
+        for name, bits in estimators.PATTERNS.items():
+            names = [d for d, bit in DETECTOR_BITS.items() if bits & bit]
+            assert clicks.p_all(*names) == pytest.approx(p[name], rel=0, abs=4.4e-16)

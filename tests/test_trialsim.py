@@ -82,7 +82,7 @@ def test_noise_rate_linear_in_energy(primary):
 def test_controls_only_noise_autocorrelation(primary):
     run = simulate_controls_only(primary, seed=31, n_triggers=6_000_000)
     est = estimators.estimate_g2(run, "unheralded_auto")
-    _, controls = fockstats.click_model(primary, 1, include_source=False)
+    controls = fockstats.model_patterns(primary, include_source=False)
     expected = fockstats.correlations(controls)["g2_noise"]
     assert abs(est.value - expected) < 3 * est.standard_error
     assert expected == pytest.approx(1.09, abs=0.01)
@@ -182,6 +182,12 @@ def _csv_flag_two(run, path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _csv_rows(*rows):
+    def tamper(run, path):
+        path.write_text("\n".join([trialsim.CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    return tamper
+
+
 @pytest.mark.parametrize("suffix, tamper", [
     (".bin", _halve_triggers),
     (".bin", _swap_first_two),
@@ -189,8 +195,10 @@ def _csv_flag_two(run, path):
     (".bin", _set_field("T", 2)),
     (".bin", _truncate),
     (".csv", _csv_flag_two),
+    (".csv", _csv_rows("1,1,1,0")),
+    (".csv", _csv_rows("1,1,1,0,0,0", "x,1,0,0,0,1")),
 ], ids=["beyond_n_triggers", "not_increasing", "mask_above_15", "delay_differs",
-        "partial_record", "csv_flag_not_bit"])
+        "partial_record", "csv_flag_not_bit", "csv_short_row", "csv_not_numeric"])
 def test_read_records_rejects_mismatch(tmp_path, primary, suffix, tamper):
     run = simulate_run(primary, seed=8, n_triggers=120_000)
     path = tmp_path / ("clicks" + suffix)
