@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
+import time
 
 import numpy as np
 
@@ -88,9 +88,12 @@ def _cmd_validate(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     seed = _resolve_seed(args)
+    start = time.perf_counter()
     records = trialsim.simulate_run(cfg, seed, args.triggers, args.readout_delay,
-                                    controls_only=args.controls_only, jobs=args.jobs)
+                                    controls_only=args.controls_only)
+    simulated = time.perf_counter()
     trialsim.write_records(records, args.out)
+    written = time.perf_counter()
     rates = estimators.estimate_rates(records)
     _emit({
         "out": str(args.out),
@@ -99,6 +102,12 @@ def _cmd_simulate(args) -> int:
         "records": int(records.trigger.size),
         "rates_cps": {k: v.value for k, v in rates.items()},
         "config_hash": config_hash(cfg),
+        "generator": records.manifest.generator,
+        "timings": {
+            "simulate_s": simulated - start,
+            "write_s": written - simulated,
+            "triggers_per_s": args.triggers / max(simulated - start, 1e-9),
+        },
         "version": __version__,
     })
     return 0
@@ -235,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triggers", type=int, required=True)
     p.add_argument("--readout-delay", type=int, default=1)
     p.add_argument("--controls-only", action="store_true")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect (one sparse sampler)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("stats", help="analytic model report (rates, correlations)")

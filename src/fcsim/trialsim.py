@@ -1,14 +1,18 @@
-"""Monte Carlo click-stream generation, trigger by trigger.
+"""Monte Carlo click-stream generation, photon by photon but sparse.
 
 Samples exactly the same per-trigger model as the analytic engine in
 fockstats, so the two must agree on every observable within statistics.
-Records are kept only for triggers with at least one click; the manifest
-carries the total trigger count.
+Most triggers of a weak source carry nothing, so a block draws only the
+triggers that do: the ones with a pair, found by geometric gaps at
+P(n > 0) of the pair distribution, the ones with a noise photon, found the
+same way, and one set of dark clicks per detector. Their photon numbers
+come from the zero-truncated negative binomial, and only those photons are
+thinned and split. Records are kept only for triggers with at least one
+click; the manifest carries the total trigger count.
 
 Reproducibility: triggers are simulated in fixed-size blocks, each block
 drawing from a PCG64 stream seeded by (run seed, block index). Identical
-(config, seed, n_triggers) therefore produce byte-identical record files,
-independent of how many workers simulate the blocks.
+(config, seed, n_triggers) therefore produce byte-identical record files.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import datetime as _dt
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +31,7 @@ from .errors import CorruptRecords, EmptyInput, NonPhysicalParameter
 from .fockstats import MASK_H, MASK_R1, MASK_R2, MASK_S, signal_branch_probs
 
 BLOCK_TRIGGERS = 1 << 20
-GENERATOR_NAME = "numpy-pcg64"
+GENERATOR_NAME = "numpy-pcg64-sparse1"
 
 CSV_HEADER = "trigger,T,H,S,R1,R2"
 BINARY_DTYPE = np.dtype([("trigger", "<u8"), ("T", "<u2"), ("mask", "u1")])
@@ -98,68 +101,122 @@ def _trigger_model(cfg: ValidatedConfig, delay_cycles: int,
     )
 
 
+def positions(rng: np.random.Generator, p: float, count: int) -> np.ndarray:
+    """Sorted indices in [0, count), each present independently with chance p.
+
+    The gaps between successive indices are geometric at p, so the cost
+    scales with count * p rather than count. Empty at p = 0, every index at
+    p = 1.
+    """
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(count, dtype=np.int64)
+    # enough gaps unless the hits exceed count * p by 6 sigma; the loop
+    # draws on from the last hit then. A gap beyond count leaves the block,
+    # so clipping it changes no index and keeps the sum from overflowing.
+    size = int(count * p + 6.0 * np.sqrt(count * p)) + 16
+    idx = np.cumsum(np.minimum(rng.geometric(p, size), count + 1)) - 1
+    while idx[-1] < count:
+        more = idx[-1] + np.cumsum(np.minimum(rng.geometric(p, size), count + 1))
+        idx = np.concatenate([idx, more])
+    return idx[:np.searchsorted(idx, count)]
+
+
+def _nonzero_prob(mean: float, k: float) -> float:
+    """P(n > 0) = 1 - (1 + mean/k)^-k of a negative binomial with k modes."""
+    return -float(np.expm1(-k * np.log1p(mean / k)))
+
+
+def zero_truncated_nb(mean: float, k: float) -> tuple:
+    """(pmf, cdf) over n = 1, 2, ... of NB(mean, k) conditioned on n > 0.
+
+    NB(n) = Gamma(n+k) / (Gamma(k) n!) (1-x)^k x^n with x = mean / (mean+k);
+    k need not be an integer, and k >= 1 as the config requires. The pmf
+    follows the ratio NB(n+1)/NB(n) = x (n+k)/(n+1), which does not grow with
+    n for k >= 1, so the mass beyond entry n is at most pmf[n] r / (1 - r)
+    with r that ratio. The table is cut at the first n where this bound is
+    below 2^-53, and the cdf is normalized to end at exactly 1: the cut tail
+    is below the resolution of a double uniform draw.
+    """
+    x = mean / (mean + k)
+    p_nonzero = _nonzero_prob(mean, k)
+    terms = [k * x * (1.0 - p_nonzero) / p_nonzero]
+    n = 1
+    while True:
+        r = x * (n + k) / (n + 1)
+        if terms[-1] * r < 2.0 ** -53 * (1.0 - r):
+            break
+        terms.append(terms[-1] * r)
+        n += 1
+    pmf = np.array(terms)
+    cdf = np.cumsum(pmf)
+    return pmf, cdf / cdf[-1]
+
+
+def _photon_counts(rng: np.random.Generator, mean: float, k: float, count: int):
+    """(trigger indices, photon numbers) of the triggers with n > 0 among count
+    NB(mean, k) draws: geometric gaps, then the zero-truncated inverse CDF."""
+    if mean <= 0.0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    idx = positions(rng, _nonzero_prob(mean, k), count)
+    cdf = zero_truncated_nb(mean, k)[1]
+    return idx, np.searchsorted(cdf, rng.random(idx.size), side="right") + 1
+
+
 def _simulate_block(model: _TriggerModel, seed: int, block_index: int,
                     count: int) -> np.ndarray:
-    """Return the uint8 click masks of one block of triggers."""
+    """Return the uint8 click masks of one block of triggers.
+
+    Only the triggers that carry a pair, a noise photon or a dark click are
+    drawn; every other trigger stays at mask 0.
+    """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, block_index])))
-
-    if model.mu > 0:
-        p_success = 1.0 / (1.0 + model.mu / model.schmidt_modes)
-        pairs = rng.negative_binomial(model.schmidt_modes, p_success, count)
-    else:
-        pairs = np.zeros(count, dtype=np.int64)
-
-    herald = rng.binomial(pairs, model.eta_herald)
-    monitor = rng.binomial(pairs, model.p_monitor)
-    # conditional branch probability given the photon did not leak out
-    rest = pairs - monitor
-    p_read = model.p_readout / (1.0 - model.p_monitor)
-    read = rng.binomial(rest, p_read)
-
-    if model.noise_mean > 0:
-        lam = rng.gamma(model.mode_count, model.noise_mean / model.mode_count, count)
-        noise = rng.poisson(lam)
-    else:
-        noise = np.zeros(count, dtype=np.int64)
-
-    r_total = read + noise
-    r1 = rng.binomial(r_total, model.splitter)
-    r2 = r_total - r1
-
     mask = np.zeros(count, dtype=np.uint8)
-    d = model.dark
-    for bit, detected in ((MASK_H, herald), (MASK_S, monitor),
-                          (MASK_R1, r1), (MASK_R2, r2)):
-        clicked = detected > 0
-        if d > 0:
-            clicked = clicked | (rng.random(count) < d)
-        mask[clicked] |= bit
+    read_count = np.zeros(count, dtype=np.int32)
+
+    at, pairs = _photon_counts(rng, model.mu, model.schmidt_modes, count)
+    mask[at[rng.binomial(pairs, model.eta_herald) > 0]] |= MASK_H
+    monitor = rng.binomial(pairs, model.p_monitor)
+    mask[at[monitor > 0]] |= MASK_S
+    # conditional branch probability given the photon did not leak out
+    p_read = model.p_readout / (1.0 - model.p_monitor)
+    read_count[at] = rng.binomial(pairs - monitor, p_read)
+
+    at, noise = _photon_counts(rng, model.noise_mean, model.mode_count, count)
+    read_count[at] += noise.astype(np.int32)
+
+    at = np.flatnonzero(read_count)
+    r1 = rng.binomial(read_count[at], model.splitter)
+    mask[at[r1 > 0]] |= MASK_R1
+    mask[at[read_count[at] > r1]] |= MASK_R2
+
+    for bit in (MASK_H, MASK_S, MASK_R1, MASK_R2):
+        mask[positions(rng, model.dark, count)] |= bit
     return mask
 
 
 def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
                  delay_cycles: int = 1, controls_only: bool = False,
                  jobs: int = 1) -> ClickRecords:
-    """Simulate n_triggers clock triggers at a fixed readout delay."""
+    """Simulate n_triggers clock triggers at a fixed readout delay.
+
+    jobs is accepted for compatibility and has no effect: the sparse
+    sampler runs the blocks in this process.
+    """
     if n_triggers < 1:
         raise NonPhysicalParameter("n_triggers must be >= 1")
     if delay_cycles < 1:
         raise NonPhysicalParameter("readout delay must be >= 1 cycle")
     model = _trigger_model(cfg, delay_cycles, controls_only)
 
-    counts = [min(BLOCK_TRIGGERS, n_triggers - start)
-              for start in range(0, n_triggers, BLOCK_TRIGGERS)]
-    args = ([model] * len(counts), [seed] * len(counts), range(len(counts)), counts)
-    if jobs > 1 and len(counts) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            masks = list(pool.map(_simulate_block, *args))
-    else:
-        masks = list(map(_simulate_block, *args))
-
-    # block i covers triggers from i * BLOCK_TRIGGERS on
-    trigger = np.concatenate([np.flatnonzero(m).astype(np.uint64)
-                              + np.uint64(i * BLOCK_TRIGGERS) for i, m in enumerate(masks)])
-    mask = np.concatenate([m[m > 0] for m in masks])
+    triggers, masks = [], []
+    for i, start in enumerate(range(0, n_triggers, BLOCK_TRIGGERS)):
+        block = _simulate_block(model, seed, i, min(BLOCK_TRIGGERS, n_triggers - start))
+        clicked = np.flatnonzero(block)
+        triggers.append(clicked.astype(np.uint64) + np.uint64(start))
+        masks.append(block[clicked])
+    trigger, mask = np.concatenate(triggers), np.concatenate(masks)
     manifest = RunManifest(
         config_hash=config_hash(cfg),
         seed=int(seed),

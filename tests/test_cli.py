@@ -91,7 +91,21 @@ def test_simulate_random_seed_recorded(tmp_path, capsys):
     seed = json.loads(out)["seed"]
     manifest = json.loads((tmp_path / "r.manifest.json").read_text())
     assert manifest["seed"] == seed
-    assert manifest["generator"] == "numpy-pcg64"
+    assert manifest["generator"] == "numpy-pcg64-sparse1"
+
+
+def test_simulate_reports_generator_and_timings(tmp_path, capsys):
+    out_path = tmp_path / "t.bin"
+    code, out, err = run_cli(capsys, "simulate", "--config", CONFIG, "--seed", "2",
+                             "--triggers", "300000", "--out", str(out_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["generator"] == fcsim.trialsim.GENERATOR_NAME
+    assert set(doc["timings"]) == {"simulate_s", "write_s", "triggers_per_s"}
+    assert doc["timings"]["simulate_s"] >= 0 and doc["timings"]["write_s"] >= 0
+    assert doc["timings"]["triggers_per_s"] > 0
+    manifest = json.loads((tmp_path / "t.manifest.json").read_text())
+    assert "timings" not in manifest
 
 
 def test_simulate_does_not_mutate_config(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import math
 import os
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from fcsim import estimators, fockstats, trialsim
 from fcsim.errors import CorruptRecords
@@ -98,7 +100,7 @@ def test_csv_roundtrip(tmp_path, primary):
     assert np.array_equal(back.mask, run.mask)
     assert back.manifest.n_triggers == run.manifest.n_triggers
     assert back.manifest.seed == 8
-    assert back.manifest.generator == "numpy-pcg64"
+    assert back.manifest.generator == "numpy-pcg64-sparse1"
 
 
 def test_binary_roundtrip(tmp_path, primary):
@@ -240,3 +242,81 @@ def test_herald_rate_matches_analytic(primary):
     expected = clicks.p("H") * 76.8e3
     assert abs(rates["h"].value - expected) < 3 * rates["h"].standard_error
     assert expected == pytest.approx(474.0, abs=0.1)
+
+
+class _UnitGaps:
+    """Stands in for a Generator whose geometric gaps are all 1."""
+
+    def geometric(self, p, size):
+        return np.ones(size, dtype=np.int64)
+
+
+def test_positions_edges():
+    rng = np.random.default_rng(1)
+    assert trialsim.positions(rng, 0.0, 1000).size == 0
+    assert np.array_equal(trialsim.positions(rng, 1.0, 1000), np.arange(1000))
+    # gaps far beyond the block leave it empty instead of overflowing
+    assert trialsim.positions(rng, 1e-300, 1000).size == 0
+    # more hits than the first batch of gaps holds: the rest of the block is
+    # drawn on from the last hit
+    assert np.array_equal(trialsim.positions(_UnitGaps(), 0.5, 1000), np.arange(1000))
+
+
+@pytest.mark.parametrize("p", [1e-5, 0.04, 0.73])
+def test_positions_sorted_in_range_at_rate(p):
+    count = 1 << 20
+    idx = trialsim.positions(np.random.default_rng(7), p, count)
+    assert np.all(np.diff(idx) > 0)
+    assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < count)
+    assert abs(idx.size - count * p) < 5 * np.sqrt(count * p * (1 - p))
+
+
+def _nb_pmf(n, mean, k):
+    """NB(n) with k modes and the given mean, from lgamma."""
+    x = mean / (mean + k)
+    return math.exp(math.lgamma(n + k) - math.lgamma(k) - math.lgamma(n + 1)
+                    + k * math.log1p(-x) + n * math.log(x))
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 10.85])
+@pytest.mark.parametrize("mean", [1e-6, 0.042, 1.38, 5.0])
+def test_zero_truncated_nb_table(mean, k):
+    pmf, cdf = trialsim.zero_truncated_nb(mean, k)
+    assert abs(cdf[-1] - 1.0) <= 2.0 ** -53
+    x = mean / (mean + k)
+    nonzero = -math.expm1(k * math.log1p(-x))
+    expected = np.array([_nb_pmf(n, mean, k) for n in range(1, pmf.size + 1)]) / nonzero
+    np.testing.assert_allclose(pmf, expected, rtol=1e-12, atol=0)
+    # the cut-off tail is below the resolution of a uniform draw
+    tail = math.fsum(_nb_pmf(n, mean, k) for n in range(pmf.size + 1, pmf.size + 2000))
+    assert tail / nonzero < 2.0 ** -53
+
+
+def _dense(primary):
+    return primary.replace_fields(**{"source.mean_pairs_per_pulse": 0.25,
+                                     "noise.noise_mean_per_nj": 0.2})
+
+
+@pytest.mark.parametrize("make, include_source", [
+    (lambda cfg: cfg, True),
+    (_dense, True),
+    (lambda cfg: cfg, False),
+    (lambda cfg: cfg.replace_fields(**{"detectors.dark_prob_per_gate": 0.02}), True),
+], ids=["primary", "dense", "controls_only", "dark_0.02"])
+def test_mask_histogram_matches_engine(primary, make, include_source):
+    """Pearson chi-square of the 16-mask histogram against EXACT @ Q; masks
+    expected fewer than 25 times are pooled with the no-click mask."""
+    cfg = make(primary)
+    n = 1 << 22
+    run = simulate_run(cfg, seed=4, n_triggers=n, controls_only=not include_source)
+    observed = np.bincount(run.mask, minlength=16).astype(float)
+    observed[0] = n - run.mask.size
+    branches = fockstats.signal_branch_probs(cfg, 1) if include_source else (0.0, 0.0)
+    expected = n * (fockstats.EXACT @ fockstats.no_click_table(cfg, *branches,
+                                                               include_source)[0])
+    group = np.where(expected >= 25, np.arange(16), 0)
+    kept = np.unique(group)
+    obs = np.bincount(group, weights=observed, minlength=16)[kept]
+    exp = np.bincount(group, weights=expected, minlength=16)[kept]
+    statistic = float(np.sum((obs - exp) ** 2 / exp))
+    assert scipy.stats.chi2.sf(statistic, kept.size - 1) > 1e-3, statistic
