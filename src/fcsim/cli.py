@@ -10,6 +10,7 @@ machine-readable JSON body on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import secrets
 import sys
@@ -189,20 +190,18 @@ def _cmd_multiplex(args) -> int:
     else:
         p_herald = fockstats.model_patterns(cfg)["h"]
     max_delay = (args.max_bins - 1) * args.spacing + args.latency
-    curve = multiplex.readout_curve(cfg, max_delay)
+    # the largest plan is validated before anything is written
+    plan = multiplex.MultiplexPlan(bins=args.max_bins, bin_spacing_cycles=args.spacing,
+                                   herald_prob=p_herald,
+                                   readout_curve=multiplex.readout_curve(cfg, max_delay),
+                                   switch_latency_cycles=args.latency)
     rows = []
-    for k in range(1, args.max_bins + 1):
-        plan = multiplex.MultiplexPlan(bins=k, bin_spacing_cycles=args.spacing,
-                                       herald_prob=p_herald, readout_curve=curve,
-                                       switch_latency_cycles=args.latency)
-        res = multiplex.multiplex_success(plan)
+    for k in range(1, plan.bins + 1):
+        res = multiplex.multiplex_success(dataclasses.replace(plan, bins=k))
         rows.append((k, res["p_out"], res["enhancement"]))
     _write_csv(args.out, ("K", "p_out", "enhancement"), rows)
-    full_plan = multiplex.MultiplexPlan(bins=args.max_bins,
-                                        bin_spacing_cycles=args.spacing,
-                                        herald_prob=p_herald, readout_curve=curve,
-                                        switch_latency_cycles=args.latency)
-    best = multiplex.optimal_K(full_plan, args.max_bins)
+    # first argmax: ties go to fewer bins, as in multiplex.optimal_K
+    best = 1 + int(np.argmax([p_out for _, p_out, _ in rows]))
     _emit({
         "out": str(args.out),
         "herald_prob": p_herald,

@@ -112,20 +112,6 @@ def correlations(p: dict, controls: dict | None = None) -> dict:
     return out
 
 
-def g2_mixture(g2_a: float, n_a: float, g2_b: float, n_b: float) -> float:
-    """Auto-correlation of an incoherent mixture of two fields.
-
-    g2 = (g2_a n_a^2 + g2_b n_b^2 + 2 n_a n_b) / (n_a + n_b)^2.
-    Symmetric in the two components and invariant under common scaling.
-    """
-    if n_a < 0 or n_b < 0:
-        raise NonPhysicalParameter("mixture means must be >= 0")
-    total = n_a + n_b
-    if total == 0:
-        raise DivisionByZeroRate("mixture has zero total mean")
-    return (g2_a * n_a**2 + g2_b * n_b**2 + 2.0 * n_a * n_b) / total**2
-
-
 # ---------------------------------------------------------------------------
 # The click engine
 # ---------------------------------------------------------------------------
@@ -233,46 +219,22 @@ def model_report(cfg: ValidatedConfig, delay_cycles: int = 1) -> dict:
     return {"delay_cycles": delay_cycles, "rates": rates, "correlations": corr}
 
 
-def heralded_signal_moments(cfg: ValidatedConfig):
-    """(mean, auto_g2) of the detected signal conditioned on a herald click.
-
-    Computed on the noiseless model at unit delay. With G the pair-number
-    generating function and x = 1 - eta_h, a herald click has probability
-    1 - G(x); given n pairs the detected signal is binomial(n, c), so
-    E[n_r; click] = c (G'(1) - x G'(x)) and
-    E[n_r (n_r-1); click] = c^2 (G''(1) - x^2 G''(x)). The normalized
-    auto-g2 is invariant under further binomial thinning, so it applies at
-    any delay, while the mean scales with the retrieval probability.
-    """
-    mu, k = cfg.source.mean_pairs_per_pulse, cfg.source.schmidt_modes
-    chain = float(signal_branch_probs(cfg, 1)[1][0])
-    eta_h = cfg.detectors.eta_herald_path
-    x = 1.0 - eta_h
-    base = 1.0 + mu / k * eta_h  # G(x) = base^-k
-    p_h = -math.expm1(-k * math.log1p(mu / k * eta_h))
-    if p_h == 0:
-        raise DivisionByZeroRate("herald never clicks in the noiseless model")
-    mean = chain * mu * (1.0 - x * base ** (-k - 1)) / p_h
-    fact2 = chain**2 * mu**2 * (1.0 + 1.0 / k) * (1.0 - x**2 * base ** (-k - 2)) / p_h
-    if mean == 0:
-        raise DivisionByZeroRate("signal mean is zero given a herald")
-    return mean, fact2 / mean**2
-
-
 def heralded_g2_curve(cfg: ValidatedConfig, delays) -> list:
-    """Mixture-model heralded auto-correlation versus readout delay.
+    """Heralded auto-correlation g2_ac_heralded versus readout delay.
 
-    The heralded signal contribution decays with the retrieval
-    probability; the noise contribution is delay independent with
-    auto-g2 = 1 + 1/mode_count. Returns [(T, g2), ...].
+    The same ratio model_report gives at each delay, from one engine call
+    over all delays (integers >= 1). Returns [(T, g2), ...]; raises
+    DivisionByZeroRate where its denominator is zero.
     """
-    n_a1, g2_a = heralded_signal_moments(cfg)
-    delays = [int(t) for t in delays]
-    total1, *totals = readout.readout_curve(cfg, [1, *delays])[2].tolist()
-    n_b = cfg.noise_mean_per_trigger()
-    g2_b = 1.0 + 1.0 / cfg.noise.mode_count
-    return [(t, g2_mixture(g2_a, n_a1 * total / total1, g2_b, n_b))
-            for t, total in zip(delays, totals)]
+    d = np.atleast_1d(np.asarray(delays))
+    p = pattern_probs(no_click_table(cfg, *signal_branch_probs(cfg, d)))
+    num, den = RATIOS["g2_ac_heralded"]
+    denominator = math.prod(p[n] for n in den)
+    if np.any(denominator == 0):
+        raise DivisionByZeroRate("no heralded readout clicks at some delay: "
+                                 "g2_ac_heralded is undefined there")
+    g2 = math.prod(p[n] for n in num) / denominator
+    return list(zip(d.astype(int).tolist(), g2.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ GENERATOR_NAME = "numpy-pcg64-sparse1"
 
 CSV_HEADER = "trigger,T,H,S,R1,R2"
 BINARY_DTYPE = np.dtype([("trigger", "<u8"), ("T", "<u2"), ("mask", "u1")])
+MAX_DELAY = np.iinfo(BINARY_DTYPE["T"]).max  # largest readout delay a record can hold
 
 
 @dataclass(frozen=True)
@@ -68,37 +69,6 @@ class ClickRecords:
     @property
     def n_triggers(self) -> int:
         return self.manifest.n_triggers
-
-
-@dataclass(frozen=True)
-class _TriggerModel:
-    """Scalar per-trigger probabilities, precomputed once per run."""
-
-    mu: float
-    schmidt_modes: float
-    eta_herald: float
-    p_monitor: float
-    p_readout: float
-    noise_mean: float
-    mode_count: float
-    splitter: float
-    dark: float
-
-
-def _trigger_model(cfg: ValidatedConfig, delay_cycles: int,
-                   controls_only: bool) -> _TriggerModel:
-    (q_mon,), (chain,) = signal_branch_probs(cfg, delay_cycles)
-    return _TriggerModel(
-        mu=0.0 if controls_only else cfg.source.mean_pairs_per_pulse,
-        schmidt_modes=cfg.source.schmidt_modes,
-        eta_herald=cfg.detectors.eta_herald_path,
-        p_monitor=float(q_mon),
-        p_readout=float(chain),
-        noise_mean=cfg.noise_mean_per_trigger(),
-        mode_count=cfg.noise.mode_count,
-        splitter=cfg.detectors.splitter_ratio,
-        dark=cfg.detectors.dark_prob_per_gate,
-    )
 
 
 def positions(rng: np.random.Generator, p: float, count: int) -> np.ndarray:
@@ -164,35 +134,37 @@ def _photon_counts(rng: np.random.Generator, mean: float, k: float, count: int):
     return idx, np.searchsorted(cdf, rng.random(idx.size), side="right") + 1
 
 
-def _simulate_block(model: _TriggerModel, seed: int, block_index: int,
-                    count: int) -> np.ndarray:
+def _simulate_block(cfg: ValidatedConfig, mu: float, p_monitor: float,
+                    p_readout: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """Return the uint8 click masks of one block of triggers.
 
+    mu is the mean pair number (0 for a controls-only run) and p_monitor,
+    p_readout the per-photon branch probabilities at the run's delay.
     Only the triggers that carry a pair, a noise photon or a dark click are
     drawn; every other trigger stays at mask 0.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, block_index])))
+    det = cfg.detectors
     mask = np.zeros(count, dtype=np.uint8)
     read_count = np.zeros(count, dtype=np.int32)
 
-    at, pairs = _photon_counts(rng, model.mu, model.schmidt_modes, count)
-    mask[at[rng.binomial(pairs, model.eta_herald) > 0]] |= MASK_H
-    monitor = rng.binomial(pairs, model.p_monitor)
+    at, pairs = _photon_counts(rng, mu, cfg.source.schmidt_modes, count)
+    mask[at[rng.binomial(pairs, det.eta_herald_path) > 0]] |= MASK_H
+    monitor = rng.binomial(pairs, p_monitor)
     mask[at[monitor > 0]] |= MASK_S
     # conditional branch probability given the photon did not leak out
-    p_read = model.p_readout / (1.0 - model.p_monitor)
+    p_read = p_readout / (1.0 - p_monitor)
     read_count[at] = rng.binomial(pairs - monitor, p_read)
 
-    at, noise = _photon_counts(rng, model.noise_mean, model.mode_count, count)
+    at, noise = _photon_counts(rng, cfg.noise_mean_per_trigger(), cfg.noise.mode_count, count)
     read_count[at] += noise.astype(np.int32)
 
     at = np.flatnonzero(read_count)
-    r1 = rng.binomial(read_count[at], model.splitter)
+    r1 = rng.binomial(read_count[at], det.splitter_ratio)
     mask[at[r1 > 0]] |= MASK_R1
     mask[at[read_count[at] > r1]] |= MASK_R2
 
     for bit in (MASK_H, MASK_S, MASK_R1, MASK_R2):
-        mask[positions(rng, model.dark, count)] |= bit
+        mask[positions(rng, det.dark_prob_per_gate, count)] |= bit
     return mask
 
 
@@ -201,18 +173,23 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
                  jobs: int = 1) -> ClickRecords:
     """Simulate n_triggers clock triggers at a fixed readout delay.
 
-    jobs is accepted for compatibility and has no effect: the sparse
-    sampler runs the blocks in this process.
+    The delay must fit the records' uint16 T field. jobs is accepted for
+    compatibility and has no effect: the sparse sampler runs the blocks in
+    this process.
     """
     if n_triggers < 1:
         raise NonPhysicalParameter("n_triggers must be >= 1")
-    if delay_cycles < 1:
-        raise NonPhysicalParameter("readout delay must be >= 1 cycle")
-    model = _trigger_model(cfg, delay_cycles, controls_only)
+    if not 1 <= delay_cycles <= MAX_DELAY:
+        raise NonPhysicalParameter(f"readout delay must be within 1..{MAX_DELAY} "
+                                   f"cycles (the record's T field), got {delay_cycles}")
+    (q_mon,), (chain,) = signal_branch_probs(cfg, delay_cycles)
+    mu = 0.0 if controls_only else cfg.source.mean_pairs_per_pulse
 
     triggers, masks = [], []
     for i, start in enumerate(range(0, n_triggers, BLOCK_TRIGGERS)):
-        block = _simulate_block(model, seed, i, min(BLOCK_TRIGGERS, n_triggers - start))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
+        block = _simulate_block(cfg, mu, float(q_mon), float(chain), rng,
+                                min(BLOCK_TRIGGERS, n_triggers - start))
         clicked = np.flatnonzero(block)
         triggers.append(clicked.astype(np.uint64) + np.uint64(start))
         masks.append(block[clicked])
@@ -304,7 +281,10 @@ def read_records(path) -> ClickRecords:
     mpath = manifest_path(p)
     if not mpath.exists():
         raise EmptyInput(f"missing manifest sidecar {mpath}")
-    manifest = RunManifest.from_json(mpath.read_text(encoding="utf-8"))
+    try:
+        manifest = RunManifest.from_json(mpath.read_text(encoding="utf-8"))
+    except (TypeError, ValueError) as exc:  # not JSON, not an object, or wrong keys
+        raise CorruptRecords(f"{mpath}: not a run manifest: {exc}") from None
     if p.suffix == ".bin":
         data = p.read_bytes()
         if len(data) % BINARY_DTYPE.itemsize:

@@ -19,6 +19,12 @@ it was derived from: adaptive_overlap integrates the readout overlap by the
 trapezoid rule on a uniform grid refined until it settles (it shares only
 readout.xi_profile with the package), and csv_records_text formats click
 records one row at a time.
+
+The photon-number mixture model of the heralded auto-correlation
+(heralded_signal_moments, g2_mixture, mixture_g2_curve) treats the
+heralded readout as an incoherent mixture of the noiseless heralded
+signal and the thermal noise; it is the reference for the click engine's
+g2_ac_heralded over delays (fockstats.heralded_g2_curve).
 """
 
 import math
@@ -28,6 +34,7 @@ from itertools import combinations
 import numpy as np
 
 from fcsim import fockstats, readout
+from fcsim.errors import DivisionByZeroRate, NonPhysicalParameter
 from fcsim.trialsim import CSV_HEADER, MASK_H, MASK_R1, MASK_R2, MASK_S
 
 DETECTORS = ("H", "S", "R1", "R2")
@@ -264,6 +271,62 @@ def table_click_model(cfg, delay_cycles=1, include_source=True, n_max=16, k_max=
     clicks = detect(dist, cfg.detectors,
                     efficiencies={"herald": 1.0, "monitor": 1.0, "readout": 1.0})
     return dist, clicks
+
+
+def g2_mixture(g2_a, n_a, g2_b, n_b):
+    """Auto-correlation of an incoherent mixture of two fields.
+
+    g2 = (g2_a n_a^2 + g2_b n_b^2 + 2 n_a n_b) / (n_a + n_b)^2.
+    Symmetric in the two components and invariant under common scaling.
+    """
+    if n_a < 0 or n_b < 0:
+        raise NonPhysicalParameter("mixture means must be >= 0")
+    total = n_a + n_b
+    if total == 0:
+        raise DivisionByZeroRate("mixture has zero total mean")
+    return (g2_a * n_a**2 + g2_b * n_b**2 + 2.0 * n_a * n_b) / total**2
+
+
+def heralded_signal_moments(cfg):
+    """(mean, auto_g2) of the detected signal conditioned on a herald click.
+
+    Computed on the noiseless model at unit delay. With G the pair-number
+    generating function and x = 1 - eta_h, a herald click has probability
+    1 - G(x); given n pairs the detected signal is binomial(n, c), so
+    E[n_r; click] = c (G'(1) - x G'(x)) and
+    E[n_r (n_r-1); click] = c^2 (G''(1) - x^2 G''(x)). The normalized
+    auto-g2 is invariant under further binomial thinning, so it applies at
+    any delay, while the mean scales with the retrieval probability.
+    """
+    mu, k = cfg.source.mean_pairs_per_pulse, cfg.source.schmidt_modes
+    chain = float(fockstats.signal_branch_probs(cfg, 1)[1][0])
+    eta_h = cfg.detectors.eta_herald_path
+    x = 1.0 - eta_h
+    base = 1.0 + mu / k * eta_h  # G(x) = base^-k
+    p_h = -math.expm1(-k * math.log1p(mu / k * eta_h))
+    if p_h == 0:
+        raise DivisionByZeroRate("herald never clicks in the noiseless model")
+    mean = chain * mu * (1.0 - x * base ** (-k - 1)) / p_h
+    fact2 = chain**2 * mu**2 * (1.0 + 1.0 / k) * (1.0 - x**2 * base ** (-k - 2)) / p_h
+    if mean == 0:
+        raise DivisionByZeroRate("signal mean is zero given a herald")
+    return mean, fact2 / mean**2
+
+
+def mixture_g2_curve(cfg, delays):
+    """Mixture-model heralded auto-correlation versus readout delay.
+
+    The heralded signal contribution decays with the retrieval
+    probability; the noise contribution is delay independent with
+    auto-g2 = 1 + 1/mode_count. Returns [(T, g2), ...].
+    """
+    n_a1, g2_a = heralded_signal_moments(cfg)
+    delays = [int(t) for t in delays]
+    total1, *totals = readout.readout_curve(cfg, [1, *delays])[2].tolist()
+    n_b = cfg.noise_mean_per_trigger()
+    g2_b = 1.0 + 1.0 / cfg.noise.mode_count
+    return [(t, g2_mixture(g2_a, n_a1 * total / total1, g2_b, n_b))
+            for t, total in zip(delays, totals)]
 
 
 def adaptive_overlap(cfg, delay_cycles, energy_p_nj=None, energy_q_nj=None, tol=1e-6):

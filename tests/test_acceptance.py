@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Criterion 5 is split: the T=1 predictions and the monotone approach
-of the mixture curve are asserted in test_criterion_5_predictions; the
-late-delay convergence bound has its own test (see the note there).
+of the click engine's heralded g2(T) are asserted in
+test_criterion_5_predictions; the late-delay convergence bound has its own
+test (see the note there).
 """
 
 import hashlib
@@ -101,7 +102,7 @@ def test_criterion_5_predictions(calibrated):
     g2_ac = rep["correlations"]["g2_ac_heralded"]
     assert 2.6 <= g2_hr <= 3.9
     assert 0.43 <= g2_ac <= 0.65
-    # mixture curve: monotone rise toward the noise auto-correlation
+    # the engine's heralded g2(T): monotone rise toward the noise auto-correlation
     cfg = calibrated.replace_fields(**{"cavity.ringdown_lifetime_cycles": 78.0})
     curve = fockstats.heralded_g2_curve(cfg, range(1, 301, 5))
     values = np.array([v for _, v in curve])
@@ -118,9 +119,10 @@ def test_criterion_5_noise_convergence_tail(calibrated):
 
     This bound is jointly unreachable with the other calibrated values:
     the decay curve that places the 1/e point at 67 cycles still retains
-    ~29% of the signal at T = 81, which holds the mixture near 0.88, and
-    the curve only enters the 0.1 band near T ~ 120. The assertion is kept
-    as specified rather than loosened; see the first passing delay below.
+    ~29% of the signal at T = 81, which holds the click engine's heralded
+    g2_ac near 0.88, and the curve only enters the 0.1 band near T ~ 120.
+    The assertion is kept as specified rather than loosened; see the first
+    passing delay below.
     """
     cfg = calibrated.replace_fields(**{"cavity.ringdown_lifetime_cycles": 78.0})
     delays = list(range(81, 301, 5))

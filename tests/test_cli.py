@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fcsim
-from fcsim import default_config_path
+from fcsim import default_config_path, fockstats, multiplex
 from fcsim.cli import main
 
 CONFIG = str(default_config_path("primary_cavity"))
@@ -224,6 +224,43 @@ def test_multiplex_subcommand(tmp_path, capsys):
     assert rows.shape == (40, 3)
     assert rows[0, 2] == 1.0
     assert np.all(np.diff(rows[:, 2]) >= 0)
+
+
+def test_multiplex_optimal_K_is_first_argmax(tmp_path, capsys, alternate):
+    out_path = tmp_path / "mux.csv"
+    code, out, _ = run_cli(capsys, "multiplex", "--config",
+                           str(default_config_path("alternate_cavity")),
+                           "--max-bins", "120", "--out", str(out_path))
+    assert code == 0
+    doc = json.loads(out)
+    rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
+    plan = multiplex.MultiplexPlan(bins=120, bin_spacing_cycles=1,
+                                   herald_prob=fockstats.model_patterns(alternate)["h"],
+                                   readout_curve=multiplex.readout_curve(alternate, 120))
+    assert doc["optimal_K"] == 48
+    assert doc["optimal_K"] == multiplex.optimal_K(plan, 120)
+    assert doc["optimal_K"] == int(np.argmax(rows[:, 1])) + 1
+    assert doc["p_out_at_optimal_K"] == rows[47, 1]
+
+
+def test_multiplex_zero_bins_writes_nothing(tmp_path, capsys):
+    out_path = tmp_path / "mux.csv"
+    code, out, err = run_cli(capsys, "multiplex", "--config", CONFIG,
+                             "--max-bins", "0", "--out", str(out_path))
+    assert code == 2
+    assert json.loads(err)["error"] == "NonPhysicalParameter"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_delay_beyond_record_field_is_config_error(tmp_path, capsys):
+    out_path = tmp_path / "far.bin"
+    code, out, err = run_cli(capsys, "simulate", "--config", CONFIG, "--seed", "1",
+                             "--triggers", "1000", "--readout-delay", "70000",
+                             "--out", str(out_path))
+    assert code == 2
+    assert json.loads(err)["error"] == "NonPhysicalParameter"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):

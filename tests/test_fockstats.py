@@ -14,7 +14,6 @@ from fcsim.fockstats import (
     calibrate,
     click_model,
     correlations,
-    g2_mixture,
     model_patterns,
     pattern_probs,
 )
@@ -25,6 +24,9 @@ from oracles import (
     apply_loss,
     brute_click_patterns,
     detect,
+    g2_mixture,
+    heralded_signal_moments,
+    mixture_g2_curve,
     split_mode,
     table_click_model,
     thin_pmf,
@@ -286,7 +288,7 @@ def test_heralded_signal_moments_match_table_oracle(primary):
     p_h = heralded.sum()
     mean = float(heralded @ n_r) / p_h
     g2 = float(heralded @ (n_r * (n_r - 1))) / p_h / mean**2
-    got_mean, got_g2 = fockstats.heralded_signal_moments(quiet)
+    got_mean, got_g2 = heralded_signal_moments(quiet)
     assert got_mean == pytest.approx(mean, rel=1e-9)
     assert got_g2 == pytest.approx(g2, rel=1e-9)
 
@@ -316,7 +318,7 @@ def test_mixture_symmetry_and_scale_invariance(g2a, na, g2b, nb, scale):
 
 def test_mixture_curve_tends_to_noise(primary):
     cfg = primary.replace_fields(**{"cavity.ringdown_lifetime_cycles": 78.0})
-    curve = fockstats.heralded_g2_curve(cfg, range(1, 401, 10))
+    curve = mixture_g2_curve(cfg, range(1, 401, 10))
     values = [v for _, v in curve]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     g2_noise = 1 + 1 / cfg.noise.mode_count
@@ -499,17 +501,40 @@ def test_engine_over_delays_equals_single_delay_rows(config_name, request):
 
 def test_exact_heralded_g2_follows_mixture_curve(primary):
     """On the criterion-5 configuration (the calibrated primary cavity with
-    a 78-cycle lifetime) the exact heralded g2_AC(T) from one engine call
-    rises monotonically and stays close to the mixture-model curve."""
+    a 78-cycle lifetime) the engine's heralded g2_AC(T) from one call
+    rises monotonically and stays close to the mixture-model oracle curve."""
     cal, _ = calibrate(primary, PUBLISHED_TARGETS)
     cfg = cal.replace_fields(**{"cavity.ringdown_lifetime_cycles": 78.0})
     delays = np.arange(1, 297)
-    p = pattern_probs(fockstats.no_click_table(cfg, *fockstats.signal_branch_probs(cfg, delays)))
-    num, den = fockstats.RATIOS["g2_ac_heralded"]
-    exact = math.prod(p[n] for n in num) / math.prod(p[n] for n in den)
-    mixture = np.array([v for _, v in fockstats.heralded_g2_curve(cfg, delays)])
+    curve = fockstats.heralded_g2_curve(cfg, delays)
+    assert [t for t, _ in curve] == delays.tolist()
+    exact = np.array([v for _, v in curve])
+    mixture = np.array([v for _, v in mixture_g2_curve(cfg, delays)])
     assert np.all(np.diff(exact) > 0)
     assert np.max(np.abs(exact - mixture)) <= 0.005
+
+
+@pytest.mark.parametrize("cfg_name", ["primary", "alternate"])
+def test_heralded_g2_curve_is_the_model_report_ratio(cfg_name, request):
+    """Each point of the curve is g2_ac_heralded of model_report at that delay."""
+    cfg = request.getfixturevalue(cfg_name)
+    delays = [1, 7, 81, 300]
+    curve = fockstats.heralded_g2_curve(cfg, delays)
+    assert [t for t, _ in curve] == delays
+    for t, g2 in curve:
+        want = fockstats.model_report(cfg, t)["correlations"]["g2_ac_heralded"]
+        assert g2 == pytest.approx(want, rel=1e-12, abs=0), t
+
+
+def test_heralded_g2_curve_rejects_bad_delays_and_vacuum(primary):
+    for delays in ([0, 1], [1, 2.5], [-3]):
+        with pytest.raises(NonPhysicalParameter):
+            fockstats.heralded_g2_curve(primary, delays)
+    assert fockstats.heralded_g2_curve(primary, []) == []
+    dark = primary.replace_fields(**{"source.mean_pairs_per_pulse": 0.0,
+                                     "detectors.dark_prob_per_gate": 0.0})
+    with pytest.raises(DivisionByZeroRate):
+        fockstats.heralded_g2_curve(dark, [1, 5])
 
 
 @pytest.mark.parametrize("delay", [0, 1.5, -3])

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import os
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.stats
 
 from fcsim import estimators, fockstats, trialsim
-from fcsim.errors import CorruptRecords
+from fcsim.errors import CorruptRecords, NonPhysicalParameter
 from fcsim.trialsim import (
     MASK_H,
     MASK_R1,
@@ -233,6 +234,52 @@ def test_identical_seed_writes_identical_files(tmp_path, primary):
         write_records(run, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+# sha256 of the .bin of simulate_run(primary, seed=20260810, n_triggers=1_000_000),
+# criterion 10's input; it may change only together with GENERATOR_NAME
+PINNED_STREAM = ("numpy-pcg64-sparse1",
+                 "3f84d361a3edf699487331c1c48f2f51302e5df9f402966838daa4f4f2cad274")
+
+
+def test_byte_stream_is_pinned_to_generator_name(tmp_path, primary):
+    path = tmp_path / "pinned.bin"
+    write_records(simulate_run(primary, seed=20260810, n_triggers=1_000_000), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (trialsim.GENERATOR_NAME, digest) == PINNED_STREAM
+
+
+@pytest.mark.parametrize("delay", [0, trialsim.MAX_DELAY + 1, 70_000])
+def test_simulate_rejects_delays_the_records_cannot_hold(primary, delay, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the delay was checked")
+    monkeypatch.setattr(trialsim, "_simulate_block", no_sampling)
+    with pytest.raises(NonPhysicalParameter):
+        simulate_run(primary, seed=1, n_triggers=10, delay_cycles=delay)
+
+
+def test_simulate_at_largest_record_delay(primary):
+    run = simulate_run(primary, seed=3, n_triggers=50_000, delay_cycles=trialsim.MAX_DELAY)
+    assert trialsim.MAX_DELAY == 65535
+    assert run.trigger.size > 0 and np.all(run.delay == 65535)
+
+
+@pytest.mark.parametrize("text", [
+    None,  # the manifest with one extra key
+    '{"seed": 1}',
+    "[1, 2, 3]",
+    "not json {",
+], ids=["extra_key", "missing_keys", "not_an_object", "not_json"])
+def test_malformed_manifest_is_corrupt_records(tmp_path, primary, text):
+    path = tmp_path / "clicks.bin"
+    write_records(simulate_run(primary, seed=8, n_triggers=10_000), path)
+    mpath = trialsim.manifest_path(path)
+    if text is None:
+        doc = json.loads(mpath.read_text(encoding="utf-8"))
+        text = json.dumps({**doc, "extra": 1})
+    mpath.write_text(text, encoding="utf-8")
+    with pytest.raises(CorruptRecords, match=str(mpath.name)):
+        read_records(path)
 
 
 def test_herald_rate_matches_analytic(primary):
