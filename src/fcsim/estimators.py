@@ -42,6 +42,7 @@ class CorrelationEstimate:
     standard_error: float
     n_triggers: int
     pattern: str
+    dropped_resamples: int = 0  # bootstrap resamples whose denominator was zero
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,8 @@ def _block_counts(records: ClickRecords, block_triggers: int):
 def _bootstrap_ratio(records: ClickRecords, ratio: tuple, pattern: str,
                      block_triggers: int, resamples: int, seed: int) -> CorrelationEstimate:
     """prod(p_num) / prod(p_den) of ratio = (num, den) pattern names, with
-    block-bootstrap error; resamples whose denominator vanishes are dropped."""
+    block-bootstrap error; resamples whose denominator vanishes are dropped
+    and counted in dropped_resamples."""
     table, sizes = _block_counts(records, block_triggers)
     num, den = ratio
     for name in den:
@@ -123,7 +125,8 @@ def _bootstrap_ratio(records: ClickRecords, ratio: tuple, pattern: str,
     values = math.prod(p[name] for name in num)[ok] / d[ok]
     se = float(np.std(values[1:], ddof=1)) if values.size > 2 else math.inf
     return CorrelationEstimate(value=float(values[0]), standard_error=se,
-                               n_triggers=records.n_triggers, pattern=pattern)
+                               n_triggers=records.n_triggers, pattern=pattern,
+                               dropped_resamples=int(np.count_nonzero(~ok[1:])))
 
 
 def estimate_g2(records: ClickRecords, kind: str,

@@ -26,7 +26,10 @@ The conversion efficiency at delay T is the overlap of sin^2(xi(t)) with
 that envelope. sin^2(xi) does not depend on T and is below 1e-30 outside
 |t| <= (zeta/2 + 6) tau, so readout_curve integrates it once, on composite
 16-node Gauss-Legendre panels over that window, and takes the overlaps of
-all delays as one matrix product.
+all delays as one matrix product. The nodes and xi/g on them are cached per
+(sigma_0, tau, zeta), so a scan over energies or the coupling evaluates no
+erf; the weighted profile is cached per pulse setting, so a scan over
+delays or cavity fields evaluates it once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .config import ValidatedConfig
 from .errors import GridTooCoarse, NoConvergence, NonPhysicalParameter
@@ -50,6 +52,28 @@ MAX_NODES = 2**22
 MAX_MATRIX_ENTRIES = 2**16
 
 
+def _erf(x) -> np.ndarray:
+    """math.erf elementwise; keeps scipy out of the import of fcsim."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _coupling(energy_p_nj, energy_q_nj, nonlinear_coeff, walkoff_ps_per_m, tau_ps) -> float:
+    """g = gamma * sqrt(E_p * E_q) / (3 * beta), after checking the pulse parameters."""
+    if tau_ps <= 0:
+        raise NonPhysicalParameter(f"control tau must be > 0, got {tau_ps}")
+    if walkoff_ps_per_m <= 0:
+        raise NonPhysicalParameter(f"walk-off must be > 0, got {walkoff_ps_per_m}")
+    if energy_p_nj < 0 or energy_q_nj < 0:
+        raise NonPhysicalParameter("control pulse energies must be >= 0")
+    return nonlinear_coeff * math.sqrt(energy_p_nj * energy_q_nj) / (3.0 * walkoff_ps_per_m)
+
+
+def _window(x, walkoff_ratio):
+    """xi / g = erf(x + zeta/2) - erf(x - zeta/2) at x = t / tau."""
+    return _erf(x + walkoff_ratio / 2.0) - _erf(x - walkoff_ratio / 2.0)
+
+
 def xi_profile(t, energy_p_nj, energy_q_nj, nonlinear_coeff,
                walkoff_ps_per_m, tau_ps, walkoff_ratio):
     """Conversion angle xi (radians) at signal-frame time t (ps).
@@ -57,16 +81,8 @@ def xi_profile(t, energy_p_nj, energy_q_nj, nonlinear_coeff,
     Depends on the control energies only through sqrt(E_p * E_q); even in t;
     vanishes as |t| -> infinity and when either control is off.
     """
-    if tau_ps <= 0:
-        raise NonPhysicalParameter(f"control tau must be > 0, got {tau_ps}")
-    if walkoff_ps_per_m <= 0:
-        raise NonPhysicalParameter(f"walk-off must be > 0, got {walkoff_ps_per_m}")
-    if energy_p_nj < 0 or energy_q_nj < 0:
-        raise NonPhysicalParameter("control pulse energies must be >= 0")
-    t = np.asarray(t, dtype=float)
-    g = nonlinear_coeff * math.sqrt(energy_p_nj * energy_q_nj) / (3.0 * walkoff_ps_per_m)
-    x = t / tau_ps
-    return g * (erf(x + walkoff_ratio / 2.0) - erf(x - walkoff_ratio / 2.0))
+    g = _coupling(energy_p_nj, energy_q_nj, nonlinear_coeff, walkoff_ps_per_m, tau_ps)
+    return g * _window(np.asarray(t, dtype=float) / tau_ps, walkoff_ratio)
 
 
 def envelope_intensity(cfg: ValidatedConfig, delay_cycles, t_ps) -> np.ndarray:
@@ -83,13 +99,15 @@ def envelope_intensity(cfg: ValidatedConfig, delay_cycles, t_ps) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _quadrature(half_ps: float, sigma0_ps: float):
-    """Composite 16-node Gauss-Legendre nodes (ps) and weights on [-half, half].
+def _nodes(sigma0_ps: float, tau_ps: float, walkoff_ratio: float):
+    """Read-only quadrature nodes t (ps), weights and xi / g at the nodes.
 
-    Panels are added until the widest node gap, counting the one between
-    neighbouring panels, resolves the generation envelope sigma_0, which
-    every stored envelope is at least as wide as.
+    The nodes are composite 16-node Gauss-Legendre panels on |t| <= half,
+    half = (zeta/2 + 6) tau. Panels are added until the widest node gap,
+    counting the one between neighbouring panels, resolves the generation
+    envelope sigma_0, which every stored envelope is at least as wide as.
     """
+    half_ps = (walkoff_ratio / 2.0 + 6.0) * tau_ps
     x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
     nodes = (x + 1.0) / 2.0
     gap = max(np.diff(nodes).max(), 2.0 * nodes[0])
@@ -101,8 +119,24 @@ def _quadrature(half_ps: float, sigma0_ps: float):
     width = 2.0 * half_ps / panels
     t = (-half_ps + width * np.arange(panels)[:, None] + width * nodes).ravel()
     weights = np.tile(width * w / 2.0, panels)
-    t.flags.writeable = weights.flags.writeable = False
-    return t, weights
+    window = _window(t / tau_ps, walkoff_ratio)
+    t.flags.writeable = weights.flags.writeable = window.flags.writeable = False
+    return t, weights, window
+
+
+@functools.lru_cache(maxsize=32)
+def _profile(sigma0_ps, energy_p_nj, energy_q_nj, nonlinear_coeff,
+             walkoff_ps_per_m, tau_ps, walkoff_ratio):
+    """Read-only quadrature nodes t (ps) and weighted conversion sin^2(xi(t)) * w.
+
+    The arguments are every scalar the profile depends on. The erf window
+    comes from _nodes, so a new energy or coefficient costs no erf.
+    """
+    g = _coupling(energy_p_nj, energy_q_nj, nonlinear_coeff, walkoff_ps_per_m, tau_ps)
+    t, w, window = _nodes(sigma0_ps, tau_ps, walkoff_ratio)
+    profile = np.sin(g * window) ** 2 * w
+    profile.flags.writeable = False
+    return t, profile
 
 
 def readout_curve(cfg: ValidatedConfig, delays, energy_p_nj=None, energy_q_nj=None):
@@ -118,11 +152,9 @@ def readout_curve(cfg: ValidatedConfig, delays, energy_p_nj=None, energy_q_nj=No
         raise NonPhysicalParameter("readout delays must be a list of finite values >= 0")
     ep = cfg.pulses.energy_p_nj if energy_p_nj is None else energy_p_nj
     eq = cfg.pulses.energy_q_nj if energy_q_nj is None else energy_q_nj
-    t, w = _quadrature((cfg.walkoff_ratio / 2.0 + 6.0) * cfg.control_tau_ps,
-                       cfg.source.envelope_rms_ps)
-    xi = xi_profile(t, ep, eq, cfg.pulses.nonlinear_coeff,
-                    cfg.cavity.walkoff_ps_per_m, cfg.control_tau_ps, cfg.walkoff_ratio)
-    profile = np.sin(xi) ** 2 * w
+    t, profile = _profile(cfg.source.envelope_rms_ps, ep, eq, cfg.pulses.nonlinear_coeff,
+                          cfg.cavity.walkoff_ps_per_m, cfg.control_tau_ps,
+                          cfg.walkoff_ratio)
     eta = np.empty(d.size)
     rows = max(1, MAX_MATRIX_ENTRIES // t.size)
     for i in range(0, d.size, rows):

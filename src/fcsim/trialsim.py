@@ -36,6 +36,8 @@ GENERATOR_NAME = "numpy-pcg64-sparse1"
 CSV_HEADER = "trigger,T,H,S,R1,R2"
 BINARY_DTYPE = np.dtype([("trigger", "<u8"), ("T", "<u2"), ("mask", "u1")])
 MAX_DELAY = np.iinfo(BINARY_DTYPE["T"]).max  # largest readout delay a record can hold
+# JSON types each annotated manifest field accepts; bool never stands for a number
+_MANIFEST_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,14 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        return cls(**json.loads(text))
+        """Manifest of a JSON object; ValueError or TypeError if it is not one."""
+        manifest = cls(**json.loads(text))
+        for field in dataclasses.fields(cls):
+            value = getattr(manifest, field.name)
+            if (not isinstance(value, _MANIFEST_TYPES[field.type])
+                    or isinstance(value, bool) != (field.type == "bool")):
+                raise TypeError(f"field {field.name!r} must be {field.type}, got {value!r}")
+        return manifest
 
 
 @dataclass

@@ -201,16 +201,33 @@ def test_config_with_fock_cutoff_rejected(tmp_path, capsys):
     assert json.loads(err)["error"] == "UnknownConfigKey"
 
 
-def test_cli_import_skips_scipy_stats():
+@pytest.mark.parametrize("argv", [
+    None,
+    ["validate", "--config", CONFIG],
+    ["simulate", "--config", CONFIG, "--seed", "1", "--triggers", "20000",
+     "--out", "{tmp}/clicks.bin"],
+    ["sweep", "--config", CONFIG, "--param", "readout_delay", "--from", "1",
+     "--to", "60", "--steps", "60", "--out", "{tmp}/sweep.csv"],
+    ["sweep", "--config", CONFIG, "--param", "pulses.energy_p_nj", "--from", "1",
+     "--to", "9", "--steps", "5", "--out", "{tmp}/power.csv"],
+    ["multiplex", "--config", CONFIG, "--max-bins", "12", "--out", "{tmp}/mux.csv"],
+    ["stats", "--config", CONFIG, "--readout-delay", "5"],
+], ids=["import", "validate", "simulate", "sweep_delay", "sweep_energy", "multiplex",
+        "stats"])
+def test_cli_loads_no_scipy(tmp_path, argv):
+    """Only calibration and the fits need scipy; every other command runs, in
+    a fresh interpreter, without importing any scipy module."""
     env = dict(os.environ)
     src = str(Path(fcsim.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = "" if argv is None else (
+        f"assert fcsim.cli.main({[a.format(tmp=tmp_path) for a in argv]!r}) == 0; ")
     out = subprocess.run(
         [sys.executable, "-c",
-         "import fcsim.cli, sys; "
-         "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"],
+         f"import fcsim.cli, sys; {run}"
+         "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"],
         capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_multiplex_subcommand(tmp_path, capsys):

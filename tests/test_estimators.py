@@ -181,6 +181,31 @@ def test_divide_by_zero_rate():
         klyshko_efficiency(rec)
 
 
+def test_bootstrap_counts_dropped_resamples():
+    """Signal-monitor clicks in 2 of 50 blocks: a resample that draws neither
+    block has no denominator, so it is dropped and counted."""
+    block, n_blocks, seen = 100, 50, (3, 31)
+    n = block * n_blocks
+    masks = np.zeros(n, dtype=np.uint8)
+    masks[::7] = MASK_H
+    for b in seen:
+        masks[b * block + 1] = MASK_H | MASK_S
+    est = klyshko_efficiency(synthetic_records(masks, n), block_triggers=block, seed=3)
+    rng = np.random.Generator(np.random.PCG64(3))
+    missed = sum(not np.isin(rng.integers(0, n_blocks, n_blocks), seen).any()
+                 for _ in range(estimators.BOOTSTRAP_RESAMPLES))
+    assert est.dropped_resamples == missed > 0
+    assert math.isfinite(est.standard_error)
+
+
+def test_no_resamples_dropped_on_primary(primary):
+    run = trialsim.simulate_run(primary, seed=2, n_triggers=500_000)
+    estimates = [estimate_g2(run, kind) for kind in estimators.G2_KINDS]
+    estimates.append(klyshko_efficiency(run))
+    assert [e.dropped_resamples for e in estimates] == [0] * len(estimates)
+    assert estimate_rates(run)["h"].dropped_resamples == 0
+
+
 # ---------------------------------------------------------------------------
 # fits
 # ---------------------------------------------------------------------------

@@ -20,14 +20,24 @@ from oracles import adaptive_overlap
 
 def test_erf_against_high_precision_oracle():
     """The special function behind the conversion window must be accurate
-    to 1e-12 absolute; checked against an independent arbitrary-precision
-    evaluation."""
+    to one unit in the last place of values below 1; checked against an
+    independent arbitrary-precision evaluation."""
+    mpmath.mp.dps = 40
+    x = np.concatenate([np.linspace(-20, 20, 4001), [2.05, -2.05, 0.0, 0.8727]])
+    exact = np.array([float(mpmath.erf(mpmath.mpf(float(v)))) for v in x])
+    assert np.max(np.abs(readout._erf(x) - exact)) <= 2.0 ** -53
+
+
+def test_erf_matches_scipy():
+    """math.erf replaces scipy.special.erf at the rounding level: each is within
+    about 1.5 units in the last place of the exact value (scipy is 3.1e-16 off
+    at x = 0.8727), so the two differ by at most 3 units below 1."""
     from scipy.special import erf as scipy_erf
 
-    mpmath.mp.dps = 40
-    for x in np.concatenate([np.linspace(-6, 6, 241), [2.05, -2.05, 0.0]]):
-        exact = float(mpmath.erf(mpmath.mpf(float(x))))
-        assert abs(float(scipy_erf(x)) - exact) < 1e-12
+    x = np.concatenate([np.linspace(-20, 20, 400_001), [0.8727]])
+    assert np.max(np.abs(readout._erf(x) - scipy_erf(x))) <= 3 * 2.0 ** -53
+    assert readout._erf(np.float64(0.5)).shape == ()
+    assert readout._erf(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_xi_zero_energy():
@@ -123,6 +133,68 @@ def test_overlap_grid_too_coarse(primary):
     cfg = primary.replace_fields(**{"source.envelope_rms_ps": 1e-5})
     with pytest.raises(GridTooCoarse):
         readout_curve(cfg, [1])
+
+
+def _clear_caches():
+    readout._profile.cache_clear()
+    readout._nodes.cache_clear()
+
+
+def test_cached_profile_is_read_only(primary):
+    p = primary
+    t, profile = readout._profile(p.source.envelope_rms_ps, p.pulses.energy_p_nj,
+                                  p.pulses.energy_q_nj, p.pulses.nonlinear_coeff,
+                                  p.cavity.walkoff_ps_per_m, p.control_tau_ps, p.walkoff_ratio)
+    cached = (t, profile, *readout._nodes(p.source.envelope_rms_ps, p.control_tau_ps,
+                                          p.walkoff_ratio))
+    assert not any(a.flags.writeable for a in cached)
+    with pytest.raises(ValueError):
+        profile[0] = 1.0
+
+
+def test_cache_hit_equals_cold_call(primary):
+    delays = np.arange(0, 301)
+    _clear_caches()
+    cold = readout_curve(primary, delays)
+    hits = readout._profile.cache_info().hits
+    warm = readout_curve(primary, delays)
+    assert readout._profile.cache_info().hits == hits + 1
+    for a, b in zip(cold, warm):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("field, factor", [
+    ("pulses.energy_p_nj", 1.1),
+    ("pulses.energy_q_nj", 1.1),
+    ("pulses.nonlinear_coeff", 1.1),
+    ("cavity.walkoff_ps_per_m", 1.1),
+    ("cavity.length_m", 1.1),
+    ("pulses.control_fwhm_ps", 1.1),
+    ("source.envelope_rms_ps", 0.5),
+])
+def test_profile_field_change_misses_cache(primary, field, factor):
+    """Every field the conversion profile depends on is part of its cache key:
+    with the unchanged setting cached, a changed field gives the cold-call curve."""
+    section, name = field.split(".")
+    changed = primary.replace_fields(
+        **{field: getattr(getattr(primary, section), name) * factor})
+    delays = np.arange(1, 120)
+    base = readout_curve(primary, delays)[1]
+    warm = readout_curve(changed, delays)[1]
+    _clear_caches()
+    cold = readout_curve(changed, delays)[1]
+    assert np.array_equal(warm, cold)
+    assert not np.array_equal(warm, base)
+
+
+@pytest.mark.parametrize("kwargs", [{"energy_p_nj": 6.0}, {"energy_q_nj": 7.0}])
+def test_energy_arguments_miss_cache(primary, kwargs):
+    delays = np.arange(1, 120)
+    base = readout_curve(primary, delays)[1]
+    warm = readout_curve(primary, delays, **kwargs)[1]
+    _clear_caches()
+    assert np.array_equal(warm, readout_curve(primary, delays, **kwargs)[1])
+    assert not np.array_equal(warm, base)
 
 
 def test_readout_curve_rejects_negative_delay(primary):

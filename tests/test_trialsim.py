@@ -282,6 +282,26 @@ def test_malformed_manifest_is_corrupt_records(tmp_path, primary, text):
         read_records(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("config_hash", 123),
+    ("seed", True),
+    ("n_triggers", "20000"),
+    ("clock_rate_khz", "76.8"),
+    ("readout_delay", None),
+    ("controls_only", 0),
+    ("generator", None),
+    ("created", 5),
+])
+def test_manifest_field_of_wrong_type_is_corrupt_records(tmp_path, primary, field, value):
+    path = tmp_path / "clicks.bin"
+    write_records(simulate_run(primary, seed=8, n_triggers=10_000), path)
+    mpath = trialsim.manifest_path(path)
+    doc = json.loads(mpath.read_text(encoding="utf-8"))
+    mpath.write_text(json.dumps({**doc, field: value}), encoding="utf-8")
+    with pytest.raises(CorruptRecords, match=f"{mpath.name}.*{field!r}"):
+        read_records(path)
+
+
 def test_herald_rate_matches_analytic(primary):
     run = simulate_run(primary, seed=55, n_triggers=4_000_000)
     rates = estimators.estimate_rates(run)
