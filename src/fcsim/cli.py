@@ -117,10 +117,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_stats(args) -> int:
     cfg = _load(args)
     residuals = {}
+    start = time.perf_counter()
     if args.calibrate:
         targets = dict(_number_item("--calibrate", item) for item in args.calibrate)
         cfg, residuals = fockstats.calibrate(cfg, targets)
+    calibrated = time.perf_counter()
     report = fockstats.model_report(cfg, args.readout_delay)
+    report["timings"] = {"calibrate_s": calibrated - start,
+                         "report_s": time.perf_counter() - calibrated}
     report["residuals"] = residuals
     report["config_hash"] = config_hash(cfg)
     report["version"] = __version__
@@ -165,12 +169,15 @@ def _read_series(path) -> np.ndarray:
 
 def _cmd_fit(args) -> int:
     data = _read_series(args.data)
+    if args.kind == "memory":
+        cfg = _load(args)
+        free = [s.strip() for s in args.free.split(",") if s.strip()]
+    start = time.perf_counter()
     if args.kind == "exponential":
         result = estimators.fit_exponential(data)
     else:
-        cfg = _load(args)
-        free = [s.strip() for s in args.free.split(",") if s.strip()]
         result = estimators.fit_memory_model(data, free, cfg)
+    fit_s = time.perf_counter() - start
     _emit({
         "kind": args.kind,
         "values": result.values,
@@ -178,6 +185,8 @@ def _cmd_fit(args) -> int:
         "r_squared": result.r_squared,
         "residual_rms": result.residual_rms,
         "n_points": result.n_points,
+        "evaluations": result.evaluations,
+        "timings": {"fit_s": fit_s},
         "version": __version__,
     }, args.out)
     return 0

@@ -54,6 +54,7 @@ class FitResult:
     residual_rms: float
     residual_max: float
     n_points: int
+    evaluations: int = 0  # residual evaluations, jacobian columns included
 
 
 def estimate_rates(records: ClickRecords, clock_rate_khz: float | None = None) -> dict:
@@ -194,7 +195,7 @@ def fit_exponential(series) -> FitResult:
         raise SingularFit("series is constant within precision; lifetime unconstrained")
     if slope >= 0:
         raise SingularFit("series does not decay; lifetime would be negative")
-    from scipy.optimize import least_squares
+    from . import solvers
 
     p0 = np.array([math.exp(intercept), -1.0 / slope])
     w = 1.0 / sigma if sigma is not None else np.ones_like(y)
@@ -202,9 +203,12 @@ def fit_exponential(series) -> FitResult:
     def resid(p):
         return (p[0] * np.exp(-t / p[1]) - y) * w
 
-    res = least_squares(resid, p0, xtol=1e-12, ftol=1e-12, max_nfev=2000)
+    names = ("amplitude", "lifetime")
+    res = solvers.least_squares(resid, p0, xtol=1e-12, ftol=1e-12, max_nfev=2000)
+    if not res.success:
+        raise NoConvergence("exponential fit did not converge", best=dict(zip(names, res.x)))
     amp, tau = res.x
-    return _fit_result(("amplitude", "lifetime"), res, y, amp * np.exp(-t / tau))
+    return _fit_result(names, res, y, amp * np.exp(-t / tau))
 
 
 def _param_errors(res):
@@ -229,6 +233,7 @@ def _fit_result(names: tuple, res, y, fitted) -> FitResult:
         residual_rms=float(np.sqrt(np.mean((y - fitted) ** 2))),
         residual_max=float(np.max(np.abs(y - fitted))),
         n_points=int(y.size),
+        evaluations=int(res.nfev),
     )
 
 
@@ -275,11 +280,10 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
     def resid(params):
         return (model_curve(params) - y) * w
 
-    from scipy.optimize import least_squares
+    from . import solvers
 
     p0 = np.array([defaults[name] for name in free])
-    res = least_squares(resid, p0, xtol=1e-8, ftol=1e-12,
-                        max_nfev=500 * len(free))
+    res = solvers.least_squares(resid, p0, xtol=1e-8, ftol=1e-12, max_nfev=500 * len(free))
     if not res.success:
         raise NoConvergence("memory-model fit did not converge",
                             best=dict(zip(free, res.x)))

@@ -325,7 +325,7 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float,
     target = _TARGETS[name]
     if target.solve is not None:
         return cfg.replace_fields(**{target.field: target.solve(cfg, value)})
-    from scipy.optimize import brentq
+    from . import solvers
 
     to_field = math.exp if target.log else float
     curve = readout.readout_curve(cfg, [1])
@@ -341,7 +341,7 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float,
             f"{target.field} over its bracket gives {name} only from "
             f"{min(at_lo, at_hi):.6g} to {max(at_lo, at_hi):.6g}")
     tol = max(SOLVE_TOL_FRACTION * rel_tol, 4.0 * sys.float_info.epsilon)
-    x = brentq(lambda x: model(x) - value, lo, hi, xtol=1e-3 * tol, rtol=tol)
+    x = solvers.brentq(lambda x: model(x) - value, lo, hi, xtol=1e-3 * tol, rtol=tol)
     return cfg.replace_fields(**{target.field: to_field(x)})
 
 

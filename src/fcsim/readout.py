@@ -218,7 +218,7 @@ def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float,
     Picks the lowest coefficient on the rising branch of the saturation
     curve (before over-rotation of the conversion angle).
     """
-    from scipy.optimize import brentq
+    from . import solvers
 
     def eta_for(coeff):
         c = cfg.replace_fields(**{"pulses.nonlinear_coeff": coeff})
@@ -238,4 +238,4 @@ def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float,
     if prev < target_eta:
         raise NoConvergence(
             f"conversion saturates at {prev:.4f} < target {target_eta}", best=hi)
-    return float(brentq(lambda g: eta_for(g) - target_eta, lo, hi, xtol=1e-10))
+    return solvers.brentq(lambda g: eta_for(g) - target_eta, lo, hi, xtol=1e-10)

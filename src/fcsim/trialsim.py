@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import datetime as _dt
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,13 +57,24 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        """Manifest of a JSON object; ValueError or TypeError if it is not one."""
+        """Manifest of a JSON object; ValueError or TypeError if it is not one
+        or a value is one no run can have written."""
         manifest = cls(**json.loads(text))
         for field in dataclasses.fields(cls):
             value = getattr(manifest, field.name)
             if (not isinstance(value, _MANIFEST_TYPES[field.type])
                     or isinstance(value, bool) != (field.type == "bool")):
                 raise TypeError(f"field {field.name!r} must be {field.type}, got {value!r}")
+        in_range = {
+            "clock_rate_khz": math.isfinite(manifest.clock_rate_khz)
+                              and manifest.clock_rate_khz > 0,
+            "seed": manifest.seed >= 0,
+            "n_triggers": manifest.n_triggers >= 0,
+            "readout_delay": 1 <= manifest.readout_delay <= MAX_DELAY,
+        }
+        for name, ok in in_range.items():
+            if not ok:
+                raise ValueError(f"field {name!r} is out of range: {getattr(manifest, name)!r}")
         return manifest
 
 

@@ -20,6 +20,10 @@ trapezoid rule on a uniform grid refined until it settles (it shares only
 readout.xi_profile with the package), and csv_records_text formats click
 records one row at a time.
 
+scipy_brentq and scipy_least_squares are the scipy solvers the package's
+numpy-only ones (fcsim.solvers) replaced, called as the package calls its
+own: scipy is a dependency of the tests only.
+
 The photon-number mixture model of the heralded auto-correlation
 (heralded_signal_moments, g2_mixture, mixture_g2_curve) treats the
 heralded readout as an incoherent mixture of the noiseless heralded
@@ -371,3 +375,19 @@ def csv_records_text(records):
                      f"{int(bool(m & MASK_S))},{int(bool(m & MASK_R1))},"
                      f"{int(bool(m & MASK_R2))}")
     return "\n".join(lines) + "\n"
+
+
+def scipy_brentq(f, a, b, xtol, rtol, maxiter=100):
+    """scipy.optimize.brentq, whose brentq.c fcsim.solvers.brentq ports."""
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+
+
+def scipy_least_squares(resid, x0, xtol, ftol, max_nfev):
+    """scipy.optimize.least_squares (trust-region reflective, 2-point
+    jacobian, gtol 1e-8) in place of fcsim.solvers.least_squares; its
+    nfev counts the residual calls outside the jacobian only."""
+    from scipy.optimize import least_squares
+
+    return least_squares(resid, x0, xtol=xtol, ftol=ftol, max_nfev=max_nfev)

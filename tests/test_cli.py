@@ -201,33 +201,71 @@ def test_config_with_fock_cutoff_rejected(tmp_path, capsys):
     assert json.loads(err)["error"] == "UnknownConfigKey"
 
 
-@pytest.mark.parametrize("argv", [
-    None,
-    ["validate", "--config", CONFIG],
-    ["simulate", "--config", CONFIG, "--seed", "1", "--triggers", "20000",
-     "--out", "{tmp}/clicks.bin"],
-    ["sweep", "--config", CONFIG, "--param", "readout_delay", "--from", "1",
-     "--to", "60", "--steps", "60", "--out", "{tmp}/sweep.csv"],
-    ["sweep", "--config", CONFIG, "--param", "pulses.energy_p_nj", "--from", "1",
-     "--to", "9", "--steps", "5", "--out", "{tmp}/power.csv"],
-    ["multiplex", "--config", CONFIG, "--max-bins", "12", "--out", "{tmp}/mux.csv"],
-    ["stats", "--config", CONFIG, "--readout-delay", "5"],
+ALTERNATE = str(default_config_path("alternate_cavity"))
+PUBLISHED_CALIBRATION = [a for k, v in (("g2_xc_hs", "26.0"), ("herald_rate_cps", "474.0"),
+                                        ("g2_noise", "1.09"), ("eta_conversion", "0.80"),
+                                        ("heralded_prob", "0.096"))
+                         for a in ("--calibrate", f"{k}={v}")]
+SWEEP_60 = ["sweep", "--config", CONFIG, "--param", "readout_delay", "--from", "1",
+            "--to", "60", "--steps", "60", "--out", "{tmp}/sweep.csv"]
+
+
+@pytest.mark.parametrize("commands", [
+    [],
+    [["validate", "--config", CONFIG]],
+    [["simulate", "--config", CONFIG, "--seed", "1", "--triggers", "20000",
+      "--out", "{tmp}/clicks.bin"]],
+    [SWEEP_60],
+    [["sweep", "--config", CONFIG, "--param", "pulses.energy_p_nj", "--from", "1",
+      "--to", "9", "--steps", "5", "--out", "{tmp}/power.csv"]],
+    [["multiplex", "--config", CONFIG, "--max-bins", "12", "--out", "{tmp}/mux.csv"]],
+    [["stats", "--config", CONFIG, "--readout-delay", "5"]],
+    [["stats", "--config", CONFIG, *PUBLISHED_CALIBRATION,
+      "--out-config", "{tmp}/calibrated.json"]],
+    [["stats", "--config", ALTERNATE, *PUBLISHED_CALIBRATION]],
+    [SWEEP_60, ["fit", "--kind", "exponential", "--data", "{tmp}/sweep.csv"]],
+    [SWEEP_60, ["fit", "--kind", "memory", "--data", "{tmp}/sweep.csv", "--config", CONFIG]],
 ], ids=["import", "validate", "simulate", "sweep_delay", "sweep_energy", "multiplex",
-        "stats"])
-def test_cli_loads_no_scipy(tmp_path, argv):
-    """Only calibration and the fits need scipy; every other command runs, in
-    a fresh interpreter, without importing any scipy module."""
+        "stats", "stats_calibrate_primary", "stats_calibrate_alternate", "fit_exponential",
+        "fit_memory"])
+def test_cli_loads_no_scipy(tmp_path, commands):
+    """Every command runs in a fresh interpreter in which importing scipy
+    fails."""
     env = dict(os.environ)
     src = str(Path(fcsim.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = "" if argv is None else (
-        f"assert fcsim.cli.main({[a.format(tmp=tmp_path) for a in argv]!r}) == 0; ")
+    run = "".join(f"assert fcsim.cli.main({[a.format(tmp=tmp_path) for a in argv]!r}) == 0; "
+                  for argv in commands)
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import fcsim.cli, sys; {run}"
-         "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"],
-        capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert out.stdout.splitlines()[-1] == "[]"
+         "import sys; sys.modules['scipy'] = None; import fcsim.cli; "
+         f"{run}print('ran', {len(commands)})"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == f"ran {len(commands)}"
+
+
+def test_stats_and_fit_report_timings_and_evaluations(tmp_path, capsys):
+    """The timings and evaluation counts go into the command's JSON only,
+    not into the calibrated config."""
+    calibrated = tmp_path / "calibrated.json"
+    code, out, err = run_cli(capsys, "stats", "--config", CONFIG, *PUBLISHED_CALIBRATION,
+                             "--out-config", str(calibrated))
+    assert code == 0, err
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {"calibrate_s", "report_s"}
+    assert all(v >= 0 for v in timings.values())
+    assert not any(name in calibrated.read_text() for name in timings)
+    code, out, _ = run_cli(capsys, "stats", "--config", CONFIG)
+    assert json.loads(out)["timings"]["calibrate_s"] < json.loads(out)["timings"]["report_s"]
+    sweep = tmp_path / "sweep.csv"
+    assert run_cli(capsys, *[a.format(tmp=tmp_path) for a in SWEEP_60])[0] == 0
+    for kind, extra in (("exponential", []), ("memory", ["--config", CONFIG])):
+        code, out, err = run_cli(capsys, "fit", "--kind", kind, "--data", str(sweep), *extra)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["evaluations"] >= 3
+        assert set(doc["timings"]) == {"fit_s"} and doc["timings"]["fit_s"] > 0
 
 
 def test_multiplex_subcommand(tmp_path, capsys):

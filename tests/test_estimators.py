@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fcsim import estimators, readout, trialsim
-from fcsim.errors import DivisionByZeroRate, EmptyInput, SingularFit
+from fcsim import estimators, readout, solvers, trialsim
+from fcsim.errors import DivisionByZeroRate, EmptyInput, NoConvergence, SingularFit
 from fcsim.estimators import (
     estimate_g2,
     estimate_rates,
@@ -237,6 +237,20 @@ def test_fit_exponential_weighted_noisy():
     res = fit_exponential(np.column_stack([t, y, sigma]))
     assert abs(res.values["lifetime"] - 111.0) < 3 * res.errors["lifetime"]
     assert res.r_squared > 0.98
+
+
+def test_fit_exponential_that_runs_out_of_evaluations_is_no_convergence(monkeypatch):
+    """With too few residual evaluations to converge the fit raises with its
+    last point instead of reporting it as a result."""
+    real = solvers.least_squares
+    monkeypatch.setattr(solvers, "least_squares",
+                        lambda resid, x0, **kw: real(resid, x0, **dict(kw, max_nfev=4)))
+    rng = np.random.Generator(np.random.PCG64(17))
+    t = np.arange(1, 280, 6, dtype=float)
+    y = rng.poisson(1000 * np.exp(-t / 111.0)).astype(float) + 0.5
+    with pytest.raises(NoConvergence, match="exponential fit") as err:
+        fit_exponential(np.column_stack([t, y, np.sqrt(y)]))
+    assert set(err.value.best) == {"amplitude", "lifetime"}
 
 
 def test_memory_model_self_consistency(primary):

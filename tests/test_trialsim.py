@@ -291,8 +291,19 @@ def test_malformed_manifest_is_corrupt_records(tmp_path, primary, text):
     ("controls_only", 0),
     ("generator", None),
     ("created", 5),
+    # the right type, but a value no run can have written
+    ("clock_rate_khz", -76.8),
+    ("clock_rate_khz", 0.0),
+    ("clock_rate_khz", math.inf),
+    ("clock_rate_khz", math.nan),
+    ("seed", -1),
+    ("n_triggers", -1),
+    ("readout_delay", 0),
+    ("readout_delay", int(trialsim.MAX_DELAY) + 1),
 ])
 def test_manifest_field_of_wrong_type_is_corrupt_records(tmp_path, primary, field, value):
+    """A manifest value of the wrong JSON type, or out of range (a negative
+    clock rate used to read cleanly and turn every rate negative)."""
     path = tmp_path / "clicks.bin"
     write_records(simulate_run(primary, seed=8, n_triggers=10_000), path)
     mpath = trialsim.manifest_path(path)
