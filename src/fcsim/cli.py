@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from . import __version__, atomic, estimators, fockstats, multiplex, readout, trialsim
-from .config import ValidatedConfig, config_hash, load_config
-from .errors import ConfigError, FcsimError
+from .config import ValidatedConfig, config_hash, dumps_config, load_config
+from .errors import ConfigError, FcsimError, NonPhysicalParameter
 
 EXIT_CONFIG_INVALID = 2
 EXIT_RUNTIME_FAILURE = 3
@@ -129,7 +129,6 @@ def _cmd_stats(args) -> int:
     report["config_hash"] = config_hash(cfg)
     report["version"] = __version__
     if args.calibrate and args.out_config:
-        from .config import dumps_config
         atomic.write_text(args.out_config, dumps_config(cfg))
         report["calibrated_config"] = str(args.out_config)
     _emit(report, args.out)
@@ -138,7 +137,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    values = np.linspace(args.start, args.stop, args.steps)
+    values = np.linspace(args.start, args.stop, max(args.steps, 0))
     if args.param == "readout_delay":
         values = np.unique(np.rint(values).astype(int))
         values = values[values >= 1]
@@ -150,6 +149,10 @@ def _cmd_sweep(args) -> int:
             c = cfg.replace_fields(**{args.param: float(v)})
             rows.append((float(v), *readout.readout_probability(args.readout_delay, c),
                          c.noise_mean_per_trigger()))
+    if not rows:
+        raise NonPhysicalParameter(
+            f"sweep of {args.param} has no points: --steps must be >= 1, and a "
+            "readout_delay sweep needs an integer >= 1 between --from and --to")
     _write_csv(args.out, ("T_or_Ep", "survival", "eta_conv", "total", "noise_mean"),
                rows)
     _emit({"out": str(args.out), "points": len(rows),

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import atomic
@@ -106,7 +107,7 @@ class DetectorParams:
     eta_r_path: float
     eta_s_path: float
     dark_prob_per_gate: float
-    splitter_ratio: float = 0.5
+    splitter_ratio: float
 
 
 @dataclass(frozen=True)
@@ -220,23 +221,52 @@ class ValidatedConfig:
         return validate_config(raw)
 
 
-def _require_finite(name: str, value: float) -> float:
+# The range of every config field, as (lower bound, lower bound open, upper bound).
+_BOUNDS = {
+    key: bound
+    for bound, keys in {
+        (0.0, True, math.inf): (  # positive
+            "scheme.lambda_pump_nm", "scheme.lambda_s_nm", "scheme.lambda_h_nm",
+            "scheme.lambda_p_nm", "scheme.lambda_q_nm", "scheme.lambda_r_nm",
+            "cavity.length_m", "cavity.cycle_time_ns", "cavity.cavity_freq_mhz",
+            "cavity.ringdown_lifetime_cycles", "cavity.walkoff_ps_per_m",
+            "pulses.control_fwhm_ps", "pulses.rep_rate_mhz", "pulses.clock_rate_khz",
+            "source.envelope_rms_ps"),
+        (0.0, False, math.inf): (  # non-negative
+            "cavity.dispersion_ps2_per_cycle", "cavity.mismatch_ps_per_cycle",
+            "pulses.energy_pump_nj", "pulses.energy_p_nj", "pulses.energy_q_nj",
+            "pulses.nonlinear_coeff", "noise.noise_mean_per_nj",
+            "source.mean_pairs_per_pulse", "source.bandwidth_fwhm_thz"),
+        (0.0, False, 1.0): (  # [0, 1]
+            "cavity.reflectivity_h", "cavity.reflectivity_r", "cavity.reflectivity_s",
+            "detectors.eta_herald_path", "detectors.eta_r_path", "detectors.eta_s_path",
+            "detectors.dark_prob_per_gate", "detectors.splitter_ratio"),
+        (1.0, False, math.inf): ("noise.mode_count", "source.schmidt_modes"),  # >= 1
+    }.items()
+    for key in keys
+}
+
+# The table as validate_config loops over it: (section, field, lo, hi).
+_FIELD_BOUNDS = tuple((*key.split("."), lo, hi) for key, (lo, _, hi) in _BOUNDS.items())
+
+
+def _number(key: str, value) -> float:
+    """value as a float; NonPhysicalParameter naming key (section.field) unless
+    it is a finite number, not a bool or a string, inside the field's range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise NonPhysicalParameter(f"{key} is not a number: {value!r}")
     try:
         v = float(value)
-    except (TypeError, ValueError):
-        raise NonPhysicalParameter(f"{name} is not a number: {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        v = math.inf
     if not math.isfinite(v):
-        raise NonPhysicalParameter(f"{name} must be finite, got {value!r}")
-    return v
-
-
-def _check_range(name: str, value: float, lo=None, hi=None, lo_open=False):
-    v = _require_finite(name, value)
-    if lo is not None and (v < lo or (lo_open and v == lo)):
+        raise NonPhysicalParameter(f"{key} must be finite, got {value!r}")
+    lo, lo_open, hi = _BOUNDS[key]
+    if v < lo or (lo_open and v == lo):
         op = ">" if lo_open else ">="
-        raise NonPhysicalParameter(f"{name} must be {op} {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise NonPhysicalParameter(f"{name} must be <= {hi}, got {v}")
+        raise NonPhysicalParameter(f"{key} must be {op} {lo}, got {v}")
+    if v > hi:
+        raise NonPhysicalParameter(f"{key} must be <= {hi}, got {v}")
     return v
 
 
@@ -246,19 +276,12 @@ def derived_survival(cavity: FiberCavityParams) -> float:
     s = exp(-1/lifetime); monotone increasing in the lifetime and -> 1 in
     the lossless limit.
     """
-    lifetime = _require_finite("ringdown_lifetime_cycles", cavity.ringdown_lifetime_cycles)
-    if lifetime <= 0:
-        raise NonPhysicalParameter(
-            f"ringdown_lifetime_cycles must be > 0, got {lifetime}"
-        )
+    lifetime = _number("cavity.ringdown_lifetime_cycles", cavity.ringdown_lifetime_cycles)
     return math.exp(-1.0 / lifetime)
 
 
-def _validate_scheme(scheme: WavelengthScheme) -> float:
+def _energy_conserving_lambda_r(scheme: WavelengthScheme) -> float:
     """Check both energy-conservation relations; return the exact output wavelength."""
-    for f in dataclasses.fields(scheme):
-        _check_range(f"scheme.{f.name}", getattr(scheme, f.name), lo=0.0, lo_open=True)
-
     # Pair generation: two pump photons -> signal + herald (vacuum wavenumbers).
     lhs = 2.0 / scheme.lambda_pump_nm
     rhs = 1.0 / scheme.lambda_s_nm + 1.0 / scheme.lambda_h_nm
@@ -280,58 +303,12 @@ def _validate_scheme(scheme: WavelengthScheme) -> float:
     return lambda_r
 
 
-def _validate_cavity(cavity: FiberCavityParams) -> None:
-    _check_range("cavity.length_m", cavity.length_m, lo=0.0, lo_open=True)
-    _check_range("cavity.cycle_time_ns", cavity.cycle_time_ns, lo=0.0, lo_open=True)
-    _check_range("cavity.cavity_freq_mhz", cavity.cavity_freq_mhz, lo=0.0, lo_open=True)
-    _check_range("cavity.walkoff_ps_per_m", cavity.walkoff_ps_per_m, lo=0.0, lo_open=True)
-    _check_range("cavity.dispersion_ps2_per_cycle", cavity.dispersion_ps2_per_cycle, lo=0.0)
-    _check_range("cavity.mismatch_ps_per_cycle", cavity.mismatch_ps_per_cycle, lo=0.0)
-    for name in ("reflectivity_h", "reflectivity_r", "reflectivity_s"):
-        _check_range(f"cavity.{name}", getattr(cavity, name), lo=0.0, hi=1.0)
-    # MHz * ns = 1e-3 dimensionless
-    product = cavity.cavity_freq_mhz * cavity.cycle_time_ns * 1e-3
-    if abs(product - 1.0) > CYCLE_REL_TOL:
-        raise NonPhysicalParameter(
-            "cavity_freq_mhz * cycle_time_ns must equal 1 within "
-            f"{CYCLE_REL_TOL:.0e} relative; got {product:.9f}"
-        )
-    if cavity.ringdown_lifetime_cycles <= 0:
-        raise NonPhysicalParameter("ringdown_lifetime_cycles must be > 0")
-
-
-def _validate_pulses(pulses: PulseParams) -> None:
-    _check_range("pulses.energy_pump_nj", pulses.energy_pump_nj, lo=0.0)
-    _check_range("pulses.energy_p_nj", pulses.energy_p_nj, lo=0.0)
-    _check_range("pulses.energy_q_nj", pulses.energy_q_nj, lo=0.0)
-    _check_range("pulses.control_fwhm_ps", pulses.control_fwhm_ps, lo=0.0, lo_open=True)
-    _check_range("pulses.nonlinear_coeff", pulses.nonlinear_coeff, lo=0.0)
-    _check_range("pulses.rep_rate_mhz", pulses.rep_rate_mhz, lo=0.0, lo_open=True)
-    _check_range("pulses.clock_rate_khz", pulses.clock_rate_khz, lo=0.0, lo_open=True)
-
-
-def _validate_detectors(det: DetectorParams) -> None:
-    for name in ("eta_herald_path", "eta_r_path", "eta_s_path",
-                 "dark_prob_per_gate", "splitter_ratio"):
-        _check_range(f"detectors.{name}", getattr(det, name), lo=0.0, hi=1.0)
-
-
-def _validate_noise(noise: NoiseParams) -> None:
-    _check_range("noise.noise_mean_per_nj", noise.noise_mean_per_nj, lo=0.0)
-    _check_range("noise.mode_count", noise.mode_count, lo=1.0)
-
-
-def _validate_source(src: SourceParams) -> None:
-    _check_range("source.mean_pairs_per_pulse", src.mean_pairs_per_pulse, lo=0.0)
-    _check_range("source.schmidt_modes", src.schmidt_modes, lo=1.0)
-    _check_range("source.envelope_rms_ps", src.envelope_rms_ps, lo=0.0, lo_open=True)
-    _check_range("source.bandwidth_fwhm_thz", src.bandwidth_fwhm_thz, lo=0.0)
-
-
 def validate_config(raw) -> ValidatedConfig:
     """Validate an ExperimentConfig (or re-validate a ValidatedConfig).
 
     Idempotent: validating an already validated config reproduces it.
+    Every field must lie in its range in _BOUNDS, the wavelengths must
+    conserve energy and cavity_freq * cycle_time must be 1.
     Returns the config with derived quantities attached:
       control_tau_ps = control_fwhm_ps / sqrt(4 ln 2)
       walkoff_ratio  = walkoff * length / control_tau
@@ -340,21 +317,30 @@ def validate_config(raw) -> ValidatedConfig:
     """
     if isinstance(raw, ValidatedConfig):
         raw = raw.raw
-    lambda_r = _validate_scheme(raw.scheme)
-    _validate_cavity(raw.cavity)
-    _validate_pulses(raw.pulses)
-    _validate_detectors(raw.detectors)
-    _validate_noise(raw.noise)
-    _validate_source(raw.source)
+    for section, name, lo, hi in _FIELD_BOUNDS:
+        value = getattr(getattr(raw, section), name)
+        # A float strictly inside its range passes here; _number decides the
+        # rest (other number types, bound values, nan, non-numbers).
+        if type(value) is not float or not lo < value < hi:
+            _number(f"{section}.{name}", value)
+    lambda_r = _energy_conserving_lambda_r(raw.scheme)
+    cavity = raw.cavity
+    # MHz * ns = 1e-3 dimensionless
+    product = cavity.cavity_freq_mhz * cavity.cycle_time_ns * 1e-3
+    if abs(product - 1.0) > CYCLE_REL_TOL:
+        raise NonPhysicalParameter(
+            "cavity_freq_mhz * cycle_time_ns must equal 1 within "
+            f"{CYCLE_REL_TOL:.0e} relative; got {product:.9f}"
+        )
 
     tau = raw.pulses.control_fwhm_ps / FWHM_TO_TAU
-    zeta = raw.cavity.walkoff_ps_per_m * raw.cavity.length_m / tau
+    zeta = cavity.walkoff_ps_per_m * cavity.length_m / tau
     sigma_w = 2.0 * math.pi * raw.source.bandwidth_fwhm_thz / SIGMA_TO_FWHM  # rad/ps
     return ValidatedConfig(
         raw=raw,
         control_tau_ps=tau,
         walkoff_ratio=zeta,
-        survival_per_cycle=derived_survival(raw.cavity),
+        survival_per_cycle=derived_survival(cavity),
         lambda_r_exact_nm=lambda_r,
         spectral_rms_rad_per_ps=sigma_w,
     )

@@ -308,6 +308,40 @@ def test_multiplex_zero_bins_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sweep", [
+    ("pulses.energy_p_nj", "0", "10", "0"),
+    ("pulses.energy_p_nj", "0", "10", "-1"),
+    ("readout_delay", "0.1", "0.4", "4"),
+], ids=["zero_steps", "negative_steps", "no_delay_at_least_one"])
+def test_sweep_without_points_writes_nothing(tmp_path, capsys, sweep):
+    param, start, stop, steps = sweep
+    code, out, err = run_cli(capsys, "sweep", "--config", CONFIG, "--param", param,
+                             "--from", start, "--to", stop, "--steps", steps,
+                             "--out", str(tmp_path / "sweep.csv"))
+    assert code == 2
+    assert json.loads(err)["error"] == "NonPhysicalParameter"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("cavity", "length_m", "4.9"),
+    ("source", "schmidt_modes", "2"),
+    ("cavity", "length_m", True),
+], ids=["length_string", "schmidt_modes_string", "length_true"])
+def test_validate_non_number_is_config_error(tmp_path, capsys, section, field, value):
+    doc = json.loads(default_config_path("primary_cavity").read_text())
+    doc[section][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", "--config", str(bad))
+    assert code == 2
+    body = json.loads(err)
+    assert body["error"] == "NonPhysicalParameter"
+    assert f"{section}.{field} is not a number" in body["message"]
+    assert out == ""
+
+
 def test_simulate_delay_beyond_record_field_is_config_error(tmp_path, capsys):
     out_path = tmp_path / "far.bin"
     code, out, err = run_cli(capsys, "simulate", "--config", CONFIG, "--seed", "1",

@@ -1,12 +1,17 @@
 import dataclasses
+import json
 import math
+import re
+import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcsim.config import (
     FWHM_TO_TAU,
+    ExperimentConfig,
     config_from_dict,
     config_to_dict,
     derived_survival,
@@ -123,3 +128,106 @@ def test_walkoff_ratio_scaling(primary, beta, length, fwhm, scale):
     assert zeta(beta * scale, length, fwhm) == pytest.approx(base * scale, rel=1e-12)
     assert zeta(beta, length * scale, fwhm) == pytest.approx(base * scale, rel=1e-12)
     assert zeta(beta, length, fwhm * scale) == pytest.approx(base / scale, rel=1e-12)
+
+
+# Expected range of every config field, written independently of fcsim.config:
+# (lower bound, lower bound open, upper bound or None).
+POSITIVE = (0.0, True, None)
+NON_NEGATIVE = (0.0, False, None)
+UNIT_INTERVAL = (0.0, False, 1.0)
+AT_LEAST_ONE = (1.0, False, None)
+
+EXPECTED_BOUNDS = {
+    "scheme.lambda_pump_nm": POSITIVE,
+    "scheme.lambda_s_nm": POSITIVE,
+    "scheme.lambda_h_nm": POSITIVE,
+    "scheme.lambda_p_nm": POSITIVE,
+    "scheme.lambda_q_nm": POSITIVE,
+    "scheme.lambda_r_nm": POSITIVE,
+    "cavity.length_m": POSITIVE,
+    "cavity.cycle_time_ns": POSITIVE,
+    "cavity.cavity_freq_mhz": POSITIVE,
+    "cavity.ringdown_lifetime_cycles": POSITIVE,
+    "cavity.walkoff_ps_per_m": POSITIVE,
+    "cavity.dispersion_ps2_per_cycle": NON_NEGATIVE,
+    "cavity.mismatch_ps_per_cycle": NON_NEGATIVE,
+    "cavity.reflectivity_h": UNIT_INTERVAL,
+    "cavity.reflectivity_r": UNIT_INTERVAL,
+    "cavity.reflectivity_s": UNIT_INTERVAL,
+    "pulses.energy_pump_nj": NON_NEGATIVE,
+    "pulses.energy_p_nj": NON_NEGATIVE,
+    "pulses.energy_q_nj": NON_NEGATIVE,
+    "pulses.control_fwhm_ps": POSITIVE,
+    "pulses.nonlinear_coeff": NON_NEGATIVE,
+    "pulses.rep_rate_mhz": POSITIVE,
+    "pulses.clock_rate_khz": POSITIVE,
+    "detectors.eta_herald_path": UNIT_INTERVAL,
+    "detectors.eta_r_path": UNIT_INTERVAL,
+    "detectors.eta_s_path": UNIT_INTERVAL,
+    "detectors.dark_prob_per_gate": UNIT_INTERVAL,
+    "detectors.splitter_ratio": UNIT_INTERVAL,
+    "noise.noise_mean_per_nj": NON_NEGATIVE,
+    "noise.mode_count": AT_LEAST_ONE,
+    "source.mean_pairs_per_pulse": NON_NEGATIVE,
+    "source.schmidt_modes": AT_LEAST_ONE,
+    "source.envelope_rms_ps": POSITIVE,
+    "source.bandwidth_fwhm_thz": NON_NEGATIVE,
+}
+
+# Every field of every section, so that a field added without a bound fails.
+CONFIG_FIELDS = [
+    f"{section}.{field.name}"
+    for section, cls in typing.get_type_hints(ExperimentConfig).items()
+    for field in dataclasses.fields(cls)
+]
+
+
+@pytest.mark.parametrize("key", CONFIG_FIELDS)
+def test_every_field_keeps_its_bound(primary, key):
+    """Just outside the range, nan and +-inf raise naming the field; the bound
+    value itself is accepted when the bound is closed, rejected when open."""
+    assert key in EXPECTED_BOUNDS, f"{key} has no expected range"
+    lo, lo_open, hi = EXPECTED_BOUNDS[key]
+    rejected = [math.nextafter(lo, -math.inf), math.nan, math.inf, -math.inf]
+    accepted = []
+    (rejected if lo_open else accepted).append(lo)
+    if hi is not None:
+        rejected.append(math.nextafter(hi, math.inf))
+        accepted.append(hi)
+    field = key.partition(".")[2]
+    for value in rejected:
+        with pytest.raises(NonPhysicalParameter, match=re.escape(field)):
+            primary.replace_fields(**{key: value})
+    for value in accepted:
+        primary.replace_fields(**{key: value})
+
+
+@pytest.mark.parametrize("bad", ["as_string", "true", "false"])
+@pytest.mark.parametrize("key", CONFIG_FIELDS)
+def test_non_number_field_is_nonphysical(primary, key, bad):
+    """A JSON string or bool in a numeric field is not read as a number."""
+    section, _, field = key.partition(".")
+    doc = config_to_dict(primary)
+    value = doc[section][field]
+    doc[section][field] = {"as_string": str(value), "true": True, "false": False}[bad]
+    with pytest.raises(NonPhysicalParameter,
+                       match=re.escape(key) + " is not a number"):
+        loads_config(json.dumps(doc))
+
+
+def test_numpy_numbers_are_numbers(primary):
+    cfg = primary.replace_fields(**{
+        "cavity.length_m": np.float64(primary.cavity.length_m),
+        "noise.mode_count": np.int64(2),
+        "source.schmidt_modes": np.float32(1.5),
+    })
+    assert cfg.walkoff_ratio == primary.walkoff_ratio
+    assert cfg.noise.mode_count == 2
+    assert cfg.source.schmidt_modes == 1.5
+
+
+def test_integer_beyond_float_range_is_nonphysical(primary):
+    doc = config_to_dict(primary)
+    doc["cavity"]["length_m"] = 10 ** 400
+    with pytest.raises(NonPhysicalParameter, match=r"cavity\.length_m must be finite"):
+        loads_config(json.dumps(doc))
