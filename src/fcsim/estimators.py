@@ -97,8 +97,8 @@ def _block_counts(records: ClickRecords, block_triggers: int):
     n_blocks = (n + block_triggers - 1) // block_triggers
     sizes = np.full(n_blocks, block_triggers, dtype=np.int64)
     sizes[-1] = n - block_triggers * (n_blocks - 1)
-    block_of = (records.trigger // np.uint64(block_triggers)).astype(np.int64)
-    hist = np.bincount(block_of * 16 + records.mask, minlength=16 * n_blocks)
+    key = records.trigger // np.uint64(block_triggers) * np.uint64(16) + records.mask
+    hist = np.bincount(key.view(np.int64), minlength=16 * n_blocks)
     counts = hist.reshape(n_blocks, 16) @ PATTERN_MATRIX
     return dict(zip(PATTERN_MASKS, counts.T)), sizes
 
@@ -116,10 +116,12 @@ def _bootstrap_ratio(records: ClickRecords, ratio: tuple, pattern: str,
     rng = np.random.Generator(np.random.PCG64(seed))
     names = sorted({*num, *den})
     stacked = np.vstack([sizes] + [table[name] for name in names])
-    # row 0 sums the whole stream, each further row one resample of its blocks
+    # row 0 sums the whole stream, each further row one resample: its blocks
+    # weighed by how often it drew them, drawn at most 2^20 indices at a time
+    step = max(1, (1 << 20) // sizes.size)
     sums = np.array([stacked.sum(axis=1)] + [
-        stacked[:, rng.integers(0, sizes.size, sizes.size)].sum(axis=1)
-        for _ in range(resamples)])
+        stacked @ np.bincount(row, minlength=sizes.size) for start in range(0, resamples, step)
+        for row in rng.integers(0, sizes.size, (min(step, resamples - start), sizes.size))])
     p = dict(zip(names, (sums[:, 1:] / sums[:, :1]).T))
     d = math.prod(p[name] for name in den)
     ok = d > 0
@@ -162,6 +164,9 @@ def _series_arrays(series):
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise NonPhysicalParameter("series must be rows of (T, value[, stderr])")
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise NonPhysicalParameter(f"series row {bad.argmax() + 1} is not finite")
     t = arr[:, 0]
     y = arr[:, 1]
     sigma = arr[:, 2] if arr.shape[1] == 3 else None

@@ -5,10 +5,10 @@ fockstats, so the two must agree on every observable within statistics.
 Most triggers of a weak source carry nothing, so a block draws only the
 triggers that do: the ones with a pair, found by geometric gaps at
 P(n > 0) of the pair distribution, the ones with a noise photon, found the
-same way, and one set of dark clicks per detector. Their photon numbers
-come from the zero-truncated negative binomial, and only those photons are
-thinned and split. Records are kept only for triggers with at least one
-click; the manifest carries the total trigger count.
+same way, and the dark clicks of all four detectors. Their photon numbers
+come from the zero-truncated negative binomial, and each photon draws one
+uniform that decides where it clicks, if anywhere. Records are kept only
+for clicked triggers; the manifest carries the trigger and record counts.
 
 Reproducibility: triggers are simulated in fixed-size blocks, each block
 drawing from a PCG64 stream seeded by (run seed, block index). Identical
@@ -32,7 +32,7 @@ from .errors import CorruptRecords, EmptyInput, NonPhysicalParameter
 from .fockstats import MASK_H, MASK_R1, MASK_R2, MASK_S, signal_branch_probs
 
 BLOCK_TRIGGERS = 1 << 20
-GENERATOR_NAME = "numpy-pcg64-sparse1"
+GENERATOR_NAME = "numpy-pcg64-sparse2"
 
 CSV_HEADER = "trigger,T,H,S,R1,R2"
 BINARY_DTYPE = np.dtype([("trigger", "<u8"), ("T", "<u2"), ("mask", "u1")])
@@ -46,6 +46,7 @@ class RunManifest:
     config_hash: str
     seed: int
     n_triggers: int
+    n_records: int  # rows of the record file: catches a sidecar shared with another run
     clock_rate_khz: float
     readout_delay: int
     controls_only: bool
@@ -70,6 +71,7 @@ class RunManifest:
                               and manifest.clock_rate_khz > 0,
             "seed": manifest.seed >= 0,
             "n_triggers": manifest.n_triggers >= 0,
+            "n_records": 0 <= manifest.n_records <= manifest.n_triggers,
             "readout_delay": 1 <= manifest.readout_delay <= MAX_DELAY,
         }
         for name, ok in in_range.items():
@@ -107,11 +109,12 @@ def positions(rng: np.random.Generator, p: float, count: int) -> np.ndarray:
     # draws on from the last hit then. A gap beyond count leaves the block,
     # so clipping it changes no index and keeps the sum from overflowing.
     size = int(count * p + 6.0 * np.sqrt(count * p)) + 16
-    idx = np.cumsum(np.minimum(rng.geometric(p, size), count + 1)) - 1
+    idx = np.array([-1])  # the first gap counts from just before index 0
     while idx[-1] < count:
-        more = idx[-1] + np.cumsum(np.minimum(rng.geometric(p, size), count + 1))
-        idx = np.concatenate([idx, more])
-    return idx[:np.searchsorted(idx, count)]
+        # geometric by inversion: P(gap > k) = P(1 - u <= (1 - p)^k) = (1 - p)^k
+        gaps = np.minimum(np.floor(np.log1p(-rng.random(size)) / math.log1p(-p)) + 1, count + 1)
+        idx = np.concatenate([idx, idx[-1] + np.cumsum(gaps.astype(np.int64))])
+    return idx[1:np.searchsorted(idx, count)]
 
 
 def _nonzero_prob(mean: float, k: float) -> float:
@@ -156,37 +159,37 @@ def _photon_counts(rng: np.random.Generator, mean: float, k: float, count: int):
 
 
 def _simulate_block(cfg: ValidatedConfig, mu: float, p_monitor: float,
-                    p_readout: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Return the uint8 click masks of one block of triggers.
+                    p_readout: float, rng: np.random.Generator, count: int):
+    """(sorted trigger indices, uint8 click masks) of the clicked triggers
+    among count triggers, mu the mean pair number (0 for a controls-only
+    run) and p_monitor, p_readout the per-photon branch probabilities.
 
-    mu is the mean pair number (0 for a controls-only run) and p_monitor,
-    p_readout the per-photon branch probabilities at the run's delay.
-    Only the triggers that carry a pair, a noise photon or a dark click are
-    drawn; every other trigger stays at mask 0.
+    Each photon takes one uniform: a herald photon clicks H below eta_h, a
+    signal photon goes to S, R1, R2 or is lost by where its uniform falls
+    among the cumulative branch probabilities, a noise photon goes to R1
+    below the splitter ratio, else to R2.
     """
     det = cfg.detectors
-    mask = np.zeros(count, dtype=np.uint8)
-    read_count = np.zeros(count, dtype=np.int32)
-
-    at, pairs = _photon_counts(rng, mu, cfg.source.schmidt_modes, count)
-    mask[at[rng.binomial(pairs, det.eta_herald_path) > 0]] |= MASK_H
-    monitor = rng.binomial(pairs, p_monitor)
-    mask[at[monitor > 0]] |= MASK_S
-    # conditional branch probability given the photon did not leak out
-    p_read = p_readout / (1.0 - p_monitor)
-    read_count[at] = rng.binomial(pairs - monitor, p_read)
-
-    at, noise = _photon_counts(rng, cfg.noise_mean_per_trigger(), cfg.noise.mode_count, count)
-    read_count[at] += noise.astype(np.int32)
-
-    at = np.flatnonzero(read_count)
-    r1 = rng.binomial(read_count[at], det.splitter_ratio)
-    mask[at[r1 > 0]] |= MASK_R1
-    mask[at[read_count[at] > r1]] |= MASK_R2
-
-    for bit in (MASK_H, MASK_S, MASK_R1, MASK_R2):
-        mask[positions(rng, det.dark_prob_per_gate, count)] |= bit
-    return mask
+    pair_at = np.repeat(*_photon_counts(rng, mu, cfg.source.schmidt_modes, count))
+    herald = pair_at[rng.random(pair_at.size) < det.eta_herald_path]
+    u = rng.random(pair_at.size)  # the signal photon's branch: S, R1, R2 or lost
+    branch = sum((u >= t).view(np.uint8) for t in (
+        p_monitor, p_monitor + p_readout * det.splitter_ratio, p_monitor + p_readout))
+    seen = branch < 3
+    noise_at = np.repeat(*_photon_counts(rng, cfg.noise_mean_per_trigger(),
+                                         cfg.noise.mode_count, count))
+    noise_det = np.uint8(2) + (rng.random(noise_at.size) >= det.splitter_ratio)  # R1, else R2
+    # gate d * count + i of one draw over all four detectors: trigger i, detector d
+    dark = positions(rng, det.dark_prob_per_gate, 4 * count)
+    # one sort key per click, trigger << 2 | d for detector d = H, S, R1, R2
+    key = np.concatenate([herald, pair_at[seen], noise_at, dark % count]) << 2
+    key |= np.concatenate([np.zeros_like(herald), branch[seen] + 1, noise_det, dark // count])
+    key.sort()
+    bits = np.left_shift(np.uint8(1), key.astype(np.uint8) & 3)  # detector d's record bit: 1 << d
+    key >>= 2
+    # where each clicked trigger's clicks begin (nowhere if the block is silent)
+    first = np.flatnonzero(np.concatenate(([key.size > 0], key[1:] != key[:-1])))
+    return key[first], np.bitwise_or.reduceat(bits, first)
 
 
 def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
@@ -209,16 +212,16 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
     triggers, masks = [], []
     for i, start in enumerate(range(0, n_triggers, BLOCK_TRIGGERS)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-        block = _simulate_block(cfg, mu, float(q_mon), float(chain), rng,
-                                min(BLOCK_TRIGGERS, n_triggers - start))
-        clicked = np.flatnonzero(block)
+        clicked, mask = _simulate_block(cfg, mu, float(q_mon), float(chain), rng,
+                                        min(BLOCK_TRIGGERS, n_triggers - start))
         triggers.append(clicked.astype(np.uint64) + np.uint64(start))
-        masks.append(block[clicked])
+        masks.append(mask)
     trigger, mask = np.concatenate(triggers), np.concatenate(masks)
     manifest = RunManifest(
         config_hash=config_hash(cfg),
         seed=int(seed),
         n_triggers=int(n_triggers),
+        n_records=int(trigger.size),
         clock_rate_khz=cfg.pulses.clock_rate_khz,
         readout_delay=int(delay_cycles),
         controls_only=bool(controls_only),
@@ -244,8 +247,8 @@ def manifest_path(path) -> Path:
     return p.with_name(p.stem + ".manifest.json")
 
 
-def _csv_bytes(records: ClickRecords) -> bytes:
-    """Rows 'trigger,T,H,S,R1,R2' built as one byte table, without a per-row loop.
+def _csv_rows(records: ClickRecords) -> np.ndarray:
+    """The rows under CSV_HEADER as one uint8 table of text, without a per-row loop.
 
     Each column is written right-aligned at the width of its largest value;
     the keep mask then drops the leading zeros.
@@ -265,7 +268,7 @@ def _csv_bytes(records: ClickRecords) -> bytes:
             keep[:, start + j] = values >= 10 ** (width - 1 - j)
         start += width + 1
     row[:, -1] = ord("\n")
-    return (CSV_HEADER + "\n").encode("ascii") + row[keep].tobytes()
+    return row[keep]
 
 
 def write_records(records: ClickRecords, path) -> None:
@@ -281,9 +284,9 @@ def write_records(records: ClickRecords, path) -> None:
         arr["trigger"] = records.trigger
         arr["T"] = records.delay
         arr["mask"] = records.mask
-        atomic.write_bytes(p, arr.tobytes())
+        atomic.write_bytes(p, arr)
     else:
-        atomic.write_bytes(p, _csv_bytes(records))
+        atomic.write_bytes(p, (CSV_HEADER + "\n").encode("ascii"), _csv_rows(records))
     try:
         atomic.write_text(manifest_path(p), records.manifest.to_json())
     except BaseException:
@@ -294,9 +297,9 @@ def write_records(records: ClickRecords, path) -> None:
 def read_records(path) -> ClickRecords:
     """Read records and their manifest; CorruptRecords if they disagree.
 
-    Triggers must be strictly increasing and below the manifest's trigger
-    count, every mask a combination of the four detector bits, every delay
-    the manifest's readout delay, and every CSV row six unsigned integers.
+    Rows must match the manifest's record count, triggers rise strictly and
+    stay below its trigger count, masks combine the four detector bits, every
+    delay equal its readout delay, and every CSV row hold six unsigned integers.
     """
     p = Path(path)
     mpath = manifest_path(p)
@@ -331,6 +334,9 @@ def read_records(path) -> ClickRecords:
         delay = raw[:, 1]
         mask = (raw[:, 2] * MASK_H + raw[:, 3] * MASK_S
                 + raw[:, 4] * MASK_R1 + raw[:, 5] * MASK_R2).astype(np.uint8)
+    if trigger.size != manifest.n_records:
+        raise CorruptRecords(f"{p}: {trigger.size} records, but the manifest "
+                             f"{mpath.name} counts {manifest.n_records}")
     if np.any(trigger[1:] <= trigger[:-1]):
         raise CorruptRecords(f"{p}: trigger indices are not strictly increasing")
     if trigger.size and trigger[-1] >= manifest.n_triggers:

@@ -14,11 +14,12 @@ fockstats.ClickProbabilities (indexed by record mask), and the per-photon
 branch probabilities of the readout (fockstats.signal_branch_probs) come
 from the package.
 
-Two further references replace fast package code with the plain version
+Three further references replace fast package code with the plain version
 it was derived from: adaptive_overlap integrates the readout overlap by the
 trapezoid rule on a uniform grid refined until it settles (it shares only
-readout.xi_profile with the package), and csv_records_text formats click
-records one row at a time.
+readout.xi_profile with the package), csv_records_text formats click
+records one row at a time, and bootstrap_ratio_loop draws and sums the
+block bootstrap one resample at a time.
 
 scipy_brentq and scipy_least_squares are the scipy solvers the package's
 numpy-only ones (fcsim.solvers) replaced, called as the package calls its
@@ -37,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from fcsim import fockstats, readout
+from fcsim import estimators, fockstats, readout
 from fcsim.errors import DivisionByZeroRate, NonPhysicalParameter
 from fcsim.trialsim import CSV_HEADER, MASK_H, MASK_R1, MASK_R2, MASK_S
 
@@ -375,6 +376,31 @@ def csv_records_text(records):
                      f"{int(bool(m & MASK_S))},{int(bool(m & MASK_R1))},"
                      f"{int(bool(m & MASK_R2))}")
     return "\n".join(lines) + "\n"
+
+
+def bootstrap_ratio_loop(records, ratio, pattern, block_triggers, resamples, seed):
+    """estimators._bootstrap_ratio with one rng.integers call and one column
+    sum per resample; it shares only the per-block counts with the package."""
+    table, sizes = estimators._block_counts(records, block_triggers)
+    num, den = ratio
+    for name in den:
+        if not table[name].any():
+            raise DivisionByZeroRate(f"pattern {name!r} never occurred")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    names = sorted({*num, *den})
+    stacked = np.vstack([sizes] + [table[name] for name in names])
+    # row 0 sums the whole stream, each further row one resample of its blocks
+    sums = np.array([stacked.sum(axis=1)] + [
+        stacked[:, rng.integers(0, sizes.size, sizes.size)].sum(axis=1)
+        for _ in range(resamples)])
+    p = dict(zip(names, (sums[:, 1:] / sums[:, :1]).T))
+    d = math.prod(p[name] for name in den)
+    ok = d > 0
+    values = math.prod(p[name] for name in num)[ok] / d[ok]
+    se = float(np.std(values[1:], ddof=1)) if values.size > 2 else math.inf
+    return estimators.CorrelationEstimate(
+        value=float(values[0]), standard_error=se, n_triggers=records.n_triggers,
+        pattern=pattern, dropped_resamples=int(np.count_nonzero(~ok[1:])))
 
 
 def scipy_brentq(f, a, b, xtol, rtol, maxiter=100):

@@ -91,7 +91,7 @@ def test_simulate_random_seed_recorded(tmp_path, capsys):
     seed = json.loads(out)["seed"]
     manifest = json.loads((tmp_path / "r.manifest.json").read_text())
     assert manifest["seed"] == seed
-    assert manifest["generator"] == "numpy-pcg64-sparse1"
+    assert manifest["generator"] == "numpy-pcg64-sparse2"
 
 
 def test_simulate_reports_generator_and_timings(tmp_path, capsys):
@@ -189,6 +189,23 @@ def test_fit_reads_sweep_output(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["n_points"] == 40
     assert 0.0 < doc["values"]["lifetime"] < 200.0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("kind", ["exponential", "memory"])
+def test_fit_on_non_finite_series_names_the_row(tmp_path, capsys, kind, value):
+    t = np.arange(1, 146, 5, dtype=float)
+    rows = [f"{a},{b}" for a, b in zip(t, 0.3 * np.exp(-t / 111.0))]
+    rows[4] = f"21.0,{value}"
+    data = tmp_path / "decay.csv"
+    data.write_text("T,value\n" + "\n".join(rows) + "\n")
+    extra = ["--config", CONFIG] if kind == "memory" else []
+    code, out, err = run_cli(capsys, "fit", "--kind", kind, "--data", str(data), *extra)
+    assert code == 2
+    body = json.loads(err)
+    assert body["error"] == "NonPhysicalParameter"
+    assert "row 5" in body["message"]
+    assert out == ""
 
 
 def test_config_with_fock_cutoff_rejected(tmp_path, capsys):

@@ -14,6 +14,7 @@ from fcsim.estimators import (
     subtract_background,
 )
 from fcsim.trialsim import MASK_H, MASK_R1, MASK_R2, MASK_S, ClickRecords, RunManifest
+from oracles import bootstrap_ratio_loop
 
 
 def synthetic_records(masks, n_triggers, clock_khz=76.8, delay=1):
@@ -24,6 +25,7 @@ def synthetic_records(masks, n_triggers, clock_khz=76.8, delay=1):
         delay=np.full(int(keep.sum()), delay, dtype=np.uint16),
         mask=masks[keep],
         manifest=RunManifest(config_hash="x", seed=0, n_triggers=int(n_triggers),
+                             n_records=int(keep.sum()),
                              clock_rate_khz=clock_khz, readout_delay=delay,
                              controls_only=False),
     )
@@ -141,7 +143,8 @@ def test_pattern_counts_match_per_record_count():
     mask = np.concatenate([np.arange(16), rng.integers(0, 16, 104)]).astype(np.uint8)
     rec = ClickRecords(
         trigger=trigger, delay=np.ones(trigger.size, dtype=np.uint16), mask=mask,
-        manifest=RunManifest(config_hash="x", seed=0, n_triggers=n, clock_rate_khz=76.8,
+        manifest=RunManifest(config_hash="x", seed=0, n_triggers=n,
+                             n_records=int(trigger.size), clock_rate_khz=76.8,
                              readout_delay=1, controls_only=False))
 
     def matches(name, m):
@@ -181,21 +184,72 @@ def test_divide_by_zero_rate():
         klyshko_efficiency(rec)
 
 
+SEEN_BLOCK, SEEN_N_BLOCKS, SEEN = 100, 50, (3, 31)
+
+
+def seen_in_two_blocks():
+    """Records of 50 blocks of 100 triggers with signal-monitor clicks in
+    blocks 3 and 31 only."""
+    n = SEEN_BLOCK * SEEN_N_BLOCKS
+    masks = np.zeros(n, dtype=np.uint8)
+    masks[::7] = MASK_H
+    for b in SEEN:
+        masks[b * SEEN_BLOCK + 1] = MASK_H | MASK_S
+    return synthetic_records(masks, n)
+
+
 def test_bootstrap_counts_dropped_resamples():
     """Signal-monitor clicks in 2 of 50 blocks: a resample that draws neither
     block has no denominator, so it is dropped and counted."""
-    block, n_blocks, seen = 100, 50, (3, 31)
-    n = block * n_blocks
-    masks = np.zeros(n, dtype=np.uint8)
-    masks[::7] = MASK_H
-    for b in seen:
-        masks[b * block + 1] = MASK_H | MASK_S
-    est = klyshko_efficiency(synthetic_records(masks, n), block_triggers=block, seed=3)
+    block, n_blocks, seen = SEEN_BLOCK, SEEN_N_BLOCKS, SEEN
+    est = klyshko_efficiency(seen_in_two_blocks(), block_triggers=block, seed=3)
     rng = np.random.Generator(np.random.PCG64(3))
     missed = sum(not np.isin(rng.integers(0, n_blocks, n_blocks), seen).any()
                  for _ in range(estimators.BOOTSTRAP_RESAMPLES))
     assert est.dropped_resamples == missed > 0
     assert math.isfinite(est.standard_error)
+
+
+def _bootstrap_or_error(estimate, *args):
+    try:
+        return estimate(*args)
+    except DivisionByZeroRate as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("stream", ["primary", "dense", "seen_in_two_blocks",
+                                    "primary_20000_blocks"])
+def test_bootstrap_matches_resample_loop(primary, stream):
+    """Every estimate_g2 kind and klyshko_efficiency give the value, standard
+    error and dropped_resamples of the one-resample-at-a-time loop, bit for
+    bit: on 1000 blocks of the primary config, 100 blocks of a dense one, the
+    50 blocks of which only 2 hold the denominator, and 20000 blocks, whose
+    resamples are drawn in four chunks of at most 2^20 block indices."""
+    block, seed = estimators.BOOTSTRAP_BLOCK, 11
+    if stream == "primary":
+        records = trialsim.simulate_run(primary, seed=6, n_triggers=10_000_000)
+    elif stream == "primary_20000_blocks":
+        records, block = trialsim.simulate_run(primary, seed=6, n_triggers=2_000_000), 100
+    elif stream == "dense":
+        dense = primary.replace_fields(**{"source.mean_pairs_per_pulse": 0.25,
+                                          "noise.noise_mean_per_nj": 0.2})
+        records = trialsim.simulate_run(dense, seed=6, n_triggers=1_000_000)
+    else:
+        records, block, seed = seen_in_two_blocks(), SEEN_BLOCK, 3
+    cases = [(kind, estimators.RATIOS[estimators.G2_KINDS[kind]]) for kind in estimators.G2_KINDS]
+    cases.append(("klyshko", (("hs",), ("s",))))
+    for kind, ratio in cases:
+        if kind == "klyshko":
+            got = _bootstrap_or_error(klyshko_efficiency, records, block,
+                                      estimators.BOOTSTRAP_RESAMPLES, seed)
+        else:
+            got = _bootstrap_or_error(estimate_g2, records, kind, block,
+                                      estimators.BOOTSTRAP_RESAMPLES, seed)
+        want = _bootstrap_or_error(bootstrap_ratio_loop, records, ratio, kind, block,
+                                   estimators.BOOTSTRAP_RESAMPLES, seed)
+        assert got == want, kind
+    if stream == "seen_in_two_blocks":
+        assert klyshko_efficiency(records, block, seed=seed).dropped_resamples > 0
 
 
 def test_no_resamples_dropped_on_primary(primary):

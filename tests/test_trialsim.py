@@ -101,7 +101,7 @@ def test_csv_roundtrip(tmp_path, primary):
     assert np.array_equal(back.mask, run.mask)
     assert back.manifest.n_triggers == run.manifest.n_triggers
     assert back.manifest.seed == 8
-    assert back.manifest.generator == "numpy-pcg64-sparse1"
+    assert back.manifest.generator == "numpy-pcg64-sparse2"
 
 
 def test_binary_roundtrip(tmp_path, primary):
@@ -238,8 +238,8 @@ def test_identical_seed_writes_identical_files(tmp_path, primary):
 
 # sha256 of the .bin of simulate_run(primary, seed=20260810, n_triggers=1_000_000),
 # criterion 10's input; it may change only together with GENERATOR_NAME
-PINNED_STREAM = ("numpy-pcg64-sparse1",
-                 "3f84d361a3edf699487331c1c48f2f51302e5df9f402966838daa4f4f2cad274")
+PINNED_STREAM = ("numpy-pcg64-sparse2",
+                 "ef6db93750b00c65bf40b3c852910ead996cbc88d52f20241d547addaadb4d04")
 
 
 def test_byte_stream_is_pinned_to_generator_name(tmp_path, primary):
@@ -282,6 +282,27 @@ def test_malformed_manifest_is_corrupt_records(tmp_path, primary, text):
         read_records(path)
 
 
+def test_sidecar_shared_with_other_suffix_is_corrupt_records(tmp_path, primary):
+    """x.bin and x.csv share x.manifest.json; once a run with another trigger
+    count writes x.csv, reading x.bin fails instead of taking its labels."""
+    write_records(simulate_run(primary, seed=1, n_triggers=20_000), tmp_path / "a.bin")
+    write_records(simulate_run(primary, seed=2, n_triggers=30_000), tmp_path / "a.csv")
+    with pytest.raises(CorruptRecords, match="records, but the manifest"):
+        read_records(tmp_path / "a.bin")
+    assert read_records(tmp_path / "a.csv").manifest.n_triggers == 30_000
+
+
+def test_manifest_without_record_count_is_corrupt_records(tmp_path, primary):
+    path = tmp_path / "clicks.bin"
+    write_records(simulate_run(primary, seed=8, n_triggers=10_000), path)
+    mpath = trialsim.manifest_path(path)
+    doc = json.loads(mpath.read_text(encoding="utf-8"))
+    del doc["n_records"]
+    mpath.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CorruptRecords, match="n_records"):
+        read_records(path)
+
+
 @pytest.mark.parametrize("field, value", [
     ("config_hash", 123),
     ("seed", True),
@@ -298,6 +319,9 @@ def test_malformed_manifest_is_corrupt_records(tmp_path, primary, text):
     ("clock_rate_khz", math.nan),
     ("seed", -1),
     ("n_triggers", -1),
+    ("n_records", "5"),
+    ("n_records", -1),
+    ("n_records", 10_001),  # more records than triggers
     ("readout_delay", 0),
     ("readout_delay", int(trialsim.MAX_DELAY) + 1),
 ])
@@ -323,10 +347,11 @@ def test_herald_rate_matches_analytic(primary):
 
 
 class _UnitGaps:
-    """Stands in for a Generator whose geometric gaps are all 1."""
+    """Stands in for a Generator whose uniforms are all 0, so that every
+    geometric gap drawn from them by inversion is 1."""
 
-    def geometric(self, p, size):
-        return np.ones(size, dtype=np.int64)
+    def random(self, size):
+        return np.zeros(size)
 
 
 def test_positions_edges():
@@ -375,21 +400,25 @@ def _dense(primary):
                                      "noise.noise_mean_per_nj": 0.2})
 
 
-@pytest.mark.parametrize("make, include_source", [
-    (lambda cfg: cfg, True),
-    (_dense, True),
-    (lambda cfg: cfg, False),
-    (lambda cfg: cfg.replace_fields(**{"detectors.dark_prob_per_gate": 0.02}), True),
-], ids=["primary", "dense", "controls_only", "dark_0.02"])
-def test_mask_histogram_matches_engine(primary, make, include_source):
+@pytest.mark.parametrize("make, include_source, delay", [
+    (lambda cfg, alt: cfg, True, 1),
+    (lambda cfg, alt: _dense(cfg), True, 1),
+    (lambda cfg, alt: cfg, False, 1),
+    (lambda cfg, alt: cfg.replace_fields(**{"detectors.dark_prob_per_gate": 0.02}), True, 1),
+    (lambda cfg, alt: cfg, True, 50),
+    (lambda cfg, alt: alt, True, 1),
+], ids=["primary", "dense", "controls_only", "dark_0.02", "primary_T50", "alternate"])
+def test_mask_histogram_matches_engine(primary, alternate, make, include_source, delay):
     """Pearson chi-square of the 16-mask histogram against EXACT @ Q; masks
     expected fewer than 25 times are pooled with the no-click mask."""
-    cfg = make(primary)
+    cfg = make(primary, alternate)
     n = 1 << 22
-    run = simulate_run(cfg, seed=4, n_triggers=n, controls_only=not include_source)
+    run = simulate_run(cfg, seed=4, n_triggers=n, delay_cycles=delay,
+                       controls_only=not include_source)
     observed = np.bincount(run.mask, minlength=16).astype(float)
     observed[0] = n - run.mask.size
-    branches = fockstats.signal_branch_probs(cfg, 1) if include_source else (0.0, 0.0)
+    branches = (fockstats.signal_branch_probs(cfg, delay) if include_source
+                else (0.0, 0.0))
     expected = n * (fockstats.EXACT @ fockstats.no_click_table(cfg, *branches,
                                                                include_source)[0])
     group = np.where(expected >= 25, np.arange(16), 0)
