@@ -10,7 +10,6 @@ machine-readable JSON body on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import secrets
 import sys
@@ -19,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, atomic, estimators, fockstats, multiplex, readout, trialsim
-from .config import ValidatedConfig, config_hash, dumps_config, load_config
+from .config import ValidatedConfig, config_hash, load_config, save_config
 from .errors import ConfigError, FcsimError, NonPhysicalParameter
 
 EXIT_CONFIG_INVALID = 2
@@ -129,7 +128,7 @@ def _cmd_stats(args) -> int:
     report["config_hash"] = config_hash(cfg)
     report["version"] = __version__
     if args.calibrate and args.out_config:
-        atomic.write_text(args.out_config, dumps_config(cfg))
+        save_config(cfg, args.out_config)
         report["calibrated_config"] = str(args.out_config)
     _emit(report, args.out)
     return 0
@@ -137,6 +136,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
+    start = time.perf_counter()
     values = np.linspace(args.start, args.stop, max(args.steps, 0))
     if args.param == "readout_delay":
         values = np.unique(np.rint(values).astype(int))
@@ -153,9 +153,10 @@ def _cmd_sweep(args) -> int:
         raise NonPhysicalParameter(
             f"sweep of {args.param} has no points: --steps must be >= 1, and a "
             "readout_delay sweep needs an integer >= 1 between --from and --to")
+    sweep_s = time.perf_counter() - start
     _write_csv(args.out, ("T_or_Ep", "survival", "eta_conv", "total", "noise_mean"),
                rows)
-    _emit({"out": str(args.out), "points": len(rows),
+    _emit({"out": str(args.out), "points": len(rows), "timings": {"sweep_s": sweep_s},
            "config_hash": config_hash(cfg), "version": __version__})
     return 0
 
@@ -201,25 +202,25 @@ def _cmd_multiplex(args) -> int:
         p_herald = args.herald_prob
     else:
         p_herald = fockstats.model_patterns(cfg)["h"]
+    start = time.perf_counter()
     max_delay = (args.max_bins - 1) * args.spacing + args.latency
-    # the largest plan is validated before anything is written
+    # the plan is validated before anything is written
     plan = multiplex.MultiplexPlan(bins=args.max_bins, bin_spacing_cycles=args.spacing,
                                    herald_prob=p_herald,
                                    readout_curve=multiplex.readout_curve(cfg, max_delay),
                                    switch_latency_cycles=args.latency)
-    rows = []
-    for k in range(1, plan.bins + 1):
-        res = multiplex.multiplex_success(dataclasses.replace(plan, bins=k))
-        rows.append((k, res["p_out"], res["enhancement"]))
-    _write_csv(args.out, ("K", "p_out", "enhancement"), rows)
-    # first argmax: ties go to fewer bins, as in multiplex.optimal_K
-    best = 1 + int(np.argmax([p_out for _, p_out, _ in rows]))
+    p_out, enhancement = multiplex.output_curve(plan)
+    best = multiplex.optimal_K(plan, plan.bins)
+    multiplex_s = time.perf_counter() - start
+    _write_csv(args.out, ("K", "p_out", "enhancement"),
+               zip(range(1, plan.bins + 1), p_out, enhancement))
     _emit({
         "out": str(args.out),
         "herald_prob": p_herald,
         "optimal_K": best,
-        "p_out_at_optimal_K": rows[best - 1][1],
-        "enhancement_at_max_K": rows[-1][2],
+        "p_out_at_optimal_K": float(p_out[best - 1]),
+        "enhancement_at_max_K": float(enhancement[-1]),
+        "timings": {"multiplex_s": multiplex_s},
         "note": ("projection for this source; published storage-loop benchmark "
                  f"for context: x{multiplex.REFERENCE_ENHANCEMENT}"
                  f"({multiplex.REFERENCE_ENHANCEMENT_ERR}) at "

@@ -161,64 +161,37 @@ _SECTION_TYPES = {
 
 
 @dataclass(frozen=True)
-class ValidatedConfig:
+class ValidatedConfig(ExperimentConfig):
     """An ExperimentConfig that passed validation, plus derived quantities.
 
     Immutable after construction; safe to share across threads/processes.
     """
 
-    raw: ExperimentConfig
     control_tau_ps: float        # Gaussian 1/e intensity half-width of the controls
     walkoff_ratio: float         # total walk-off beta*L over control tau
     survival_per_cycle: float    # intensity survival per cavity cycle
     lambda_r_exact_nm: float     # output wavelength recomputed from the scheme
     spectral_rms_rad_per_ps: float  # signal spectral RMS width, rad/ps
 
-    # convenience pass-throughs
-    @property
-    def scheme(self) -> WavelengthScheme:
-        return self.raw.scheme
-
-    @property
-    def cavity(self) -> FiberCavityParams:
-        return self.raw.cavity
-
-    @property
-    def pulses(self) -> PulseParams:
-        return self.raw.pulses
-
-    @property
-    def detectors(self) -> DetectorParams:
-        return self.raw.detectors
-
-    @property
-    def noise(self) -> NoiseParams:
-        return self.raw.noise
-
-    @property
-    def source(self) -> SourceParams:
-        return self.raw.source
-
     def noise_mean_per_trigger(self) -> float:
         """Mean detected noise photons per trigger at the configured p energy."""
-        return self.raw.noise.noise_mean_per_nj * self.raw.pulses.energy_p_nj
+        return self.noise.noise_mean_per_nj * self.pulses.energy_p_nj
 
     def replace_fields(self, **dotted) -> "ValidatedConfig":
         """Return a new validated config with individual fields replaced.
 
         Keys use section.field form, e.g. replace_fields(**{"source.mean_pairs_per_pulse": 0.1}).
         """
-        raw = self.raw
+        sections = {name: getattr(self, name) for name in _SECTION_TYPES}
         for key, value in dotted.items():
             section_name, _, field = key.partition(".")
-            if section_name not in _SECTION_TYPES:
+            if section_name not in sections:
                 raise UnknownConfigKey(f"no config section named {section_name!r}")
-            section = getattr(raw, section_name)
+            section = sections[section_name]
             if field not in {f.name for f in dataclasses.fields(section)}:
                 raise UnknownConfigKey(f"no key {field!r} in section {section_name!r}")
-            section = dataclasses.replace(section, **{field: value})
-            raw = dataclasses.replace(raw, **{section_name: section})
-        return validate_config(raw)
+            sections[section_name] = dataclasses.replace(section, **{field: value})
+        return validate_config(ExperimentConfig(**sections))
 
 
 # The range of every config field, as (lower bound, lower bound open, upper bound).
@@ -303,8 +276,8 @@ def _energy_conserving_lambda_r(scheme: WavelengthScheme) -> float:
     return lambda_r
 
 
-def validate_config(raw) -> ValidatedConfig:
-    """Validate an ExperimentConfig (or re-validate a ValidatedConfig).
+def validate_config(raw: ExperimentConfig) -> ValidatedConfig:
+    """Validate an ExperimentConfig (a ValidatedConfig is one too).
 
     Idempotent: validating an already validated config reproduces it.
     Every field must lie in its range in _BOUNDS, the wavelengths must
@@ -315,8 +288,6 @@ def validate_config(raw) -> ValidatedConfig:
       survival_per_cycle = exp(-1 / ringdown_lifetime)
       lambda_r_exact_nm from the translation relation
     """
-    if isinstance(raw, ValidatedConfig):
-        raw = raw.raw
     for section, name, lo, hi in _FIELD_BOUNDS:
         value = getattr(getattr(raw, section), name)
         # A float strictly inside its range passes here; _number decides the
@@ -337,7 +308,7 @@ def validate_config(raw) -> ValidatedConfig:
     zeta = cavity.walkoff_ps_per_m * cavity.length_m / tau
     sigma_w = 2.0 * math.pi * raw.source.bandwidth_fwhm_thz / SIGMA_TO_FWHM  # rad/ps
     return ValidatedConfig(
-        raw=raw,
+        **{name: getattr(raw, name) for name in _SECTION_TYPES},
         control_tau_ps=tau,
         walkoff_ratio=zeta,
         survival_per_cycle=derived_survival(cavity),
@@ -378,9 +349,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(**sections)
 
 
-def config_to_dict(config) -> dict:
-    if isinstance(config, ValidatedConfig):
-        config = config.raw
+def config_to_dict(config: ExperimentConfig) -> dict:
     return {name: dataclasses.asdict(getattr(config, name)) for name in _SECTION_TYPES}
 
 

@@ -46,7 +46,7 @@ class NoConvergence(FcsimError):
 
 
 class Underdetermined(FcsimError):
-    """Calibration was asked to fit more parameters than targets pin down."""
+    """Calibration was given a target that pins no config parameter."""
 
 
 class CurveRangeExceeded(FcsimError):

@@ -57,10 +57,9 @@ class FitResult:
     evaluations: int = 0  # residual evaluations, jacobian columns included
 
 
-def estimate_rates(records: ClickRecords, clock_rate_khz: float | None = None) -> dict:
-    """Counts per second for each click pattern, with binomial errors."""
-    clock = (records.manifest.clock_rate_khz if clock_rate_khz is None
-             else clock_rate_khz) * 1e3
+def estimate_rates(records: ClickRecords) -> dict:
+    """Counts per second (at the manifest's clock) of each click pattern, with binomial errors."""
+    clock = records.manifest.clock_rate_khz * 1e3
     n = records.n_triggers
     table, _ = _block_counts(records, n)  # the whole stream as one block
     out = {}

@@ -307,20 +307,22 @@ _TARGETS = {
 # target name -> the single config field it pins down
 CALIBRATION_PAIRS = {name: target.field for name, target in _TARGETS.items()}
 
-# brentq tolerance on each solved field, as a fraction of calibrate's rel_tol
+# calibration stops once every relative residual is within REL_TOL
+REL_TOL = 1e-6
+
+# brentq tolerance on each solved field, as a fraction of REL_TOL
 SOLVE_TOL_FRACTION = 1e-2
 
-# calibration gives up if the residuals are not within rel_tol after this many passes
+# calibration gives up if the residuals are not within REL_TOL after this many passes
 MAX_PASSES = 4
 
 
-def _solve_target(cfg: ValidatedConfig, name: str, value: float,
-                  rel_tol: float) -> ValidatedConfig:
+def _solve_target(cfg: ValidatedConfig, name: str, value: float) -> ValidatedConfig:
     """cfg with the field that target name pins solved so its model value equals value.
 
     NoConvergence if the bracket ends do not bracket the value. Each target
     moves at most in proportion to its field (g2_noise to log M), so the
-    field resolved to SOLVE_TOL_FRACTION * rel_tol keeps its residual in rel_tol.
+    field resolved to SOLVE_TOL_FRACTION * REL_TOL keeps its residual in REL_TOL.
     """
     target = _TARGETS[name]
     if target.solve is not None:
@@ -340,7 +342,7 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float,
             f"{name} target {value!r} is unreachable: varying "
             f"{target.field} over its bracket gives {name} only from "
             f"{min(at_lo, at_hi):.6g} to {max(at_lo, at_hi):.6g}")
-    tol = max(SOLVE_TOL_FRACTION * rel_tol, 4.0 * sys.float_info.epsilon)
+    tol = max(SOLVE_TOL_FRACTION * REL_TOL, 4.0 * sys.float_info.epsilon)
     x = solvers.brentq(lambda x: model(x) - value, lo, hi, xtol=1e-3 * tol, rtol=tol)
     return cfg.replace_fields(**{target.field: to_field(x)})
 
@@ -350,36 +352,28 @@ def _evaluate_targets(cfg: ValidatedConfig, targets: dict) -> dict:
     return {name: _TARGETS[name].value(cfg, curve) - value for name, value in targets.items()}
 
 
-def calibrate(cfg: ValidatedConfig, targets: dict, free=None, rel_tol: float = 1e-6):
-    """Solve free parameters so the forward model reproduces the targets.
+def calibrate(cfg: ValidatedConfig, targets: dict):
+    """Solve the parameters the targets pin so the forward model reproduces them.
 
     Each target pins exactly one parameter (see CALIBRATION_PAIRS). The
     one-dimensional solves run in passes because the targets are weakly
     coupled (see _Target); calibration stops after the first pass that
-    leaves every relative residual within rel_tol. Returns (config,
-    residuals); raises Underdetermined for unmatched free parameters and
-    NoConvergence if residuals remain after MAX_PASSES passes.
+    leaves every relative residual within REL_TOL. Returns (config,
+    residuals); raises Underdetermined for a target with no pinned
+    parameter and NoConvergence if residuals remain after MAX_PASSES passes.
     """
     unknown = set(targets) - set(CALIBRATION_PAIRS)
     if unknown:
         raise Underdetermined(f"no rule to invert target(s) {sorted(unknown)}")
-    if free is not None:
-        free = set(free)
-        solvable = {CALIBRATION_PAIRS[name] for name in targets}
-        if not free <= solvable:
-            raise Underdetermined(
-                f"free parameter(s) {sorted(free - solvable)} are not pinned "
-                "by any provided target")
-    names = [n for n in _TARGETS
-             if n in targets and (free is None or CALIBRATION_PAIRS[n] in free)]
+    names = [n for n in _TARGETS if n in targets]
 
     for n_pass in range(MAX_PASSES):
         for name in names:
             if n_pass == 0 or _TARGETS[name].solve is None:
-                cfg = _solve_target(cfg, name, targets[name], rel_tol)
+                cfg = _solve_target(cfg, name, targets[name])
         residuals = _evaluate_targets(cfg, {n: targets[n] for n in names})
         relative = {n: abs(r) / max(abs(targets[n]), 1e-12) for n, r in residuals.items()}
-        off = [n for n, rel in relative.items() if rel > rel_tol]
+        off = [n for n, rel in relative.items() if rel > REL_TOL]
         if not off:
             return cfg, residuals
     raise NoConvergence(

@@ -8,7 +8,7 @@ readout efficiency is lower, so there is an optimal number of bins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,12 +48,24 @@ def readout_curve(cfg: ValidatedConfig, max_delay_cycles: int) -> np.ndarray:
     return readout.readout_curve(cfg, np.arange(1, max_delay_cycles + 1))[2]
 
 
-def _eta_at(plan: MultiplexPlan, delay: int) -> float:
-    if delay < 1 or delay > plan.readout_curve.size:
+def _eta(plan: MultiplexPlan) -> list:
+    """eta at the storage delays (k-1)*spacing + latency of bins k = 1..bins."""
+    last = (plan.bins - 1) * plan.bin_spacing_cycles + plan.switch_latency_cycles
+    if last > plan.readout_curve.size:
         raise CurveRangeExceeded(
-            f"plan needs eta at delay {delay} but the curve covers "
+            f"plan needs eta at delay {last} but the curve covers "
             f"1..{plan.readout_curve.size} cycles")
-    return float(plan.readout_curve[delay - 1])
+    first = plan.switch_latency_cycles - 1
+    return plan.readout_curve[first:last:plan.bin_spacing_cycles].tolist()
+
+
+def _single(p: float, eta: list) -> float:
+    """Output probability of a single attempt in the final bin."""
+    single = p * eta[0]
+    if single == 0.0:
+        raise DivisionByZeroRate(
+            "single-attempt reference probability is zero; cannot define enhancement")
+    return single
 
 
 def multiplex_success(plan: MultiplexPlan) -> dict:
@@ -64,34 +76,37 @@ def multiplex_success(plan: MultiplexPlan) -> dict:
     enhancement compares against a single attempt in the final bin.
     """
     p = plan.herald_prob
-    contributions = []
-    for k in range(1, plan.bins + 1):
-        delay = (plan.bins - k) * plan.bin_spacing_cycles + plan.switch_latency_cycles
-        contributions.append((1.0 - p) ** (k - 1) * p * _eta_at(plan, delay))
+    eta = _eta(plan)
+    contributions = [(1.0 - p) ** (k - 1) * p * eta[plan.bins - k]
+                     for k in range(1, plan.bins + 1)]
     p_out = float(sum(contributions))
-    single = p * _eta_at(plan, plan.switch_latency_cycles)
-    if single == 0.0:
-        raise DivisionByZeroRate(
-            "single-attempt reference probability is zero; cannot define enhancement")
     return {
         "p_out": p_out,
-        "enhancement": p_out / single,
+        "enhancement": p_out / _single(p, eta),
         "contributions": contributions,
     }
+
+
+def output_curve(plan: MultiplexPlan):
+    """(p_out, enhancement) as arrays over K = 1..plan.bins, in one pass.
+
+    Adding a bin delays every earlier success by one spacing:
+    p_out(K) = (1-p) p_out(K-1) + p eta((K-1) spacing + latency). The values
+    agree with multiplex_success to the last few ulp (summation order).
+    """
+    p = plan.herald_prob
+    eta = _eta(plan)
+    p_out = np.empty(plan.bins)
+    acc = 0.0
+    for k, e in enumerate(eta):
+        acc = (1.0 - p) * acc + p * e
+        p_out[k] = acc
+    return p_out, p_out / _single(p, eta)
 
 
 def optimal_K(plan: MultiplexPlan, max_K: int) -> int:
     """Bin count in [1, max_K] maximizing p_out; ties go to fewer bins."""
     if max_K < 1:
         raise NonPhysicalParameter("max_K must be >= 1")
-    best_k, best_p = 1, -1.0
-    for k in range(1, max_K + 1):
-        trial = MultiplexPlan(bins=k,
-                              bin_spacing_cycles=plan.bin_spacing_cycles,
-                              herald_prob=plan.herald_prob,
-                              readout_curve=plan.readout_curve,
-                              switch_latency_cycles=plan.switch_latency_cycles)
-        p_out = multiplex_success(trial)["p_out"]
-        if p_out > best_p:
-            best_k, best_p = k, p_out
-    return best_k
+    p_out, _ = output_curve(replace(plan, bins=max_K))
+    return 1 + int(np.argmax(p_out))

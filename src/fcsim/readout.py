@@ -42,6 +42,9 @@ import numpy as np
 from .config import ValidatedConfig
 from .errors import GridTooCoarse, NoConvergence, NonPhysicalParameter
 
+# one_over_e_delay gives up if the retrieval has not fallen to 1/e by this delay
+ONE_OVER_E_MAX_CYCLES = 2000
+
 PANEL_NODES = 16
 MIN_PANELS = 8
 # the widest node gap is at most sigma_0 / PANEL_MARGIN; a unit Gaussian then
@@ -179,7 +182,7 @@ def readout_probability(delay_cycles: int, cfg: ValidatedConfig):
     return tuple(float(a[0]) for a in readout_curve(cfg, delay_cycles))
 
 
-def one_over_e_delay(cfg: ValidatedConfig, max_cycles: int = 2000) -> float:
+def one_over_e_delay(cfg: ValidatedConfig) -> float:
     """Delay (cycles) at which the retrieval probability falls to 1/e.
 
     The reference is the zero-delay extrapolation (unit survival, envelope
@@ -188,12 +191,12 @@ def one_over_e_delay(cfg: ValidatedConfig, max_cycles: int = 2000) -> float:
     integer delay at or below the target, interpolated linearly in log
     space from the delay before it.
     """
-    _, _, total = readout_curve(cfg, np.arange(max_cycles + 1))
+    _, _, total = readout_curve(cfg, np.arange(ONE_OVER_E_MAX_CYCLES + 1))
     target = total[0] / math.e
     below = np.flatnonzero(total[1:] <= target)
     if below.size == 0:
-        raise NoConvergence(f"retrieval probability stayed above 1/e up to {max_cycles} cycles",
-                            best=float(total[-1]))
+        raise NoConvergence("retrieval probability stayed above 1/e up to "
+                            f"{ONE_OVER_E_MAX_CYCLES} cycles", best=float(total[-1]))
     t = int(below[0]) + 1
     prev, cur = float(total[t - 1]), float(total[t])
     if prev <= 0 or cur <= 0:
@@ -201,19 +204,8 @@ def one_over_e_delay(cfg: ValidatedConfig, max_cycles: int = 2000) -> float:
     return t - 1 + (math.log(prev) - math.log(target)) / (math.log(prev) - math.log(cur))
 
 
-def power_scan(energy_p_grid_nj, cfg: ValidatedConfig, delay_cycles: int = 1):
-    """Conversion efficiency and mean noise versus p-control energy.
-
-    The q-control energy stays at its configured value; the noise mean is
-    linear in the p energy. Returns a list of (E_p, eta_conv, noise_mean).
-    """
-    return [(float(ep), conversion_efficiency(cfg, delay_cycles, energy_p_nj=ep),
-             cfg.noise.noise_mean_per_nj * float(ep)) for ep in energy_p_grid_nj]
-
-
-def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float,
-                          delay_cycles: float = 1.0) -> float:
-    """Nonlinear coefficient that reaches target_eta at the given delay.
+def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float) -> float:
+    """Nonlinear coefficient that reaches target_eta at delay 1 (the eta_conversion target).
 
     Picks the lowest coefficient on the rising branch of the saturation
     curve (before over-rotation of the conversion angle).
@@ -222,7 +214,7 @@ def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float,
 
     def eta_for(coeff):
         c = cfg.replace_fields(**{"pulses.nonlinear_coeff": coeff})
-        return conversion_efficiency(c, delay_cycles)
+        return conversion_efficiency(c)
 
     lo, hi = 1e-4, 1.0
     # grow hi until past the maximum of the saturation curve

@@ -197,7 +197,8 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
                  jobs: int = 1) -> ClickRecords:
     """Simulate n_triggers clock triggers at a fixed readout delay.
 
-    The delay must fit the records' uint16 T field. jobs is accepted for
+    controls_only turns the pair source off, so only noise and dark counts
+    click. The delay must fit the records' uint16 T field. jobs is accepted for
     compatibility and has no effect: the sparse sampler runs the blocks in
     this process.
     """
@@ -229,13 +230,6 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
     )
     delay = np.full(trigger.size, delay_cycles, dtype=np.uint16)
     return ClickRecords(trigger=trigger, delay=delay, mask=mask, manifest=manifest)
-
-
-def simulate_controls_only(cfg: ValidatedConfig, seed: int, n_triggers: int,
-                           delay_cycles: int = 1, jobs: int = 1) -> ClickRecords:
-    """Simulate with the pair source off; only noise and dark counts click."""
-    return simulate_run(cfg, seed, n_triggers, delay_cycles,
-                        controls_only=True, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------

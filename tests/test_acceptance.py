@@ -259,7 +259,8 @@ def test_criterion_8_noise_linearity(primary):
     rates = []
     for i, ep in enumerate(energies):
         cfg = primary.replace_fields(**{"pulses.energy_p_nj": float(ep)})
-        run = trialsim.simulate_controls_only(cfg, seed=300 + i, n_triggers=200_000)
+        run = trialsim.simulate_run(cfg, seed=300 + i, n_triggers=200_000,
+                                    controls_only=True)
         rates.append(estimators.estimate_rates(run)["r"].value)
     rates = np.asarray(rates)
     slope = float(np.dot(energies, rates) / np.dot(energies, energies))

@@ -285,6 +285,22 @@ def test_stats_and_fit_report_timings_and_evaluations(tmp_path, capsys):
         assert set(doc["timings"]) == {"fit_s"} and doc["timings"]["fit_s"] > 0
 
 
+@pytest.mark.parametrize("argv, key", [
+    (("sweep", "--param", "readout_delay", "--from", "1", "--to", "60", "--steps", "60"),
+     "sweep_s"),
+    (("sweep", "--param", "pulses.energy_p_nj", "--from", "1", "--to", "7", "--steps", "4"),
+     "sweep_s"),
+    (("multiplex", "--max-bins", "40"), "multiplex_s"),
+])
+def test_sweep_and_multiplex_report_timings(tmp_path, capsys, argv, key):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, *argv, "--config", CONFIG, "--out", str(out_path))
+    assert code == 0, err
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {key} and timings[key] > 0
+    assert key not in out_path.read_text()
+
+
 def test_multiplex_subcommand(tmp_path, capsys):
     out_path = tmp_path / "mux.csv"
     code, out, _ = run_cli(capsys, "multiplex", "--config", CONFIG,

@@ -86,9 +86,9 @@ def test_bootstrap_deterministic(primary):
 
 def test_background_subtraction_zeroes_pure_noise(primary):
     a = estimators.estimate_rates(
-        trialsim.simulate_controls_only(primary, seed=41, n_triggers=400_000))
+        trialsim.simulate_run(primary, seed=41, n_triggers=400_000, controls_only=True))
     b = estimators.estimate_rates(
-        trialsim.simulate_controls_only(primary, seed=42, n_triggers=400_000))
+        trialsim.simulate_run(primary, seed=42, n_triggers=400_000, controls_only=True))
     diff = subtract_background(a, b)
     for key in ("r", "r1", "r2"):
         assert abs(diff[key].value) < 4 * diff[key].standard_error

@@ -384,7 +384,7 @@ def _relative_residuals(targets, residuals):
 
 def test_calibrate_coupled_readout_rate_converges(primary):
     """The readout rate couples to the heralding efficiency, so this set
-    needs a second pass; calibration must still end within rel_tol."""
+    needs a second pass; calibration must still end within REL_TOL."""
     targets = dict(PUBLISHED_TARGETS, r_rate_cps=3405.0 * 1.03)
     cal, resid = calibrate(primary, targets)
     assert set(resid) == set(targets)
@@ -446,13 +446,6 @@ def test_calibrate_solves_independent_targets_once(config_name, request, monkeyp
     _, resid = calibrate(cfg, targets)
     assert len(calls) == 1
     assert max(_relative_residuals(targets, resid).values()) <= 1e-6
-
-
-def test_calibrate_underdetermined(primary):
-    from fcsim.errors import Underdetermined
-    with pytest.raises(Underdetermined):
-        calibrate(primary, {"g2_xc_hs": 26.0},
-                  free=["source.mean_pairs_per_pulse", "noise.mode_count"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fcsim import multiplex
-from fcsim.errors import CurveRangeExceeded, NonPhysicalParameter
+from fcsim import fockstats, multiplex
+from fcsim.errors import CurveRangeExceeded, DivisionByZeroRate, NonPhysicalParameter
 from fcsim.multiplex import MultiplexPlan, multiplex_success, optimal_K
 
 
@@ -80,6 +82,8 @@ def test_optimal_k_tie_breaks_small():
     plan = make_plan(1, flat_curve(50, 0.0), p=0.5)
     with pytest.raises(Exception):
         multiplex_success(plan)  # zero reference probability
+    with pytest.raises(DivisionByZeroRate):
+        optimal_K(plan, 40)
     # a curve that is zero after the first delay: K=1 ties with any K
     curve = np.concatenate([[0.6], np.zeros(100)])
     plan2 = make_plan(1, curve, p=0.2)
@@ -105,3 +109,21 @@ def test_projection_for_configured_source(primary):
     enhancements = [multiplex_success(make_plan(k, curve, p=474.0 / 76800.0))["enhancement"]
                     for k in range(1, 41)]
     assert all(b >= a for a, b in zip(enhancements, enhancements[1:]))
+
+
+@pytest.mark.parametrize("spacing, latency", [(1, 1), (3, 2)])
+@pytest.mark.parametrize("config_name", ["primary", "alternate"])
+def test_output_curve_matches_multiplex_success(request, config_name, spacing, latency):
+    """The one-pass recurrence reproduces the per-K sums of multiplex_success."""
+    cfg = request.getfixturevalue(config_name)
+    bins = 400
+    curve = multiplex.readout_curve(cfg, (bins - 1) * spacing + latency)
+    plan = make_plan(bins, curve, p=fockstats.model_patterns(cfg)["h"],
+                     spacing=spacing, latency=latency)
+    p_out, enhancement = multiplex.output_curve(plan)
+    direct = np.array([multiplex_success(dataclasses.replace(plan, bins=k))["p_out"]
+                       for k in range(1, bins + 1)])
+    assert p_out.shape == enhancement.shape == (bins,)
+    assert np.all(np.abs(p_out - direct) <= 1e-14 * direct)
+    assert enhancement[0] == 1.0
+    assert optimal_K(plan, bins) == 1 + int(np.argmax(direct))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcsim import readout
-from fcsim.errors import GridTooCoarse, NonPhysicalParameter
+from fcsim.errors import GridTooCoarse, NoConvergence, NonPhysicalParameter
 from fcsim.readout import (
     conversion_efficiency,
     envelope_intensity,
@@ -276,8 +276,25 @@ def test_memory_one_over_e_point(primary):
     assert 64.0 <= t_e <= 70.0
 
 
+def test_one_over_e_delay_not_reached(primary):
+    """A lossless-looking memory never falls to 1/e within the search range;
+    the error carries the retrieval at the last delay searched."""
+    cfg = primary.replace_fields(**{
+        "cavity.ringdown_lifetime_cycles": 1e9,
+        "cavity.mismatch_ps_per_cycle": 0.0,
+        "cavity.dispersion_ps2_per_cycle": 0.0,
+    })
+    with pytest.raises(NoConvergence) as info:
+        readout.one_over_e_delay(cfg)
+    last = readout_probability(readout.ONE_OVER_E_MAX_CYCLES, cfg)[2]
+    assert info.value.best == pytest.approx(last, rel=1e-12)
+    assert last > readout_curve(cfg, [0])[2][0] / math.e
+
+
 def test_power_scan(primary):
-    rows = readout.power_scan([0.0, 3.45, 6.9], primary)
+    rows = [(ep, conversion_efficiency(primary, 1, energy_p_nj=ep),
+             primary.replace_fields(**{"pulses.energy_p_nj": ep}).noise_mean_per_trigger())
+            for ep in (0.0, 3.45, 6.9)]
     assert rows[0][1] == 0.0 and rows[0][2] == 0.0
     assert rows[2][1] == pytest.approx(0.8, abs=1e-6)
     # noise is linear in the p energy

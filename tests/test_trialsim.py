@@ -16,7 +16,6 @@ from fcsim.trialsim import (
     MASK_R2,
     MASK_S,
     read_records,
-    simulate_controls_only,
     simulate_run,
     write_records,
 )
@@ -62,7 +61,7 @@ def test_trigger_indices_strictly_increasing(primary):
 
 def test_controls_only_darks_only(primary):
     cfg = primary.replace_fields(**{"noise.noise_mean_per_nj": 0.0})
-    run = simulate_controls_only(cfg, seed=11, n_triggers=500_000)
+    run = simulate_run(cfg, seed=11, n_triggers=500_000, controls_only=True)
     # only dark counts appear, at the configured per-gate probability
     p_dark = cfg.detectors.dark_prob_per_gate
     for bit in (MASK_H, MASK_S, MASK_R1, MASK_R2):
@@ -72,10 +71,10 @@ def test_controls_only_darks_only(primary):
 
 def test_noise_rate_linear_in_energy(primary):
     base = estimators.estimate_rates(
-        simulate_controls_only(primary, seed=21, n_triggers=400_000))
+        simulate_run(primary, seed=21, n_triggers=400_000, controls_only=True))
     doubled_cfg = primary.replace_fields(**{"pulses.energy_p_nj": 2 * 6.9})
     doubled = estimators.estimate_rates(
-        simulate_controls_only(doubled_cfg, seed=22, n_triggers=400_000))
+        simulate_run(doubled_cfg, seed=22, n_triggers=400_000, controls_only=True))
     ratio = doubled["r"].value / base["r"].value
     se = ratio * np.hypot(doubled["r"].standard_error / doubled["r"].value,
                           base["r"].standard_error / base["r"].value)
@@ -83,7 +82,7 @@ def test_noise_rate_linear_in_energy(primary):
 
 
 def test_controls_only_noise_autocorrelation(primary):
-    run = simulate_controls_only(primary, seed=31, n_triggers=6_000_000)
+    run = simulate_run(primary, seed=31, n_triggers=6_000_000, controls_only=True)
     est = estimators.estimate_g2(run, "unheralded_auto")
     controls = fockstats.model_patterns(primary, include_source=False)
     expected = fockstats.correlations(controls)["g2_noise"]
