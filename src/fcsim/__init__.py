@@ -2,40 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .config import (
-    DetectorParams,
-    ExperimentConfig,
-    FiberCavityParams,
-    NoiseParams,
-    PulseParams,
-    SourceParams,
-    ValidatedConfig,
-    WavelengthScheme,
-    config_hash,
-    derived_survival,
-    load_config,
-    save_config,
-    validate_config,
-)
-from .errors import FcsimError
+from .config import load_config
 
-__all__ = [
-    "DetectorParams",
-    "ExperimentConfig",
-    "FcsimError",
-    "FiberCavityParams",
-    "NoiseParams",
-    "PulseParams",
-    "SourceParams",
-    "ValidatedConfig",
-    "WavelengthScheme",
-    "config_hash",
-    "derived_survival",
-    "load_config",
-    "save_config",
-    "validate_config",
-    "default_config_path",
-]
+__all__ = ["default_config_path", "load_config"]
 
 
 def default_config_path(name: str = "primary_cavity"):

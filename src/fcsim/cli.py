@@ -10,6 +10,7 @@ machine-readable JSON body on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import secrets
 import sys
@@ -73,13 +74,8 @@ def _cmd_validate(args) -> int:
     _emit({
         "valid": True,
         "config_hash": config_hash(cfg),
-        "derived": {
-            "control_tau_ps": cfg.control_tau_ps,
-            "walkoff_ratio": cfg.walkoff_ratio,
-            "survival_per_cycle": cfg.survival_per_cycle,
-            "lambda_r_exact_nm": cfg.lambda_r_exact_nm,
-            "spectral_rms_rad_per_ps": cfg.spectral_rms_rad_per_ps,
-        },
+        "derived": {f.name: getattr(cfg, f.name)
+                    for f in dataclasses.fields(cfg) if not f.init},
         "version": __version__,
     }, args.out)
     return 0
@@ -127,7 +123,7 @@ def _cmd_stats(args) -> int:
     report["residuals"] = residuals
     report["config_hash"] = config_hash(cfg)
     report["version"] = __version__
-    if args.calibrate and args.out_config:
+    if args.out_config:
         save_config(cfg, args.out_config)
         report["calibrated_config"] = str(args.out_config)
     _emit(report, args.out)
@@ -266,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibrate", action="append", metavar="TARGET=VALUE",
                    help="calibrate before reporting, repeatable")
     p.add_argument("--out-config", default=None,
-                   help="write the calibrated config JSON here")
+                   help="write the config JSON here, with any --set applied and "
+                        "calibrated if --calibrate is given")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("sweep", help="sweep a parameter, emit a CSV curve")

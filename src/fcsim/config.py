@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import atomic
 from .errors import (
@@ -141,37 +141,62 @@ class SourceParams:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ValidatedConfig:
+    """The six parameter sections, validated on construction, plus derived quantities.
+
+    Every field must lie in its range in _BOUNDS, the wavelengths must
+    conserve energy and cavity_freq * cycle_time must be 1; a config that
+    fails any check is never made, whether it comes from load_config,
+    replace_fields, dataclasses.replace or the constructor. The fields with
+    init=False are derived:
+      control_tau_ps = control_fwhm_ps / sqrt(4 ln 2)
+      walkoff_ratio  = walkoff * length / control_tau
+      survival_per_cycle = exp(-1 / ringdown_lifetime)
+      lambda_r_exact_nm from the translation relation
+      spectral_rms_rad_per_ps = 2 pi * bandwidth_fwhm / (2 sqrt(2 ln 2))
+    Immutable after construction; safe to share across threads/processes.
+    """
+
     scheme: WavelengthScheme
     cavity: FiberCavityParams
     pulses: PulseParams
     detectors: DetectorParams
     noise: NoiseParams
     source: SourceParams
+    control_tau_ps: float = field(init=False)      # control 1/e intensity half-width
+    walkoff_ratio: float = field(init=False)       # total walk-off beta*L over control tau
+    survival_per_cycle: float = field(init=False)  # intensity survival per cavity cycle
+    lambda_r_exact_nm: float = field(init=False)   # output wavelength from the scheme
+    spectral_rms_rad_per_ps: float = field(init=False)  # signal spectral RMS width
 
+    def __post_init__(self) -> None:
+        for section, name, lo, hi in _FIELD_BOUNDS:
+            value = getattr(getattr(self, section), name)
+            # A float strictly inside its range passes here; _number decides the
+            # rest (other number types, bound values, nan, non-numbers).
+            if type(value) is not float or not lo < value < hi:
+                _number(f"{section}.{name}", value)
+        lambda_r = _energy_conserving_lambda_r(self.scheme)
+        cavity = self.cavity
+        # MHz * ns = 1e-3 dimensionless
+        product = cavity.cavity_freq_mhz * cavity.cycle_time_ns * 1e-3
+        if abs(product - 1.0) > CYCLE_REL_TOL:
+            raise NonPhysicalParameter(
+                "cavity_freq_mhz * cycle_time_ns must equal 1 within "
+                f"{CYCLE_REL_TOL:.0e} relative; got {product:.9f}"
+            )
 
-_SECTION_TYPES = {
-    "scheme": WavelengthScheme,
-    "cavity": FiberCavityParams,
-    "pulses": PulseParams,
-    "detectors": DetectorParams,
-    "noise": NoiseParams,
-    "source": SourceParams,
-}
-
-
-@dataclass(frozen=True)
-class ValidatedConfig(ExperimentConfig):
-    """An ExperimentConfig that passed validation, plus derived quantities.
-
-    Immutable after construction; safe to share across threads/processes.
-    """
-
-    control_tau_ps: float        # Gaussian 1/e intensity half-width of the controls
-    walkoff_ratio: float         # total walk-off beta*L over control tau
-    survival_per_cycle: float    # intensity survival per cavity cycle
-    lambda_r_exact_nm: float     # output wavelength recomputed from the scheme
-    spectral_rms_rad_per_ps: float  # signal spectral RMS width, rad/ps
+        tau = self.pulses.control_fwhm_ps / FWHM_TO_TAU
+        derived = {
+            "control_tau_ps": tau,
+            "walkoff_ratio": cavity.walkoff_ps_per_m * cavity.length_m / tau,
+            "survival_per_cycle": math.exp(-1.0 / cavity.ringdown_lifetime_cycles),
+            "lambda_r_exact_nm": lambda_r,
+            "spectral_rms_rad_per_ps":
+                2.0 * math.pi * self.source.bandwidth_fwhm_thz / SIGMA_TO_FWHM,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def noise_mean_per_trigger(self) -> float:
         """Mean detected noise photons per trigger at the configured p energy."""
@@ -182,16 +207,26 @@ class ValidatedConfig(ExperimentConfig):
 
         Keys use section.field form, e.g. replace_fields(**{"source.mean_pairs_per_pulse": 0.1}).
         """
-        sections = {name: getattr(self, name) for name in _SECTION_TYPES}
+        sections = {}
         for key, value in dotted.items():
-            section_name, _, field = key.partition(".")
-            if section_name not in sections:
+            section_name, _, name = key.partition(".")
+            if section_name not in _SECTION_TYPES:
                 raise UnknownConfigKey(f"no config section named {section_name!r}")
-            section = sections[section_name]
-            if field not in {f.name for f in dataclasses.fields(section)}:
-                raise UnknownConfigKey(f"no key {field!r} in section {section_name!r}")
-            sections[section_name] = dataclasses.replace(section, **{field: value})
-        return validate_config(ExperimentConfig(**sections))
+            section = sections.get(section_name, getattr(self, section_name))
+            if name not in {f.name for f in dataclasses.fields(section)}:
+                raise UnknownConfigKey(f"no key {name!r} in section {section_name!r}")
+            sections[section_name] = dataclasses.replace(section, **{name: value})
+        return dataclasses.replace(self, **sections)
+
+
+_SECTION_TYPES = {
+    "scheme": WavelengthScheme,
+    "cavity": FiberCavityParams,
+    "pulses": PulseParams,
+    "detectors": DetectorParams,
+    "noise": NoiseParams,
+    "source": SourceParams,
+}
 
 
 # The range of every config field, as (lower bound, lower bound open, upper bound).
@@ -219,7 +254,7 @@ _BOUNDS = {
     for key in keys
 }
 
-# The table as validate_config loops over it: (section, field, lo, hi).
+# The table as validation loops over it: (section, field, lo, hi).
 _FIELD_BOUNDS = tuple((*key.split("."), lo, hi) for key, (lo, _, hi) in _BOUNDS.items())
 
 
@@ -241,16 +276,6 @@ def _number(key: str, value) -> float:
     if v > hi:
         raise NonPhysicalParameter(f"{key} must be <= {hi}, got {v}")
     return v
-
-
-def derived_survival(cavity: FiberCavityParams) -> float:
-    """Per-cycle intensity survival from the measured ring-down lifetime.
-
-    s = exp(-1/lifetime); monotone increasing in the lifetime and -> 1 in
-    the lossless limit.
-    """
-    lifetime = _number("cavity.ringdown_lifetime_cycles", cavity.ringdown_lifetime_cycles)
-    return math.exp(-1.0 / lifetime)
 
 
 def _energy_conserving_lambda_r(scheme: WavelengthScheme) -> float:
@@ -276,47 +301,6 @@ def _energy_conserving_lambda_r(scheme: WavelengthScheme) -> float:
     return lambda_r
 
 
-def validate_config(raw: ExperimentConfig) -> ValidatedConfig:
-    """Validate an ExperimentConfig (a ValidatedConfig is one too).
-
-    Idempotent: validating an already validated config reproduces it.
-    Every field must lie in its range in _BOUNDS, the wavelengths must
-    conserve energy and cavity_freq * cycle_time must be 1.
-    Returns the config with derived quantities attached:
-      control_tau_ps = control_fwhm_ps / sqrt(4 ln 2)
-      walkoff_ratio  = walkoff * length / control_tau
-      survival_per_cycle = exp(-1 / ringdown_lifetime)
-      lambda_r_exact_nm from the translation relation
-    """
-    for section, name, lo, hi in _FIELD_BOUNDS:
-        value = getattr(getattr(raw, section), name)
-        # A float strictly inside its range passes here; _number decides the
-        # rest (other number types, bound values, nan, non-numbers).
-        if type(value) is not float or not lo < value < hi:
-            _number(f"{section}.{name}", value)
-    lambda_r = _energy_conserving_lambda_r(raw.scheme)
-    cavity = raw.cavity
-    # MHz * ns = 1e-3 dimensionless
-    product = cavity.cavity_freq_mhz * cavity.cycle_time_ns * 1e-3
-    if abs(product - 1.0) > CYCLE_REL_TOL:
-        raise NonPhysicalParameter(
-            "cavity_freq_mhz * cycle_time_ns must equal 1 within "
-            f"{CYCLE_REL_TOL:.0e} relative; got {product:.9f}"
-        )
-
-    tau = raw.pulses.control_fwhm_ps / FWHM_TO_TAU
-    zeta = cavity.walkoff_ps_per_m * cavity.length_m / tau
-    sigma_w = 2.0 * math.pi * raw.source.bandwidth_fwhm_thz / SIGMA_TO_FWHM  # rad/ps
-    return ValidatedConfig(
-        **{name: getattr(raw, name) for name in _SECTION_TYPES},
-        control_tau_ps=tau,
-        walkoff_ratio=zeta,
-        survival_per_cycle=derived_survival(cavity),
-        lambda_r_exact_nm=lambda_r,
-        spectral_rms_rad_per_ps=sigma_w,
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization. Unknown keys anywhere are an error (fail closed).
 # ---------------------------------------------------------------------------
@@ -334,7 +318,7 @@ def _section_from_dict(name: str, cls, data: dict):
     return cls(**{k: data[k] for k in field_names})
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
+def config_from_dict(doc: dict) -> ValidatedConfig:
     expected = set(_SECTION_TYPES)
     unknown = set(doc) - expected
     if unknown:
@@ -346,10 +330,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         name: _section_from_dict(name, cls, doc[name])
         for name, cls in _SECTION_TYPES.items()
     }
-    return ExperimentConfig(**sections)
+    return ValidatedConfig(**sections)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
+def config_to_dict(config: ValidatedConfig) -> dict:
     return {name: dataclasses.asdict(getattr(config, name)) for name in _SECTION_TYPES}
 
 
@@ -363,7 +347,7 @@ def dumps_config(config) -> str:
 
 
 def loads_config(text: str) -> ValidatedConfig:
-    return validate_config(config_from_dict(json.loads(text)))
+    return config_from_dict(json.loads(text))
 
 
 def load_config(path) -> ValidatedConfig:

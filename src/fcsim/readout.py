@@ -142,22 +142,20 @@ def _profile(sigma0_ps, energy_p_nj, energy_q_nj, nonlinear_coeff,
     return t, profile
 
 
-def readout_curve(cfg: ValidatedConfig, delays, energy_p_nj=None, energy_q_nj=None):
+def readout_curve(cfg: ValidatedConfig, delays):
     """(survival, conversion efficiency, total) as arrays over storage delays.
 
-    Delays are cycle counts >= 0 (not necessarily integers); the control
-    energies default to the configured ones. total = survival^T * eta_conv(T)
-    is the intracavity retrieval probability; facet transmission and
-    collection are applied downstream.
+    Delays are cycle counts >= 0 (not necessarily integers).
+    total = survival^T * eta_conv(T) is the intracavity retrieval
+    probability; facet transmission and collection are applied downstream.
     """
     d = np.atleast_1d(np.asarray(delays, dtype=float))
     if d.ndim != 1 or not np.all(np.isfinite(d) & (d >= 0)):
         raise NonPhysicalParameter("readout delays must be a list of finite values >= 0")
-    ep = cfg.pulses.energy_p_nj if energy_p_nj is None else energy_p_nj
-    eq = cfg.pulses.energy_q_nj if energy_q_nj is None else energy_q_nj
-    t, profile = _profile(cfg.source.envelope_rms_ps, ep, eq, cfg.pulses.nonlinear_coeff,
-                          cfg.cavity.walkoff_ps_per_m, cfg.control_tau_ps,
-                          cfg.walkoff_ratio)
+    p = cfg.pulses
+    t, profile = _profile(cfg.source.envelope_rms_ps, p.energy_p_nj, p.energy_q_nj,
+                          p.nonlinear_coeff, cfg.cavity.walkoff_ps_per_m,
+                          cfg.control_tau_ps, cfg.walkoff_ratio)
     eta = np.empty(d.size)
     rows = max(1, MAX_MATRIX_ENTRIES // t.size)
     for i in range(0, d.size, rows):
@@ -166,10 +164,9 @@ def readout_curve(cfg: ValidatedConfig, delays, energy_p_nj=None, energy_q_nj=No
     return survival, eta, survival * eta
 
 
-def conversion_efficiency(cfg: ValidatedConfig, delay_cycles: float = 1.0,
-                          energy_p_nj=None, energy_q_nj=None) -> float:
-    """Internal conversion efficiency at the given readout delay."""
-    return float(readout_curve(cfg, delay_cycles, energy_p_nj, energy_q_nj)[1][0])
+def conversion_efficiency(cfg: ValidatedConfig) -> float:
+    """Internal conversion efficiency at delay 1, where eta_conversion is defined."""
+    return float(readout_curve(cfg, 1)[1][0])
 
 
 def readout_probability(delay_cycles: int, cfg: ValidatedConfig):

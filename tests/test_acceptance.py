@@ -53,10 +53,10 @@ def test_criterion_2_conversion_saturation(primary):
     refit = readout.solve_nonlinear_coeff(
         primary.replace_fields(**{"pulses.nonlinear_coeff": 1.0}), 0.8)
     assert refit == pytest.approx(primary.pulses.nonlinear_coeff, rel=1e-6)
-    eta_cal = readout.conversion_efficiency(primary, 1)
+    eta_cal = readout.conversion_efficiency(primary)
     assert eta_cal == pytest.approx(0.80, abs=1e-6)
-    eta_boost = readout.conversion_efficiency(primary, 1,
-                                              energy_p_nj=9.66, energy_q_nj=12.04)
+    eta_boost = readout.conversion_efficiency(primary.replace_fields(
+        **{"pulses.energy_p_nj": 9.66, "pulses.energy_q_nj": 12.04}))
     gain = eta_boost / eta_cal
     assert 0.96 <= eta_boost <= 0.995
     assert gain == pytest.approx(1.22, abs=0.03)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import fcsim
-from fcsim import default_config_path, fockstats, multiplex
+from fcsim import default_config_path, fockstats, load_config, multiplex
 from fcsim.cli import main
+from fcsim.config import ValidatedConfig, dumps_config
 
 CONFIG = str(default_config_path("primary_cavity"))
 
@@ -29,6 +31,8 @@ def test_validate_prints_derived(capsys):
     assert derived["walkoff_ratio"] == pytest.approx(4.11, abs=0.05)
     assert derived["survival_per_cycle"] == pytest.approx(0.99103, abs=1e-5)
     assert derived["lambda_r_exact_nm"] == pytest.approx(999.2, abs=0.05)
+    assert set(derived) == {f.name for f in dataclasses.fields(ValidatedConfig)
+                            if not f.init}
 
 
 def test_validate_bad_config_exit_code(tmp_path, capsys):
@@ -122,6 +126,22 @@ def test_stats_report(capsys):
     doc = json.loads(out)
     assert doc["rates"]["herald_cps"] == pytest.approx(474.0, abs=0.5)
     assert doc["correlations"]["g2_ac_heralded"] == pytest.approx(0.58, abs=0.05)
+
+
+def test_stats_out_config_without_calibrate(tmp_path, capsys):
+    """--out-config writes the config, with --set applied, also when nothing
+    is calibrated."""
+    out_config = tmp_path / "cal.json"
+    code, out, err = run_cli(capsys, "stats", "--config", CONFIG, "--set",
+                             "source.mean_pairs_per_pulse=0.02",
+                             "--out-config", str(out_config))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["residuals"] == {}
+    assert doc["calibrated_config"] == str(out_config)
+    expected = load_config(CONFIG).replace_fields(**{"source.mean_pairs_per_pulse": 0.02})
+    assert out_config.read_text() == dumps_config(expected)
+    assert doc["config_hash"] == hashlib.sha256(out_config.read_bytes()).hexdigest()
 
 
 def test_energy_sweep_shapes(tmp_path, capsys):

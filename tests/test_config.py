@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 from fcsim.config import (
     FWHM_TO_TAU,
-    ExperimentConfig,
+    ValidatedConfig,
     config_from_dict,
     config_to_dict,
-    derived_survival,
     dumps_config,
     loads_config,
-    validate_config,
 )
 from fcsim.errors import (
     EnergyConservationViolated,
@@ -46,15 +44,16 @@ def test_walkoff_ratio_value(primary):
 
 
 def test_survival_values(primary):
+    def survival(lifetime):
+        cfg = primary.replace_fields(**{"cavity.ringdown_lifetime_cycles": lifetime})
+        return cfg.survival_per_cycle
+
     assert primary.survival_per_cycle == pytest.approx(math.exp(-1 / 111), rel=1e-12)
-    assert derived_survival(dataclasses.replace(
-        primary.cavity, ringdown_lifetime_cycles=12.0)) == pytest.approx(0.9200, abs=5e-5)
+    assert survival(12.0) == pytest.approx(0.9200, abs=5e-5)
     # lossless limit
-    assert derived_survival(dataclasses.replace(
-        primary.cavity, ringdown_lifetime_cycles=1e18)) == pytest.approx(1.0)
+    assert survival(1e18) == pytest.approx(1.0)
     with pytest.raises(NonPhysicalParameter):
-        derived_survival(dataclasses.replace(primary.cavity,
-                                             ringdown_lifetime_cycles=-3.0))
+        survival(-3.0)
 
 
 def test_energy_conservation_rejects_typo(primary):
@@ -76,8 +75,26 @@ def test_nonphysical_rejected(primary):
 
 
 def test_validate_idempotent(primary):
-    again = validate_config(primary)
+    again = dataclasses.replace(primary)
     assert again == primary
+
+
+def test_direct_construction_validates(primary):
+    """The constructor is the validator: built from its six sections, a
+    config equals the loaded one, and one out-of-range field is rejected."""
+    sections = {f.name: getattr(primary, f.name)
+                for f in dataclasses.fields(primary) if f.init}
+    assert ValidatedConfig(**sections) == primary
+    sections["cavity"] = dataclasses.replace(primary.cavity, reflectivity_r=1.2)
+    with pytest.raises(NonPhysicalParameter, match=re.escape("cavity.reflectivity_r")):
+        ValidatedConfig(**sections)
+
+
+def test_dataclasses_replace_rederives(primary):
+    cavity = dataclasses.replace(primary.cavity, ringdown_lifetime_cycles=67.0)
+    cfg = dataclasses.replace(primary, cavity=cavity)
+    assert cfg.survival_per_cycle == math.exp(-1 / 67.0)
+    assert cfg.walkoff_ratio == primary.walkoff_ratio
 
 
 def test_roundtrip_byte_identical(primary, alternate):
@@ -177,7 +194,8 @@ EXPECTED_BOUNDS = {
 # Every field of every section, so that a field added without a bound fails.
 CONFIG_FIELDS = [
     f"{section}.{field.name}"
-    for section, cls in typing.get_type_hints(ExperimentConfig).items()
+    for section, cls in typing.get_type_hints(ValidatedConfig).items()
+    if dataclasses.is_dataclass(cls)
     for field in dataclasses.fields(cls)
 ]
 

@@ -187,13 +187,15 @@ def test_profile_field_change_misses_cache(primary, field, factor):
     assert not np.array_equal(warm, base)
 
 
-@pytest.mark.parametrize("kwargs", [{"energy_p_nj": 6.0}, {"energy_q_nj": 7.0}])
+@pytest.mark.parametrize("kwargs", [{"pulses.energy_p_nj": 6.0},
+                                    {"pulses.energy_q_nj": 7.0}])
 def test_energy_arguments_miss_cache(primary, kwargs):
     delays = np.arange(1, 120)
     base = readout_curve(primary, delays)[1]
-    warm = readout_curve(primary, delays, **kwargs)[1]
+    changed = primary.replace_fields(**kwargs)
+    warm = readout_curve(changed, delays)[1]
     _clear_caches()
-    assert np.array_equal(warm, readout_curve(primary, delays, **kwargs)[1])
+    assert np.array_equal(warm, readout_curve(changed, delays)[1])
     assert not np.array_equal(warm, base)
 
 
@@ -230,17 +232,18 @@ def test_batched_curve_equals_single_delays(request, name):
 
 def test_boosted_conversion_matches_adaptive_grid(primary):
     ep, eq = 6.9 * 1.4, 8.6 * 1.4
-    assert conversion_efficiency(primary, 1, energy_p_nj=ep, energy_q_nj=eq) == \
+    boosted = primary.replace_fields(**{"pulses.energy_p_nj": ep, "pulses.energy_q_nj": eq})
+    assert conversion_efficiency(boosted) == \
         pytest.approx(adaptive_overlap(primary, 1, ep, eq), abs=1e-12)
 
 
 def test_calibrated_conversion_efficiency(primary):
-    assert conversion_efficiency(primary, 1) == pytest.approx(0.8, abs=1e-6)
+    assert conversion_efficiency(primary) == pytest.approx(0.8, abs=1e-6)
 
 
 def test_conversion_at_boosted_energies(primary):
-    eta = conversion_efficiency(primary, 1, energy_p_nj=6.9 * 1.4,
-                                energy_q_nj=8.6 * 1.4)
+    eta = conversion_efficiency(primary.replace_fields(
+        **{"pulses.energy_p_nj": 6.9 * 1.4, "pulses.energy_q_nj": 8.6 * 1.4}))
     assert 0.95 < eta < 0.999
 
 
@@ -292,9 +295,10 @@ def test_one_over_e_delay_not_reached(primary):
 
 
 def test_power_scan(primary):
-    rows = [(ep, conversion_efficiency(primary, 1, energy_p_nj=ep),
-             primary.replace_fields(**{"pulses.energy_p_nj": ep}).noise_mean_per_trigger())
-            for ep in (0.0, 3.45, 6.9)]
+    rows = []
+    for ep in (0.0, 3.45, 6.9):
+        cfg = primary.replace_fields(**{"pulses.energy_p_nj": ep})
+        rows.append((ep, conversion_efficiency(cfg), cfg.noise_mean_per_trigger()))
     assert rows[0][1] == 0.0 and rows[0][2] == 0.0
     assert rows[2][1] == pytest.approx(0.8, abs=1e-6)
     # noise is linear in the p energy
@@ -306,7 +310,7 @@ def test_power_scan(primary):
 
 
 def test_heralding_gain_at_forty_percent(primary):
-    eta0 = conversion_efficiency(primary, 1)
-    eta14 = conversion_efficiency(primary, 1, energy_p_nj=6.9 * 1.4,
-                                  energy_q_nj=8.6 * 1.4)
+    eta0 = conversion_efficiency(primary)
+    eta14 = conversion_efficiency(primary.replace_fields(
+        **{"pulses.energy_p_nj": 6.9 * 1.4, "pulses.energy_q_nj": 8.6 * 1.4}))
     assert eta14 / eta0 == pytest.approx(1.22, abs=0.03)
