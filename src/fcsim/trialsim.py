@@ -241,28 +241,78 @@ def manifest_path(path) -> Path:
     return p.with_name(p.stem + ".manifest.json")
 
 
-def _csv_rows(records: ClickRecords) -> np.ndarray:
-    """The rows under CSV_HEADER as one uint8 table of text, without a per-row loop.
+def _check_records(records: ClickRecords, p: Path) -> None:
+    """CorruptRecords unless the records are ones their manifest describes."""
+    trigger, manifest = records.trigger, records.manifest
+    if trigger.size != manifest.n_records:
+        raise CorruptRecords(f"{p}: {trigger.size} records, but the manifest "
+                             f"{manifest_path(p).name} counts {manifest.n_records}")
+    if np.any(trigger[1:] <= trigger[:-1]):
+        raise CorruptRecords(f"{p}: trigger indices are not strictly increasing")
+    if trigger.size and trigger[-1] >= manifest.n_triggers:
+        raise CorruptRecords(f"{p}: trigger {int(trigger[-1])} is beyond the "
+                             f"manifest's {manifest.n_triggers} triggers")
+    if np.any(records.mask > MASK_H | MASK_S | MASK_R1 | MASK_R2):
+        raise CorruptRecords(f"{p}: click mask above {MASK_H | MASK_S | MASK_R1 | MASK_R2}")
+    if np.any(records.delay != manifest.readout_delay):
+        raise CorruptRecords(f"{p}: readout delays differ from the manifest's "
+                             f"{manifest.readout_delay}")
 
-    Each column is written right-aligned at the width of its largest value;
-    the keep mask then drops the leading zeros.
-    """
-    columns = [records.trigger, records.delay] + [
-        (records.mask & bit) > 0 for bit in (MASK_H, MASK_S, MASK_R1, MASK_R2)]
-    widths = [len(str(int(c.max()))) if c.size else 1 for c in columns]
-    row = np.full((records.trigger.size, sum(widths) + len(widths)), ord(","), dtype=np.uint8)
-    keep = np.ones(row.shape, dtype=bool)
-    start = 0
-    for values, width in zip(columns, widths):
-        rest = values.astype(np.uint64)
-        for j in range(start + width - 1, start - 1, -1):
-            row[:, j] = rest % 10 + ord("0")
-            rest //= 10
-        for j in range(width - 1):
-            keep[:, start + j] = values >= 10 ** (width - 1 - j)
-        start += width + 1
-    row[:, -1] = ord("\n")
-    return row[keep]
+
+def _csv_tails(delay: int) -> np.ndarray:
+    """The row tails ",T,H,S,R1,R2\\n" of a delay as (16, width) uint8, indexed by the mask."""
+    tails = "".join(f",{delay},{m & 1},{m >> 1 & 1},{m >> 2 & 1},{m >> 3}\n" for m in range(16))
+    return np.frombuffer(tails.encode("ascii"), dtype=np.uint8).reshape(16, -1)
+
+
+def _csv_tables(records: ClickRecords):
+    """The rows under CSV_HEADER as uint8 tables of text, one per trigger digit
+    count k: rising triggers without leading zeros keep each k contiguous."""
+    tails = _csv_tails(records.manifest.readout_delay)
+    edges = np.searchsorted(records.trigger, 10 ** np.arange(1, 20, dtype=np.uint64))
+    for k, lo, hi in zip(range(1, 21), [0, *edges], [*edges, records.trigger.size]):
+        table = np.take(np.pad(tails, ((0, 0), (k, 0))), records.mask[lo:hi], axis=0)
+        rest = records.trigger[lo:hi].astype(np.uint32 if k <= 9 else np.uint64)
+        for j in range(k - 1, -1, -1):  # the digits, into the k columns before the tail
+            rest, digit = np.divmod(rest, 10)
+            table[:, j] = digit + ord("0")
+        yield table
+
+
+def _parse_csv(data: bytes, p: Path, delay: int):
+    """(trigger, mask) of a CSV file exactly as write_records writes it at this delay, else
+    CorruptRecords naming the first line that differs; rows of one length form one table."""
+    form = f"a row '<trigger>,{delay},<H>,<S>,<R1>,<R2>' in canonical form"
+    if not data.startswith((CSV_HEADER + "\n").encode("ascii")):
+        raise CorruptRecords(f"{p}: line 1 is not the header {CSV_HEADER!r}")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))  # the header's newline first
+    length, tails = np.diff(ends), _csv_tails(delay)  # of each row, its newline included
+    # where each run of one row length starts: a row holds its newline, so row 0 differs from 0
+    runs = [*np.flatnonzero(np.diff(length, prepend=0)).tolist(), length.size]
+    trigger, mask = np.empty(length.size, np.uint64), np.empty(length.size, np.uint8)
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        k = int(length[lo]) - tails.shape[1]  # trigger digits
+        if not 1 <= k <= 20 or length[lo] < length[max(lo - 1, 0)]:
+            raise CorruptRecords(f"{p}: line {lo + 2} is not {form}")
+        # a byte is low..low+span: a digit (1..9 first of several), a flag 0/1, else as in the tail
+        low = np.array([ord("0") + (k > 1)] + [ord("0")] * (k - 1) + [*tails[0]], dtype=np.uint8)
+        span = np.array([9 - (k > 1)] + [9] * (k - 1) + [*tails[15] - tails[0]], dtype=np.uint8)
+        table = buf[ends[lo] + 1:ends[hi] + 1].reshape(hi - lo, -1)
+        off = table - low
+        wrong = off > span
+        if k == 20:  # above 2^64 - 1, compared as text
+            wrong[:, 0] |= table[:, :20].copy().view("S20")[:, 0] > str(2**64 - 1).encode()
+        if wrong.any():
+            raise CorruptRecords(f"{p}: line {lo + 2 + np.argmax(wrong.any(1))} is not {form}")
+        value = off[:, 0].astype(np.uint32 if k <= 9 else np.uint64) + (k > 1)
+        for j in range(1, k):
+            value = value * 10 + off[:, j]
+        trigger[lo:hi] = value
+        mask[lo:hi] = off[:, -8] | off[:, -6] << 1 | off[:, -4] << 2 | off[:, -2] << 3
+    if not data.endswith(b"\n"):
+        raise CorruptRecords(f"{p}: line {length.size + 2} is not {form}")
+    return trigger, mask
 
 
 def write_records(records: ClickRecords, path) -> None:
@@ -273,14 +323,12 @@ def write_records(records: ClickRecords, path) -> None:
     leaves neither behind.
     """
     p = Path(path)
+    _check_records(records, p)  # CorruptRecords, and no file, for what read_records rejects
     if p.suffix == ".bin":
-        arr = np.empty(records.trigger.size, dtype=BINARY_DTYPE)
-        arr["trigger"] = records.trigger
-        arr["T"] = records.delay
-        arr["mask"] = records.mask
-        atomic.write_bytes(p, arr)
+        atomic.write_bytes(p, np.rec.fromarrays(
+            [records.trigger, records.delay, records.mask], dtype=BINARY_DTYPE))
     else:
-        atomic.write_bytes(p, (CSV_HEADER + "\n").encode("ascii"), _csv_rows(records))
+        atomic.write_bytes(p, (CSV_HEADER + "\n").encode("ascii"), *_csv_tables(records))
     try:
         atomic.write_text(manifest_path(p), records.manifest.to_json())
     except BaseException:
@@ -293,7 +341,7 @@ def read_records(path) -> ClickRecords:
 
     Rows must match the manifest's record count, triggers rise strictly and
     stay below its trigger count, masks combine the four detector bits, every
-    delay equal its readout delay, and every CSV row hold six unsigned integers.
+    delay equal its readout delay, and a CSV file be what write_records writes.
     """
     p = Path(path)
     mpath = manifest_path(p)
@@ -303,44 +351,16 @@ def read_records(path) -> ClickRecords:
         manifest = RunManifest.from_json(mpath.read_text(encoding="utf-8"))
     except (TypeError, ValueError) as exc:  # not JSON, not an object, or wrong keys
         raise CorruptRecords(f"{mpath}: not a run manifest: {exc}") from None
+    data = p.read_bytes()
     if p.suffix == ".bin":
-        data = p.read_bytes()
         if len(data) % BINARY_DTYPE.itemsize:
             raise CorruptRecords(f"{p}: {len(data)} bytes is not a whole number of "
                                  f"{BINARY_DTYPE.itemsize}-byte records")
         arr = np.frombuffer(data, dtype=BINARY_DTYPE)
-        trigger = arr["trigger"].astype(np.uint64)
-        delay = arr["T"].astype(np.uint16)
-        mask = arr["mask"].astype(np.uint8)
+        trigger, delay, mask = arr["trigger"].copy(), arr["T"].copy(), arr["mask"].copy()
     else:
-        try:
-            raw = np.loadtxt(p, delimiter=",", skiprows=1, dtype=np.uint64, ndmin=2)
-        except ValueError as exc:
-            raise CorruptRecords(f"{p}: {exc}") from None
-        if raw.size == 0:
-            raw = raw.reshape(0, 6)
-        if raw.shape[1] != 6:
-            raise CorruptRecords(f"{p}: rows have {raw.shape[1]} columns, "
-                                 f"not the 6 of {CSV_HEADER!r}")
-        if np.any(raw[:, 2:] > 1):
-            raise CorruptRecords(f"{p}: detector columns must be 0 or 1")
-        trigger = raw[:, 0].astype(np.uint64)
-        delay = raw[:, 1]
-        mask = (raw[:, 2] * MASK_H + raw[:, 3] * MASK_S
-                + raw[:, 4] * MASK_R1 + raw[:, 5] * MASK_R2).astype(np.uint8)
-    if trigger.size != manifest.n_records:
-        raise CorruptRecords(f"{p}: {trigger.size} records, but the manifest "
-                             f"{mpath.name} counts {manifest.n_records}")
-    if np.any(trigger[1:] <= trigger[:-1]):
-        raise CorruptRecords(f"{p}: trigger indices are not strictly increasing")
-    if trigger.size and trigger[-1] >= manifest.n_triggers:
-        raise CorruptRecords(f"{p}: trigger {int(trigger[-1])} is beyond the "
-                             f"manifest's {manifest.n_triggers} triggers")
-    all_bits = MASK_H | MASK_S | MASK_R1 | MASK_R2
-    if np.any(mask > all_bits):
-        raise CorruptRecords(f"{p}: click mask above {all_bits}")
-    if np.any(delay != manifest.readout_delay):
-        raise CorruptRecords(f"{p}: readout delays differ from the manifest's "
-                             f"{manifest.readout_delay}")
-    return ClickRecords(trigger=trigger, delay=delay.astype(np.uint16, copy=False),
-                        mask=mask, manifest=manifest)
+        trigger, mask = _parse_csv(data, p, manifest.readout_delay)
+        delay = np.full(trigger.size, manifest.readout_delay, dtype=np.uint16)
+    records = ClickRecords(trigger=trigger, delay=delay, mask=mask, manifest=manifest)
+    _check_records(records, p)
+    return records

@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcsim import estimators, fockstats, trialsim
 from fcsim.errors import CorruptRecords, NonPhysicalParameter
@@ -115,19 +117,119 @@ def test_binary_roundtrip(tmp_path, primary):
 
 def test_csv_writer_matches_row_by_row_text(tmp_path, primary):
     """The vectorized CSV writer is byte-identical to row-by-row formatting,
-    including triggers of every digit count up to 2^64 - 1 and varied delays."""
-    run = simulate_run(primary, seed=8, n_triggers=120_000, delay_cycles=7)
-    edge = dataclasses.replace(
-        run,
-        trigger=np.array([0, 9, 10, 99, 100, 12345, 2**64 - 1], dtype=np.uint64),
-        delay=np.array([1, 10, 9, 65535, 100, 1, 7], dtype=np.uint16),
-        mask=np.array([1, 2, 4, 8, 15, 0, 6], dtype=np.uint8))
-    empty = dataclasses.replace(run, trigger=run.trigger[:0], delay=run.delay[:0],
-                                mask=run.mask[:0])
-    for i, records in enumerate((run, edge, empty)):
-        path = tmp_path / f"clicks{i}.csv"
-        write_records(records, path)
-        assert path.read_bytes() == csv_records_text(records).encode("utf-8")
+    including triggers of every digit count up to 2^64 - 1 and delays of one,
+    two and five digits."""
+    for delay in (1, 10, 65535):
+        run = simulate_run(primary, seed=8, n_triggers=120_000, delay_cycles=delay)
+        edge = dataclasses.replace(
+            run,
+            trigger=np.array([0, 9, 10, 99, 100, 12345, 2**64 - 1], dtype=np.uint64),
+            delay=np.full(7, delay, dtype=np.uint16),
+            mask=np.array([1, 2, 4, 8, 15, 0, 6], dtype=np.uint8),
+            manifest=dataclasses.replace(run.manifest, n_triggers=2**64, n_records=7))
+        empty = dataclasses.replace(run, trigger=run.trigger[:0], delay=run.delay[:0],
+                                    mask=run.mask[:0],
+                                    manifest=dataclasses.replace(run.manifest, n_records=0))
+        for i, records in enumerate((run, edge, empty)):
+            path = tmp_path / f"clicks{delay}_{i}.csv"
+            write_records(records, path)
+            assert path.read_bytes() == csv_records_text(records).encode("utf-8")
+
+
+def _records(trigger, mask, delay=1, n_triggers=2**64):
+    """Click records with a manifest that describes them."""
+    trigger = np.array(trigger, dtype=np.uint64)
+    manifest = trialsim.RunManifest(
+        config_hash="", seed=0, n_triggers=n_triggers, n_records=trigger.size,
+        clock_rate_khz=76.8, readout_delay=delay, controls_only=False)
+    return trialsim.ClickRecords(trigger=trigger, mask=np.array(mask, dtype=np.uint8),
+                                 delay=np.full(trigger.size, delay, dtype=np.uint16),
+                                 manifest=manifest)
+
+
+def _assert_round_trip(records, path):
+    """read(write(records)) equals records, and writing what was read gives
+    the same file bytes again."""
+    write_records(records, path)
+    back = read_records(path)
+    for field in ("trigger", "delay", "mask"):
+        got, want = getattr(back, field), getattr(records, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+    assert back.manifest == records.manifest
+    data = path.read_bytes()
+    write_records(back, path)
+    assert path.read_bytes() == data
+
+
+# triggers on both sides of the 1|2, 2|3, 3|4, 9|10 and 19|20 digit edges (past 9 digits
+# the CSV digits are uint64, not uint32) up to 2^64 - 1, one for each of the 16 masks
+EDGE_TRIGGERS = [0, 9, 10, 99, 100, 999, 1000, 12345, 10**9 - 1, 10**9, 10**10, 10**18,
+                 10**19 - 1, 10**19, 2**64 - 2, 2**64 - 1]
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+@pytest.mark.parametrize("delay", [1, 10, 65535])
+def test_edge_records_round_trip(tmp_path, suffix, delay):
+    _assert_round_trip(_records(EDGE_TRIGGERS, range(16), delay), tmp_path / ("a" + suffix))
+    _assert_round_trip(_records([], [], delay, n_triggers=0), tmp_path / ("b" + suffix))
+
+
+@settings(deadline=None, max_examples=60)
+@given(rows=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 15)),
+                     max_size=40, unique_by=lambda row: row[0]),
+       delay=st.integers(1, trialsim.MAX_DELAY), suffix=st.sampled_from([".csv", ".bin"]))
+def test_random_records_round_trip(tmp_path_factory, rows, delay, suffix):
+    rows.sort()
+    records = _records([t for t, _ in rows], [m for _, m in rows], delay)
+    _assert_round_trip(records, tmp_path_factory.getbasetemp() / ("random" + suffix))
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+@pytest.mark.parametrize("change", [
+    {"mask": np.array([1, 16, 2], dtype=np.uint8)},
+    {"delay": np.array([1, 2, 1], dtype=np.uint16)},
+    {"manifest": dataclasses.replace(_records([3, 5, 8], [1, 2, 3]).manifest, n_records=4)},
+], ids=["mask_above_15", "delay_differs", "record_count_differs"])
+def test_write_records_refuses_what_read_records_rejects(tmp_path, suffix, change):
+    """A mask of 16 used to be written as no click at all, and other delays or
+    a wrong record count gave files that could not be read back."""
+    records = dataclasses.replace(_records([3, 5, 8], [1, 2, 3]), **change)
+    with pytest.raises(CorruptRecords):
+        write_records(records, tmp_path / ("clicks" + suffix))
+    assert list(tmp_path.iterdir()) == []
+
+
+# triggers 7, 12 and 345 at delay 10, masks 1, 6 and 15: lines 2 to 4 below the header
+CANONICAL_CSV = "trigger,T,H,S,R1,R2\n7,10,1,0,0,0\n12,10,0,1,1,0\n345,10,1,1,1,1\n"
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("345,", "0345,", 4),
+    ("12,10", "12, 10", 3),
+    ("R2\n", "R2\n# fcsim\n", 2),
+    ("0\n12", "0\n\n12", 3),
+    ("\n", "\r\n", 1),
+    ("1,1,1,1\n", "1,1,1,1", 4),
+    ("7,", "+7,", 2),
+    ("0,1,1,0", "0,01,1,0", 3),
+    ("R1,R2", "R1,R3", 1),
+    ("345,", "100000000000000000000,", 4),
+    ("345,", "18446744073709551616,", 4),
+    ("12,10", "12,1", 3),
+    ("12,10,0,1,1,0\n345,10,1,1,1,1", "345,10,1,1,1,1\n12,10,0,1,1,0", 4),
+], ids=["leading_zero", "space_before_field", "comment_line", "blank_line", "crlf",
+        "no_final_newline", "plus_sign", "flag_01", "wrong_header", "21_digits",
+        "2_to_the_64", "other_delay", "row_shorter_than_before"])
+def test_noncanonical_csv_is_corrupt_records(tmp_path, old, new, line):
+    """A CSV file reads only if it is exactly what write_records writes; the
+    error names the first line that is not."""
+    path = tmp_path / "clicks.csv"
+    write_records(_records([7, 12, 345], [1, 6, 15], delay=10), path)
+    assert path.read_text(encoding="ascii") == CANONICAL_CSV
+    path.write_text(CANONICAL_CSV.replace(old, new, 1 if line > 1 else -1), encoding="ascii",
+                    newline="")
+    with pytest.raises(CorruptRecords, match=f"line {line} "):
+        read_records(path)
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
