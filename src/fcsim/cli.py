@@ -91,6 +91,7 @@ def _cmd_simulate(args) -> int:
     trialsim.write_records(records, args.out)
     written = time.perf_counter()
     rates = estimators.estimate_rates(records)
+    estimated = time.perf_counter()
     _emit({
         "out": str(args.out),
         "seed": seed,
@@ -102,6 +103,7 @@ def _cmd_simulate(args) -> int:
         "timings": {
             "simulate_s": simulated - start,
             "write_s": written - simulated,
+            "estimate_s": estimated - written,
             "triggers_per_s": args.triggers / max(simulated - start, 1e-9),
         },
         "version": __version__,

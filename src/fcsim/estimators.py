@@ -2,7 +2,9 @@
 
 Point estimates are ratios of pattern frequencies; uncertainties come from
 a block bootstrap over contiguous trigger ranges (default block 1e4
-triggers) to stay honest about possible within-run correlation.
+triggers) to stay honest about possible within-run correlation. A record
+set's bootstrap is built once per (block, resamples, seed) and shared by
+all its estimates.
 """
 
 from __future__ import annotations
@@ -61,10 +63,13 @@ def estimate_rates(records: ClickRecords) -> dict:
     """Counts per second (at the manifest's clock) of each click pattern, with binomial errors."""
     clock = records.manifest.clock_rate_khz * 1e3
     n = records.n_triggers
-    table, _ = _block_counts(records, n)  # the whole stream as one block
+    if n < 1:
+        raise EmptyInput("record stream covers zero triggers")
+    # one mask histogram, whatever the trigger count: no per-block arrays
+    counts = np.bincount(records.mask, minlength=16) @ PATTERN_MATRIX
     out = {}
-    for name, c in table.items():
-        p = int(c[0]) / n
+    for name, c in zip(PATTERN_MASKS, counts.tolist()):
+        p = c / n
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
         out[name] = CorrelationEstimate(value=p * clock, standard_error=se * clock,
                                         n_triggers=n, pattern=name)
@@ -85,11 +90,10 @@ def subtract_background(rates: dict, control_rates: dict) -> dict:
     return out
 
 
-def _block_counts(records: ClickRecords, block_triggers: int):
-    """Per-block counts of every pattern plus per-block trigger totals.
-
-    A pattern's count in a block sums the (block, mask) histogram over its masks.
-    """
+def _block_counts(records: ClickRecords, block_triggers: int) -> np.ndarray:
+    """(blocks, 1 + patterns) int64: each block's trigger total, then its count
+    of every PATTERN_MASKS pattern, the (block, mask) histogram summed over
+    the pattern's masks."""
     n = records.n_triggers
     if n < 1:
         raise EmptyInput("record stream covers zero triggers")
@@ -98,8 +102,39 @@ def _block_counts(records: ClickRecords, block_triggers: int):
     sizes[-1] = n - block_triggers * (n_blocks - 1)
     key = records.trigger // np.uint64(block_triggers) * np.uint64(16) + records.mask
     hist = np.bincount(key.view(np.int64), minlength=16 * n_blocks)
-    counts = hist.reshape(n_blocks, 16) @ PATTERN_MATRIX
-    return dict(zip(PATTERN_MASKS, counts.T)), sizes
+    return np.column_stack([sizes, hist.reshape(n_blocks, 16) @ PATTERN_MATRIX])
+
+
+def _bootstrap_sums(records: ClickRecords, block_triggers: int, resamples: int,
+                    seed: int) -> np.ndarray:
+    """(1 + resamples, 1 + patterns) int64 sums of the _block_counts columns:
+    row 0 over the whole stream, each further row over one resample, its
+    blocks weighed by how often it drew them. Built once per (block_triggers,
+    resamples, seed) of a record set and kept on it."""
+    key = (block_triggers, resamples, seed)
+    if key in records._bootstraps:
+        return records._bootstraps[key]
+    counts = _block_counts(records, block_triggers)
+    n_blocks = counts.shape[0]
+    # float64 sums of these integers are exact below 2^53, and a resample
+    # holds at most n_blocks * block_triggers triggers
+    exact = np.float64 if n_blocks * block_triggers <= 1 << 53 else np.int64
+    terms = counts.astype(exact)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    step = max(1, (1 << 20) // n_blocks)  # at most 2^20 block indices per draw
+    rows = [counts.sum(axis=0, keepdims=True)]
+    for start in range(0, resamples, step):
+        draws = rng.integers(0, n_blocks, (min(step, resamples - start), n_blocks))
+        draws += np.arange(0, draws.size, n_blocks)[:, None]  # resample i's weights at row i
+        weights = np.bincount(draws.ravel(), minlength=draws.size).reshape(draws.shape)
+        rows.append((weights.astype(exact) @ terms).astype(np.int64))
+    sums = records._bootstraps[key] = np.concatenate(rows)
+    sums.flags.writeable = False
+    return sums
+
+
+# pattern name -> its column in _block_counts and _bootstrap_sums
+_COLUMN = {name: i for i, name in enumerate(PATTERN_MASKS, start=1)}
 
 
 def _bootstrap_ratio(records: ClickRecords, ratio: tuple, pattern: str,
@@ -107,21 +142,12 @@ def _bootstrap_ratio(records: ClickRecords, ratio: tuple, pattern: str,
     """prod(p_num) / prod(p_den) of ratio = (num, den) pattern names, with
     block-bootstrap error; resamples whose denominator vanishes are dropped
     and counted in dropped_resamples."""
-    table, sizes = _block_counts(records, block_triggers)
+    sums = _bootstrap_sums(records, block_triggers, resamples, seed)
     num, den = ratio
     for name in den:
-        if not table[name].any():
+        if not sums[0, _COLUMN[name]]:
             raise DivisionByZeroRate(f"pattern {name!r} never occurred")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    names = sorted({*num, *den})
-    stacked = np.vstack([sizes] + [table[name] for name in names])
-    # row 0 sums the whole stream, each further row one resample: its blocks
-    # weighed by how often it drew them, drawn at most 2^20 indices at a time
-    step = max(1, (1 << 20) // sizes.size)
-    sums = np.array([stacked.sum(axis=1)] + [
-        stacked @ np.bincount(row, minlength=sizes.size) for start in range(0, resamples, step)
-        for row in rng.integers(0, sizes.size, (min(step, resamples - start), sizes.size))])
-    p = dict(zip(names, (sums[:, 1:] / sums[:, :1]).T))
+    p = {name: sums[:, _COLUMN[name]] / sums[:, 0] for name in {*num, *den}}
     d = math.prod(p[name] for name in den)
     ok = d > 0
     values = math.prod(p[name] for name in num)[ok] / d[ok]

@@ -80,14 +80,26 @@ class RunManifest:
         return manifest
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClickRecords:
-    """Sparse click stream: one row per trigger with at least one click."""
+    """Sparse click stream: one row per trigger with at least one click.
+
+    The arrays are made read-only, so what the estimators derive from them
+    (see estimators._bootstrap_sums) can be kept with them; a new stream is
+    a new instance, e.g. by dataclasses.replace.
+    """
 
     trigger: np.ndarray  # uint64, strictly increasing
     delay: np.ndarray    # uint16 readout delay bin
     mask: np.ndarray     # uint8 bit flags (H|S|R1|R2)
     manifest: RunManifest
+    # estimators' bootstrap sums by (block_triggers, resamples, seed)
+    _bootstraps: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
+
+    def __post_init__(self):
+        for array in (self.trigger, self.delay, self.mask):
+            array.flags.writeable = False
 
     @property
     def n_triggers(self) -> int:

@@ -18,8 +18,9 @@ Three further references replace fast package code with the plain version
 it was derived from: adaptive_overlap integrates the readout overlap by the
 trapezoid rule on a uniform grid refined until it settles (it shares only
 readout.xi_profile with the package), csv_records_text formats click
-records one row at a time, and bootstrap_ratio_loop draws and sums the
-block bootstrap one resample at a time.
+records one row at a time, and bootstrap_ratio_loop tallies each block's
+patterns record by record (np.add.at) and draws and sums the block
+bootstrap one resample at a time.
 
 scipy_brentq and scipy_least_squares are the scipy solvers the package's
 numpy-only ones (fcsim.solvers) replaced, called as the package calls its
@@ -39,7 +40,7 @@ from itertools import combinations
 import numpy as np
 
 from fcsim import estimators, fockstats, readout
-from fcsim.errors import DivisionByZeroRate, NonPhysicalParameter
+from fcsim.errors import DivisionByZeroRate, EmptyInput, NonPhysicalParameter
 from fcsim.trialsim import CSV_HEADER, MASK_H, MASK_R1, MASK_R2, MASK_S
 
 DETECTORS = ("H", "S", "R1", "R2")
@@ -378,11 +379,34 @@ def csv_records_text(records):
     return "\n".join(lines) + "\n"
 
 
+def pattern_hits(name, mask):
+    """Whether each record mask shows the pattern: every detector bit of
+    estimators.PATTERNS[name], or for "r" any readout detector and for "hr"
+    the herald and any readout detector."""
+    any_r = mask & (MASK_R1 | MASK_R2) > 0
+    if name == "r":
+        return any_r
+    if name == "hr":
+        return any_r & (mask & MASK_H > 0)
+    bits = estimators.PATTERNS[name]
+    return mask & bits == bits
+
+
 def bootstrap_ratio_loop(records, ratio, pattern, block_triggers, resamples, seed):
-    """estimators._bootstrap_ratio with one rng.integers call and one column
-    sum per resample; it shares only the per-block counts with the package."""
-    table, sizes = estimators._block_counts(records, block_triggers)
+    """estimators._bootstrap_ratio with its own per-block tally (np.add.at of
+    each record's pattern hits at its block), one rng.integers call and one
+    column sum per resample."""
+    n = records.n_triggers
+    if n < 1:
+        raise EmptyInput("record stream covers zero triggers")
+    n_blocks = -(-n // block_triggers)
+    sizes = np.array([min(block_triggers, n - b * block_triggers) for b in range(n_blocks)])
+    block = (records.trigger // np.uint64(block_triggers)).astype(np.int64)
     num, den = ratio
+    table = {}
+    for name in {*num, *den}:
+        table[name] = np.zeros(n_blocks, dtype=np.int64)
+        np.add.at(table[name], block, pattern_hits(name, records.mask))
     for name in den:
         if not table[name].any():
             raise DivisionByZeroRate(f"pattern {name!r} never occurred")

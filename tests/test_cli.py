@@ -105,8 +105,8 @@ def test_simulate_reports_generator_and_timings(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["generator"] == fcsim.trialsim.GENERATOR_NAME
-    assert set(doc["timings"]) == {"simulate_s", "write_s", "triggers_per_s"}
-    assert doc["timings"]["simulate_s"] >= 0 and doc["timings"]["write_s"] >= 0
+    assert set(doc["timings"]) == {"simulate_s", "write_s", "estimate_s", "triggers_per_s"}
+    assert all(doc["timings"][step] >= 0 for step in ("simulate_s", "write_s", "estimate_s"))
     assert doc["timings"]["triggers_per_s"] > 0
     manifest = json.loads((tmp_path / "t.manifest.json").read_text())
     assert "timings" not in manifest

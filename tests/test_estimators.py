@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,10 +165,11 @@ def test_pattern_counts_match_per_record_count():
         for name in names:
             expected[name][t // block] += matches(name, m)
 
-    table, sizes = estimators._block_counts(rec, block)
-    assert sorted(table) == sorted(names)
+    counts = estimators._block_counts(rec, block)
+    table = dict(zip(estimators.PATTERN_MASKS, counts[:, 1:].T))
+    assert counts.shape == (n_blocks, 1 + len(names)) and sorted(table) == sorted(names)
     assert {name: c.tolist() for name, c in table.items()} == expected
-    assert sizes.tolist() == [block] * (n_blocks - 1) + [n - block * (n_blocks - 1)]
+    assert counts[:, 0].tolist() == [block] * (n_blocks - 1) + [n - block * (n_blocks - 1)]
     rates = estimate_rates(rec)
     assert list(rates) == names
     for name in names:
@@ -250,6 +253,113 @@ def test_bootstrap_matches_resample_loop(primary, stream):
         assert got == want, kind
     if stream == "seen_in_two_blocks":
         assert klyshko_efficiency(records, block, seed=seed).dropped_resamples > 0
+
+
+def test_bootstrap_sums_exact_beyond_float_precision():
+    """Past 2^53 triggers per resample the sums stay integer: 2^55 claimed
+    triggers in 1024 blocks of 2^45 + 1 give the loop's estimates bit for bit."""
+    n, block = 2**55, 2**45 + 1
+    rng = np.random.Generator(np.random.PCG64(8))
+    trigger = np.unique(rng.integers(0, n, 3000, dtype=np.uint64))
+    rec = ClickRecords(
+        trigger=trigger, delay=np.ones(trigger.size, dtype=np.uint16),
+        mask=rng.integers(1, 16, trigger.size).astype(np.uint8),
+        manifest=RunManifest(config_hash="x", seed=0, n_triggers=n,
+                             n_records=int(trigger.size), clock_rate_khz=76.8,
+                             readout_delay=1, controls_only=False))
+    for kind in estimators.G2_KINDS:
+        got = _bootstrap_or_error(estimate_g2, rec, kind, block, 50, 1)
+        want = _bootstrap_or_error(bootstrap_ratio_loop, rec,
+                                   estimators.RATIOS[estimators.G2_KINDS[kind]], kind,
+                                   block, 50, 1)
+        assert got == want, kind
+
+
+def _fresh(rec):
+    """The same stream as new records, on copies of its arrays."""
+    return ClickRecords(trigger=rec.trigger.copy(), delay=rec.delay.copy(),
+                        mask=rec.mask.copy(), manifest=rec.manifest)
+
+
+def test_shared_bootstrap_matches_fresh_records(primary):
+    """Interleaved estimates of one record set, over kinds, seeds, block sizes
+    and resample counts, equal each call on records that have seen no other."""
+    rec = trialsim.simulate_run(primary, seed=2, n_triggers=1_000_000)
+    assert estimate_rates(rec) == estimate_rates(_fresh(rec))
+    calls = []
+    for seed in (0, 7):
+        for block in (10_000, 2_500):
+            for resamples in (200, 31):
+                calls += [(estimate_g2, kind, block, resamples, seed)
+                          for kind in estimators.G2_KINDS]
+                calls.append((klyshko_efficiency, block, resamples, seed))
+    calls = calls[1::2] + calls[::2] + calls[::-3]  # each set of parameters visited out of order
+    for estimate, *args in calls:
+        assert estimate(rec, *args) == estimate(_fresh(rec), *args), args
+    assert estimate_rates(rec) == estimate_rates(_fresh(rec))
+
+
+def test_records_are_read_only(primary):
+    rec = trialsim.simulate_run(primary, seed=2, n_triggers=100_000)
+    for array in (rec.trigger, rec.delay, rec.mask):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_replaced_masks_give_new_estimates():
+    """dataclasses.replace makes new records, whose estimates follow their own masks."""
+    rec = seen_in_two_blocks()
+    before = klyshko_efficiency(rec, SEEN_BLOCK, seed=3)
+    herald_only = dataclasses.replace(rec, mask=np.where(rec.mask == MASK_H | MASK_S,
+                                                         MASK_S, rec.mask).astype(np.uint8))
+    assert klyshko_efficiency(herald_only, SEEN_BLOCK, seed=3).value == 0.0 < before.value
+    assert klyshko_efficiency(rec, SEEN_BLOCK, seed=3) == before
+
+
+def test_failures_are_raised_on_every_call():
+    empty = synthetic_records([], 0)
+    silent_signal = synthetic_records(np.full(1000, MASK_H, dtype=np.uint8), 1000)
+    for _ in range(2):
+        with pytest.raises(EmptyInput):
+            estimate_g2(empty, "cross_hr")
+        with pytest.raises(EmptyInput):
+            estimate_rates(empty)
+        with pytest.raises(DivisionByZeroRate):
+            klyshko_efficiency(silent_signal, block_triggers=100)
+
+
+def test_dropped_resamples_do_not_depend_on_earlier_estimates():
+    alone = klyshko_efficiency(seen_in_two_blocks(), SEEN_BLOCK, seed=3)
+    rec = seen_in_two_blocks()
+    for kind in ("cross_hs", "heralded_auto"):
+        _bootstrap_or_error(estimate_g2, rec, kind, SEEN_BLOCK,
+                            estimators.BOOTSTRAP_RESAMPLES, 3)
+    estimate_rates(rec)
+    after = klyshko_efficiency(rec, SEEN_BLOCK, seed=3)
+    assert after.dropped_resamples == alone.dropped_resamples > 0
+    assert after == alone
+
+
+def test_rates_of_a_huge_claimed_trigger_count_allocate_no_blocks():
+    """Three records of a manifest claiming 1e13 triggers: the rates follow the
+    claimed count, and the call allocates no per-block arrays."""
+    n = 10**13
+    rec = ClickRecords(
+        trigger=np.array([5, 10**9, n - 1], dtype=np.uint64),
+        delay=np.ones(3, dtype=np.uint16),
+        mask=np.array([MASK_H, MASK_H | MASK_R1, MASK_S], dtype=np.uint8),
+        manifest=RunManifest(config_hash="x", seed=0, n_triggers=n, n_records=3,
+                             clock_rate_khz=76.8, readout_delay=1, controls_only=False))
+    tracemalloc.start()
+    try:
+        rates = estimate_rates(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rates["h"].value == 2 / n * 76800.0
+    assert rates["hr1"].value == rates["s"].value == 1 / n * 76800.0
+    assert rates["r2"].value == 0.0
 
 
 def test_no_resamples_dropped_on_primary(primary):
