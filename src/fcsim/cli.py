@@ -15,12 +15,13 @@ import json
 import secrets
 import sys
 import time
+import warnings
 
 import numpy as np
 
 from . import __version__, atomic, estimators, fockstats, multiplex, readout, trialsim
 from .config import ValidatedConfig, config_hash, load_config, save_config
-from .errors import ConfigError, FcsimError, NonPhysicalParameter
+from .errors import ConfigError, EmptyInput, FcsimError, NonPhysicalParameter
 
 EXIT_CONFIG_INVALID = 2
 EXIT_RUNTIME_FAILURE = 3
@@ -160,10 +161,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _read_series(path) -> np.ndarray:
-    """Decay series rows (T, value[, stderr]); a sweep CSV gives (T_or_Ep, total)."""
+    """Decay series rows (T, value[, stderr]); a sweep CSV gives (T_or_Ep, total).
+    EmptyInput if the file has no rows under its header."""
     with open(path, encoding="utf-8") as fh:
         header = [name.strip() for name in fh.readline().split(",")]
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data": see below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.size == 0:
+        raise EmptyInput(f"{path}: no data rows under the header")
     if "T_or_Ep" in header and "total" in header:
         data = data[:, [header.index("T_or_Ep"), header.index("total")]]
     return data

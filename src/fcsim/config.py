@@ -1,8 +1,9 @@
 """Physical parameter set: validation, derived quantities, JSON round-trip.
 
-Every quantity carries its unit in the field name (nm, m, ns, MHz, ps, nJ,
-kHz). Nothing is ever rescaled implicitly; formulas that need different
-units convert explicitly at the point of use.
+Every quantity carries its unit in the field name (nm, m, ps, nJ, THz,
+kHz), and every time in the model is counted in cavity cycles. Nothing is
+ever rescaled implicitly; formulas that need different units convert
+explicitly at the point of use. A config holds only what the model reads.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from .errors import (
 # The published wavelength set satisfies the pair-generation relation to
 # ~3e-5 relative, so 1e-4 accepts it while still catching typos.
 ENERGY_REL_TOL = 1e-4
-
-# Relative tolerance for cavity_freq * cycle_time == 1.
-CYCLE_REL_TOL = 1e-6
 
 # Gaussian intensity envelope exp(-t^2/tau^2): FWHM = tau * sqrt(4 ln 2).
 FWHM_TO_TAU = math.sqrt(4.0 * math.log(2.0))
@@ -64,30 +62,27 @@ class WavelengthScheme:
 
 @dataclass(frozen=True)
 class FiberCavityParams:
-    """Fiber cavity geometry, loss, dispersion and timing mismatch."""
+    """Fiber cavity geometry, loss, dispersion and timing mismatch. Times are
+    counted in cavity cycles; the herald and stored-signal facet exit
+    fractions are part of eta_herald_path and eta_s_path (DetectorParams)."""
 
     length_m: float
-    cycle_time_ns: float
-    cavity_freq_mhz: float
     ringdown_lifetime_cycles: float
     walkoff_ps_per_m: float            # signal-control group velocity walk-off
     dispersion_ps2_per_cycle: float    # second-order dispersion accumulated per cycle
     mismatch_ps_per_cycle: float       # per-cycle slip between signal and control arrival
-    reflectivity_h: float
     reflectivity_r: float
-    reflectivity_s: float
 
 
 @dataclass(frozen=True)
 class PulseParams:
-    """Pulse energies (nJ), control duration, and laser timing."""
+    """Control pulse energies (nJ) and duration, and the trigger rate
+    clock_rate_khz; the pump energy is part of SourceParams.mean_pairs_per_pulse."""
 
-    energy_pump_nj: float
     energy_p_nj: float
     energy_q_nj: float
     control_fwhm_ps: float
     nonlinear_coeff: float     # fitted scale in (ps/m)/sqrt(nJ); see readout module
-    rep_rate_mhz: float
     clock_rate_khz: float
 
 
@@ -144,11 +139,10 @@ class SourceParams:
 class ValidatedConfig:
     """The six parameter sections, validated on construction, plus derived quantities.
 
-    Every field must lie in its range in _BOUNDS, the wavelengths must
-    conserve energy and cavity_freq * cycle_time must be 1; a config that
-    fails any check is never made, whether it comes from load_config,
-    replace_fields, dataclasses.replace or the constructor. The fields with
-    init=False are derived:
+    Every field must lie in its range in _BOUNDS and the wavelengths must
+    conserve energy; a config that fails either check is never made, whether
+    it comes from load_config, replace_fields, dataclasses.replace or the
+    constructor. The fields with init=False are derived:
       control_tau_ps = control_fwhm_ps / sqrt(4 ln 2)
       walkoff_ratio  = walkoff * length / control_tau
       survival_per_cycle = exp(-1 / ringdown_lifetime)
@@ -178,14 +172,6 @@ class ValidatedConfig:
                 _number(f"{section}.{name}", value)
         lambda_r = _energy_conserving_lambda_r(self.scheme)
         cavity = self.cavity
-        # MHz * ns = 1e-3 dimensionless
-        product = cavity.cavity_freq_mhz * cavity.cycle_time_ns * 1e-3
-        if abs(product - 1.0) > CYCLE_REL_TOL:
-            raise NonPhysicalParameter(
-                "cavity_freq_mhz * cycle_time_ns must equal 1 within "
-                f"{CYCLE_REL_TOL:.0e} relative; got {product:.9f}"
-            )
-
         tau = self.pulses.control_fwhm_ps / FWHM_TO_TAU
         derived = {
             "control_tau_ps": tau,
@@ -236,19 +222,15 @@ _BOUNDS = {
         (0.0, True, math.inf): (  # positive
             "scheme.lambda_pump_nm", "scheme.lambda_s_nm", "scheme.lambda_h_nm",
             "scheme.lambda_p_nm", "scheme.lambda_q_nm", "scheme.lambda_r_nm",
-            "cavity.length_m", "cavity.cycle_time_ns", "cavity.cavity_freq_mhz",
-            "cavity.ringdown_lifetime_cycles", "cavity.walkoff_ps_per_m",
-            "pulses.control_fwhm_ps", "pulses.rep_rate_mhz", "pulses.clock_rate_khz",
-            "source.envelope_rms_ps"),
+            "cavity.length_m", "cavity.ringdown_lifetime_cycles", "cavity.walkoff_ps_per_m",
+            "pulses.control_fwhm_ps", "pulses.clock_rate_khz", "source.envelope_rms_ps"),
         (0.0, False, math.inf): (  # non-negative
             "cavity.dispersion_ps2_per_cycle", "cavity.mismatch_ps_per_cycle",
-            "pulses.energy_pump_nj", "pulses.energy_p_nj", "pulses.energy_q_nj",
-            "pulses.nonlinear_coeff", "noise.noise_mean_per_nj",
-            "source.mean_pairs_per_pulse", "source.bandwidth_fwhm_thz"),
+            "pulses.energy_p_nj", "pulses.energy_q_nj", "pulses.nonlinear_coeff",
+            "noise.noise_mean_per_nj", "source.mean_pairs_per_pulse", "source.bandwidth_fwhm_thz"),
         (0.0, False, 1.0): (  # [0, 1]
-            "cavity.reflectivity_h", "cavity.reflectivity_r", "cavity.reflectivity_s",
-            "detectors.eta_herald_path", "detectors.eta_r_path", "detectors.eta_s_path",
-            "detectors.dark_prob_per_gate", "detectors.splitter_ratio"),
+            "cavity.reflectivity_r", "detectors.eta_herald_path", "detectors.eta_r_path",
+            "detectors.eta_s_path", "detectors.dark_prob_per_gate", "detectors.splitter_ratio"),
         (1.0, False, math.inf): ("noise.mode_count", "source.schmidt_modes"),  # >= 1
     }.items()
     for key in keys

@@ -58,7 +58,7 @@ class SingularFit(FcsimError):
 
 
 class EmptyInput(FcsimError):
-    """An estimator was called with no records."""
+    """An input holds nothing to work on: no triggers, rows or manifest."""
 
 
 class CorruptRecords(FcsimError):

@@ -360,11 +360,15 @@ def calibrate(cfg: ValidatedConfig, targets: dict):
     coupled (see _Target); calibration stops after the first pass that
     leaves every relative residual within REL_TOL. Returns (config,
     residuals); raises Underdetermined for a target with no pinned
-    parameter and NoConvergence if residuals remain after MAX_PASSES passes.
+    parameter, NonPhysicalParameter for a target value that is not finite,
+    and NoConvergence if residuals remain after MAX_PASSES passes.
     """
     unknown = set(targets) - set(CALIBRATION_PAIRS)
     if unknown:
         raise Underdetermined(f"no rule to invert target(s) {sorted(unknown)}")
+    for name, value in targets.items():
+        if not math.isfinite(value):
+            raise NonPhysicalParameter(f"calibration target {name} must be finite, got {value}")
     names = [n for n in _TARGETS if n in targets]
 
     for n_pass in range(MAX_PASSES):

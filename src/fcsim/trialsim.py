@@ -8,7 +8,8 @@ P(n > 0) of the pair distribution, the ones with a noise photon, found the
 same way, and the dark clicks of all four detectors. Their photon numbers
 come from the zero-truncated negative binomial, and each photon draws one
 uniform that decides where it clicks, if anywhere. Records are kept only
-for clicked triggers; the manifest carries the trigger and record counts.
+for clicked triggers, as (trigger, mask); the manifest carries the trigger
+and record counts and the one readout delay of the run.
 
 Reproducibility: triggers are simulated in fixed-size blocks, each block
 drawing from a PCG64 stream seeded by (run seed, block index). Identical
@@ -32,11 +33,15 @@ from .errors import CorruptRecords, EmptyInput, NonPhysicalParameter
 from .fockstats import MASK_H, MASK_R1, MASK_R2, MASK_S, signal_branch_probs
 
 BLOCK_TRIGGERS = 1 << 20
-GENERATOR_NAME = "numpy-pcg64-sparse2"
+GENERATOR_NAME = "numpy-pcg64-sparse3"
 
-CSV_HEADER = "trigger,T,H,S,R1,R2"
-BINARY_DTYPE = np.dtype([("trigger", "<u8"), ("T", "<u2"), ("mask", "u1")])
-MAX_DELAY = np.iinfo(BINARY_DTYPE["T"]).max  # largest readout delay a record can hold
+CSV_HEADER = "trigger,H,S,R1,R2"
+# the row tails ",H,S,R1,R2\n" as (16, width) uint8, indexed by the mask
+_CSV_TAILS = np.frombuffer("".join(
+    f",{m & 1},{m >> 1 & 1},{m >> 2 & 1},{m >> 3}\n" for m in range(16)).encode("ascii"),
+    dtype=np.uint8).reshape(16, -1)
+BINARY_DTYPE = np.dtype([("trigger", "<u8"), ("mask", "u1")])
+MAX_DELAY = 65535  # largest readout delay of a run (its manifest's range)
 # JSON types each annotated manifest field accepts; bool never stands for a number
 _MANIFEST_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
 
@@ -84,13 +89,13 @@ class RunManifest:
 class ClickRecords:
     """Sparse click stream: one row per trigger with at least one click.
 
-    The arrays are made read-only, so what the estimators derive from them
-    (see estimators._bootstrap_sums) can be kept with them; a new stream is
-    a new instance, e.g. by dataclasses.replace.
+    Every row has the manifest's readout_delay. The arrays are made
+    read-only, so what the estimators derive from them (see
+    estimators._bootstrap_sums) can be kept with them; a new stream is a new
+    instance, e.g. by dataclasses.replace.
     """
 
     trigger: np.ndarray  # uint64, strictly increasing
-    delay: np.ndarray    # uint16 readout delay bin
     mask: np.ndarray     # uint8 bit flags (H|S|R1|R2)
     manifest: RunManifest
     # estimators' bootstrap sums by (block_triggers, resamples, seed)
@@ -98,12 +103,18 @@ class ClickRecords:
                                           compare=False)
 
     def __post_init__(self):
-        for array in (self.trigger, self.delay, self.mask):
+        for array in (self.trigger, self.mask):
             array.flags.writeable = False
 
     @property
     def n_triggers(self) -> int:
         return self.manifest.n_triggers
+
+    @property
+    def delay(self) -> np.ndarray:
+        """The manifest's readout delay per row, a read-only uint16 view that copies
+        nothing; kept only for bench/workloads.py (_record_bytes)."""
+        return np.broadcast_to(np.uint16(self.manifest.readout_delay), self.trigger.shape)
 
 
 def positions(rng: np.random.Generator, p: float, count: int) -> np.ndarray:
@@ -210,7 +221,7 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
     """Simulate n_triggers clock triggers at a fixed readout delay.
 
     controls_only turns the pair source off, so only noise and dark counts
-    click. The delay must fit the records' uint16 T field. jobs is accepted for
+    click. The delay must be within 1..MAX_DELAY. jobs is accepted for
     compatibility and has no effect: the sparse sampler runs the blocks in
     this process.
     """
@@ -218,7 +229,7 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
         raise NonPhysicalParameter("n_triggers must be >= 1")
     if not 1 <= delay_cycles <= MAX_DELAY:
         raise NonPhysicalParameter(f"readout delay must be within 1..{MAX_DELAY} "
-                                   f"cycles (the record's T field), got {delay_cycles}")
+                                   f"cycles, got {delay_cycles}")
     (q_mon,), (chain,) = signal_branch_probs(cfg, delay_cycles)
     mu = 0.0 if controls_only else cfg.source.mean_pairs_per_pulse
 
@@ -240,8 +251,7 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
         controls_only=bool(controls_only),
         created=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
-    delay = np.full(trigger.size, delay_cycles, dtype=np.uint16)
-    return ClickRecords(trigger=trigger, delay=delay, mask=mask, manifest=manifest)
+    return ClickRecords(trigger=trigger, mask=mask, manifest=manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +276,14 @@ def _check_records(records: ClickRecords, p: Path) -> None:
                              f"manifest's {manifest.n_triggers} triggers")
     if np.any(records.mask > MASK_H | MASK_S | MASK_R1 | MASK_R2):
         raise CorruptRecords(f"{p}: click mask above {MASK_H | MASK_S | MASK_R1 | MASK_R2}")
-    if np.any(records.delay != manifest.readout_delay):
-        raise CorruptRecords(f"{p}: readout delays differ from the manifest's "
-                             f"{manifest.readout_delay}")
-
-
-def _csv_tails(delay: int) -> np.ndarray:
-    """The row tails ",T,H,S,R1,R2\\n" of a delay as (16, width) uint8, indexed by the mask."""
-    tails = "".join(f",{delay},{m & 1},{m >> 1 & 1},{m >> 2 & 1},{m >> 3}\n" for m in range(16))
-    return np.frombuffer(tails.encode("ascii"), dtype=np.uint8).reshape(16, -1)
 
 
 def _csv_tables(records: ClickRecords):
     """The rows under CSV_HEADER as uint8 tables of text, one per trigger digit
     count k: rising triggers without leading zeros keep each k contiguous."""
-    tails = _csv_tails(records.manifest.readout_delay)
     edges = np.searchsorted(records.trigger, 10 ** np.arange(1, 20, dtype=np.uint64))
     for k, lo, hi in zip(range(1, 21), [0, *edges], [*edges, records.trigger.size]):
-        table = np.take(np.pad(tails, ((0, 0), (k, 0))), records.mask[lo:hi], axis=0)
+        table = np.take(np.pad(_CSV_TAILS, ((0, 0), (k, 0))), records.mask[lo:hi], axis=0)
         rest = records.trigger[lo:hi].astype(np.uint32 if k <= 9 else np.uint64)
         for j in range(k - 1, -1, -1):  # the digits, into the k columns before the tail
             rest, digit = np.divmod(rest, 10)
@@ -291,25 +291,26 @@ def _csv_tables(records: ClickRecords):
         yield table
 
 
-def _parse_csv(data: bytes, p: Path, delay: int):
-    """(trigger, mask) of a CSV file exactly as write_records writes it at this delay, else
+def _parse_csv(data: bytes, p: Path):
+    """(trigger, mask) of a CSV file exactly as write_records writes it, else
     CorruptRecords naming the first line that differs; rows of one length form one table."""
-    form = f"a row '<trigger>,{delay},<H>,<S>,<R1>,<R2>' in canonical form"
+    form = "a row '<trigger>,<H>,<S>,<R1>,<R2>' in canonical form"
     if not data.startswith((CSV_HEADER + "\n").encode("ascii")):
         raise CorruptRecords(f"{p}: line 1 is not the header {CSV_HEADER!r}")
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))  # the header's newline first
-    length, tails = np.diff(ends), _csv_tails(delay)  # of each row, its newline included
+    length = np.diff(ends)  # of each row, its newline included
     # where each run of one row length starts: a row holds its newline, so row 0 differs from 0
     runs = [*np.flatnonzero(np.diff(length, prepend=0)).tolist(), length.size]
     trigger, mask = np.empty(length.size, np.uint64), np.empty(length.size, np.uint8)
+    tail_low, tail_span = _CSV_TAILS[0], _CSV_TAILS[15] - _CSV_TAILS[0]  # flags 0, or 1
     for lo, hi in zip(runs[:-1], runs[1:]):
-        k = int(length[lo]) - tails.shape[1]  # trigger digits
+        k = int(length[lo]) - tail_low.size  # trigger digits
         if not 1 <= k <= 20 or length[lo] < length[max(lo - 1, 0)]:
             raise CorruptRecords(f"{p}: line {lo + 2} is not {form}")
         # a byte is low..low+span: a digit (1..9 first of several), a flag 0/1, else as in the tail
-        low = np.array([ord("0") + (k > 1)] + [ord("0")] * (k - 1) + [*tails[0]], dtype=np.uint8)
-        span = np.array([9 - (k > 1)] + [9] * (k - 1) + [*tails[15] - tails[0]], dtype=np.uint8)
+        low = np.array([ord("0") + (k > 1)] + [ord("0")] * (k - 1) + [*tail_low], dtype=np.uint8)
+        span = np.array([9 - (k > 1)] + [9] * (k - 1) + [*tail_span], dtype=np.uint8)
         table = buf[ends[lo] + 1:ends[hi] + 1].reshape(hi - lo, -1)
         off = table - low
         wrong = off > span
@@ -338,7 +339,7 @@ def write_records(records: ClickRecords, path) -> None:
     _check_records(records, p)  # CorruptRecords, and no file, for what read_records rejects
     if p.suffix == ".bin":
         atomic.write_bytes(p, np.rec.fromarrays(
-            [records.trigger, records.delay, records.mask], dtype=BINARY_DTYPE))
+            [records.trigger, records.mask], dtype=BINARY_DTYPE))
     else:
         atomic.write_bytes(p, (CSV_HEADER + "\n").encode("ascii"), *_csv_tables(records))
     try:
@@ -352,8 +353,8 @@ def read_records(path) -> ClickRecords:
     """Read records and their manifest; CorruptRecords if they disagree.
 
     Rows must match the manifest's record count, triggers rise strictly and
-    stay below its trigger count, masks combine the four detector bits, every
-    delay equal its readout delay, and a CSV file be what write_records writes.
+    stay below its trigger count, masks combine the four detector bits, and a
+    CSV file be what write_records writes. The delay is the manifest's alone.
     """
     p = Path(path)
     mpath = manifest_path(p)
@@ -369,10 +370,9 @@ def read_records(path) -> ClickRecords:
             raise CorruptRecords(f"{p}: {len(data)} bytes is not a whole number of "
                                  f"{BINARY_DTYPE.itemsize}-byte records")
         arr = np.frombuffer(data, dtype=BINARY_DTYPE)
-        trigger, delay, mask = arr["trigger"].copy(), arr["T"].copy(), arr["mask"].copy()
+        trigger, mask = arr["trigger"].copy(), arr["mask"].copy()
     else:
-        trigger, mask = _parse_csv(data, p, manifest.readout_delay)
-        delay = np.full(trigger.size, manifest.readout_delay, dtype=np.uint16)
-    records = ClickRecords(trigger=trigger, delay=delay, mask=mask, manifest=manifest)
+        trigger, mask = _parse_csv(data, p)
+    records = ClickRecords(trigger=trigger, mask=mask, manifest=manifest)
     _check_records(records, p)
     return records

@@ -372,8 +372,8 @@ def adaptive_overlap(cfg, delay_cycles, energy_p_nj=None, energy_q_nj=None, tol=
 def csv_records_text(records):
     """Record file text in the CSV format, formatted row by row."""
     lines = [CSV_HEADER]
-    for t, d, m in zip(records.trigger, records.delay, records.mask):
-        lines.append(f"{int(t)},{int(d)},{int(bool(m & MASK_H))},"
+    for t, m in zip(records.trigger, records.mask):
+        lines.append(f"{int(t)},{int(bool(m & MASK_H))},"
                      f"{int(bool(m & MASK_S))},{int(bool(m & MASK_R1))},"
                      f"{int(bool(m & MASK_R2))}")
     return "\n".join(lines) + "\n"

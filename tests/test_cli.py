@@ -23,6 +23,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subprocess_env():
+    """The environment for a fresh interpreter that imports this fcsim."""
+    env = dict(os.environ)
+    src = str(Path(fcsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_validate_prints_derived(capsys):
     code, out, err = run_cli(capsys, "validate", "--config", CONFIG)
     assert code == 0
@@ -66,6 +74,16 @@ def test_malformed_number_argument_is_config_error(capsys, args):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+def test_non_finite_calibration_target_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "stats", "--config", CONFIG,
+                             "--calibrate", "herald_rate_cps=nan")
+    assert code == 2
+    body = json.loads(err)
+    assert body["error"] == "NonPhysicalParameter"
+    assert "herald_rate_cps" in body["message"]
+    assert out == ""
+
+
 def test_unknown_calibration_target_is_runtime_failure(capsys):
     code, out, err = run_cli(capsys, "stats", "--config", CONFIG,
                              "--calibrate", "bogus=1")
@@ -95,7 +113,7 @@ def test_simulate_random_seed_recorded(tmp_path, capsys):
     seed = json.loads(out)["seed"]
     manifest = json.loads((tmp_path / "r.manifest.json").read_text())
     assert manifest["seed"] == seed
-    assert manifest["generator"] == "numpy-pcg64-sparse2"
+    assert manifest["generator"] == "numpy-pcg64-sparse3"
 
 
 def test_simulate_reports_generator_and_timings(tmp_path, capsys):
@@ -228,6 +246,51 @@ def test_fit_on_non_finite_series_names_the_row(tmp_path, capsys, kind, value):
     assert out == ""
 
 
+def test_fit_on_empty_series_is_empty_input(tmp_path):
+    """A series with a header and no rows fails as EmptyInput naming the file,
+    and nothing but the JSON body reaches stderr."""
+    data = tmp_path / "empty.csv"
+    data.write_text("T,value,stderr\n")
+    out = subprocess.run([sys.executable, "-m", "fcsim.cli", "fit", "--kind", "exponential",
+                          "--data", str(data)], capture_output=True, text=True,
+                         env=subprocess_env(), timeout=120)
+    assert out.returncode == 3
+    body = json.loads(out.stderr)
+    assert body["error"] == "EmptyInput"
+    assert str(data) in body["message"]
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize("key", ["cavity.reflectivity_h", "cavity.reflectivity_s",
+                                 "cavity.cycle_time_ns", "cavity.cavity_freq_mhz",
+                                 "pulses.energy_pump_nj", "pulses.rep_rate_mhz"])
+def test_removed_config_key_rejected(tmp_path, capsys, key):
+    """The keys that configs once carried without the model reading them fail
+    closed, in a file and through --set; the migration is to delete the key."""
+    section, _, name = key.partition(".")
+    doc = json.loads(default_config_path("primary_cavity").read_text())
+    doc[section][name] = 1.0
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    for argv in (["--config", str(old)], ["--config", CONFIG, "--set", f"{key}=1.0"]):
+        code, out, err = run_cli(capsys, "validate", *argv)
+        assert code == 2
+        body = json.loads(err)
+        assert body["error"] == "UnknownConfigKey" and name in body["message"]
+
+
+def test_missing_config_key_exit_code(tmp_path, capsys):
+    doc = json.loads(default_config_path("primary_cavity").read_text())
+    del doc["detectors"]["eta_s_path"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", "--config", str(bad))
+    assert code == 2
+    body = json.loads(err)
+    assert body["error"] == "MissingConfigKey" and "eta_s_path" in body["message"]
+    assert out == ""
+
+
 def test_config_with_fock_cutoff_rejected(tmp_path, capsys):
     doc = json.loads(default_config_path("primary_cavity").read_text())
     doc["fock_cutoff"] = 8
@@ -268,16 +331,13 @@ SWEEP_60 = ["sweep", "--config", CONFIG, "--param", "readout_delay", "--from", "
 def test_cli_loads_no_scipy(tmp_path, commands):
     """Every command runs in a fresh interpreter in which importing scipy
     fails."""
-    env = dict(os.environ)
-    src = str(Path(fcsim.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = "".join(f"assert fcsim.cli.main({[a.format(tmp=tmp_path) for a in argv]!r}) == 0; "
                   for argv in commands)
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys; sys.modules['scipy'] = None; import fcsim.cli; "
          f"{run}print('ran', {len(commands)})"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=subprocess_env(), timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == f"ran {len(commands)}"
 

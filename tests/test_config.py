@@ -19,6 +19,7 @@ from fcsim.config import (
 )
 from fcsim.errors import (
     EnergyConservationViolated,
+    MissingConfigKey,
     NonPhysicalParameter,
     UnknownConfigKey,
 )
@@ -70,8 +71,6 @@ def test_nonphysical_rejected(primary):
         primary.replace_fields(**{"pulses.energy_p_nj": -1.0})
     with pytest.raises(NonPhysicalParameter):
         primary.replace_fields(**{"cavity.reflectivity_r": 1.2})
-    with pytest.raises(NonPhysicalParameter):
-        primary.replace_fields(**{"cavity.cycle_time_ns": 25.2})  # breaks nu*tau=1
 
 
 def test_validate_idempotent(primary):
@@ -124,6 +123,51 @@ def test_unknown_keys_fail_closed(primary):
         primary.replace_fields(**{"cavity.nope": 1.0})
 
 
+# Keys that configs once had although the model reads none of them: the facet
+# exit fractions are in eta_herald_path and eta_s_path, the pump energy is in
+# mean_pairs_per_pulse, and every time is counted in cavity cycles.
+REMOVED_KEYS = ["cavity.reflectivity_h", "cavity.reflectivity_s", "cavity.cycle_time_ns",
+                "cavity.cavity_freq_mhz", "pulses.energy_pump_nj", "pulses.rep_rate_mhz"]
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_unknown(primary, key):
+    """A config that still has a removed key fails closed, naming the key,
+    whether it comes from a file or from replace_fields."""
+    section, _, name = key.partition(".")
+    doc = config_to_dict(primary)
+    doc[section][name] = 1.0
+    with pytest.raises(UnknownConfigKey, match=re.escape(name)):
+        loads_config(json.dumps(doc))
+    with pytest.raises(UnknownConfigKey, match=re.escape(name)):
+        primary.replace_fields(**{key: 1.0})
+
+
+def test_config_has_only_the_model_inputs():
+    assert len(CONFIG_FIELDS) == 28
+    assert not set(REMOVED_KEYS) & set(CONFIG_FIELDS)
+
+
+def _without(doc, section, key=None):
+    if key is None:
+        del doc[section]
+    else:
+        del doc[section][key]
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: _without(doc, "noise"), "missing top-level key(s): ['noise']"),
+    (lambda doc: _without(doc, "cavity", "length_m"),
+     "missing key(s) in section 'cavity': ['length_m']"),
+    (lambda doc: {**doc, "pulses": [1.0, 2.0]}, "section 'pulses' must be an object"),
+], ids=["missing_section", "missing_key", "section_not_an_object"])
+def test_missing_config_key(primary, edit, message):
+    doc = edit(config_to_dict(primary))
+    with pytest.raises(MissingConfigKey, match=re.escape(message)):
+        loads_config(json.dumps(doc))
+
+
 @settings(deadline=None)
 @given(
     beta=st.floats(1.0, 50.0),
@@ -162,21 +206,15 @@ EXPECTED_BOUNDS = {
     "scheme.lambda_q_nm": POSITIVE,
     "scheme.lambda_r_nm": POSITIVE,
     "cavity.length_m": POSITIVE,
-    "cavity.cycle_time_ns": POSITIVE,
-    "cavity.cavity_freq_mhz": POSITIVE,
     "cavity.ringdown_lifetime_cycles": POSITIVE,
     "cavity.walkoff_ps_per_m": POSITIVE,
     "cavity.dispersion_ps2_per_cycle": NON_NEGATIVE,
     "cavity.mismatch_ps_per_cycle": NON_NEGATIVE,
-    "cavity.reflectivity_h": UNIT_INTERVAL,
     "cavity.reflectivity_r": UNIT_INTERVAL,
-    "cavity.reflectivity_s": UNIT_INTERVAL,
-    "pulses.energy_pump_nj": NON_NEGATIVE,
     "pulses.energy_p_nj": NON_NEGATIVE,
     "pulses.energy_q_nj": NON_NEGATIVE,
     "pulses.control_fwhm_ps": POSITIVE,
     "pulses.nonlinear_coeff": NON_NEGATIVE,
-    "pulses.rep_rate_mhz": POSITIVE,
     "pulses.clock_rate_khz": POSITIVE,
     "detectors.eta_herald_path": UNIT_INTERVAL,
     "detectors.eta_r_path": UNIT_INTERVAL,

@@ -24,7 +24,6 @@ def synthetic_records(masks, n_triggers, clock_khz=76.8, delay=1):
     keep = masks > 0
     return ClickRecords(
         trigger=np.nonzero(keep)[0].astype(np.uint64),
-        delay=np.full(int(keep.sum()), delay, dtype=np.uint16),
         mask=masks[keep],
         manifest=RunManifest(config_hash="x", seed=0, n_triggers=int(n_triggers),
                              n_records=int(keep.sum()),
@@ -68,8 +67,8 @@ def test_independent_poisson_channels_uncorrelated():
 def test_estimators_permutation_invariant(primary):
     run = trialsim.simulate_run(primary, seed=2, n_triggers=500_000)
     perm = np.random.Generator(np.random.PCG64(3)).permutation(run.trigger.size)
-    shuffled = ClickRecords(trigger=run.trigger[perm], delay=run.delay[perm],
-                            mask=run.mask[perm], manifest=run.manifest)
+    shuffled = ClickRecords(trigger=run.trigger[perm], mask=run.mask[perm],
+                            manifest=run.manifest)
     a = estimate_rates(run)
     b = estimate_rates(shuffled)
     for key in a:
@@ -144,7 +143,7 @@ def test_pattern_counts_match_per_record_count():
     trigger = np.sort(rng.choice(n, size=120, replace=False)).astype(np.uint64)
     mask = np.concatenate([np.arange(16), rng.integers(0, 16, 104)]).astype(np.uint8)
     rec = ClickRecords(
-        trigger=trigger, delay=np.ones(trigger.size, dtype=np.uint16), mask=mask,
+        trigger=trigger, mask=mask,
         manifest=RunManifest(config_hash="x", seed=0, n_triggers=n,
                              n_records=int(trigger.size), clock_rate_khz=76.8,
                              readout_delay=1, controls_only=False))
@@ -262,8 +261,7 @@ def test_bootstrap_sums_exact_beyond_float_precision():
     rng = np.random.Generator(np.random.PCG64(8))
     trigger = np.unique(rng.integers(0, n, 3000, dtype=np.uint64))
     rec = ClickRecords(
-        trigger=trigger, delay=np.ones(trigger.size, dtype=np.uint16),
-        mask=rng.integers(1, 16, trigger.size).astype(np.uint8),
+        trigger=trigger, mask=rng.integers(1, 16, trigger.size).astype(np.uint8),
         manifest=RunManifest(config_hash="x", seed=0, n_triggers=n,
                              n_records=int(trigger.size), clock_rate_khz=76.8,
                              readout_delay=1, controls_only=False))
@@ -277,8 +275,8 @@ def test_bootstrap_sums_exact_beyond_float_precision():
 
 def _fresh(rec):
     """The same stream as new records, on copies of its arrays."""
-    return ClickRecords(trigger=rec.trigger.copy(), delay=rec.delay.copy(),
-                        mask=rec.mask.copy(), manifest=rec.manifest)
+    return ClickRecords(trigger=rec.trigger.copy(), mask=rec.mask.copy(),
+                        manifest=rec.manifest)
 
 
 def test_shared_bootstrap_matches_fresh_records(primary):
@@ -346,7 +344,6 @@ def test_rates_of_a_huge_claimed_trigger_count_allocate_no_blocks():
     n = 10**13
     rec = ClickRecords(
         trigger=np.array([5, 10**9, n - 1], dtype=np.uint64),
-        delay=np.ones(3, dtype=np.uint16),
         mask=np.array([MASK_H, MASK_H | MASK_R1, MASK_S], dtype=np.uint8),
         manifest=RunManifest(config_hash="x", seed=0, n_triggers=n, n_records=3,
                              clock_rate_khz=76.8, readout_delay=1, controls_only=False))

@@ -378,6 +378,19 @@ PUBLISHED_TARGETS = {"g2_xc_hs": 26.0, "herald_rate_cps": 474.0, "g2_noise": 1.0
                      "eta_conversion": 0.80, "heralded_prob": 0.096}
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("target", sorted(fockstats.CALIBRATION_PAIRS))
+def test_calibrate_rejects_non_finite_target(primary, monkeypatch, target, value):
+    """A target that is not finite is NonPhysicalParameter naming it, before
+    any solve, also among finite targets."""
+    def no_solve(*args):
+        raise AssertionError("solved before the targets were checked")
+    monkeypatch.setattr(fockstats, "_solve_target", no_solve)
+    assert len(fockstats.CALIBRATION_PAIRS) == 6
+    with pytest.raises(NonPhysicalParameter, match=f"target {target} must be finite"):
+        calibrate(primary, {**PUBLISHED_TARGETS, target: value})
+
+
 def _relative_residuals(targets, residuals):
     return {name: abs(r) / abs(targets[name]) for name, r in residuals.items()}
 

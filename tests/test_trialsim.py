@@ -102,7 +102,7 @@ def test_csv_roundtrip(tmp_path, primary):
     assert np.array_equal(back.mask, run.mask)
     assert back.manifest.n_triggers == run.manifest.n_triggers
     assert back.manifest.seed == 8
-    assert back.manifest.generator == "numpy-pcg64-sparse2"
+    assert back.manifest.generator == "numpy-pcg64-sparse3"
 
 
 def test_binary_roundtrip(tmp_path, primary):
@@ -117,18 +117,16 @@ def test_binary_roundtrip(tmp_path, primary):
 
 def test_csv_writer_matches_row_by_row_text(tmp_path, primary):
     """The vectorized CSV writer is byte-identical to row-by-row formatting,
-    including triggers of every digit count up to 2^64 - 1 and delays of one,
+    including triggers of every digit count up to 2^64 - 1, at delays of one,
     two and five digits."""
     for delay in (1, 10, 65535):
         run = simulate_run(primary, seed=8, n_triggers=120_000, delay_cycles=delay)
         edge = dataclasses.replace(
             run,
             trigger=np.array([0, 9, 10, 99, 100, 12345, 2**64 - 1], dtype=np.uint64),
-            delay=np.full(7, delay, dtype=np.uint16),
             mask=np.array([1, 2, 4, 8, 15, 0, 6], dtype=np.uint8),
             manifest=dataclasses.replace(run.manifest, n_triggers=2**64, n_records=7))
-        empty = dataclasses.replace(run, trigger=run.trigger[:0], delay=run.delay[:0],
-                                    mask=run.mask[:0],
+        empty = dataclasses.replace(run, trigger=run.trigger[:0], mask=run.mask[:0],
                                     manifest=dataclasses.replace(run.manifest, n_records=0))
         for i, records in enumerate((run, edge, empty)):
             path = tmp_path / f"clicks{delay}_{i}.csv"
@@ -143,7 +141,6 @@ def _records(trigger, mask, delay=1, n_triggers=2**64):
         config_hash="", seed=0, n_triggers=n_triggers, n_records=trigger.size,
         clock_rate_khz=76.8, readout_delay=delay, controls_only=False)
     return trialsim.ClickRecords(trigger=trigger, mask=np.array(mask, dtype=np.uint8),
-                                 delay=np.full(trigger.size, delay, dtype=np.uint16),
                                  manifest=manifest)
 
 
@@ -187,12 +184,11 @@ def test_random_records_round_trip(tmp_path_factory, rows, delay, suffix):
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
 @pytest.mark.parametrize("change", [
     {"mask": np.array([1, 16, 2], dtype=np.uint8)},
-    {"delay": np.array([1, 2, 1], dtype=np.uint16)},
     {"manifest": dataclasses.replace(_records([3, 5, 8], [1, 2, 3]).manifest, n_records=4)},
-], ids=["mask_above_15", "delay_differs", "record_count_differs"])
+], ids=["mask_above_15", "record_count_differs"])
 def test_write_records_refuses_what_read_records_rejects(tmp_path, suffix, change):
-    """A mask of 16 used to be written as no click at all, and other delays or
-    a wrong record count gave files that could not be read back."""
+    """A mask of 16 used to be written as no click at all, and a wrong record
+    count gave files that could not be read back."""
     records = dataclasses.replace(_records([3, 5, 8], [1, 2, 3]), **change)
     with pytest.raises(CorruptRecords):
         write_records(records, tmp_path / ("clicks" + suffix))
@@ -200,12 +196,12 @@ def test_write_records_refuses_what_read_records_rejects(tmp_path, suffix, chang
 
 
 # triggers 7, 12 and 345 at delay 10, masks 1, 6 and 15: lines 2 to 4 below the header
-CANONICAL_CSV = "trigger,T,H,S,R1,R2\n7,10,1,0,0,0\n12,10,0,1,1,0\n345,10,1,1,1,1\n"
+CANONICAL_CSV = "trigger,H,S,R1,R2\n7,1,0,0,0\n12,0,1,1,0\n345,1,1,1,1\n"
 
 
 @pytest.mark.parametrize("old, new, line", [
     ("345,", "0345,", 4),
-    ("12,10", "12, 10", 3),
+    ("12,0", "12, 0", 3),
     ("R2\n", "R2\n# fcsim\n", 2),
     ("0\n12", "0\n\n12", 3),
     ("\n", "\r\n", 1),
@@ -215,11 +211,11 @@ CANONICAL_CSV = "trigger,T,H,S,R1,R2\n7,10,1,0,0,0\n12,10,0,1,1,0\n345,10,1,1,1,
     ("R1,R2", "R1,R3", 1),
     ("345,", "100000000000000000000,", 4),
     ("345,", "18446744073709551616,", 4),
-    ("12,10", "12,1", 3),
-    ("12,10,0,1,1,0\n345,10,1,1,1,1", "345,10,1,1,1,1\n12,10,0,1,1,0", 4),
+    ("12,0", "12,10,0", 3),
+    ("12,0,1,1,0\n345,1,1,1,1", "345,1,1,1,1\n12,0,1,1,0", 4),
 ], ids=["leading_zero", "space_before_field", "comment_line", "blank_line", "crlf",
         "no_final_newline", "plus_sign", "flag_01", "wrong_header", "21_digits",
-        "2_to_the_64", "other_delay", "row_shorter_than_before"])
+        "2_to_the_64", "delay_column", "row_shorter_than_before"])
 def test_noncanonical_csv_is_corrupt_records(tmp_path, old, new, line):
     """A CSV file reads only if it is exactly what write_records writes; the
     error names the first line that is not."""
@@ -281,8 +277,8 @@ def _truncate(run, path):
 
 def _csv_flag_two(run, path):
     lines = path.read_text(encoding="utf-8").splitlines()
-    trigger, delay, *_ = lines[1].split(",")
-    lines[1] = f"{trigger},{delay},2,0,0,0"
+    trigger, *_ = lines[1].split(",")
+    lines[1] = f"{trigger},2,0,0,0"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -296,12 +292,11 @@ def _csv_rows(*rows):
     (".bin", _halve_triggers),
     (".bin", _swap_first_two),
     (".bin", _set_field("mask", 16)),
-    (".bin", _set_field("T", 2)),
     (".bin", _truncate),
     (".csv", _csv_flag_two),
     (".csv", _csv_rows("1,1,1,0")),
-    (".csv", _csv_rows("1,1,1,0,0,0", "x,1,0,0,0,1")),
-], ids=["beyond_n_triggers", "not_increasing", "mask_above_15", "delay_differs",
+    (".csv", _csv_rows("1,1,0,0,0", "x,0,0,0,1")),
+], ids=["beyond_n_triggers", "not_increasing", "mask_above_15",
         "partial_record", "csv_flag_not_bit", "csv_short_row", "csv_not_numeric"])
 def test_read_records_rejects_mismatch(tmp_path, primary, suffix, tamper):
     run = simulate_run(primary, seed=8, n_triggers=120_000)
@@ -339,15 +334,62 @@ def test_identical_seed_writes_identical_files(tmp_path, primary):
 
 # sha256 of the .bin of simulate_run(primary, seed=20260810, n_triggers=1_000_000),
 # criterion 10's input; it may change only together with GENERATOR_NAME
-PINNED_STREAM = ("numpy-pcg64-sparse2",
-                 "ef6db93750b00c65bf40b3c852910ead996cbc88d52f20241d547addaadb4d04")
+PINNED_STREAM = ("numpy-pcg64-sparse3",
+                 "b401d8640a5e14b323f5ed02d98c08cfcdb746d6000d8cb0973ff3b434d81642")
+# sha256 of that run's trigger.tobytes() + mask.tobytes(), 49,471 records: the
+# sampler's output apart from any file layout (the same under sparse2)
+PINNED_SAMPLE = "5bd1db7c10e8a3cc1f4156953429b0e66c6455bbfc3909297367fa6c0b922c77"
 
 
 def test_byte_stream_is_pinned_to_generator_name(tmp_path, primary):
     path = tmp_path / "pinned.bin"
-    write_records(simulate_run(primary, seed=20260810, n_triggers=1_000_000), path)
+    run = simulate_run(primary, seed=20260810, n_triggers=1_000_000)
+    write_records(run, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert (trialsim.GENERATOR_NAME, digest) == PINNED_STREAM
+    sample = hashlib.sha256(run.trigger.tobytes() + run.mask.tobytes()).hexdigest()
+    assert (run.trigger.size, sample) == (49_471, PINNED_SAMPLE)
+    assert path.stat().st_size == 9 * run.trigger.size
+
+
+def _write_sparse2(run, path):
+    """run as the sparse2 layout wrote it: the delay in every record, as a
+    uint16 T field of the .bin and a T column of the CSV."""
+    delay = run.manifest.readout_delay
+    if path.suffix == ".bin":
+        old = np.dtype([("trigger", "<u8"), ("T", "<u2"), ("mask", "u1")])
+        np.rec.fromarrays([run.trigger, np.full(run.trigger.size, delay), run.mask],
+                          dtype=old).tofile(path)
+    else:
+        path.write_text("".join(
+            ["trigger,T,H,S,R1,R2\n"] + [f"{t},{delay},{m & 1},{m >> 1 & 1},{m >> 2 & 1},"
+                                         f"{m >> 3}\n" for t, m in zip(run.trigger, run.mask)]),
+            encoding="ascii")
+    manifest = dataclasses.replace(run.manifest, generator="numpy-pcg64-sparse2")
+    trialsim.manifest_path(path).write_text(manifest.to_json(), encoding="utf-8")
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+def test_sparse2_files_are_corrupt_records(tmp_path, primary, suffix):
+    """A file of the layout before sparse3 fails as CorruptRecords: a .bin is
+    not 9 bytes per record the manifest counts, and a CSV has the old header."""
+    for n_triggers in (120_000, 20_020):  # 5905 records; 945, whose 11 * 945 bytes are 1155 * 9
+        run = simulate_run(primary, seed=8, n_triggers=n_triggers, delay_cycles=9)
+        path = tmp_path / (f"old{n_triggers}" + suffix)
+        _write_sparse2(run, path)
+        with pytest.raises(CorruptRecords, match="line 1 is not the header" if suffix == ".csv"
+                           else "9-byte records|records, but the manifest"):
+            read_records(path)
+
+
+def test_delay_is_a_read_only_view_of_the_manifest(primary):
+    run = simulate_run(primary, seed=8, n_triggers=120_000, delay_cycles=300)
+    delay = run.delay
+    assert delay.dtype == np.uint16 and delay.shape == run.trigger.shape
+    assert np.all(delay == 300) and delay.strides == (0,) and not delay.flags.writeable
+    assert delay.tobytes() == np.full(run.trigger.size, 300, dtype=np.uint16).tobytes()
+    assert [f.name for f in dataclasses.fields(run)] == ["trigger", "mask", "manifest",
+                                                         "_bootstraps"]
 
 
 @pytest.mark.parametrize("delay", [0, trialsim.MAX_DELAY + 1, 70_000])
