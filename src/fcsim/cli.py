@@ -4,7 +4,8 @@ Subcommands: validate, simulate, stats, sweep, fit, multiplex. All outputs
 are written atomically (temp file + rename); every simulation writes a
 JSON manifest recording the config hash, seed and generator. Exit codes:
 0 success, 2 invalid configuration, 3 runtime failure; failures print a
-machine-readable JSON body on stderr.
+machine-readable JSON body on stderr. Each command imports the modules it
+runs and no others, so `validate` starts without numpy.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import secrets
+import numbers
 import sys
 import time
 import warnings
 
-import numpy as np
-
-from . import __version__, atomic, estimators, fockstats, multiplex, readout, trialsim
+from . import __version__, atomic
 from .config import ValidatedConfig, config_hash, load_config, save_config
 from .errors import ConfigError, EmptyInput, FcsimError, NonPhysicalParameter
 
@@ -29,7 +28,7 @@ EXIT_RUNTIME_FAILURE = 3
 
 def _fmt(x) -> str:
     """CSV float format: 17 significant digits, '.' decimal separator."""
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):  # numpy integers too
         return str(int(x))
     return format(float(x), ".17g")
 
@@ -67,6 +66,8 @@ def _load(args) -> ValidatedConfig:
 
 
 def _resolve_seed(args) -> int:
+    import secrets
+
     return args.seed if args.seed is not None else secrets.randbits(63)
 
 
@@ -83,6 +84,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import estimators, trialsim
+
     cfg = _load(args)
     seed = _resolve_seed(args)
     start = time.perf_counter()
@@ -113,6 +116,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import fockstats
+
     cfg = _load(args)
     residuals = {}
     start = time.perf_counter()
@@ -134,12 +139,17 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import numpy as np
+
+    from . import readout
+
     cfg = _load(args)
     start = time.perf_counter()
     values = np.linspace(args.start, args.stop, max(args.steps, 0))
     if args.param == "readout_delay":
-        values = np.unique(np.rint(values).astype(int))
+        values = np.sort(np.rint(values).astype(int))
         values = values[values >= 1]
+        values = values[np.diff(values, prepend=0) != 0]  # each delay once
         rows = list(zip(values, *readout.readout_curve(cfg, values),
                         np.full(values.size, cfg.noise_mean_per_trigger())))
     else:
@@ -163,6 +173,8 @@ def _cmd_sweep(args) -> int:
 def _read_series(path) -> np.ndarray:
     """Decay series rows (T, value[, stderr]); a sweep CSV gives (T_or_Ep, total).
     EmptyInput if the file has no rows under its header."""
+    import numpy as np
+
     with open(path, encoding="utf-8") as fh:
         header = [name.strip() for name in fh.readline().split(",")]
     with warnings.catch_warnings():
@@ -176,6 +188,8 @@ def _read_series(path) -> np.ndarray:
 
 
 def _cmd_fit(args) -> int:
+    from . import estimators
+
     data = _read_series(args.data)
     if args.kind == "memory":
         cfg = _load(args)
@@ -201,10 +215,14 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_multiplex(args) -> int:
+    from . import multiplex
+
     cfg = _load(args)
     if args.herald_prob is not None:
         p_herald = args.herald_prob
     else:
+        from . import fockstats
+
         p_herald = fockstats.model_patterns(cfg)["h"]
     start = time.perf_counter()
     max_delay = (args.max_bins - 1) * args.spacing + args.latency

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,8 +24,10 @@ from .errors import (
     SingularFit,
 )
 from .fockstats import PATTERN_MASKS, PATTERN_MATRIX, PATTERNS, RATIOS  # PATTERNS: public here too
-from .trialsim import ClickRecords
 from . import readout
+
+if TYPE_CHECKING:  # records come from trialsim, which fitting never loads
+    from .trialsim import ClickRecords
 
 BOOTSTRAP_BLOCK = 10_000
 BOOTSTRAP_RESAMPLES = 200
@@ -273,13 +276,20 @@ MEMORY_FIT_PARAMS = ("amplitude", "lifetime", "delta", "psi2")
 def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
     """Nonlinear fit of the storage decay model to (T, value) data.
 
+    Delays T are whole numbers of cycles, at least 10 distinct ones.
     Free parameters are a subset of {amplitude, lifetime, delta, psi2};
     the remaining ones are held at the config values. Convergence follows
     a damped least-squares iteration with relative step tolerance 1e-8,
     capped at 500 model evaluations per free parameter.
     """
     t, y, sigma = _series_arrays(series)
-    if np.unique(t).size < 10:
+    fractional = t != np.rint(t)
+    if fractional.any():
+        row = int(fractional.argmax())
+        raise NonPhysicalParameter(
+            f"series row {row + 1}: delay {float(t[row])!r} is not a whole number of cycles")
+    delays, index = np.unique(t, return_inverse=True)
+    if delays.size < 10:
         raise SingularFit("memory-model fit needs at least 10 distinct delays")
     free = tuple(free_params)
     bad = set(free) - set(MEMORY_FIT_PARAMS)
@@ -295,7 +305,6 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
         "psi2": cfg.cavity.dispersion_ps2_per_cycle,
     }
     w = 1.0 / sigma if sigma is not None else np.ones_like(y)
-    delays, index = np.unique(np.rint(t), return_inverse=True)
 
     def model_curve(params):
         p = dict(defaults)

@@ -353,8 +353,9 @@ def read_records(path) -> ClickRecords:
     """Read records and their manifest; CorruptRecords if they disagree.
 
     Rows must match the manifest's record count, triggers rise strictly and
-    stay below its trigger count, masks combine the four detector bits, and a
-    CSV file be what write_records writes. The delay is the manifest's alone.
+    stay below its trigger count, masks combine the four detector bits, a
+    CSV file be what write_records writes, and the manifest name
+    GENERATOR_NAME. The delay is the manifest's alone.
     """
     p = Path(path)
     mpath = manifest_path(p)
@@ -375,4 +376,7 @@ def read_records(path) -> ClickRecords:
         trigger, mask = _parse_csv(data, p)
     records = ClickRecords(trigger=trigger, mask=mask, manifest=manifest)
     _check_records(records, p)
+    if manifest.generator != GENERATOR_NAME:  # another stream, or another layout
+        raise CorruptRecords(f"{mpath}: generator {manifest.generator!r} is not "
+                             f"{GENERATOR_NAME!r}, the only one this version reads")
     return records

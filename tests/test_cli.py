@@ -310,6 +310,23 @@ SWEEP_60 = ["sweep", "--config", CONFIG, "--param", "readout_delay", "--from", "
             "--to", "60", "--steps", "60", "--out", "{tmp}/sweep.csv"]
 
 
+# modules that no command may load, and per command those it runs nothing of
+NEVER_LOADED = ("numpy.ma", "numpy.polynomial")
+UNUSED_BY = {"validate": ("numpy",),
+             "simulate": ("fcsim.multiplex", "fcsim.solvers"),
+             "sweep": ("fcsim.estimators", "fcsim.fockstats", "fcsim.trialsim",
+                       "fcsim.multiplex", "fcsim.solvers"),
+             "stats": ("fcsim.estimators", "fcsim.trialsim", "fcsim.multiplex"),
+             "fit": ("fcsim.trialsim", "fcsim.multiplex"),
+             "multiplex": ("fcsim.estimators", "fcsim.trialsim", "fcsim.solvers")}
+
+
+def _assert_not_loaded(modules) -> str:
+    """A statement that fails, naming them, if any of `modules` is in sys.modules."""
+    return (f"loaded = sorted(set({sorted(modules)!r}) & set(sys.modules)); "
+            "assert not loaded, loaded; ")
+
+
 @pytest.mark.parametrize("commands", [
     [],
     [["validate", "--config", CONFIG]],
@@ -330,13 +347,15 @@ SWEEP_60 = ["sweep", "--config", CONFIG, "--param", "readout_delay", "--from", "
         "fit_memory"])
 def test_cli_loads_no_scipy(tmp_path, commands):
     """Every command runs in a fresh interpreter in which importing scipy
-    fails."""
+    fails, and loads only the modules it runs: never numpy.ma or
+    numpy.polynomial, and none of those in UNUSED_BY for its name."""
     run = "".join(f"assert fcsim.cli.main({[a.format(tmp=tmp_path) for a in argv]!r}) == 0; "
+                  + _assert_not_loaded(NEVER_LOADED + UNUSED_BY.get(argv[0], ()))
                   for argv in commands)
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys; sys.modules['scipy'] = None; import fcsim.cli; "
-         f"{run}print('ran', {len(commands)})"],
+         f"{_assert_not_loaded(('numpy',))}{run}print('ran', {len(commands)})"],
         capture_output=True, text=True, env=subprocess_env(), timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == f"ran {len(commands)}"

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from fcsim import estimators, readout, solvers, trialsim
-from fcsim.errors import DivisionByZeroRate, EmptyInput, NoConvergence, SingularFit
+from fcsim.errors import (
+    DivisionByZeroRate,
+    EmptyInput,
+    NoConvergence,
+    NonPhysicalParameter,
+    SingularFit,
+)
 from fcsim.estimators import (
     estimate_g2,
     estimate_rates,
@@ -469,3 +475,25 @@ def test_memory_model_needs_enough_delays(primary):
     y = np.exp(-t / 50)
     with pytest.raises(SingularFit):
         fit_memory_model(np.column_stack([t, y]), ("amplitude",), primary)
+
+
+def test_memory_model_rejects_fractional_delays(primary):
+    """Delays 5.0, 5.1, ..., 5.9, 6.4 are ten distinct values but only two
+    delays of the model; the first fractional row is named, not rounded."""
+    t = np.append(np.arange(50, 60) / 10, 6.4)
+    y = np.exp(-t / 50)
+    with pytest.raises(NonPhysicalParameter, match=r"row 2: delay 5\.1 "):
+        fit_memory_model(np.column_stack([t, y]), ("amplitude",), primary)
+
+
+def test_memory_model_counts_distinct_delays(primary):
+    """Nine delays, repeated over twelve rows, are too few; a tenth is enough."""
+    t = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 9.0])
+    y = np.exp(-t / 50)
+    with pytest.raises(SingularFit, match="10 distinct delays"):
+        fit_memory_model(np.column_stack([t, y]), ("amplitude",), primary)
+    t[-1] = 10.0
+    y = 0.5 * readout.readout_curve(primary, t)[2]
+    res = fit_memory_model(np.column_stack([t, y]), ("amplitude",), primary)
+    assert res.values["amplitude"] == pytest.approx(0.5, rel=1e-9)
+    assert res.n_points == t.size

@@ -40,6 +40,13 @@ def test_erf_matches_scipy():
     assert readout._erf(np.zeros((2, 3))).shape == (2, 3)
 
 
+def test_quadrature_rule_is_leggauss():
+    """The written-out 16-node rule is numpy's, bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(readout.PANEL_NODES)
+    nodes, weights = readout._gauss_legendre()
+    assert np.array_equal(nodes, x) and np.array_equal(weights, w)
+
+
 def test_xi_zero_energy():
     t = np.linspace(-50, 50, 101)
     xi = xi_profile(t, 0.0, 8.6, 3.0, 13.5, 8.1, 4.1)

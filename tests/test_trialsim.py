@@ -382,6 +382,24 @@ def test_sparse2_files_are_corrupt_records(tmp_path, primary, suffix):
             read_records(path)
 
 
+@pytest.mark.parametrize("generator", ["anything", "numpy-pcg64-sparse2"])
+@pytest.mark.parametrize("n_triggers, n_records", [(10_000, 493), (5, 0)])
+def test_other_generator_is_corrupt_records(tmp_path, primary, generator, n_triggers,
+                                            n_records):
+    """A sidecar naming another stream fails even where the record bytes fit
+    the layout; an empty sparse2 .bin used to read."""
+    path = tmp_path / "clicks.bin"
+    run = simulate_run(primary, seed=8, n_triggers=n_triggers)
+    assert run.trigger.size == n_records
+    write_records(run, path)
+    mpath = trialsim.manifest_path(path)
+    doc = json.loads(mpath.read_text(encoding="utf-8"))
+    mpath.write_text(json.dumps({**doc, "generator": generator}), encoding="utf-8")
+    with pytest.raises(CorruptRecords, match=f"{mpath.name}: generator {generator!r} is "
+                                             f"not {trialsim.GENERATOR_NAME!r}"):
+        read_records(path)
+
+
 def test_delay_is_a_read_only_view_of_the_manifest(primary):
     run = simulate_run(primary, seed=8, n_triggers=120_000, delay_cycles=300)
     delay = run.delay
