@@ -41,7 +41,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _emit(doc: dict, out_path=None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write doc, stamped with the package version, as JSON to out_path or stdout."""
+    text = json.dumps({**doc, "version": __version__}, indent=2, sort_keys=True) + "\n"
     if out_path:
         atomic.write_text(out_path, text)
     else:
@@ -78,7 +79,6 @@ def _cmd_validate(args) -> int:
         "config_hash": config_hash(cfg),
         "derived": {f.name: getattr(cfg, f.name)
                     for f in dataclasses.fields(cfg) if not f.init},
-        "version": __version__,
     }, args.out)
     return 0
 
@@ -110,7 +110,6 @@ def _cmd_simulate(args) -> int:
             "estimate_s": estimated - written,
             "triggers_per_s": args.triggers / max(simulated - start, 1e-9),
         },
-        "version": __version__,
     })
     return 0
 
@@ -130,7 +129,6 @@ def _cmd_stats(args) -> int:
                          "report_s": time.perf_counter() - calibrated}
     report["residuals"] = residuals
     report["config_hash"] = config_hash(cfg)
-    report["version"] = __version__
     if args.out_config:
         save_config(cfg, args.out_config)
         report["calibrated_config"] = str(args.out_config)
@@ -166,20 +164,26 @@ def _cmd_sweep(args) -> int:
     _write_csv(args.out, ("T_or_Ep", "survival", "eta_conv", "total", "noise_mean"),
                rows)
     _emit({"out": str(args.out), "points": len(rows), "timings": {"sweep_s": sweep_s},
-           "config_hash": config_hash(cfg), "version": __version__})
+           "config_hash": config_hash(cfg)})
     return 0
 
 
 def _read_series(path) -> np.ndarray:
     """Decay series rows (T, value[, stderr]); a sweep CSV gives (T_or_Ep, total).
-    EmptyInput if the file has no rows under its header."""
+    Line 1 is a header unless every field of it is a number. EmptyInput if
+    the file has no rows under its header."""
     import numpy as np
 
     with open(path, encoding="utf-8") as fh:
         header = [name.strip() for name in fh.readline().split(",")]
+    try:
+        list(map(float, header))
+        skip = 0
+    except ValueError:
+        skip = 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data": see below
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     if data.size == 0:
         raise EmptyInput(f"{path}: no data rows under the header")
     if "T_or_Ep" in header and "total" in header:
@@ -209,7 +213,6 @@ def _cmd_fit(args) -> int:
         "n_points": result.n_points,
         "evaluations": result.evaluations,
         "timings": {"fit_s": fit_s},
-        "version": __version__,
     }, args.out)
     return 0
 
@@ -248,7 +251,6 @@ def _cmd_multiplex(args) -> int:
                  f"({multiplex.REFERENCE_ENHANCEMENT_ERR}) at "
                  f"K={multiplex.REFERENCE_K} in a free-space cavity"),
         "config_hash": config_hash(cfg),
-        "version": __version__,
     })
     return 0
 
@@ -333,16 +335,11 @@ def main(argv=None) -> int:
         parser.error("--config is required for --kind memory")
     try:
         return args.func(args)
-    except ConfigError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return EXIT_CONFIG_INVALID
     except (FcsimError, OSError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr, indent=2)
         sys.stderr.write("\n")
-        return EXIT_RUNTIME_FAILURE
+        return EXIT_CONFIG_INVALID if isinstance(exc, ConfigError) else EXIT_RUNTIME_FAILURE
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ explicitly at the point of use. A config holds only what the model reads.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import numbers
@@ -49,15 +48,6 @@ class WavelengthScheme:
     lambda_p_nm: float
     lambda_q_nm: float
     lambda_r_nm: float
-
-    def output_wavelength_nm(self) -> float:
-        """Output wavelength implied by 1/l_r = 1/l_s - (1/l_q - 1/l_p)."""
-        inv = 1.0 / self.lambda_s_nm - (1.0 / self.lambda_q_nm - 1.0 / self.lambda_p_nm)
-        if inv <= 0:
-            raise NonPhysicalParameter(
-                "translation relation gives non-positive output wavenumber"
-            )
-        return 1.0 / inv
 
 
 @dataclass(frozen=True)
@@ -273,7 +263,10 @@ def _energy_conserving_lambda_r(scheme: WavelengthScheme) -> float:
         )
 
     # Frequency translation: 1/l_r = 1/l_s - (1/l_q - 1/l_p).
-    lambda_r = scheme.output_wavelength_nm()
+    inv = 1.0 / scheme.lambda_s_nm - (1.0 / scheme.lambda_q_nm - 1.0 / scheme.lambda_p_nm)
+    if inv <= 0:
+        raise NonPhysicalParameter("translation relation gives non-positive output wavenumber")
+    lambda_r = 1.0 / inv
     rel = abs(1.0 / scheme.lambda_r_nm - 1.0 / lambda_r) * lambda_r
     if rel > ENERGY_REL_TOL:
         raise EnergyConservationViolated(
@@ -287,32 +280,26 @@ def _energy_conserving_lambda_r(scheme: WavelengthScheme) -> float:
 # JSON serialization. Unknown keys anywhere are an error (fail closed).
 # ---------------------------------------------------------------------------
 
-def _section_from_dict(name: str, cls, data: dict):
+def _exact_keys(data, names, what: str, keys: str) -> dict:
+    """data if it is a JSON object holding exactly the keys names, else
+    MissingConfigKey or UnknownConfigKey; what names the object, keys its keys."""
     if not isinstance(data, dict):
-        raise MissingConfigKey(f"section {name!r} must be an object")
-    field_names = [f.name for f in dataclasses.fields(cls)]
-    unknown = set(data) - set(field_names)
+        raise MissingConfigKey(f"{what} must be an object")
+    unknown = set(data) - set(names)
     if unknown:
-        raise UnknownConfigKey(f"unknown key(s) in section {name!r}: {sorted(unknown)}")
-    missing = set(field_names) - set(data)
+        raise UnknownConfigKey(f"unknown {keys}: {sorted(unknown)}")
+    missing = set(names) - set(data)
     if missing:
-        raise MissingConfigKey(f"missing key(s) in section {name!r}: {sorted(missing)}")
-    return cls(**{k: data[k] for k in field_names})
+        raise MissingConfigKey(f"missing {keys}: {sorted(missing)}")
+    return data
 
 
-def config_from_dict(doc: dict) -> ValidatedConfig:
-    expected = set(_SECTION_TYPES)
-    unknown = set(doc) - expected
-    if unknown:
-        raise UnknownConfigKey(f"unknown top-level key(s): {sorted(unknown)}")
-    missing = expected - set(doc)
-    if missing:
-        raise MissingConfigKey(f"missing top-level key(s): {sorted(missing)}")
-    sections = {
-        name: _section_from_dict(name, cls, doc[name])
-        for name, cls in _SECTION_TYPES.items()
-    }
-    return ValidatedConfig(**sections)
+def config_from_dict(doc) -> ValidatedConfig:
+    _exact_keys(doc, _SECTION_TYPES, "the config", "top-level key(s)")
+    return ValidatedConfig(**{
+        name: cls(**_exact_keys(doc[name], [f.name for f in dataclasses.fields(cls)],
+                                f"section {name!r}", f"key(s) in section {name!r}"))
+        for name, cls in _SECTION_TYPES.items()})
 
 
 def config_to_dict(config: ValidatedConfig) -> dict:
@@ -343,4 +330,6 @@ def save_config(config, path) -> None:
 
 def config_hash(config) -> str:
     """SHA-256 of the canonical JSON form, for run manifests."""
+    import hashlib  # here, not at the top: only this function uses it
+
     return hashlib.sha256(dumps_config(config).encode("utf-8")).hexdigest()

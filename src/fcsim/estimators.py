@@ -52,12 +52,10 @@ class CorrelationEstimate:
 
 @dataclass(frozen=True)
 class FitResult:
-    param_names: tuple
     values: dict
     errors: dict
     r_squared: float
     residual_rms: float
-    residual_max: float
     n_points: int
     evaluations: int = 0  # residual evaluations, jacobian columns included
 
@@ -114,6 +112,9 @@ def _bootstrap_sums(records: ClickRecords, block_triggers: int, resamples: int,
     row 0 over the whole stream, each further row over one resample, its
     blocks weighed by how often it drew them. Built once per (block_triggers,
     resamples, seed) of a record set and kept on it."""
+    if block_triggers < 1 or resamples < 0:
+        raise NonPhysicalParameter("bootstrap needs block_triggers >= 1 and resamples >= 0, "
+                                   f"got {block_triggers} and {resamples}")
     key = (block_triggers, resamples, seed)
     if key in records._bootstraps:
         return records._bootstraps[key]
@@ -201,15 +202,6 @@ def _series_arrays(series):
     return t, y, sigma
 
 
-def _r_squared(y, fitted):
-    resid = y - fitted
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0:
-        return 1.0 if ss_res == 0 else -math.inf
-    return 1.0 - ss_res / ss_tot
-
-
 def fit_exponential(series) -> FitResult:
     """Least-squares fit of amplitude * exp(-T / lifetime).
 
@@ -228,43 +220,36 @@ def fit_exponential(series) -> FitResult:
         raise SingularFit("series is constant within precision; lifetime unconstrained")
     if slope >= 0:
         raise SingularFit("series does not decay; lifetime would be negative")
+    return _fit(("amplitude", "lifetime"), lambda p: p[0] * np.exp(-t / p[1]),
+                np.array([math.exp(intercept), -1.0 / slope]), y, sigma,
+                "exponential fit", xtol=1e-12, max_nfev=2000)
+
+
+def _fit(names: tuple, model, p0, y, sigma, what: str, xtol: float,
+         max_nfev: int) -> FitResult:
+    """Least-squares fit of model(params) to y, weighted by 1 / sigma if given,
+    from p0; NoConvergence names the fit as `what`. Standard errors come from
+    the jacobian at the solution, inf where it is singular."""
     from . import solvers
 
-    p0 = np.array([math.exp(intercept), -1.0 / slope])
     w = 1.0 / sigma if sigma is not None else np.ones_like(y)
-
-    def resid(p):
-        return (p[0] * np.exp(-t / p[1]) - y) * w
-
-    names = ("amplitude", "lifetime")
-    res = solvers.least_squares(resid, p0, xtol=1e-12, ftol=1e-12, max_nfev=2000)
+    res = solvers.least_squares(lambda p: (model(p) - y) * w, p0, xtol=xtol, ftol=1e-12,
+                                max_nfev=max_nfev)
     if not res.success:
-        raise NoConvergence("exponential fit did not converge", best=dict(zip(names, res.x)))
-    amp, tau = res.x
-    return _fit_result(names, res, y, amp * np.exp(-t / tau))
-
-
-def _param_errors(res):
-    """Standard errors from the jacobian at the solution."""
-    m = res.fun.size
-    dof = max(m - res.x.size, 1)
+        raise NoConvergence(f"{what} did not converge", best=dict(zip(names, res.x)))
+    dof = max(y.size - len(names), 1)
     try:
-        jtj = res.jac.T @ res.jac
-        cov = np.linalg.inv(jtj) * (res.fun @ res.fun) / dof
-        return [float(math.sqrt(max(cov[i, i], 0.0))) for i in range(res.x.size)]
+        cov = np.linalg.inv(res.jac.T @ res.jac) * (res.fun @ res.fun) / dof
+        errors = [float(math.sqrt(max(cov[i, i], 0.0))) for i in range(len(names))]
     except np.linalg.LinAlgError:
-        return [math.inf] * res.x.size
-
-
-def _fit_result(names: tuple, res, y, fitted) -> FitResult:
-    """FitResult of the least-squares solution res for data y and its model values fitted."""
+        errors = [math.inf] * len(names)
+    ss_res = float(np.sum((y - model(res.x)) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
     return FitResult(
-        param_names=names,
         values={name: float(v) for name, v in zip(names, res.x)},
-        errors=dict(zip(names, _param_errors(res))),
-        r_squared=_r_squared(y, fitted),
-        residual_rms=float(np.sqrt(np.mean((y - fitted) ** 2))),
-        residual_max=float(np.max(np.abs(y - fitted))),
+        errors=dict(zip(names, errors)),
+        r_squared=1.0 - ss_res / ss_tot if ss_tot else (1.0 if ss_res == 0 else -math.inf),
+        residual_rms=math.sqrt(ss_res / y.size),
         n_points=int(y.size),
         evaluations=int(res.nfev),
     )
@@ -277,10 +262,10 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
     """Nonlinear fit of the storage decay model to (T, value) data.
 
     Delays T are whole numbers of cycles, at least 10 distinct ones.
-    Free parameters are a subset of {amplitude, lifetime, delta, psi2};
-    the remaining ones are held at the config values. Convergence follows
-    a damped least-squares iteration with relative step tolerance 1e-8,
-    capped at 500 model evaluations per free parameter.
+    Free parameters are a subset of {amplitude, lifetime, delta, psi2},
+    each named once; the remaining ones are held at the config values.
+    Convergence follows a damped least-squares iteration with relative step
+    tolerance 1e-8, capped at 500 model evaluations per free parameter.
     """
     t, y, sigma = _series_arrays(series)
     fractional = t != np.rint(t)
@@ -295,6 +280,9 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
     bad = set(free) - set(MEMORY_FIT_PARAMS)
     if bad:
         raise NonPhysicalParameter(f"unknown fit parameter(s) {sorted(bad)}")
+    twice = [name for name in free if free.count(name) > 1]
+    if twice:
+        raise NonPhysicalParameter(f"fit parameter {twice[0]!r} is named more than once")
     if not free:
         raise SingularFit("no free parameters requested")
 
@@ -304,7 +292,6 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
         "delta": cfg.cavity.mismatch_ps_per_cycle,
         "psi2": cfg.cavity.dispersion_ps2_per_cycle,
     }
-    w = 1.0 / sigma if sigma is not None else np.ones_like(y)
 
     def model_curve(params):
         p = dict(defaults)
@@ -316,14 +303,5 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
         })
         return p["amplitude"] * readout.readout_curve(c, delays)[2][index]
 
-    def resid(params):
-        return (model_curve(params) - y) * w
-
-    from . import solvers
-
-    p0 = np.array([defaults[name] for name in free])
-    res = solvers.least_squares(resid, p0, xtol=1e-8, ftol=1e-12, max_nfev=500 * len(free))
-    if not res.success:
-        raise NoConvergence("memory-model fit did not converge",
-                            best=dict(zip(free, res.x)))
-    return _fit_result(free, res, y, model_curve(res.x))
+    return _fit(free, model_curve, np.array([defaults[name] for name in free]), y, sigma,
+                "memory-model fit", xtol=1e-8, max_nfev=500 * len(free))

@@ -246,6 +246,36 @@ def test_fit_on_non_finite_series_names_the_row(tmp_path, capsys, kind, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("kind", ["exponential", "memory"])
+def test_fit_reads_line_one_as_data_unless_it_is_a_header(tmp_path, capsys, kind):
+    """A series whose line 1 is all numbers has no header: its first row is
+    data, so it fits exactly as the same rows under a header."""
+    t = np.arange(1, 21, dtype=float)
+    rows = "\n".join(f"{a},{b:.17g}" for a, b in zip(t, 0.3 * np.exp(-t / 67.0))) + "\n"
+    extra = ["--config", CONFIG] if kind == "memory" else []
+    docs = []
+    for name, header in (("headed.csv", "T,value\n"), ("bare.csv", "")):
+        data = tmp_path / name
+        data.write_text(header + rows)
+        code, out, err = run_cli(capsys, "fit", "--kind", kind, "--data", str(data), *extra)
+        assert code == 0, err
+        docs.append({k: v for k, v in json.loads(out).items() if k != "timings"})
+    assert docs[0] == docs[1]
+    assert docs[1]["n_points"] == 20
+
+
+def test_fit_with_a_free_parameter_named_twice_is_config_error(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, *[a.format(tmp=tmp_path) for a in SWEEP_60])
+    assert code == 0
+    code, out, err = run_cli(capsys, "fit", "--kind", "memory", "--data",
+                             str(tmp_path / "sweep.csv"), "--config", CONFIG,
+                             "--free", "lifetime,lifetime,amplitude")
+    assert code == 2
+    body = json.loads(err)
+    assert body["error"] == "NonPhysicalParameter" and "'lifetime'" in body["message"]
+    assert out == ""
+
+
 def test_fit_on_empty_series_is_empty_input(tmp_path):
     """A series with a header and no rows fails as EmptyInput naming the file,
     and nothing but the JSON body reaches stderr."""
@@ -291,6 +321,28 @@ def test_missing_config_key_exit_code(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("text", ["3", "null", "[]", '"x"'])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    """A config file holding a JSON value other than an object is a
+    MissingConfigKey body on stderr with exit 2, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run_cli(capsys, "validate", "--config", str(bad))
+    assert code == 2
+    assert json.loads(err) == {"error": "MissingConfigKey",
+                               "message": "the config must be an object"}
+    assert out == ""
+
+
+def test_stats_with_unreachable_eta_conversion_exits_3(capsys):
+    code, out, err = run_cli(capsys, "stats", "--config", CONFIG,
+                             "--calibrate", "eta_conversion=0.9999")
+    assert code == 3
+    assert json.loads(err) == {"error": "NoConvergence",
+                               "message": "conversion saturates at 0.9475 < target 0.9999"}
+    assert out == ""
+
+
 def test_config_with_fock_cutoff_rejected(tmp_path, capsys):
     doc = json.loads(default_config_path("primary_cavity").read_text())
     doc["fock_cutoff"] = 8
@@ -317,7 +369,7 @@ UNUSED_BY = {"validate": ("numpy",),
              "sweep": ("fcsim.estimators", "fcsim.fockstats", "fcsim.trialsim",
                        "fcsim.multiplex", "fcsim.solvers"),
              "stats": ("fcsim.estimators", "fcsim.trialsim", "fcsim.multiplex"),
-             "fit": ("fcsim.trialsim", "fcsim.multiplex"),
+             "fit": ("fcsim.trialsim", "fcsim.multiplex", "hashlib"),
              "multiplex": ("fcsim.estimators", "fcsim.trialsim", "fcsim.solvers")}
 
 
@@ -340,15 +392,17 @@ def _assert_not_loaded(modules) -> str:
     [["stats", "--config", CONFIG, *PUBLISHED_CALIBRATION,
       "--out-config", "{tmp}/calibrated.json"]],
     [["stats", "--config", ALTERNATE, *PUBLISHED_CALIBRATION]],
-    [SWEEP_60, ["fit", "--kind", "exponential", "--data", "{tmp}/sweep.csv"]],
-    [SWEEP_60, ["fit", "--kind", "memory", "--data", "{tmp}/sweep.csv", "--config", CONFIG]],
+    [["fit", "--kind", "exponential", "--data", "{tmp}/sweep.csv"]],
+    [["fit", "--kind", "memory", "--data", "{tmp}/sweep.csv", "--config", CONFIG]],
 ], ids=["import", "validate", "simulate", "sweep_delay", "sweep_energy", "multiplex",
         "stats", "stats_calibrate_primary", "stats_calibrate_alternate", "fit_exponential",
         "fit_memory"])
 def test_cli_loads_no_scipy(tmp_path, commands):
     """Every command runs in a fresh interpreter in which importing scipy
     fails, and loads only the modules it runs: never numpy.ma or
-    numpy.polynomial, and none of those in UNUSED_BY for its name."""
+    numpy.polynomial, and none of those in UNUSED_BY for its name. The
+    series that `fit` reads is written here first, outside that interpreter."""
+    assert main([a.format(tmp=tmp_path) for a in SWEEP_60]) == 0
     run = "".join(f"assert fcsim.cli.main({[a.format(tmp=tmp_path) for a in argv]!r}) == 0; "
                   + _assert_not_loaded(NEVER_LOADED + UNUSED_BY.get(argv[0], ()))
                   for argv in commands)

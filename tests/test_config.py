@@ -66,6 +66,13 @@ def test_energy_conservation_rejects_typo(primary):
     assert "translation" in str(err.value)
 
 
+def test_translation_to_a_negative_wavenumber_is_nonphysical(primary):
+    """1/l_s - (1/l_q - 1/l_p) <= 0 has no output wavelength: the check names
+    the relation before comparing lambda_r_nm."""
+    with pytest.raises(NonPhysicalParameter, match="non-positive output wavenumber"):
+        primary.replace_fields(**{"scheme.lambda_q_nm": 1e-3})
+
+
 def test_nonphysical_rejected(primary):
     with pytest.raises(NonPhysicalParameter):
         primary.replace_fields(**{"pulses.energy_p_nj": -1.0})
@@ -161,7 +168,12 @@ def _without(doc, section, key=None):
     (lambda doc: _without(doc, "cavity", "length_m"),
      "missing key(s) in section 'cavity': ['length_m']"),
     (lambda doc: {**doc, "pulses": [1.0, 2.0]}, "section 'pulses' must be an object"),
-], ids=["missing_section", "missing_key", "section_not_an_object"])
+    (lambda doc: 3, "the config must be an object"),
+    (lambda doc: None, "the config must be an object"),
+    (lambda doc: [], "the config must be an object"),
+    (lambda doc: "x", "the config must be an object"),
+], ids=["missing_section", "missing_key", "section_not_an_object", "config_int",
+        "config_null", "config_list", "config_string"])
 def test_missing_config_key(primary, edit, message):
     doc = edit(config_to_dict(primary))
     with pytest.raises(MissingConfigKey, match=re.escape(message)):

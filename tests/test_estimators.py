@@ -218,6 +218,18 @@ def test_bootstrap_counts_dropped_resamples():
     assert math.isfinite(est.standard_error)
 
 
+@pytest.mark.parametrize("block_triggers, resamples", [(0, 200), (-5, 200), (100, -3)])
+@pytest.mark.parametrize("estimate", [lambda rec, **kw: estimate_g2(rec, "cross_hs", **kw),
+                                      klyshko_efficiency], ids=["g2", "klyshko"])
+def test_bad_bootstrap_arguments_are_nonphysical(estimate, block_triggers, resamples):
+    """A block under one trigger or a negative resample count is a typed error
+    naming both, raised before a bootstrap is built or kept."""
+    rec = seen_in_two_blocks()
+    with pytest.raises(NonPhysicalParameter, match=f"got {block_triggers} and {resamples}"):
+        estimate(rec, block_triggers=block_triggers, resamples=resamples)
+    assert rec._bootstraps == {}
+
+
 def _bootstrap_or_error(estimate, *args):
     try:
         return estimate(*args)
@@ -497,3 +509,13 @@ def test_memory_model_counts_distinct_delays(primary):
     res = fit_memory_model(np.column_stack([t, y]), ("amplitude",), primary)
     assert res.values["amplitude"] == pytest.approx(0.5, rel=1e-9)
     assert res.n_points == t.size
+
+
+def test_memory_model_rejects_a_parameter_named_twice(primary):
+    """A free parameter named twice is an error naming it, not a fit with one
+    value and an infinite error for every parameter."""
+    t = np.arange(1.0, 41.0)
+    y = 0.5 * readout.readout_curve(primary, t)[2]
+    with pytest.raises(NonPhysicalParameter, match="'lifetime' is named more than once"):
+        fit_memory_model(np.column_stack([t, y]), ("lifetime", "lifetime", "amplitude"),
+                         primary)

@@ -374,6 +374,22 @@ def test_calibrate_unreachable_target(primary, target, value):
         calibrate(primary, {target: value})
 
 
+@pytest.mark.parametrize("value", [2.0, 1.5])
+def test_calibrate_g2_xc_hs_at_or_below_the_floor(primary, value):
+    """g2_xc_hs = 1 + 1/k + 1/mu never reaches 1 + 1/k (2 for the primary's
+    single mode), so no mean pair number gives it."""
+    assert primary.source.schmidt_modes == 1.0
+    with pytest.raises(NoConvergence, match=f"target {value} is at or below the 2.000 floor"):
+        calibrate(primary, {"g2_xc_hs": value})
+
+
+def test_calibrate_eta_conversion_beyond_saturation(primary):
+    """The conversion efficiency at delay 1 saturates at 0.9475 on the primary
+    config; a higher target names that maximum."""
+    with pytest.raises(NoConvergence, match=r"saturates at 0\.9475 < target 0\.9999"):
+        calibrate(primary, {"eta_conversion": 0.9999})
+
+
 PUBLISHED_TARGETS = {"g2_xc_hs": 26.0, "herald_rate_cps": 474.0, "g2_noise": 1.09,
                      "eta_conversion": 0.80, "heralded_prob": 0.096}
 
