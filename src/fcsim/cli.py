@@ -16,7 +16,6 @@ import json
 import numbers
 import sys
 import time
-import warnings
 
 from . import __version__, atomic
 from .config import ValidatedConfig, config_hash, load_config, save_config
@@ -170,22 +169,34 @@ def _cmd_sweep(args) -> int:
 
 def _read_series(path) -> np.ndarray:
     """Decay series rows (T, value[, stderr]); a sweep CSV gives (T_or_Ep, total).
-    Line 1 is a header unless every field of it is a number. EmptyInput if
-    the file has no rows under its header."""
+    Line 1 is a header unless every field of it is a number; '#' starts a
+    comment, and empty lines are skipped. NonPhysicalParameter names the
+    first line with a field that is not a number, or with more or fewer
+    fields than the first row; EmptyInput if no row is left."""
     import numpy as np
 
-    with open(path, encoding="utf-8") as fh:
-        header = [name.strip() for name in fh.readline().split(",")]
-    try:
-        list(map(float, header))
-        skip = 0
-    except ValueError:
-        skip = 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "input contained no data": see below
-        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    if data.size == 0:
+    header, rows = [], []
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for number, line in enumerate(fh, start=1):
+            text = line.split("#")[0].rstrip("\n")
+            if not text:
+                continue
+            fields = text.split(",")
+            try:
+                row = [float(field) for field in fields]
+            except ValueError:
+                if number == 1:
+                    header = [name.strip() for name in line.split(",")]
+                    continue
+                raise NonPhysicalParameter(
+                    f"{path}: line {number} holds a value that is not a number") from None
+            if rows and len(row) != len(rows[0]):
+                raise NonPhysicalParameter(f"{path}: line {number} has {len(row)} values, "
+                                           f"the rows above it {len(rows[0])}")
+            rows.append(row)
+    if not rows:
         raise EmptyInput(f"{path}: no data rows under the header")
+    data = np.array(rows)
     if "T_or_Ep" in header and "total" in header:
         data = data[:, [header.index("T_or_Ep"), header.index("total")]]
     return data

@@ -112,9 +112,10 @@ def _bootstrap_sums(records: ClickRecords, block_triggers: int, resamples: int,
     row 0 over the whole stream, each further row over one resample, its
     blocks weighed by how often it drew them. Built once per (block_triggers,
     resamples, seed) of a record set and kept on it."""
-    if block_triggers < 1 or resamples < 0:
-        raise NonPhysicalParameter("bootstrap needs block_triggers >= 1 and resamples >= 0, "
-                                   f"got {block_triggers} and {resamples}")
+    if (not all(isinstance(v, (int, np.integer)) for v in (block_triggers, resamples))
+            or block_triggers < 1 or resamples < 0):
+        raise NonPhysicalParameter("bootstrap needs integers block_triggers >= 1 and "
+                                   f"resamples >= 0, got {block_triggers} and {resamples}")
     key = (block_triggers, resamples, seed)
     if key in records._bootstraps:
         return records._bootstraps[key]

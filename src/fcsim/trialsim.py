@@ -36,10 +36,14 @@ BLOCK_TRIGGERS = 1 << 20
 GENERATOR_NAME = "numpy-pcg64-sparse3"
 
 CSV_HEADER = "trigger,H,S,R1,R2"
-# the row tails ",H,S,R1,R2\n" as (16, width) uint8, indexed by the mask
-_CSV_TAILS = np.frombuffer("".join(
-    f",{m & 1},{m >> 1 & 1},{m >> 2 & 1},{m >> 3}\n" for m in range(16)).encode("ascii"),
-    dtype=np.uint8).reshape(16, -1)
+_HEADER_LINE = (CSV_HEADER + "\n").encode("ascii")
+# a row is k trigger digits, then the tail ",H,S,R1,R2" (8 bytes), then "\n"
+_TAIL8 = np.frombuffer("".join(f",{m & 1},{m >> 1 & 1},{m >> 2 & 1},{m >> 3}"
+                               for m in range(16)).encode("ascii"), dtype="<u8")
+_FLAG_BITS = np.uint64(0x0100010001000100)  # bit 0 of the tail's flag bytes 1, 3, 5, 7
+# "0000".."9999" as little-endian uint32 words of their ASCII digits
+_DIGITS4 = 0x30303030 + sum(np.arange(10000, dtype=np.uint32) // 10**(3 - j) % 10 << 8 * j
+                            for j in range(4))
 BINARY_DTYPE = np.dtype([("trigger", "<u8"), ("mask", "u1")])
 MAX_DELAY = 65535  # largest readout delay of a run (its manifest's range)
 # JSON types each annotated manifest field accepts; bool never stands for a number
@@ -278,53 +282,122 @@ def _check_records(records: ClickRecords, p: Path) -> None:
         raise CorruptRecords(f"{p}: click mask above {MASK_H | MASK_S | MASK_R1 | MASK_R2}")
 
 
-def _csv_tables(records: ClickRecords):
-    """The rows under CSV_HEADER as uint8 tables of text, one per trigger digit
-    count k: rising triggers without leading zeros keep each k contiguous."""
-    edges = np.searchsorted(records.trigger, 10 ** np.arange(1, 20, dtype=np.uint64))
-    for k, lo, hi in zip(range(1, 21), [0, *edges], [*edges, records.trigger.size]):
-        table = np.take(np.pad(_CSV_TAILS, ((0, 0), (k, 0))), records.mask[lo:hi], axis=0)
-        rest = records.trigger[lo:hi].astype(np.uint32 if k <= 9 else np.uint64)
-        for j in range(k - 1, -1, -1):  # the digits, into the k columns before the tail
-            rest, digit = np.divmod(rest, 10)
-            table[:, j] = digit + ord("0")
-        yield table
+def _field(buf, offset: int, rows: int, length: int, dtype) -> np.ndarray:
+    """The field at offset of each of rows rows of length bytes in buf, as a
+    strided view."""
+    return np.ndarray(rows, dtype, buffer=buf, offset=offset, strides=(length,))
+
+
+def _csv_bytes(records: ClickRecords) -> np.ndarray:
+    """The CSV file as one uint8 buffer. Rising triggers without leading zeros
+    keep the rows of each trigger digit count k contiguous, so each field of
+    such a group is one strided view: the digits 4 at a time as uint32 words,
+    the tail as one uint64 word, the newline as one byte."""
+    trigger = records.trigger
+    edges = [0, *np.searchsorted(trigger, 10 ** np.arange(1, 20, dtype=np.uint64)).tolist(),
+             trigger.size]
+    out = np.empty(len(_HEADER_LINE) + int(np.diff(edges) @ np.arange(10, 30)), np.uint8)
+    out[:len(_HEADER_LINE)] = np.frombuffer(_HEADER_LINE, np.uint8)
+    o = len(_HEADER_LINE)
+    for k, lo, hi in zip(range(1, 21), edges[:-1], edges[1:]):
+        n, length = hi - lo, k + 9
+        if not n:
+            continue
+        rest = trigger[lo:hi].astype(np.uint32) if k <= 9 else trigger[lo:hi]
+        chunks = []  # 4 digits each, from the right
+        for _ in range((k - 1) // 4):
+            rest, chunk = np.divmod(rest, 10000)
+            chunks.append(chunk)
+        w = k - 4 * len(chunks)  # digits of the leading chunk, 1..4
+        # the leading chunk scaled left: the next chunk, or the tail, overwrites its padding
+        lead = rest % 10**w  # no trigger can index beyond _DIGITS4
+        lead *= 10**(4 - w)
+        for pos, chunk in zip([0, *range(w, k, 4)], [lead, *reversed(chunks)]):
+            _field(out, o + pos, n, length, "<u4")[:] = np.take(_DIGITS4, chunk)
+        _field(out, o + k, n, length, "<u8")[:] = np.take(_TAIL8, records.mask[lo:hi])
+        _field(out, o + k + 8, n, length, np.uint8)[:] = ord("\n")
+        o += n * length
+    return out
+
+
+def _leading_newlines(ends: np.ndarray) -> int:
+    """How many of ends, from the first, are newlines: a galloping search."""
+    n, step = 0, 16
+    while n < ends.size:
+        other = ends[n:n + step] != ord("\n")
+        if other.any():
+            return n + int(other.argmax())
+        n, step = n + step, 2 * step
+    return ends.size
+
+
+def _digits_value(word: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The numbers 0..9999 that the uint32 words of four ASCII digits spell,
+    computed in word. Each byte of word that is not '0'..'9' sets a high bit
+    of bad: the SWAR range test ((x + 0x46464646) | (x - 0x30303030)) & 0x80808080."""
+    over = word + 0x46464646
+    word -= 0x30303030  # each digit's value, in its byte
+    over |= word
+    bad |= over
+    word *= 2561  # 10 * 256 + 1: the digit pairs 10 d0 + d1 and 10 d2 + d3 in bytes 1 and 3
+    word >>= 8
+    word &= 0x00FF00FF
+    word *= 6553601  # 100 * 65536 + 1: 100 (10 d0 + d1) + 10 d2 + d3 in the upper half
+    word >>= 16
+    return word
 
 
 def _parse_csv(data: bytes, p: Path):
     """(trigger, mask) of a CSV file exactly as write_records writes it, else
-    CorruptRecords naming the first line that differs; rows of one length form one table."""
+    CorruptRecords naming the first line that differs. Rows of k digits are
+    k + 9 bytes and follow those of fewer, so each k is one run of rows whose
+    newlines fall every k + 9 bytes, read and checked through strided views."""
     form = "a row '<trigger>,<H>,<S>,<R1>,<R2>' in canonical form"
-    if not data.startswith((CSV_HEADER + "\n").encode("ascii")):
+    if not data.startswith(_HEADER_LINE):
         raise CorruptRecords(f"{p}: line 1 is not the header {CSV_HEADER!r}")
     buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))  # the header's newline first
-    length = np.diff(ends)  # of each row, its newline included
-    # where each run of one row length starts: a row holds its newline, so row 0 differs from 0
-    runs = [*np.flatnonzero(np.diff(length, prepend=0)).tolist(), length.size]
-    trigger, mask = np.empty(length.size, np.uint64), np.empty(length.size, np.uint8)
-    tail_low, tail_span = _CSV_TAILS[0], _CSV_TAILS[15] - _CSV_TAILS[0]  # flags 0, or 1
-    for lo, hi in zip(runs[:-1], runs[1:]):
-        k = int(length[lo]) - tail_low.size  # trigger digits
-        if not 1 <= k <= 20 or length[lo] < length[max(lo - 1, 0)]:
-            raise CorruptRecords(f"{p}: line {lo + 2} is not {form}")
-        # a byte is low..low+span: a digit (1..9 first of several), a flag 0/1, else as in the tail
-        low = np.array([ord("0") + (k > 1)] + [ord("0")] * (k - 1) + [*tail_low], dtype=np.uint8)
-        span = np.array([9 - (k > 1)] + [9] * (k - 1) + [*tail_span], dtype=np.uint8)
-        table = buf[ends[lo] + 1:ends[hi] + 1].reshape(hi - lo, -1)
-        off = table - low
-        wrong = off > span
+    groups, o = [], len(_HEADER_LINE)
+    for k in range(1, 21):
+        n = _leading_newlines(buf[o + k + 8::k + 9])
+        groups.append((k, o, n))
+        o += n * (k + 9)
+    rows = sum(n for _, _, n in groups)
+    trigger, mask = np.empty(rows, np.uint64), np.empty(rows, np.uint8)
+    row = 0
+    for k, start, n in groups:
+        if not n:
+            continue
+        length = k + 9
+        w = k - 4 * ((k - 1) // 4)  # digits of the leading chunk, 1..4
+        # the leading chunk's own bytes, shifted to the end of a word padded with '0'
+        lead = _field(buf, start, n, length, "<u4") << 8 * (4 - w)
+        lead |= 0x30303030 >> 8 * w
+        bad = np.zeros(n, np.uint32)
+        value = trigger[row:row + n]
+        value[:] = _digits_value(lead, bad)
+        for pos in range(w, k, 4):
+            value *= 10000
+            value += _digits_value(_field(buf, start + pos, n, length, "<u4").copy(), bad)
+        wrong = bad & 0x80808080 != 0
+        if k > 1:  # no leading zero
+            wrong |= value < 10 ** (k - 1)
         if k == 20:  # above 2^64 - 1, compared as text
-            wrong[:, 0] |= table[:, :20].copy().view("S20")[:, 0] > str(2**64 - 1).encode()
+            text = np.ndarray((n, 20), np.uint8, buffer=buf, offset=start, strides=(length, 1))
+            wrong |= text.copy().view("S20")[:, 0] > str(2**64 - 1).encode()
+        tail = _field(buf, start + k, n, length, "<u8").copy()
+        # the tail is _TAIL8[mask]: with bit 0 of each flag byte cleared, it is _TAIL8[0]
+        wrong |= tail & ~_FLAG_BITS != _TAIL8[0]
         if wrong.any():
-            raise CorruptRecords(f"{p}: line {lo + 2 + np.argmax(wrong.any(1))} is not {form}")
-        value = off[:, 0].astype(np.uint32 if k <= 9 else np.uint64) + (k > 1)
-        for j in range(1, k):
-            value = value * 10 + off[:, j]
-        trigger[lo:hi] = value
-        mask[lo:hi] = off[:, -8] | off[:, -6] << 1 | off[:, -4] << 2 | off[:, -2] << 3
-    if not data.endswith(b"\n"):
-        raise CorruptRecords(f"{p}: line {length.size + 2} is not {form}")
+            raise CorruptRecords(f"{p}: line {row + 2 + int(wrong.argmax())} is not {form}")
+        # the flag bits 8, 24, 40, 56 to bits 0, 16, 32, 48, then all four to bits 56..59
+        tail >>= 8
+        tail &= _FLAG_BITS >> 8
+        tail *= 2**56 + 2**41 + 2**26 + 2**11
+        tail >>= 56
+        mask[row:row + n] = tail
+        row += n
+    if o != buf.size:  # the first line no run of rows took
+        raise CorruptRecords(f"{p}: line {row + 2} is not {form}")
     return trigger, mask
 
 
@@ -341,7 +414,7 @@ def write_records(records: ClickRecords, path) -> None:
         atomic.write_bytes(p, np.rec.fromarrays(
             [records.trigger, records.mask], dtype=BINARY_DTYPE))
     else:
-        atomic.write_bytes(p, (CSV_HEADER + "\n").encode("ascii"), *_csv_tables(records))
+        atomic.write_bytes(p, _csv_bytes(records))
     try:
         atomic.write_text(manifest_path(p), records.manifest.to_json())
     except BaseException:

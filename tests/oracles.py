@@ -18,7 +18,8 @@ Three further references replace fast package code with the plain version
 it was derived from: adaptive_overlap integrates the readout overlap by the
 trapezoid rule on a uniform grid refined until it settles (it shares only
 readout.xi_profile with the package), csv_records_text formats click
-records one row at a time, and bootstrap_ratio_loop tallies each block's
+records one row at a time and csv_records_rows reads them back one line
+at a time, and bootstrap_ratio_loop tallies each block's
 patterns record by record (np.add.at) and draws and sums the block
 bootstrap one resample at a time.
 
@@ -377,6 +378,31 @@ def csv_records_text(records):
                      f"{int(bool(m & MASK_S))},{int(bool(m & MASK_R1))},"
                      f"{int(bool(m & MASK_R2))}")
     return "\n".join(lines) + "\n"
+
+
+def csv_records_rows(data):
+    """(trigger, mask) arrays of CSV record bytes read line by line, or the
+    1-based number of the first line that is not what csv_records_text
+    writes. A row shorter than the row before it is such a line, and so is
+    text after the last newline."""
+    *lines, rest = data.split(b"\n")
+    if not lines or lines[0] != CSV_HEADER.encode("ascii"):
+        return 1
+    trigger, mask, previous = [], [], 0
+    for number, line in enumerate(lines[1:], start=2):
+        fields = line.split(b",")
+        digits, flags = fields[0], fields[1:]
+        if not (len(fields) == 5 and 1 <= len(digits) <= 20 and digits.isdigit()
+                and (len(digits) == 1 or digits[:1] != b"0") and int(digits) <= 2**64 - 1
+                and all(flag in (b"0", b"1") for flag in flags) and len(line) >= previous):
+            return number
+        trigger.append(int(digits))
+        mask.append(sum(bit for bit, flag in zip((MASK_H, MASK_S, MASK_R1, MASK_R2), flags)
+                        if flag == b"1"))
+        previous = len(line)
+    if rest:
+        return len(lines) + 1
+    return np.array(trigger, dtype=np.uint64), np.array(mask, dtype=np.uint8)
 
 
 def pattern_hits(name, mask):

@@ -246,6 +246,24 @@ def test_fit_on_non_finite_series_names_the_row(tmp_path, capsys, kind, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("row, message", [
+    ("2,abc", "line 3 holds a value that is not a number"),
+    ("2,0.25,0.01", "line 3 has 3 values, the rows above it 2"),
+], ids=["not_a_number", "ragged_row"])
+@pytest.mark.parametrize("kind", ["exponential", "memory"])
+def test_fit_on_unreadable_series_names_the_line(tmp_path, capsys, kind, row, message):
+    """A value that is not a number, or a row wider than the rows above it, is
+    the typed error a non-finite value is (exit 2), naming the file's line."""
+    data = tmp_path / "decay.csv"
+    data.write_text(f"T,value\n1,0.5\n{row}\n3,0.125\n")
+    extra = ["--config", CONFIG] if kind == "memory" else []
+    code, out, err = run_cli(capsys, "fit", "--kind", kind, "--data", str(data), *extra)
+    assert code == 2
+    assert json.loads(err) == {"error": "NonPhysicalParameter",
+                               "message": f"{data}: {message}"}
+    assert out == ""
+
+
 @pytest.mark.parametrize("kind", ["exponential", "memory"])
 def test_fit_reads_line_one_as_data_unless_it_is_a_header(tmp_path, capsys, kind):
     """A series whose line 1 is all numbers has no header: its first row is

@@ -218,7 +218,8 @@ def test_bootstrap_counts_dropped_resamples():
     assert math.isfinite(est.standard_error)
 
 
-@pytest.mark.parametrize("block_triggers, resamples", [(0, 200), (-5, 200), (100, -3)])
+@pytest.mark.parametrize("block_triggers, resamples", [(0, 200), (-5, 200), (100, -3),
+                                                     (100.5, 200), (100, 2.5)])
 @pytest.mark.parametrize("estimate", [lambda rec, **kw: estimate_g2(rec, "cross_hs", **kw),
                                       klyshko_efficiency], ids=["g2", "klyshko"])
 def test_bad_bootstrap_arguments_are_nonphysical(estimate, block_triggers, resamples):
@@ -228,6 +229,18 @@ def test_bad_bootstrap_arguments_are_nonphysical(estimate, block_triggers, resam
     with pytest.raises(NonPhysicalParameter, match=f"got {block_triggers} and {resamples}"):
         estimate(rec, block_triggers=block_triggers, resamples=resamples)
     assert rec._bootstraps == {}
+
+
+def test_numpy_integer_bootstrap_arguments_give_the_same_estimate():
+    """block_triggers and resamples as numpy integers are accepted and change
+    no bit of the value, the error or the dropped resamples."""
+    block, resamples = SEEN_BLOCK, estimators.BOOTSTRAP_RESAMPLES
+    want = klyshko_efficiency(seen_in_two_blocks(), block_triggers=block, resamples=resamples,
+                              seed=3)
+    got = klyshko_efficiency(seen_in_two_blocks(), block_triggers=np.int64(block),
+                             resamples=np.uint16(resamples), seed=3)
+    assert (got.value, got.standard_error, got.dropped_resamples) == (
+        want.value, want.standard_error, want.dropped_resamples)
 
 
 def _bootstrap_or_error(estimate, *args):

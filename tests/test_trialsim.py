@@ -21,7 +21,7 @@ from fcsim.trialsim import (
     simulate_run,
     write_records,
 )
-from oracles import csv_records_text
+from oracles import csv_records_rows, csv_records_text
 
 
 def quiet_config(primary):
@@ -226,6 +226,84 @@ def test_noncanonical_csv_is_corrupt_records(tmp_path, old, new, line):
                     newline="")
     with pytest.raises(CorruptRecords, match=f"line {line} "):
         read_records(path)
+    assert csv_records_rows(path.read_bytes()) == line
+
+
+# the triggers on both sides of every digit-count edge, then any uint64
+DIGIT_EDGES = sorted({10**j + d for j in range(20) for d in (-1, 0, 1)} | {2**64 - 1})
+TRIGGERS = st.one_of(st.sampled_from(DIGIT_EDGES), st.integers(0, 2**64 - 1),
+                     st.integers(1, 19).flatmap(lambda k: st.integers(0, 10**k - 1)))
+RECORD_ROWS = st.lists(st.tuples(TRIGGERS, st.integers(0, 15)), max_size=12,
+                       unique_by=lambda row: row[0])
+
+
+def _sorted_records(rows):
+    rows = sorted(rows)
+    return _records([t for t, _ in rows], [m for _, m in rows])
+
+
+@settings(deadline=None, max_examples=100)
+@given(rows=RECORD_ROWS)
+def test_csv_writer_matches_row_by_row_text_on_random_records(tmp_path_factory, rows):
+    records = _sorted_records(rows)
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    write_records(records, path)
+    assert path.read_bytes() == csv_records_text(records).encode("ascii")
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows=RECORD_ROWS,
+       edits=st.lists(st.tuples(st.sampled_from(["substitute", "insert", "delete"]),
+                                st.integers(0, 2**16), st.sampled_from(b"0123456789,\n\r ")),
+                      max_size=3))
+def test_csv_reader_matches_line_by_line_oracle(tmp_path_factory, rows, edits):
+    """On a file write_records wrote, with up to 3 bytes substituted, inserted or
+    deleted, read_records gives the records a plain line-by-line reader gives,
+    or names the first line that reader rejects."""
+    path = tmp_path_factory.getbasetemp() / "edited.csv"
+    write_records(_sorted_records(rows), path)
+    data = bytearray(path.read_bytes())
+    for op, at, byte in edits:
+        at %= len(data) + (op == "insert")
+        if op == "substitute":
+            data[at] = byte
+        elif op == "insert":
+            data.insert(at, byte)
+        else:
+            del data[at]
+    path.write_bytes(data)
+    want = csv_records_rows(bytes(data))
+    if isinstance(want, int):
+        with pytest.raises(CorruptRecords, match=f": line {want} is not"):
+            read_records(path)
+    elif np.all(want[0][1:] > want[0][:-1]):
+        back = read_records(path)
+        assert np.array_equal(back.trigger, want[0]) and np.array_equal(back.mask, want[1])
+    else:  # rows of one length in another order read, and then fail the order check
+        with pytest.raises(CorruptRecords, match="not strictly increasing"):
+            read_records(path)
+
+
+def test_every_one_byte_edit_reads_as_the_line_by_line_oracle_reads_it(tmp_path):
+    """Each byte of a file with every digit-count edge and a run of 22 rows of
+    one length deleted, replaced by '/' or ':' (next to the digits), or
+    replaced by or preceded by a zero, a comma or a newline: the parser gives
+    the records the line-by-line reader gives, or names the line it rejects."""
+    path = tmp_path / "edited.csv"
+    trigger = sorted(EDGE_TRIGGERS + list(range(101, 121)))
+    write_records(_records(trigger, [t % 16 for t in trigger]), path)
+    data = path.read_bytes()
+    edits = [data[:at] + new + data[at + cut:] for at in range(len(data))
+             for new, cut in [(b"", 1), (b"/", 1), (b":", 1),
+                              *((byte, cut) for byte in (b"0", b",", b"\n") for cut in (0, 1))]]
+    for edited in edits + [data + b"1", data + b"\n"]:
+        want = csv_records_rows(edited)
+        if isinstance(want, int):
+            with pytest.raises(CorruptRecords, match=f": line {want} is not"):
+                trialsim._parse_csv(edited, path)
+        else:
+            got = trialsim._parse_csv(edited, path)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
