@@ -169,9 +169,9 @@ def _cmd_sweep(args) -> int:
 
 def _read_series(path) -> np.ndarray:
     """Decay series rows (T, value[, stderr]); a sweep CSV gives (T_or_Ep, total).
-    Line 1 is a header unless every field of it is a number; '#' starts a
-    comment, and empty lines are skipped. NonPhysicalParameter names the
-    first line with a field that is not a number, or with more or fewer
+    '#' starts a comment, and empty lines are skipped; the first line left is
+    a header unless every field of it is a number. NonPhysicalParameter names
+    the first line with a field that is not a number, or with more or fewer
     fields than the first row; EmptyInput if no row is left."""
     import numpy as np
 
@@ -185,8 +185,8 @@ def _read_series(path) -> np.ndarray:
             try:
                 row = [float(field) for field in fields]
             except ValueError:
-                if number == 1:
-                    header = [name.strip() for name in line.split(",")]
+                if not rows and not header:
+                    header = [name.strip() for name in fields]
                     continue
                 raise NonPhysicalParameter(
                     f"{path}: line {number} holds a value that is not a number") from None

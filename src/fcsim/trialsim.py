@@ -9,7 +9,9 @@ same way, and the dark clicks of all four detectors. Their photon numbers
 come from the zero-truncated negative binomial, and each photon draws one
 uniform that decides where it clicks, if anywhere. Records are kept only
 for clicked triggers, as (trigger, mask); the manifest carries the trigger
-and record counts and the one readout delay of the run.
+and record counts and the one readout delay of the run. Inside a block,
+trigger indices and the merge keys trigger << 2 | detector are uint32;
+simulate_run widens them to uint64 once, when it adds the block's start.
 
 Reproducibility: triggers are simulated in fixed-size blocks, each block
 drawing from a PCG64 stream seeded by (run seed, block index). Identical
@@ -179,8 +181,8 @@ def _photon_counts(rng: np.random.Generator, mean: float, k: float, count: int):
     """(trigger indices, photon numbers) of the triggers with n > 0 among count
     NB(mean, k) draws: geometric gaps, then the zero-truncated inverse CDF."""
     if mean <= 0.0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    idx = positions(rng, _nonzero_prob(mean, k), count)
+        return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64)
+    idx = positions(rng, _nonzero_prob(mean, k), count).astype(np.uint32)
     cdf = zero_truncated_nb(mean, k)[1]
     return idx, np.searchsorted(cdf, rng.random(idx.size), side="right") + 1
 
@@ -209,8 +211,9 @@ def _simulate_block(cfg: ValidatedConfig, mu: float, p_monitor: float,
     # gate d * count + i of one draw over all four detectors: trigger i, detector d
     dark = positions(rng, det.dark_prob_per_gate, 4 * count)
     # one sort key per click, trigger << 2 | d for detector d = H, S, R1, R2
-    key = np.concatenate([herald, pair_at[seen], noise_at, dark % count]) << 2
-    key |= np.concatenate([np.zeros_like(herald), branch[seen] + 1, noise_det, dark // count])
+    key = np.concatenate([herald, pair_at[seen], noise_at, (dark % count).astype(np.uint32)]) << 2
+    key |= np.concatenate([np.zeros(herald.size, np.uint8), branch[seen] + 1, noise_det,
+                           (dark // count).astype(np.uint8)])
     key.sort()
     bits = np.left_shift(np.uint8(1), key.astype(np.uint8) & 3)  # detector d's record bit: 1 << d
     key >>= 2

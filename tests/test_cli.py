@@ -282,6 +282,33 @@ def test_fit_reads_line_one_as_data_unless_it_is_a_header(tmp_path, capsys, kind
     assert docs[1]["n_points"] == 20
 
 
+@pytest.mark.parametrize("kind", ["exponential", "memory"])
+def test_fit_reads_the_header_below_leading_comments(tmp_path, capsys, kind):
+    """The header is the first line that is neither a comment nor empty: a
+    series under '# decay' fits exactly as the same rows without it, and a
+    line below that header that is not a number is still named."""
+    t = np.arange(1, 21, dtype=float)
+    rows = "".join(f"{a},{b:.17g},0.01\n" for a, b in zip(t, 0.3 * np.exp(-t / 67.0)))
+    extra = ["--config", CONFIG] if kind == "memory" else []
+    docs = []
+    for name, head in (("plain.csv", "T,value,stderr\n"),
+                       ("commented.csv", "# decay\n\nT,value,stderr\n")):
+        data = tmp_path / name
+        data.write_text(head + rows)
+        code, out, err = run_cli(capsys, "fit", "--kind", kind, "--data", str(data), *extra)
+        assert code == 0, err
+        docs.append({k: v for k, v in json.loads(out).items() if k != "timings"})
+    assert docs[0] == docs[1]
+    assert docs[1]["n_points"] == 20
+    data = tmp_path / "bad.csv"
+    data.write_text("# decay\nT,value,stderr\nT,value,stderr\n" + rows)
+    code, out, err = run_cli(capsys, "fit", "--kind", kind, "--data", str(data), *extra)
+    assert code == 2
+    assert json.loads(err) == {"error": "NonPhysicalParameter",
+                               "message": f"{data}: line 3 holds a value that is not a number"}
+    assert out == ""
+
+
 def test_fit_with_a_free_parameter_named_twice_is_config_error(tmp_path, capsys):
     code, _, _ = run_cli(capsys, *[a.format(tmp=tmp_path) for a in SWEEP_60])
     assert code == 0

@@ -61,6 +61,17 @@ def test_known_herald_probability_rate():
         math.sqrt(0.00617 * (1 - 0.00617) / n) * 76800, rel=0.05)
 
 
+def test_rate_error_is_binomial_at_high_click_probability():
+    """At p = 0.7 the binomial error sqrt(p (1-p) / n) is 0.55 of the Poisson
+    sqrt(p / n); the rate error is the binomial one to rounding."""
+    n = 10_000
+    rates = estimate_rates(synthetic_records(np.repeat([MASK_H, 0], [7000, 3000]), n))
+    clock = 76.8e3
+    assert rates["h"].value == pytest.approx(0.7 * clock, rel=1e-12)
+    assert rates["h"].standard_error == pytest.approx(
+        math.sqrt(0.7 * 0.3 / n) * clock, rel=1e-12)
+
+
 def test_independent_poisson_channels_uncorrelated():
     n = 400_000
     rng = np.random.Generator(np.random.PCG64(1))
@@ -99,6 +110,19 @@ def test_background_subtraction_zeroes_pure_noise(primary):
     diff = subtract_background(a, b)
     for key in ("r", "r1", "r2"):
         assert abs(diff[key].value) < 4 * diff[key].standard_error
+
+
+def test_background_error_adds_both_errors_in_quadrature():
+    signal = estimate_rates(synthetic_records(np.repeat([MASK_H | MASK_R1, MASK_R2, 0],
+                                                        [7000, 1000, 2000]), 10_000))
+    controls = estimate_rates(synthetic_records(np.repeat([MASK_R1, MASK_R2, 0],
+                                                          [300, 500, 19_200]), 20_000))
+    diff = subtract_background(signal, controls)
+    for key in ("h", "r1", "r2", "hr1"):
+        assert diff[key].value == pytest.approx(signal[key].value - controls[key].value,
+                                                rel=1e-12)
+        assert diff[key].standard_error == pytest.approx(
+            math.hypot(signal[key].standard_error, controls[key].standard_error), rel=1e-12)
 
 
 def test_klyshko_lossless_herald():

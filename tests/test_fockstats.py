@@ -326,6 +326,20 @@ def test_mixture_curve_tends_to_noise(primary):
     assert values[0] == pytest.approx(0.58, abs=0.05)
 
 
+@pytest.mark.parametrize("lifetime", [111.0, 12.5])
+def test_monitor_leak_is_one_cycle_of_loss_after_t_minus_one_stored(primary, lifetime):
+    """A photon still stored after T - 1 cycles, e^(-(T-1)/tau), leaks toward
+    the monitor in the readout bin with 1 - e^(-1/tau), and S sees it with
+    eta_s: written out here, apart from the engine, the Monte Carlo and the
+    oracle, which all take the leak from signal_branch_probs."""
+    cfg = primary.replace_fields(**{"cavity.ringdown_lifetime_cycles": lifetime})
+    delays = np.array([1, 2, 50])
+    q_mon, _ = fockstats.signal_branch_probs(cfg, delays)
+    leak = ((1.0 - np.exp(-1.0 / lifetime)) * np.exp(-(delays - 1) / lifetime)
+            * cfg.detectors.eta_s_path)
+    assert np.allclose(q_mon, leak, rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Klyshko identity and calibration
 # ---------------------------------------------------------------------------

@@ -280,6 +280,17 @@ def test_pure_ringdown_is_exponential(primary):
     assert t_e == pytest.approx(111.0, abs=0.01)
 
 
+def test_one_over_e_delay_interpolates_a_pure_ringdown(primary):
+    """A pure ring-down reaches 1/e at its lifetime, between two delays: the
+    log-linear interpolation of an exponential returns it exactly."""
+    cfg = primary.replace_fields(**{
+        "cavity.mismatch_ps_per_cycle": 0.0,
+        "cavity.dispersion_ps2_per_cycle": 0.0,
+        "cavity.ringdown_lifetime_cycles": 67.4,
+    })
+    assert readout.one_over_e_delay(cfg) == pytest.approx(67.4, rel=1e-9)
+
+
 def test_memory_one_over_e_point(primary):
     cfg = primary.replace_fields(**{"cavity.ringdown_lifetime_cycles": 78.0})
     t_e = readout.one_over_e_delay(cfg)

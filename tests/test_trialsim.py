@@ -430,6 +430,32 @@ def test_byte_stream_is_pinned_to_generator_name(tmp_path, primary):
     assert path.stat().st_size == 9 * run.trigger.size
 
 
+# sha256 of trigger.tobytes() + mask.tobytes() of simulate_run(dense, seed=20260810,
+# n_triggers=1_200_000): one full block and a partial one, where most triggers click
+# and the merge sorts the most keys; with and without the pair source
+PINNED_DENSE = {
+    False: (890_452, "e7f1fe6b8af70b9194623507705b15f05e906f7b776a38b0e11376a5d460ae9a"),
+    True: (871_873, "a56eef36b5f162e1a348316e8f55a35e6461aacbeb9650112ef319649e52f602"),
+}
+
+
+@pytest.mark.parametrize("controls_only", [False, True])
+def test_dense_stream_is_pinned(primary, controls_only):
+    dense = primary.replace_fields(**{"source.mean_pairs_per_pulse": 0.25,
+                                      "noise.noise_mean_per_nj": 0.2})
+    run = simulate_run(dense, seed=20260810, n_triggers=1_200_000,
+                       controls_only=controls_only)
+    sample = hashlib.sha256(run.trigger.tobytes() + run.mask.tobytes()).hexdigest()
+    assert (trialsim.GENERATOR_NAME, run.trigger.size, sample) == (
+        "numpy-pcg64-sparse3", *PINNED_DENSE[controls_only])
+
+
+def test_block_merge_keys_fit_in_32_bits():
+    """A block's merge key trigger << 2 | detector is a uint32, so the
+    block may hold at most 2^30 triggers."""
+    assert 4 * trialsim.BLOCK_TRIGGERS <= 2**32
+
+
 def _write_sparse2(run, path):
     """run as the sparse2 layout wrote it: the delay in every record, as a
     uint16 T field of the .bin and a T column of the CSV."""
