@@ -197,10 +197,11 @@ def _series_arrays(series):
     bad = ~np.isfinite(arr).all(axis=1)
     if bad.any():
         raise NonPhysicalParameter(f"series row {bad.argmax() + 1} is not finite")
-    t = arr[:, 0]
-    y = arr[:, 1]
     sigma = arr[:, 2] if arr.shape[1] == 3 else None
-    return t, y, sigma
+    if sigma is not None and np.any(sigma <= 0):
+        raise NonPhysicalParameter(
+            f"series row {np.argmax(sigma <= 0) + 1} has a standard error <= 0")
+    return arr[:, 0], arr[:, 1], sigma
 
 
 def fit_exponential(series) -> FitResult:

@@ -70,31 +70,9 @@ def _erf(x) -> np.ndarray:
     return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _coupling(energy_p_nj, energy_q_nj, nonlinear_coeff, walkoff_ps_per_m, tau_ps) -> float:
-    """g = gamma * sqrt(E_p * E_q) / (3 * beta), after checking the pulse parameters."""
-    if tau_ps <= 0:
-        raise NonPhysicalParameter(f"control tau must be > 0, got {tau_ps}")
-    if walkoff_ps_per_m <= 0:
-        raise NonPhysicalParameter(f"walk-off must be > 0, got {walkoff_ps_per_m}")
-    if energy_p_nj < 0 or energy_q_nj < 0:
-        raise NonPhysicalParameter("control pulse energies must be >= 0")
-    return nonlinear_coeff * math.sqrt(energy_p_nj * energy_q_nj) / (3.0 * walkoff_ps_per_m)
-
-
 def _window(x, walkoff_ratio):
     """xi / g = erf(x + zeta/2) - erf(x - zeta/2) at x = t / tau."""
     return _erf(x + walkoff_ratio / 2.0) - _erf(x - walkoff_ratio / 2.0)
-
-
-def xi_profile(t, energy_p_nj, energy_q_nj, nonlinear_coeff,
-               walkoff_ps_per_m, tau_ps, walkoff_ratio):
-    """Conversion angle xi (radians) at signal-frame time t (ps).
-
-    Depends on the control energies only through sqrt(E_p * E_q); even in t;
-    vanishes as |t| -> infinity and when either control is off.
-    """
-    g = _coupling(energy_p_nj, energy_q_nj, nonlinear_coeff, walkoff_ps_per_m, tau_ps)
-    return g * _window(np.asarray(t, dtype=float) / tau_ps, walkoff_ratio)
 
 
 def envelope_intensity(cfg: ValidatedConfig, delay_cycles, t_ps) -> np.ndarray:
@@ -150,7 +128,7 @@ def _profile(sigma0_ps, energy_p_nj, energy_q_nj, nonlinear_coeff,
     The arguments are every scalar the profile depends on. The erf window
     comes from _nodes, so a new energy or coefficient costs no erf.
     """
-    g = _coupling(energy_p_nj, energy_q_nj, nonlinear_coeff, walkoff_ps_per_m, tau_ps)
+    g = nonlinear_coeff * math.sqrt(energy_p_nj * energy_q_nj) / (3.0 * walkoff_ps_per_m)
     t, w, window = _nodes(sigma0_ps, tau_ps, walkoff_ratio)
     profile = np.sin(g * window) ** 2 * w
     profile.flags.writeable = False

@@ -1,10 +1,11 @@
 """Scalar root finding and small nonlinear least squares, with numpy only.
 
 brentq is Brent's method in the operation order of scipy's brentq.c, so it
-returns the same iterates bit for bit; least_squares is a Levenberg-Marquardt
-iteration for fits of a few parameters. Neither imports scipy. The package
-imports this module inside the functions that solve, so a command that
-solves nothing does not compile it at start-up.
+returns the same iterates bit for bit; least_squares is plain
+Levenberg-Marquardt (Marquardt's damping, no trust region) for fits of a
+few parameters. Neither imports scipy. The package imports this module
+inside the functions that solve, so a command that solves nothing does not
+compile it at start-up.
 """
 
 from __future__ import annotations
@@ -108,72 +109,39 @@ def _jacobian(resid, x, f):
     return jac
 
 
-def _trust_step(s, vt, uf, radius):
-    """Minimiser of |J y + f| over |y| <= radius, from the SVD J = U diag(s) vt
-    and uf = U^T f: the Gauss-Newton step if it fits, else the damped step
-    -vt^T (s uf / (s^2 + lam)) whose length is radius to within 10%."""
-    sf = s * uf
-    lam = 0.0
-    for _ in range(20):
-        d = s * s + lam
-        d = np.where(d > 0, d, np.inf)  # no component along a null direction
-        y = sf / d
-        norm = float(np.linalg.norm(y))
-        if norm <= radius if lam == 0 else abs(norm - radius) <= 0.1 * radius:
-            break
-        # Newton step on 1/|y(lam)| = 1/radius, which is nearly linear in lam
-        slope = float(np.sum(y * y / d)) / norm**3
-        lam = max(lam + (1.0 / radius - 1.0 / norm) / slope, 0.0)
-    return -(vt.T @ y)
-
-
 def least_squares(resid, x0, xtol: float, ftol: float, max_nfev: int) -> LeastSquaresResult:
     """Minimise sum(resid(x)**2) from x0 by Levenberg-Marquardt.
 
-    Each step minimises |J dx + f| within a trust region |D dx| <= radius,
-    with D the largest column norms of J seen so far; the radius starts at
-    100 |D x0| and follows how well the linear model predicted the cost. It
-    stops when a step is shorter than xtol * (xtol + |x|), or when an
-    accepted step with a good model fit lowers the cost by less than ftol
-    times the cost; success is False if another step and its jacobian would
-    pass max_nfev residual evaluations.
+    Each step minimises |J dx + f|^2 + lam |D dx|^2, with D the column norms
+    of J, as one linear least-squares problem; a parameter that moves
+    nothing gets no step. lam starts at 1e-3 and falls tenfold after a step
+    that lowers the cost, rises tenfold after one that does not (non-finite
+    residuals included). It stops when a step is shorter than
+    xtol * (xtol + |x|), or when an accepted step lowers the cost by less
+    than ftol times the cost; success is False if another step and its
+    jacobian would pass max_nfev residual evaluations.
     """
     x = np.array(x0, dtype=float)
     f = np.asarray(resid(x), dtype=float)
     jac = _jacobian(resid, x, f)
     nfev = 1 + x.size
-    cost = 0.5 * float(f @ f)
-    scale = np.zeros(x.size)
-    radius = None
+    cost = float(f @ f)
+    lam = 1e-3
     while nfev + 1 + x.size <= max_nfev:
-        norms = np.linalg.norm(jac, axis=0)
-        scale = np.maximum(scale, np.where(norms > 0, norms, 1.0))
-        if radius is None:
-            radius = 100.0 * (float(np.linalg.norm(scale * x)) or 1.0)
-        u, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
-        uf = u.T @ f
-        # shrink the trust region until a step lowers the cost or is too short to matter
-        while True:
-            y = _trust_step(s, vt, uf, radius)
-            step = y / scale
-            if np.linalg.norm(step) < xtol * (xtol + np.linalg.norm(x)):
-                return LeastSquaresResult(x, f, jac, True, nfev)
-            x_new = x + step
-            f_new = np.asarray(resid(x_new), dtype=float)
-            nfev += 1
-            cost_new = 0.5 * float(f_new @ f_new) if np.all(np.isfinite(f_new)) else math.inf
-            predicted = cost - 0.5 * float(np.sum((f + jac @ step) ** 2))
-            rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
-            y_norm = float(np.linalg.norm(y))
-            if rho < 0.25:
-                radius = 0.25 * y_norm
-            elif rho > 0.75 and y_norm > 0.95 * radius:
-                radius *= 2.0
-            if rho > 0:
-                break
-            if nfev + 1 + x.size > max_nfev:
-                return LeastSquaresResult(x, f, jac, False, nfev)
-        converged = cost - cost_new < ftol * cost and rho > 0.25
+        damping = np.diag(math.sqrt(lam) * np.linalg.norm(jac, axis=0))
+        step = np.linalg.lstsq(np.vstack([jac, damping]), np.concatenate([-f, np.zeros(x.size)]),
+                               rcond=None)[0]
+        if np.linalg.norm(step) < xtol * (xtol + np.linalg.norm(x)):
+            return LeastSquaresResult(x, f, jac, True, nfev)
+        x_new = x + step
+        f_new = np.asarray(resid(x_new), dtype=float)
+        nfev += 1
+        cost_new = float(f_new @ f_new) if np.all(np.isfinite(f_new)) else math.inf
+        if cost_new >= cost:
+            lam *= 10.0
+            continue
+        lam /= 10.0
+        converged = cost - cost_new < ftol * cost
         x, f, cost = x_new, f_new, cost_new
         jac = _jacobian(resid, x, f)
         nfev += x.size

@@ -72,6 +72,18 @@ MUTANTS = [
      "(dark % count).astype(np.uint32)]) << 2",
      "(dark % count).astype(np.uint32)]).astype(np.uint16) << 2",
      "block merge keys as uint16: triggers wrap at 2^14"),
+    ("src/fcsim/solvers.py",
+     "lam /= 10.0",
+     "lam /= 1.0",
+     "Levenberg-Marquardt damping never falls after a good step"),
+    ("src/fcsim/solvers.py",
+     "np.diag(math.sqrt(lam) * np.linalg.norm(jac, axis=0))",
+     "math.sqrt(lam) * np.eye(x.size)",
+     "damping not scaled by the jacobian's column norms"),
+    ("src/fcsim/solvers.py",
+     "cost_new = float(f_new @ f_new) if np.all(np.isfinite(f_new)) else math.inf",
+     "cost_new = float(f_new @ f_new)",
+     "a step to non-finite residuals is not rejected"),
 ]
 
 

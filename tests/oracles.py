@@ -16,8 +16,9 @@ from the package.
 
 Three further references replace fast package code with the plain version
 it was derived from: adaptive_overlap integrates the readout overlap by the
-trapezoid rule on a uniform grid refined until it settles (it shares only
-readout.xi_profile with the package), csv_records_text formats click
+trapezoid rule on a uniform grid refined until it settles, with the
+conversion angle xi_profile written from its formula (it calls nothing in
+fcsim.readout), csv_records_text formats click
 records one row at a time and csv_records_rows reads them back one line
 at a time, and bootstrap_ratio_loop tallies each block's
 patterns record by record (np.add.at) and draws and sums the block
@@ -336,6 +337,17 @@ def mixture_g2_curve(cfg, delays):
             for t, total in zip(delays, totals)]
 
 
+def xi_profile(t, energy_p_nj, energy_q_nj, nonlinear_coeff,
+               walkoff_ps_per_m, tau_ps, walkoff_ratio):
+    """Conversion angle xi (radians) at signal-frame time t (ps):
+    g * [erf(t/tau + zeta/2) - erf(t/tau - zeta/2)], g = gamma sqrt(E_p E_q) / (3 beta),
+    with math.erf elementwise."""
+    g = nonlinear_coeff * math.sqrt(energy_p_nj * energy_q_nj) / (3.0 * walkoff_ps_per_m)
+    x = np.asarray(t, dtype=float) / tau_ps
+    erf = np.frompyfunc(math.erf, 1, 1)
+    return g * np.asarray(erf(x + walkoff_ratio / 2.0) - erf(x - walkoff_ratio / 2.0), float)
+
+
 def adaptive_overlap(cfg, delay_cycles, energy_p_nj=None, energy_q_nj=None, tol=1e-6):
     """Conversion efficiency at a delay on a uniform grid, refined until it settles.
 
@@ -357,9 +369,8 @@ def adaptive_overlap(cfg, delay_cycles, energy_p_nj=None, energy_q_nj=None, tol=
     prev = None
     for _ in range(12):
         t = np.linspace(-half, half, points + 1)
-        xi = readout.xi_profile(t, ep, eq, cfg.pulses.nonlinear_coeff,
-                                cfg.cavity.walkoff_ps_per_m, cfg.control_tau_ps,
-                                cfg.walkoff_ratio)
+        xi = xi_profile(t, ep, eq, cfg.pulses.nonlinear_coeff, cfg.cavity.walkoff_ps_per_m,
+                        cfg.control_tau_ps, cfg.walkoff_ratio)
         envelope = np.exp(-((t - center) ** 2) / (2.0 * sigma**2)) / (
             sigma * math.sqrt(2.0 * math.pi))
         val = float(np.trapezoid(np.sin(xi) ** 2 * envelope, t))

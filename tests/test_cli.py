@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -243,6 +244,25 @@ def test_fit_on_non_finite_series_names_the_row(tmp_path, capsys, kind, value):
     body = json.loads(err)
     assert body["error"] == "NonPhysicalParameter"
     assert "row 5" in body["message"]
+    assert out == ""
+
+
+@pytest.mark.parametrize("stderr", ["0", "-5"])
+@pytest.mark.parametrize("kind", ["exponential", "memory"])
+def test_fit_on_a_standard_error_that_is_not_positive_names_the_row(tmp_path, capsys, kind,
+                                                                    stderr):
+    """The row 10,900,0 is a typed error naming series row 2 (exit 2), not a
+    failed linear solve with warnings on stderr."""
+    t = np.arange(5, 305, 5)
+    rows = [f"{a},{1000 * math.exp(-a / 111.0)!r},{20 * math.exp(-a / 111.0)!r}" for a in t]
+    rows[1] = f"10,900,{stderr}"
+    data = tmp_path / "decay.csv"
+    data.write_text("T,value,stderr\n" + "\n".join(rows) + "\n")
+    extra = ["--config", CONFIG] if kind == "memory" else []
+    code, out, err = run_cli(capsys, "fit", "--kind", kind, "--data", str(data), *extra)
+    assert code == 2
+    assert json.loads(err) == {"error": "NonPhysicalParameter",
+                               "message": "series row 2 has a standard error <= 0"}
     assert out == ""
 
 

