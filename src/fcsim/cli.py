@@ -87,9 +87,10 @@ def _cmd_simulate(args) -> int:
 
     cfg = _load(args)
     seed = _resolve_seed(args)
+    sampler = {}
     start = time.perf_counter()
     records = trialsim.simulate_run(cfg, seed, args.triggers, args.readout_delay,
-                                    controls_only=args.controls_only)
+                                    controls_only=args.controls_only, stage_seconds=sampler)
     simulated = time.perf_counter()
     trialsim.write_records(records, args.out)
     written = time.perf_counter()
@@ -108,6 +109,7 @@ def _cmd_simulate(args) -> int:
             "write_s": written - simulated,
             "estimate_s": estimated - written,
             "triggers_per_s": args.triggers / max(simulated - start, 1e-9),
+            "sampler": sampler,
         },
     })
     return 0

@@ -191,17 +191,27 @@ def klyshko_efficiency(records: ClickRecords,
 # ---------------------------------------------------------------------------
 
 def _series_arrays(series):
+    """(T, value, weight) of the series rows, the weights 1 / stderr (1
+    without a stderr column); NonPhysicalParameter names the first row with
+    a value that is not finite or a weight that is not finite and positive."""
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise NonPhysicalParameter("series must be rows of (T, value[, stderr])")
     bad = ~np.isfinite(arr).all(axis=1)
     if bad.any():
         raise NonPhysicalParameter(f"series row {bad.argmax() + 1} is not finite")
-    sigma = arr[:, 2] if arr.shape[1] == 3 else None
-    if sigma is not None and np.any(sigma <= 0):
-        raise NonPhysicalParameter(
-            f"series row {np.argmax(sigma <= 0) + 1} has a standard error <= 0")
-    return arr[:, 0], arr[:, 1], sigma
+    if arr.shape[1] == 2:
+        return arr[:, 0], arr[:, 1], np.ones(arr.shape[0])
+    sigma = arr[:, 2]
+    with np.errstate(divide="ignore", over="ignore"):
+        weight = 1.0 / sigma
+    bad = ~(np.isfinite(weight) & (weight > 0))
+    if bad.any():
+        row = int(bad.argmax())
+        why = ("<= 0" if sigma[row] <= 0
+               else f"{float(sigma[row])!r}, too small for a finite weight 1/stderr")
+        raise NonPhysicalParameter(f"series row {row + 1} has a standard error {why}")
+    return arr[:, 0], arr[:, 1], weight
 
 
 def fit_exponential(series) -> FitResult:
@@ -210,7 +220,7 @@ def fit_exponential(series) -> FitResult:
     Reports the lifetime and amplitude with standard errors and R^2
     (computed on the data scale, not log transformed).
     """
-    t, y, sigma = _series_arrays(series)
+    t, y, weight = _series_arrays(series)
     if t.size < 3:
         raise SingularFit("need at least 3 points for an exponential fit")
     if np.any(y <= 0):
@@ -223,19 +233,18 @@ def fit_exponential(series) -> FitResult:
     if slope >= 0:
         raise SingularFit("series does not decay; lifetime would be negative")
     return _fit(("amplitude", "lifetime"), lambda p: p[0] * np.exp(-t / p[1]),
-                np.array([math.exp(intercept), -1.0 / slope]), y, sigma,
+                np.array([math.exp(intercept), -1.0 / slope]), y, weight,
                 "exponential fit", xtol=1e-12, max_nfev=2000)
 
 
-def _fit(names: tuple, model, p0, y, sigma, what: str, xtol: float,
+def _fit(names: tuple, model, p0, y, weight, what: str, xtol: float,
          max_nfev: int) -> FitResult:
-    """Least-squares fit of model(params) to y, weighted by 1 / sigma if given,
-    from p0; NoConvergence names the fit as `what`. Standard errors come from
-    the jacobian at the solution, inf where it is singular."""
+    """Least-squares fit of model(params) to y, each residual times its
+    weight, from p0; NoConvergence names the fit as `what`. Standard errors
+    come from the jacobian at the solution, inf where it is singular."""
     from . import solvers
 
-    w = 1.0 / sigma if sigma is not None else np.ones_like(y)
-    res = solvers.least_squares(lambda p: (model(p) - y) * w, p0, xtol=xtol, ftol=1e-12,
+    res = solvers.least_squares(lambda p: (model(p) - y) * weight, p0, xtol=xtol, ftol=1e-12,
                                 max_nfev=max_nfev)
     if not res.success:
         raise NoConvergence(f"{what} did not converge", best=dict(zip(names, res.x)))
@@ -258,6 +267,8 @@ def _fit(names: tuple, model, p0, y, sigma, what: str, xtol: float,
 
 
 MEMORY_FIT_PARAMS = ("amplitude", "lifetime", "delta", "psi2")
+# the least value of each parameter the decay model takes: below it, it takes this
+_MODEL_FLOORS = {"lifetime": 1e-6, "delta": 0.0, "psi2": 0.0}
 
 
 def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
@@ -268,8 +279,10 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
     each named once; the remaining ones are held at the config values.
     Convergence follows a damped least-squares iteration with relative step
     tolerance 1e-8, capped at 500 model evaluations per free parameter.
+    The model holds lifetime, delta and psi2 at their _MODEL_FLOORS; a
+    solution below one is SingularFit naming the parameter.
     """
-    t, y, sigma = _series_arrays(series)
+    t, y, weight = _series_arrays(series)
     fractional = t != np.rint(t)
     if fractional.any():
         row = int(fractional.argmax())
@@ -299,11 +312,18 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
         p = dict(defaults)
         p.update(zip(free, params))
         c = cfg.replace_fields(**{
-            "cavity.ringdown_lifetime_cycles": max(p["lifetime"], 1e-6),
-            "cavity.mismatch_ps_per_cycle": max(p["delta"], 0.0),
-            "cavity.dispersion_ps2_per_cycle": max(p["psi2"], 0.0),
+            "cavity.ringdown_lifetime_cycles": max(p["lifetime"], _MODEL_FLOORS["lifetime"]),
+            "cavity.mismatch_ps_per_cycle": max(p["delta"], _MODEL_FLOORS["delta"]),
+            "cavity.dispersion_ps2_per_cycle": max(p["psi2"], _MODEL_FLOORS["psi2"]),
         })
         return p["amplitude"] * readout.readout_curve(c, delays)[2][index]
 
-    return _fit(free, model_curve, np.array([defaults[name] for name in free]), y, sigma,
-                "memory-model fit", xtol=1e-8, max_nfev=500 * len(free))
+    fit = _fit(free, model_curve, np.array([defaults[name] for name in free]), y, weight,
+               "memory-model fit", xtol=1e-8, max_nfev=500 * len(free))
+    for name, floor in _MODEL_FLOORS.items():
+        value = fit.values.get(name, floor)
+        if value < floor:  # the model never saw this value, so the fit did not constrain it
+            raise SingularFit(f"memory-model fit took {name} to {value:.6g}, below {floor:g} "
+                              f"where the model holds it; the series does not constrain "
+                              f"{name} from this start")
+    return fit

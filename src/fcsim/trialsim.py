@@ -24,6 +24,7 @@ import dataclasses
 import datetime as _dt
 import json
 import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -177,21 +178,73 @@ def zero_truncated_nb(mean: float, k: float) -> tuple:
     return pmf, cdf / cdf[-1]
 
 
-def _photon_counts(rng: np.random.Generator, mean: float, k: float, count: int):
-    """(trigger indices, photon numbers) of the triggers with n > 0 among count
-    NB(mean, k) draws: geometric gaps, then the zero-truncated inverse CDF."""
+_HEAD_CUT = 0.9  # a table's head ends at its first cdf entry at or above this
+
+
+def _number_table(mean: float, k: float):
+    """(P(n > 0), cdf, head) of the photon numbers NB(mean, k), None if mean
+    is 0: cdf is the zero-truncated table and head counts its entries up to
+    and including the first at or above _HEAD_CUT."""
     if mean <= 0.0:
-        return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64)
-    idx = positions(rng, _nonzero_prob(mean, k), count).astype(np.uint32)
+        return None
     cdf = zero_truncated_nb(mean, k)[1]
-    return idx, np.searchsorted(cdf, rng.random(idx.size), side="right") + 1
+    return _nonzero_prob(mean, k), cdf, int(np.searchsorted(cdf, _HEAD_CUT)) + 1
 
 
-def _simulate_block(cfg: ValidatedConfig, mu: float, p_monitor: float,
-                    p_readout: float, rng: np.random.Generator, count: int):
+def _photon_numbers(u: np.ndarray, cdf: np.ndarray, head: int) -> np.ndarray:
+    """The inverse CDF n of each uniform u, exactly searchsorted(cdf, u,
+    side="right") + 1: n - 1 is the number of cdf entries <= u. One compare
+    per head entry counts them; only the draws at or past the head's last
+    entry, u >= cdf[head - 1], search the rest. The counts are the narrowest
+    unsigned type that holds every n."""
+    dtype = np.min_scalar_type(cdf.size + 1)
+    n = np.ones(u.size, dtype)
+    for c in cdf[:head]:
+        n += u >= c
+    tail = np.flatnonzero(n > head)
+    n[tail] += np.searchsorted(cdf[head:], u[tail], side="right").astype(dtype)
+    return n
+
+
+SAMPLER_STAGES = ("positions", "photon_numbers", "thinning", "merge")
+
+
+class _StageClock:
+    """Seconds per sampler stage, summed over blocks: lap(stage) adds the
+    time since the previous lap (or since the clock started) to stage."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(SAMPLER_STAGES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] += now - self._last
+        self._last = now
+
+
+def _photon_triggers(rng: np.random.Generator, table, count: int,
+                     clock: _StageClock) -> np.ndarray:
+    """The uint32 trigger index of every photon of a source among count
+    triggers, table its _number_table: geometric gaps find the triggers
+    with n > 0, one uniform each gives their n by inverse CDF."""
+    if table is None:
+        return np.empty(0, dtype=np.uint32)
+    p_nonzero, cdf, head = table
+    idx = positions(rng, p_nonzero, count).astype(np.uint32)
+    clock.lap("positions")
+    n = _photon_numbers(rng.random(idx.size), cdf, head)
+    clock.lap("photon_numbers")
+    return np.repeat(idx, n)
+
+
+def _simulate_block(cfg: ValidatedConfig, pairs, noise, p_monitor: float,
+                    p_readout: float, rng: np.random.Generator, count: int,
+                    clock: _StageClock):
     """(sorted trigger indices, uint8 click masks) of the clicked triggers
-    among count triggers, mu the mean pair number (0 for a controls-only
-    run) and p_monitor, p_readout the per-photon branch probabilities.
+    among count triggers. pairs and noise are the two sources'
+    _number_table (pairs None for a controls-only run), p_monitor and
+    p_readout the per-photon branch probabilities.
 
     Each photon takes one uniform: a herald photon clicks H below eta_h, a
     signal photon goes to S, R1, R2 or is lost by where its uniform falls
@@ -199,17 +252,19 @@ def _simulate_block(cfg: ValidatedConfig, mu: float, p_monitor: float,
     below the splitter ratio, else to R2.
     """
     det = cfg.detectors
-    pair_at = np.repeat(*_photon_counts(rng, mu, cfg.source.schmidt_modes, count))
+    pair_at = _photon_triggers(rng, pairs, count, clock)
     herald = pair_at[rng.random(pair_at.size) < det.eta_herald_path]
     u = rng.random(pair_at.size)  # the signal photon's branch: S, R1, R2 or lost
     branch = sum((u >= t).view(np.uint8) for t in (
         p_monitor, p_monitor + p_readout * det.splitter_ratio, p_monitor + p_readout))
     seen = branch < 3
-    noise_at = np.repeat(*_photon_counts(rng, cfg.noise_mean_per_trigger(),
-                                         cfg.noise.mode_count, count))
+    clock.lap("thinning")
+    noise_at = _photon_triggers(rng, noise, count, clock)
     noise_det = np.uint8(2) + (rng.random(noise_at.size) >= det.splitter_ratio)  # R1, else R2
+    clock.lap("thinning")
     # gate d * count + i of one draw over all four detectors: trigger i, detector d
     dark = positions(rng, det.dark_prob_per_gate, 4 * count)
+    clock.lap("positions")
     # one sort key per click, trigger << 2 | d for detector d = H, S, R1, R2
     key = np.concatenate([herald, pair_at[seen], noise_at, (dark % count).astype(np.uint32)]) << 2
     key |= np.concatenate([np.zeros(herald.size, np.uint8), branch[seen] + 1, noise_det,
@@ -224,13 +279,16 @@ def _simulate_block(cfg: ValidatedConfig, mu: float, p_monitor: float,
 
 def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
                  delay_cycles: int = 1, controls_only: bool = False,
-                 jobs: int = 1) -> ClickRecords:
+                 jobs: int = 1, stage_seconds: dict | None = None) -> ClickRecords:
     """Simulate n_triggers clock triggers at a fixed readout delay.
 
     controls_only turns the pair source off, so only noise and dark counts
     click. The delay must be within 1..MAX_DELAY. jobs is accepted for
     compatibility and has no effect: the sparse sampler runs the blocks in
-    this process.
+    this process. A stage_seconds dict, if given, receives the seconds of
+    each of SAMPLER_STAGES summed over the blocks (seeding a block's stream
+    counts as positions, widening its indices as merge); the records and
+    manifest never carry them.
     """
     if n_triggers < 1:
         raise NonPhysicalParameter("n_triggers must be >= 1")
@@ -238,16 +296,23 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
         raise NonPhysicalParameter(f"readout delay must be within 1..{MAX_DELAY} "
                                    f"cycles, got {delay_cycles}")
     (q_mon,), (chain,) = signal_branch_probs(cfg, delay_cycles)
-    mu = 0.0 if controls_only else cfg.source.mean_pairs_per_pulse
+    pairs = None if controls_only else _number_table(cfg.source.mean_pairs_per_pulse,
+                                                     cfg.source.schmidt_modes)
+    noise = _number_table(cfg.noise_mean_per_trigger(), cfg.noise.mode_count)
 
+    clock = _StageClock()
     triggers, masks = [], []
     for i, start in enumerate(range(0, n_triggers, BLOCK_TRIGGERS)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
-        clicked, mask = _simulate_block(cfg, mu, float(q_mon), float(chain), rng,
-                                        min(BLOCK_TRIGGERS, n_triggers - start))
+        clicked, mask = _simulate_block(cfg, pairs, noise, float(q_mon), float(chain), rng,
+                                        min(BLOCK_TRIGGERS, n_triggers - start), clock)
         triggers.append(clicked.astype(np.uint64) + np.uint64(start))
         masks.append(mask)
+        clock.lap("merge")
     trigger, mask = np.concatenate(triggers), np.concatenate(masks)
+    clock.lap("merge")
+    if stage_seconds is not None:
+        stage_seconds.update(clock.seconds)
     manifest = RunManifest(
         config_hash=config_hash(cfg),
         seed=int(seed),

@@ -84,6 +84,14 @@ MUTANTS = [
      "cost_new = float(f_new @ f_new) if np.all(np.isfinite(f_new)) else math.inf",
      "cost_new = float(f_new @ f_new)",
      "a step to non-finite residuals is not rejected"),
+    ("src/fcsim/trialsim.py",
+     "n += u >= c",
+     "n += u > c",
+     "photon-number head count misses a uniform equal to a cdf entry"),
+    ("src/fcsim/trialsim.py",
+     "int(np.searchsorted(cdf, _HEAD_CUT)) + 1",
+     "int(np.searchsorted(cdf, _HEAD_CUT))",
+     "photon-number table head cut one entry short"),
 ]
 
 

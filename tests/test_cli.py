@@ -124,11 +124,17 @@ def test_simulate_reports_generator_and_timings(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["generator"] == fcsim.trialsim.GENERATOR_NAME
-    assert set(doc["timings"]) == {"simulate_s", "write_s", "estimate_s", "triggers_per_s"}
+    assert set(doc["timings"]) == {"simulate_s", "write_s", "estimate_s", "triggers_per_s",
+                                   "sampler"}
     assert all(doc["timings"][step] >= 0 for step in ("simulate_s", "write_s", "estimate_s"))
     assert doc["timings"]["triggers_per_s"] > 0
+    # the sampler's stages, summed over blocks, lie within the simulate step
+    sampler = doc["timings"]["sampler"]
+    assert set(sampler) == {"positions", "photon_numbers", "thinning", "merge"}
+    assert all(seconds >= 0 for seconds in sampler.values())
+    assert sum(sampler.values()) <= doc["timings"]["simulate_s"]
     manifest = json.loads((tmp_path / "t.manifest.json").read_text())
-    assert "timings" not in manifest
+    assert "timings" not in manifest and "sampler" not in manifest
 
 
 def test_simulate_does_not_mutate_config(tmp_path, capsys):
@@ -263,6 +269,24 @@ def test_fit_on_a_standard_error_that_is_not_positive_names_the_row(tmp_path, ca
     assert code == 2
     assert json.loads(err) == {"error": "NonPhysicalParameter",
                                "message": "series row 2 has a standard error <= 0"}
+    assert out == ""
+
+
+@pytest.mark.parametrize("kind", ["exponential", "memory"])
+def test_fit_on_a_subnormal_standard_error_names_the_row(tmp_path, capsys, kind):
+    """The row 10,900,1e-320 has the weight 1/stderr = inf: a typed error
+    naming series row 2 (exit 2), not numpy's LinAlgError (exit 3)."""
+    t = np.arange(5, 305, 5)
+    rows = [f"{a},{1000 * math.exp(-a / 111.0)!r},{20 * math.exp(-a / 111.0)!r}" for a in t]
+    rows[1] = "10,900,1e-320"
+    data = tmp_path / "decay.csv"
+    data.write_text("T,value,stderr\n" + "\n".join(rows) + "\n")
+    extra = ["--config", CONFIG] if kind == "memory" else []
+    code, out, err = run_cli(capsys, "fit", "--kind", kind, "--data", str(data), *extra)
+    assert code == 2
+    body = json.loads(err)
+    assert body["error"] == "NonPhysicalParameter"
+    assert body["message"].startswith("series row 2 has a standard error 1e-320")
     assert out == ""
 
 

@@ -551,6 +551,23 @@ def test_fits_reject_a_standard_error_that_is_not_positive(primary, fit, stderr)
             fit_memory_model(series, ("amplitude", "lifetime"), primary)
 
 
+@pytest.mark.parametrize("fit", ["exponential", "memory"])
+def test_fits_reject_a_standard_error_with_no_finite_weight(primary, fit):
+    """A positive but subnormal stderr overflows its weight 1 / stderr to inf:
+    a typed error naming row 3, as for stderr <= 0."""
+    t = np.arange(1.0, 41.0)
+    y = 0.5 * readout.readout_curve(primary, t)[2]
+    sigma = np.full_like(t, 0.01)
+    sigma[2] = 1e-320
+    series = np.column_stack([t, y, sigma])
+    with pytest.raises(NonPhysicalParameter,
+                       match="series row 3 has a standard error 1e-320, too small"):
+        if fit == "exponential":
+            fit_exponential(series)
+        else:
+            fit_memory_model(series, ("amplitude", "lifetime"), primary)
+
+
 def test_memory_model_counts_distinct_delays(primary):
     """Nine delays, repeated over twelve rows, are too few; a tenth is enough."""
     t = np.array([1.0, 1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 9.0])

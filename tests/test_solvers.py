@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcsim import estimators, fockstats, readout, solvers
-from fcsim.errors import NoConvergence
+from fcsim.errors import NoConvergence, SingularFit
 from oracles import scipy_brentq, scipy_least_squares
 
 PUBLISHED_TARGETS = {"g2_xc_hs": 26.0, "herald_rate_cps": 474.0, "g2_noise": 1.09,
@@ -172,6 +172,20 @@ def test_decay_fit_evaluation_counts_are_pinned(primary, seed, evaluations):
     fit = estimators.fit_memory_model(_decay_series(primary, seed),
                                       ("amplitude", "lifetime"), primary)
     assert fit.evaluations == evaluations
+
+
+def test_memory_fit_below_a_model_floor_is_singular(primary):
+    """With all four parameters free from lifetime 30, the seed-0 series
+    takes delta and psi2 below 0, where the model holds them at 0: that is
+    SingularFit naming delta, not a converged result. From the config's
+    lifetime the same series fits inside the floors."""
+    series = _decay_series(primary, 0)
+    short = primary.replace_fields(**{"cavity.ringdown_lifetime_cycles": 30.0})
+    with pytest.raises(SingularFit, match="took delta to -1.28"):
+        estimators.fit_memory_model(series, estimators.MEMORY_FIT_PARAMS, short)
+    fit = estimators.fit_memory_model(series, estimators.MEMORY_FIT_PARAMS, primary)
+    assert fit.values["delta"] > 0 and fit.values["psi2"] > 0
+    assert fit.values["lifetime"] == pytest.approx(105.6, abs=0.1)
 
 
 def test_least_squares_leaves_a_parameter_the_residual_ignores_at_its_start():

@@ -660,6 +660,47 @@ def test_zero_truncated_nb_table(mean, k):
     assert tail / nonzero < 2.0 ** -53
 
 
+def _tables(primary, alternate):
+    """The pair and noise number tables of both shipped configs and of the
+    dense regime, then one longer than 255 entries."""
+    tables = {}
+    for name, cfg in (("primary", primary), ("alternate", alternate),
+                      ("dense", _dense(primary))):
+        tables[f"{name}_pairs"] = trialsim._number_table(cfg.source.mean_pairs_per_pulse,
+                                                         cfg.source.schmidt_modes)
+        tables[f"{name}_noise"] = trialsim._number_table(cfg.noise_mean_per_trigger(),
+                                                         cfg.noise.mode_count)
+    tables["long"] = trialsim._number_table(100.0, 1.0)
+    return tables
+
+
+def test_photon_numbers_equal_the_binary_search(primary, alternate):
+    """The head count with its tail search is the inverse CDF exactly, at
+    every cdf entry, the double just below each, 0 and the largest uniform."""
+    tables = _tables(primary, alternate)
+    for name, (_, cdf, head) in tables.items():
+        assert 1 <= head <= cdf.size and cdf[head - 1] >= trialsim._HEAD_CUT
+        assert head == 1 or cdf[head - 2] < trialsim._HEAD_CUT
+        u = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0, 1.0 - 2.0 ** -53]])
+        u = u[u < 1.0]  # a uniform draw is below 1
+        n = trialsim._photon_numbers(u, cdf, head)
+        assert n.dtype == np.min_scalar_type(cdf.size + 1), name
+        np.testing.assert_array_equal(n, np.searchsorted(cdf, u, side="right") + 1, name)
+    # a table longer than 255 entries widens the counts, and its last ones are reached
+    _, cdf, head = tables["long"]
+    assert cdf.size > 255 and head < cdf.size
+    assert trialsim._photon_numbers(np.array([1.0 - 2.0 ** -53]), cdf, head)[0] > 255
+
+
+def test_stage_seconds_leave_the_records_unchanged(primary):
+    stages = {}
+    a = simulate_run(_dense(primary), seed=8, n_triggers=1_200_000, stage_seconds=stages)
+    b = simulate_run(_dense(primary), seed=8, n_triggers=1_200_000)
+    assert np.array_equal(a.trigger, b.trigger) and np.array_equal(a.mask, b.mask)
+    assert list(stages) == list(trialsim.SAMPLER_STAGES)
+    assert all(seconds > 0 for seconds in stages.values())
+
+
 def _dense(primary):
     return primary.replace_fields(**{"source.mean_pairs_per_pulse": 0.25,
                                      "noise.noise_mean_per_nj": 0.2})
