@@ -7,13 +7,13 @@ import tempfile
 from pathlib import Path
 
 
-def write_bytes(path, *chunks) -> None:
-    """Replace path with bytes-like chunks, in order; on failure the temp file is removed."""
+def write_bytes(path, data) -> None:
+    """Replace path with bytes-like data; on failure the temp file is removed."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -248,7 +248,7 @@ def _cmd_multiplex(args) -> int:
                                    readout_curve=multiplex.readout_curve(cfg, max_delay),
                                    switch_latency_cycles=args.latency)
     p_out, enhancement = multiplex.output_curve(plan)
-    best = multiplex.optimal_K(plan, plan.bins)
+    best = 1 + int(p_out.argmax())  # optimal_K's first-argmax rule, without a second curve
     multiplex_s = time.perf_counter() - start
     _write_csv(args.out, ("K", "p_out", "enhancement"),
                zip(range(1, plan.bins + 1), p_out, enhancement))

@@ -23,8 +23,7 @@ from .errors import (
     NonPhysicalParameter,
     SingularFit,
 )
-from .fockstats import PATTERN_MASKS, PATTERN_MATRIX, PATTERNS, RATIOS  # PATTERNS: public here too
-from . import readout
+from .patterns import PATTERN_MASKS, PATTERN_MATRIX, PATTERNS, RATIOS  # PATTERNS: bench/ reads it
 
 if TYPE_CHECKING:  # records come from trialsim, which fitting never loads
     from .trialsim import ClickRecords
@@ -45,8 +44,6 @@ G2_KINDS = {
 class CorrelationEstimate:
     value: float
     standard_error: float
-    n_triggers: int
-    pattern: str
     dropped_resamples: int = 0  # bootstrap resamples whose denominator was zero
 
 
@@ -63,7 +60,7 @@ class FitResult:
 def estimate_rates(records: ClickRecords) -> dict:
     """Counts per second (at the manifest's clock) of each click pattern, with binomial errors."""
     clock = records.manifest.clock_rate_khz * 1e3
-    n = records.n_triggers
+    n = records.manifest.n_triggers
     if n < 1:
         raise EmptyInput("record stream covers zero triggers")
     # one mask histogram, whatever the trigger count: no per-block arrays
@@ -72,8 +69,7 @@ def estimate_rates(records: ClickRecords) -> dict:
     for name, c in zip(PATTERN_MASKS, counts.tolist()):
         p = c / n
         se = math.sqrt(max(p * (1.0 - p), 0.0) / n)
-        out[name] = CorrelationEstimate(value=p * clock, standard_error=se * clock,
-                                        n_triggers=n, pattern=name)
+        out[name] = CorrelationEstimate(value=p * clock, standard_error=se * clock)
     return out
 
 
@@ -84,10 +80,7 @@ def subtract_background(rates: dict, control_rates: dict) -> dict:
         bg = control_rates[name]
         out[name] = CorrelationEstimate(
             value=est.value - bg.value,
-            standard_error=math.hypot(est.standard_error, bg.standard_error),
-            n_triggers=est.n_triggers,
-            pattern=name,
-        )
+            standard_error=math.hypot(est.standard_error, bg.standard_error))
     return out
 
 
@@ -95,7 +88,7 @@ def _block_counts(records: ClickRecords, block_triggers: int) -> np.ndarray:
     """(blocks, 1 + patterns) int64: each block's trigger total, then its count
     of every PATTERN_MASKS pattern, the (block, mask) histogram summed over
     the pattern's masks."""
-    n = records.n_triggers
+    n = records.manifest.n_triggers
     if n < 1:
         raise EmptyInput("record stream covers zero triggers")
     n_blocks = (n + block_triggers - 1) // block_triggers
@@ -116,6 +109,8 @@ def _bootstrap_sums(records: ClickRecords, block_triggers: int, resamples: int,
             or block_triggers < 1 or resamples < 0):
         raise NonPhysicalParameter("bootstrap needs integers block_triggers >= 1 and "
                                    f"resamples >= 0, got {block_triggers} and {resamples}")
+    if isinstance(seed, bool) or isinstance(seed, (int, np.integer)) and seed < 0:
+        raise NonPhysicalParameter(f"bootstrap seed must be an integer >= 0, got {seed!r}")
     key = (block_triggers, resamples, seed)
     if key in records._bootstraps:
         return records._bootstraps[key]
@@ -142,8 +137,8 @@ def _bootstrap_sums(records: ClickRecords, block_triggers: int, resamples: int,
 _COLUMN = {name: i for i, name in enumerate(PATTERN_MASKS, start=1)}
 
 
-def _bootstrap_ratio(records: ClickRecords, ratio: tuple, pattern: str,
-                     block_triggers: int, resamples: int, seed: int) -> CorrelationEstimate:
+def _bootstrap_ratio(records: ClickRecords, ratio: tuple, block_triggers: int,
+                     resamples: int, seed: int) -> CorrelationEstimate:
     """prod(p_num) / prod(p_den) of ratio = (num, den) pattern names, with
     block-bootstrap error; resamples whose denominator vanishes are dropped
     and counted in dropped_resamples."""
@@ -158,7 +153,6 @@ def _bootstrap_ratio(records: ClickRecords, ratio: tuple, pattern: str,
     values = math.prod(p[name] for name in num)[ok] / d[ok]
     se = float(np.std(values[1:], ddof=1)) if values.size > 2 else math.inf
     return CorrelationEstimate(value=float(values[0]), standard_error=se,
-                               n_triggers=records.n_triggers, pattern=pattern,
                                dropped_resamples=int(np.count_nonzero(~ok[1:])))
 
 
@@ -170,8 +164,7 @@ def estimate_g2(records: ClickRecords, kind: str,
     block-bootstrap error."""
     if kind not in G2_KINDS:
         raise NonPhysicalParameter(f"unknown correlation kind {kind!r}")
-    return _bootstrap_ratio(records, RATIOS[G2_KINDS[kind]], kind,
-                            block_triggers, resamples, seed)
+    return _bootstrap_ratio(records, RATIOS[G2_KINDS[kind]], block_triggers, resamples, seed)
 
 
 def klyshko_efficiency(records: ClickRecords,
@@ -182,8 +175,7 @@ def klyshko_efficiency(records: ClickRecords,
 
     eta_h = p(H and S) / p(S); independent of losses on the monitored arm.
     """
-    return _bootstrap_ratio(records, (("hs",), ("s",)), "klyshko",
-                            block_triggers, resamples, seed)
+    return _bootstrap_ratio(records, (("hs",), ("s",)), block_triggers, resamples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +274,8 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
     The model holds lifetime, delta and psi2 at their _MODEL_FLOORS; a
     solution below one is SingularFit naming the parameter.
     """
+    from . import readout
+
     t, y, weight = _series_arrays(series)
     fractional = t != np.rint(t)
     if fractional.any():

@@ -17,7 +17,7 @@ the probability that one of its photons misses A (Christ & Silberhorn,
 PRA 85, 023829 (2012)). Everything downstream (click probabilities,
 correlation functions, calibration) follows from those 16 numbers, with no
 photon-number truncation. They are indexed by record mask, and the pattern
-and ratio tables here serve the model and the record estimators alike.
+and ratio tables of fcsim.patterns turn them into the observables.
 """
 
 from __future__ import annotations
@@ -36,53 +36,19 @@ from .errors import (
     NonPhysicalParameter,
     Underdetermined,
 )
+from .patterns import AT_LEAST, DETECTOR_BITS, PATTERN_MASKS, PATTERN_MATRIX, RATIOS
 from . import readout
-
-# record mask bit of each detector; a detector set A is indexed by its mask
-MASK_H, MASK_S, MASK_R1, MASK_R2 = 1, 2, 4, 8
-DETECTOR_BITS = {"H": MASK_H, "S": MASK_S, "R1": MASK_R1, "R2": MASK_R2}
 
 _MASKS = np.arange(16)
 _HAS = (_MASKS[:, None] & np.array(list(DETECTOR_BITS.values()))) > 0  # (mask, detector)
 _SET_SIZE = _HAS.sum(axis=1)
-# AT_LEAST[b, c]: every detector of set b clicks in the click pattern c
-AT_LEAST = (_MASKS[None, :] & _MASKS[:, None]) == _MASKS[:, None]
 # EXACT[c, a]: coefficient of Q(a) in P(exactly the detectors of c click); by
 # inclusion-exclusion, a is the silent set of c plus a subset s of c, with sign (-1)^|s|
 EXACT = np.where((_MASKS[:, None] | _MASKS[None, :]) == 15,
                  (-1) ** _SET_SIZE[_MASKS[:, None] & _MASKS[None, :]], 0)
-
-# pattern name -> required mask bits, for the patterns in which all named detectors click
-PATTERNS = {
-    "h": MASK_H,
-    "s": MASK_S,
-    "r1": MASK_R1,
-    "r2": MASK_R2,
-    "hs": MASK_H | MASK_S,
-    "hr1": MASK_H | MASK_R1,
-    "hr2": MASK_H | MASK_R2,
-    "r1r2": MASK_R1 | MASK_R2,
-    "hr1r2": MASK_H | MASK_R1 | MASK_R2,
-}
-_ANY_R = AT_LEAST[MASK_R1] | AT_LEAST[MASK_R2]
-# pattern name -> the record masks it covers; "r" is R1 or R2, "hr" is H and R1 or R2
-PATTERN_MASKS = {**{name: AT_LEAST[bits] for name, bits in PATTERNS.items()},
-                 "r": _ANY_R, "hr": AT_LEAST[MASK_H] & _ANY_R}
-# (mask, pattern) 0/1 matrix: a mask histogram times it counts every pattern
-PATTERN_MATRIX = np.column_stack(tuple(PATTERN_MASKS.values())).astype(np.int64)
 # no-click probabilities times these integer weights give the pattern probabilities
 _PATTERN_WEIGHTS = (EXACT.T @ PATTERN_MATRIX).astype(float)
 _AT_LEAST_WEIGHTS = (EXACT.T @ AT_LEAST.T).astype(float)
-
-# correlation -> (numerator patterns, denominator patterns); its value is
-# prod(p_num) / prod(p_den), from model probabilities and record frequencies alike
-RATIOS = {
-    "g2_xc_hs": (("hs",), ("h", "s")),
-    "g2_xc_hr": (("hr",), ("h", "r")),
-    "g2_ac_heralded": (("hr1r2", "h"), ("hr1", "hr2")),
-    "g2_noise": (("r1r2",), ("r1", "r2")),
-    "heralding_efficiency": (("hr",), ("h",)),
-}
 
 
 def pattern_probs(q) -> dict:

@@ -33,7 +33,8 @@ import numpy as np
 from . import atomic
 from .config import ValidatedConfig, config_hash
 from .errors import CorruptRecords, EmptyInput, NonPhysicalParameter
-from .fockstats import MASK_H, MASK_R1, MASK_R2, MASK_S, signal_branch_probs
+from .fockstats import signal_branch_probs
+from .patterns import MASK_H, MASK_R1, MASK_R2, MASK_S
 
 BLOCK_TRIGGERS = 1 << 20
 GENERATOR_NAME = "numpy-pcg64-sparse3"
@@ -114,10 +115,6 @@ class ClickRecords:
             array.flags.writeable = False
 
     @property
-    def n_triggers(self) -> int:
-        return self.manifest.n_triggers
-
-    @property
     def delay(self) -> np.ndarray:
         """The manifest's readout delay per row, a read-only uint16 view that copies
         nothing; kept only for bench/workloads.py (_record_bytes)."""
@@ -178,17 +175,19 @@ def zero_truncated_nb(mean: float, k: float) -> tuple:
     return pmf, cdf / cdf[-1]
 
 
-_HEAD_CUT = 0.9  # a table's head ends at its first cdf entry at or above this
+_HEAD_CUT = 0.9  # a table's head ends at its first cdf entry at or above this,
+_HEAD_MAX = 32   # or at this many entries: each costs one pass over the draws
 
 
 def _number_table(mean: float, k: float):
     """(P(n > 0), cdf, head) of the photon numbers NB(mean, k), None if mean
     is 0: cdf is the zero-truncated table and head counts its entries up to
-    and including the first at or above _HEAD_CUT."""
+    and including the first at or above _HEAD_CUT, at most _HEAD_MAX."""
     if mean <= 0.0:
         return None
     cdf = zero_truncated_nb(mean, k)[1]
-    return _nonzero_prob(mean, k), cdf, int(np.searchsorted(cdf, _HEAD_CUT)) + 1
+    return (_nonzero_prob(mean, k), cdf,
+            min(int(np.searchsorted(cdf, _HEAD_CUT)) + 1, _HEAD_MAX))
 
 
 def _photon_numbers(u: np.ndarray, cdf: np.ndarray, head: int) -> np.ndarray:
@@ -292,6 +291,8 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
     """
     if n_triggers < 1:
         raise NonPhysicalParameter("n_triggers must be >= 1")
+    if isinstance(seed, bool) or isinstance(seed, (int, np.integer)) and seed < 0:
+        raise NonPhysicalParameter(f"seed must be an integer >= 0, got {seed!r}")
     if not 1 <= delay_cycles <= MAX_DELAY:
         raise NonPhysicalParameter(f"readout delay must be within 1..{MAX_DELAY} "
                                    f"cycles, got {delay_cycles}")

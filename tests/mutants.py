@@ -61,8 +61,8 @@ MUTANTS = [
      "m * np.log1p(n_bar * e)",
      "engine's noise photons ignore the mode count"),
     ("src/fcsim/estimators.py",
-     '(("hs",), ("s",)), "klyshko"',
-     '(("hs",), ("h",)), "klyshko"',
+     '(("hs",), ("s",)), block_triggers',
+     '(("hs",), ("h",)), block_triggers',
      "Klyshko efficiency over herald singles, not monitor singles"),
     ("src/fcsim/fockstats.py",
      "s ** (d - 1)",
@@ -92,6 +92,18 @@ MUTANTS = [
      "int(np.searchsorted(cdf, _HEAD_CUT)) + 1",
      "int(np.searchsorted(cdf, _HEAD_CUT))",
      "photon-number table head cut one entry short"),
+    ("src/fcsim/trialsim.py",
+     "min(int(np.searchsorted(cdf, _HEAD_CUT)) + 1, _HEAD_MAX)",
+     "int(np.searchsorted(cdf, _HEAD_CUT)) + 1",
+     "photon-number head not capped: one pass per entry up to the cut"),
+    ("src/fcsim/trialsim.py",
+     "if isinstance(seed, bool) or isinstance(seed, (int, np.integer)) and seed < 0:",
+     "if isinstance(seed, (int, np.integer)) and seed < 0:",
+     "simulate_run runs a bool seed as 0 or 1"),
+    ("src/fcsim/estimators.py",
+     "isinstance(seed, (int, np.integer)) and seed < 0:",
+     "isinstance(seed, (int, np.integer)) and seed < -1:",
+     "bootstrap takes the seed -1 to numpy's untyped ValueError"),
 ]
 
 

@@ -429,11 +429,11 @@ def pattern_hits(name, mask):
     return mask & bits == bits
 
 
-def bootstrap_ratio_loop(records, ratio, pattern, block_triggers, resamples, seed):
+def bootstrap_ratio_loop(records, ratio, block_triggers, resamples, seed):
     """estimators._bootstrap_ratio with its own per-block tally (np.add.at of
     each record's pattern hits at its block), one rng.integers call and one
     column sum per resample."""
-    n = records.n_triggers
+    n = records.manifest.n_triggers
     if n < 1:
         raise EmptyInput("record stream covers zero triggers")
     n_blocks = -(-n // block_triggers)
@@ -460,8 +460,8 @@ def bootstrap_ratio_loop(records, ratio, pattern, block_triggers, resamples, see
     values = math.prod(p[name] for name in num)[ok] / d[ok]
     se = float(np.std(values[1:], ddof=1)) if values.size > 2 else math.inf
     return estimators.CorrelationEstimate(
-        value=float(values[0]), standard_error=se, n_triggers=records.n_triggers,
-        pattern=pattern, dropped_resamples=int(np.count_nonzero(~ok[1:])))
+        value=float(values[0]), standard_error=se,
+        dropped_resamples=int(np.count_nonzero(~ok[1:])))
 
 
 def scipy_brentq(f, a, b, xtol, rtol, maxiter=100):

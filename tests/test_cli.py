@@ -458,7 +458,8 @@ UNUSED_BY = {"validate": ("numpy",),
              "sweep": ("fcsim.estimators", "fcsim.fockstats", "fcsim.trialsim",
                        "fcsim.multiplex", "fcsim.solvers"),
              "stats": ("fcsim.estimators", "fcsim.trialsim", "fcsim.multiplex"),
-             "fit": ("fcsim.trialsim", "fcsim.multiplex", "hashlib"),
+             "fit": ("fcsim.trialsim", "fcsim.multiplex", "hashlib", "fcsim.fockstats"),
+             "fit --kind exponential": ("fcsim.readout",),
              "multiplex": ("fcsim.estimators", "fcsim.trialsim", "fcsim.solvers")}
 
 
@@ -489,11 +490,13 @@ def _assert_not_loaded(modules) -> str:
 def test_cli_loads_no_scipy(tmp_path, commands):
     """Every command runs in a fresh interpreter in which importing scipy
     fails, and loads only the modules it runs: never numpy.ma or
-    numpy.polynomial, and none of those in UNUSED_BY for its name. The
-    series that `fit` reads is written here first, outside that interpreter."""
+    numpy.polynomial, and none of those in UNUSED_BY for its name, or for
+    its name and first option with its value. The series that `fit` reads
+    is written here first, outside that interpreter."""
     assert main([a.format(tmp=tmp_path) for a in SWEEP_60]) == 0
     run = "".join(f"assert fcsim.cli.main({[a.format(tmp=tmp_path) for a in argv]!r}) == 0; "
-                  + _assert_not_loaded(NEVER_LOADED + UNUSED_BY.get(argv[0], ()))
+                  + _assert_not_loaded(NEVER_LOADED + UNUSED_BY.get(argv[0], ())
+                                       + UNUSED_BY.get(" ".join(argv[:3]), ()))
                   for argv in commands)
     out = subprocess.run(
         [sys.executable, "-c",
@@ -615,6 +618,17 @@ def test_validate_non_number_is_config_error(tmp_path, capsys, section, field, v
     assert body["error"] == "NonPhysicalParameter"
     assert f"{section}.{field} is not a number" in body["message"]
     assert out == ""
+
+
+def test_simulate_negative_seed_is_config_error(tmp_path, capsys):
+    """A negative --seed is a typed error (exit 2), not numpy's ValueError
+    (exit 3), and writes nothing."""
+    code, out, err = run_cli(capsys, "simulate", "--config", CONFIG, "--seed", "-1",
+                             "--triggers", "1000", "--out", str(tmp_path / "neg.bin"))
+    assert code == 2
+    body = json.loads(err)
+    assert body["error"] == "NonPhysicalParameter" and "seed" in body["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_delay_beyond_record_field_is_config_error(tmp_path, capsys):

@@ -255,6 +255,18 @@ def test_bad_bootstrap_arguments_are_nonphysical(estimate, block_triggers, resam
     assert rec._bootstraps == {}
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), True, False])
+@pytest.mark.parametrize("estimate", [lambda rec, **kw: estimate_g2(rec, "cross_hs", **kw),
+                                      klyshko_efficiency], ids=["g2", "klyshko"])
+def test_negative_or_bool_bootstrap_seed_is_nonphysical(estimate, seed):
+    """A negative seed is a typed error, not numpy's ValueError, and a bool is
+    not taken for the seed 0 or 1; neither builds or keeps a bootstrap."""
+    rec = seen_in_two_blocks()
+    with pytest.raises(NonPhysicalParameter, match="seed"):
+        estimate(rec, block_triggers=SEEN_BLOCK, seed=seed)
+    assert rec._bootstraps == {}
+
+
 def test_numpy_integer_bootstrap_arguments_give_the_same_estimate():
     """block_triggers and resamples as numpy integers are accepted and change
     no bit of the value, the error or the dropped resamples."""
@@ -302,7 +314,7 @@ def test_bootstrap_matches_resample_loop(primary, stream):
         else:
             got = _bootstrap_or_error(estimate_g2, records, kind, block,
                                       estimators.BOOTSTRAP_RESAMPLES, seed)
-        want = _bootstrap_or_error(bootstrap_ratio_loop, records, ratio, kind, block,
+        want = _bootstrap_or_error(bootstrap_ratio_loop, records, ratio, block,
                                    estimators.BOOTSTRAP_RESAMPLES, seed)
         assert got == want, kind
     if stream == "seen_in_two_blocks":
@@ -323,8 +335,7 @@ def test_bootstrap_sums_exact_beyond_float_precision():
     for kind in estimators.G2_KINDS:
         got = _bootstrap_or_error(estimate_g2, rec, kind, block, 50, 1)
         want = _bootstrap_or_error(bootstrap_ratio_loop, rec,
-                                   estimators.RATIOS[estimators.G2_KINDS[kind]], kind,
-                                   block, 50, 1)
+                                   estimators.RATIOS[estimators.G2_KINDS[kind]], block, 50, 1)
         assert got == want, kind
 
 

@@ -39,6 +39,14 @@ def test_all_silent_without_source_noise_or_darks(primary):
     assert all(est.value == 0.0 for est in rates.values())
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), True, False])
+def test_negative_or_bool_seed_is_nonphysical(primary, seed):
+    """A negative seed is a typed error, not numpy's ValueError, and a bool is
+    not run as the seed 0 or 1."""
+    with pytest.raises(NonPhysicalParameter, match="seed"):
+        simulate_run(primary, seed=seed, n_triggers=1000)
+
+
 def test_determinism_same_seed(primary):
     a = simulate_run(primary, seed=99, n_triggers=300_000)
     b = simulate_run(primary, seed=99, n_triggers=300_000)
@@ -331,7 +339,7 @@ def test_write_records_failure_leaves_nothing(tmp_path, primary, monkeypatch,
 
 
 def _halve_triggers(run, path):
-    manifest = dataclasses.replace(run.manifest, n_triggers=run.n_triggers // 2)
+    manifest = dataclasses.replace(run.manifest, n_triggers=run.manifest.n_triggers // 2)
     trialsim.manifest_path(path).write_text(manifest.to_json(), encoding="utf-8")
 
 
@@ -676,10 +684,12 @@ def _tables(primary, alternate):
 
 def test_photon_numbers_equal_the_binary_search(primary, alternate):
     """The head count with its tail search is the inverse CDF exactly, at
-    every cdf entry, the double just below each, 0 and the largest uniform."""
+    every cdf entry, the double just below each, 0 and the largest uniform.
+    A head ends at its first entry at or above the cut, or at the cap."""
     tables = _tables(primary, alternate)
     for name, (_, cdf, head) in tables.items():
-        assert 1 <= head <= cdf.size and cdf[head - 1] >= trialsim._HEAD_CUT
+        assert 1 <= head <= min(cdf.size, trialsim._HEAD_MAX)
+        assert cdf[head - 1] >= trialsim._HEAD_CUT or head == trialsim._HEAD_MAX
         assert head == 1 or cdf[head - 2] < trialsim._HEAD_CUT
         u = np.concatenate([cdf, np.nextafter(cdf, 0.0), [0.0, 1.0 - 2.0 ** -53]])
         u = u[u < 1.0]  # a uniform draw is below 1
@@ -690,6 +700,12 @@ def test_photon_numbers_equal_the_binary_search(primary, alternate):
     _, cdf, head = tables["long"]
     assert cdf.size > 255 and head < cdf.size
     assert trialsim._photon_numbers(np.array([1.0 - 2.0 ** -53]), cdf, head)[0] > 255
+    # its head stops at the cap, short of the cut, and any head >= 1 counts exactly
+    assert head == trialsim._HEAD_MAX and cdf[head - 1] < trialsim._HEAD_CUT
+    u = np.random.default_rng(3).random(20_000)
+    for other in (1, 2, 7, head, int(np.searchsorted(cdf, trialsim._HEAD_CUT)) + 1):
+        np.testing.assert_array_equal(trialsim._photon_numbers(u, cdf, other),
+                                      np.searchsorted(cdf, u, side="right") + 1)
 
 
 def test_stage_seconds_leave_the_records_unchanged(primary):
