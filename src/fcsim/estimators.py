@@ -109,7 +109,7 @@ def _bootstrap_sums(records: ClickRecords, block_triggers: int, resamples: int,
             or block_triggers < 1 or resamples < 0):
         raise NonPhysicalParameter("bootstrap needs integers block_triggers >= 1 and "
                                    f"resamples >= 0, got {block_triggers} and {resamples}")
-    if isinstance(seed, bool) or isinstance(seed, (int, np.integer)) and seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise NonPhysicalParameter(f"bootstrap seed must be an integer >= 0, got {seed!r}")
     key = (block_triggers, resamples, seed)
     if key in records._bootstraps:
@@ -151,7 +151,9 @@ def _bootstrap_ratio(records: ClickRecords, ratio: tuple, block_triggers: int,
     d = math.prod(p[name] for name in den)
     ok = d > 0
     values = math.prod(p[name] for name in num)[ok] / d[ok]
-    se = float(np.std(values[1:], ddof=1)) if values.size > 2 else math.inf
+    # a numerator pattern that never occurred makes every resample 0: no error estimate
+    seen = all(sums[0, _COLUMN[name]] for name in num)
+    se = float(np.std(values[1:], ddof=1)) if values.size > 2 and seen else math.inf
     return CorrelationEstimate(value=float(values[0]), standard_error=se,
                                dropped_resamples=int(np.count_nonzero(~ok[1:])))
 
@@ -302,6 +304,8 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
         "psi2": cfg.cavity.dispersion_ps2_per_cycle,
     }
 
+    etas = {}  # (delta, psi2) -> the overlap over delays; the lifetime does not enter it
+
     def model_curve(params):
         p = dict(defaults)
         p.update(zip(free, params))
@@ -310,7 +314,11 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
             "cavity.mismatch_ps_per_cycle": max(p["delta"], _MODEL_FLOORS["delta"]),
             "cavity.dispersion_ps2_per_cycle": max(p["psi2"], _MODEL_FLOORS["psi2"]),
         })
-        return p["amplitude"] * readout.readout_curve(c, delays)[2][index]
+        key = (c.cavity.mismatch_ps_per_cycle, c.cavity.dispersion_ps2_per_cycle)
+        if key not in etas:
+            etas[key] = readout.readout_curve(c, delays)[1]
+        # readout_curve's total, survival^T * eta, in its order of operations
+        return p["amplitude"] * (c.survival_per_cycle ** delays * etas[key])[index]
 
     fit = _fit(free, model_curve, np.array([defaults[name] for name in free]), y, weight,
                "memory-model fit", xtol=1e-8, max_nfev=500 * len(free))

@@ -89,14 +89,17 @@ def signal_branch_probs(cfg: ValidatedConfig, delays, total=None):
     read out and collected, or neither. total is the readout curve's
     retrieval probability at the delays, computed when not given.
     """
-    d = np.atleast_1d(np.asarray(delays, dtype=float))
-    if not np.all((d >= 1) & (d == np.rint(d))):
+    d = np.array(delays, dtype=float, ndmin=1, copy=None)
+    if not ((d >= 1) & (d == np.rint(d))).all():
         raise NonPhysicalParameter(f"readout delays must be integers >= 1, got {delays}")
     if total is None:
         total = readout.readout_curve(cfg, d)[2]
     s = cfg.survival_per_cycle
-    q_mon = (1.0 - s) * s ** (d - 1) * cfg.detectors.eta_s_path
-    chain = total * (1.0 - cfg.cavity.reflectivity_r) * cfg.detectors.eta_r_path
+    q_mon = s ** (d - 1)
+    q_mon *= 1.0 - s
+    q_mon *= cfg.detectors.eta_s_path
+    chain = total * (1.0 - cfg.cavity.reflectivity_r)
+    chain *= cfg.detectors.eta_r_path
     return q_mon, chain
 
 

@@ -29,7 +29,10 @@ that envelope. sin^2(xi) does not depend on T and is below 1e-30 outside
 all delays as one matrix product. The nodes and xi/g on them are cached per
 (sigma_0, tau, zeta), so a scan over energies or the coupling evaluates no
 erf; the weighted profile is cached per pulse setting, so a scan over
-delays or cavity fields evaluates it once.
+delays or cavity fields evaluates it once. one_over_e_delay evaluates the
+curve in readout_curve's own chunks of delays and stops at the first chunk
+that holds the crossing, and the memory-model fit (fcsim.estimators)
+computes the overlap once per (delta, psi2) and reuses it for every lifetime.
 """
 
 from __future__ import annotations
@@ -84,8 +87,12 @@ def envelope_intensity(cfg: ValidatedConfig, delay_cycles, t_ps) -> np.ndarray:
     center = cfg.cavity.mismatch_ps_per_cycle * d
     s = np.hypot(cfg.source.envelope_rms_ps,
                  cfg.cavity.dispersion_ps2_per_cycle * cfg.spectral_rms_rad_per_ps * d)
-    return np.exp(-((np.asarray(t_ps) - center) ** 2) / (2.0 * s * s)) / (
-        s * math.sqrt(2.0 * math.pi))
+    x = np.subtract(t_ps, center)
+    x **= 2
+    x /= -2.0 * s * s
+    x = np.exp(x)
+    x /= s * math.sqrt(2.0 * math.pi)
+    return x
 
 
 def _gauss_legendre():
@@ -135,6 +142,11 @@ def _profile(sigma0_ps, energy_p_nj, energy_q_nj, nonlinear_coeff,
     return t, profile
 
 
+def _rows(nodes: int) -> int:
+    """Delays per matrix product of readout_curve at this many quadrature nodes."""
+    return max(1, MAX_MATRIX_ENTRIES // nodes)
+
+
 def readout_curve(cfg: ValidatedConfig, delays):
     """(survival, conversion efficiency, total) as arrays over storage delays.
 
@@ -142,15 +154,15 @@ def readout_curve(cfg: ValidatedConfig, delays):
     total = survival^T * eta_conv(T) is the intracavity retrieval
     probability; facet transmission and collection are applied downstream.
     """
-    d = np.atleast_1d(np.asarray(delays, dtype=float))
-    if d.ndim != 1 or not np.all(np.isfinite(d) & (d >= 0)):
+    d = np.array(delays, dtype=float, ndmin=1, copy=None)
+    if d.ndim != 1 or not (np.isfinite(d) & (d >= 0)).all():
         raise NonPhysicalParameter("readout delays must be a list of finite values >= 0")
     p = cfg.pulses
     t, profile = _profile(cfg.source.envelope_rms_ps, p.energy_p_nj, p.energy_q_nj,
                           p.nonlinear_coeff, cfg.cavity.walkoff_ps_per_m,
                           cfg.control_tau_ps, cfg.walkoff_ratio)
     eta = np.empty(d.size)
-    rows = max(1, MAX_MATRIX_ENTRIES // t.size)
+    rows = _rows(t.size)
     for i in range(0, d.size, rows):
         eta[i:i + rows] = envelope_intensity(cfg, d[i:i + rows, None], t) @ profile
     survival = cfg.survival_per_cycle ** d
@@ -181,10 +193,19 @@ def one_over_e_delay(cfg: ValidatedConfig) -> float:
     integer delay at or below the target, interpolated linearly in log
     space from the delay before it.
     """
-    _, _, total = readout_curve(cfg, np.arange(ONE_OVER_E_MAX_CYCLES + 1))
-    target = total[0] / math.e
-    below = np.flatnonzero(total[1:] <= target)
-    if below.size == 0:
+    # readout_curve's own chunks of 0..ONE_OVER_E_MAX_CYCLES, up to the one that holds
+    # the crossing: the same matrix products as one call over all delays, so the same bits
+    end = ONE_OVER_E_MAX_CYCLES + 1
+    rows = _rows(_nodes(cfg.source.envelope_rms_ps, cfg.control_tau_ps, cfg.walkoff_ratio)[0].size)
+    total = np.empty(0)
+    for start in range(0, end, rows):
+        chunk = np.arange(start, min(start + rows, end))
+        total = np.concatenate([total, readout_curve(cfg, chunk)[2]])
+        target = total[0] / math.e
+        below = np.flatnonzero(total[1:] <= target)
+        if below.size:
+            break
+    else:
         raise NoConvergence("retrieval probability stayed above 1/e up to "
                             f"{ONE_OVER_E_MAX_CYCLES} cycles", best=float(total[-1]))
     t = int(below[0]) + 1

@@ -291,7 +291,7 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
     """
     if n_triggers < 1:
         raise NonPhysicalParameter("n_triggers must be >= 1")
-    if isinstance(seed, bool) or isinstance(seed, (int, np.integer)) and seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise NonPhysicalParameter(f"seed must be an integer >= 0, got {seed!r}")
     if not 1 <= delay_cycles <= MAX_DELAY:
         raise NonPhysicalParameter(f"readout delay must be within 1..{MAX_DELAY} "

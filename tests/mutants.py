@@ -97,13 +97,33 @@ MUTANTS = [
      "int(np.searchsorted(cdf, _HEAD_CUT)) + 1",
      "photon-number head not capped: one pass per entry up to the cut"),
     ("src/fcsim/trialsim.py",
-     "if isinstance(seed, bool) or isinstance(seed, (int, np.integer)) and seed < 0:",
-     "if isinstance(seed, (int, np.integer)) and seed < 0:",
+     "if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:",
+     "if not isinstance(seed, (int, np.integer)) or seed < 0:",
      "simulate_run runs a bool seed as 0 or 1"),
     ("src/fcsim/estimators.py",
-     "isinstance(seed, (int, np.integer)) and seed < 0:",
-     "isinstance(seed, (int, np.integer)) and seed < -1:",
+     "np.integer)) or seed < 0:",
+     "np.integer)) or seed < -1:",
      "bootstrap takes the seed -1 to numpy's untyped ValueError"),
+    ("src/fcsim/readout.py",
+     "for start in range(0, end, rows):",
+     "for start in range(0, end, rows + 1):",
+     "1/e search chunks start one delay late after the first: later crossings shift"),
+    ("src/fcsim/estimators.py",
+     "key = (c.cavity.mismatch_ps_per_cycle, c.cavity.dispersion_ps2_per_cycle)",
+     "key = c.cavity.mismatch_ps_per_cycle",
+     "memory-fit overlap memo drops psi2: a psi2 step reuses the old overlap"),
+    ("src/fcsim/trialsim.py",
+     "if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:",
+     "if isinstance(seed, bool) or isinstance(seed, (int, np.integer)) and seed < 0:",
+     "simulate_run hands a float seed to numpy's untyped TypeError"),
+    ("src/fcsim/estimators.py",
+     "if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:",
+     "if isinstance(seed, bool) or isinstance(seed, (int, np.integer)) and seed < 0:",
+     "bootstrap answers a float seed from the memo of the equal integer seed"),
+    ("src/fcsim/estimators.py",
+     "if values.size > 2 and seen else math.inf",
+     "if values.size > 2 else math.inf",
+     "a numerator that never occurred claims a zero standard error"),
 ]
 
 

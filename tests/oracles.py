@@ -24,6 +24,11 @@ at a time, and bootstrap_ratio_loop tallies each block's
 patterns record by record (np.add.at) and draws and sums the block
 bootstrap one resample at a time.
 
+Two more keep the readout layer's plain versions: one_over_e_delay_full_range
+evaluates the readout curve over every delay 0..ONE_OVER_E_MAX_CYCLES
+before looking for the 1/e crossing, and memory_fit_every_step calls
+readout.readout_curve at every evaluation of the memory-model fit.
+
 scipy_brentq and scipy_least_squares are the scipy solvers the package's
 numpy-only ones (fcsim.solvers) replaced, called as the package calls its
 own: scipy is a dependency of the tests only.
@@ -42,7 +47,7 @@ from itertools import combinations
 import numpy as np
 
 from fcsim import estimators, fockstats, readout
-from fcsim.errors import DivisionByZeroRate, EmptyInput, NonPhysicalParameter
+from fcsim.errors import DivisionByZeroRate, EmptyInput, NoConvergence, NonPhysicalParameter
 from fcsim.trialsim import CSV_HEADER, MASK_H, MASK_R1, MASK_R2, MASK_S
 
 DETECTORS = ("H", "S", "R1", "R2")
@@ -381,6 +386,47 @@ def adaptive_overlap(cfg, delay_cycles, energy_p_nj=None, energy_q_nj=None, tol=
     raise AssertionError("reference overlap did not settle")
 
 
+def one_over_e_delay_full_range(cfg):
+    """readout.one_over_e_delay from one readout curve over every delay
+    0..ONE_OVER_E_MAX_CYCLES, searched for the crossing afterwards."""
+    last = readout.ONE_OVER_E_MAX_CYCLES
+    _, _, total = readout.readout_curve(cfg, np.arange(last + 1))
+    target = total[0] / math.e
+    below = np.flatnonzero(total[1:] <= target)
+    if below.size == 0:
+        raise NoConvergence(f"retrieval probability stayed above 1/e up to {last} cycles",
+                            best=float(total[-1]))
+    t = int(below[0]) + 1
+    prev, cur = float(total[t - 1]), float(total[t])
+    if prev <= 0 or cur <= 0:
+        return float(t)
+    return t - 1 + (math.log(prev) - math.log(target)) / (math.log(prev) - math.log(cur))
+
+
+def memory_fit_every_step(series, free, cfg):
+    """estimators.fit_memory_model on a series of distinct whole-number
+    delays inside the model floors, each evaluation building its config and
+    taking the total of readout.readout_curve at the delays."""
+    t, y, weight = estimators._series_arrays(series)
+    delays, index = np.unique(t, return_inverse=True)
+    start = {"amplitude": float(y.max()), "lifetime": cfg.cavity.ringdown_lifetime_cycles,
+             "delta": cfg.cavity.mismatch_ps_per_cycle,
+             "psi2": cfg.cavity.dispersion_ps2_per_cycle}
+    floors = estimators._MODEL_FLOORS
+
+    def model(params):
+        p = {**start, **dict(zip(free, params))}
+        c = cfg.replace_fields(**{
+            "cavity.ringdown_lifetime_cycles": max(p["lifetime"], floors["lifetime"]),
+            "cavity.mismatch_ps_per_cycle": max(p["delta"], floors["delta"]),
+            "cavity.dispersion_ps2_per_cycle": max(p["psi2"], floors["psi2"]),
+        })
+        return p["amplitude"] * readout.readout_curve(c, delays)[2][index]
+
+    return estimators._fit(tuple(free), model, np.array([start[name] for name in free]), y,
+                           weight, "memory-model fit", xtol=1e-8, max_nfev=500 * len(free))
+
+
 def csv_records_text(records):
     """Record file text in the CSV format, formatted row by row."""
     lines = [CSV_HEADER]
@@ -458,7 +504,8 @@ def bootstrap_ratio_loop(records, ratio, block_triggers, resamples, seed):
     d = math.prod(p[name] for name in den)
     ok = d > 0
     values = math.prod(p[name] for name in num)[ok] / d[ok]
-    se = float(np.std(values[1:], ddof=1)) if values.size > 2 else math.inf
+    seen = all(table[name].any() for name in num)
+    se = float(np.std(values[1:], ddof=1)) if values.size > 2 and seen else math.inf
     return estimators.CorrelationEstimate(
         value=float(values[0]), standard_error=se,
         dropped_resamples=int(np.count_nonzero(~ok[1:])))

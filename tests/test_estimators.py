@@ -267,6 +267,45 @@ def test_negative_or_bool_bootstrap_seed_is_nonphysical(estimate, seed):
     assert rec._bootstraps == {}
 
 
+@pytest.mark.parametrize("seed", [3.0, 2.5, np.float64(3.0), "3"])
+@pytest.mark.parametrize("estimate", [lambda rec, **kw: estimate_g2(rec, "cross_hs", **kw),
+                                      klyshko_efficiency], ids=["g2", "klyshko"])
+def test_non_integer_bootstrap_seed_is_nonphysical(estimate, seed):
+    """A seed that is not an integer is a typed error on fresh records, and
+    still one after the equal integer seed has built and kept its bootstrap."""
+    rec = seen_in_two_blocks()
+    with pytest.raises(NonPhysicalParameter, match="seed"):
+        estimate(rec, block_triggers=SEEN_BLOCK, seed=seed)
+    assert rec._bootstraps == {}
+    estimate(rec, block_triggers=SEEN_BLOCK, seed=3)
+    with pytest.raises(NonPhysicalParameter, match="seed"):
+        estimate(rec, block_triggers=SEEN_BLOCK, seed=seed)
+
+
+def test_numerator_that_never_occurred_has_an_infinite_error():
+    """No triple coincidence in the stream makes every resample of
+    g2_ac_heralded 0: the value stays 0, the error is infinite rather than
+    0, and resamples without a denominator are still counted."""
+    n = SEEN_BLOCK * SEEN_N_BLOCKS
+    masks = np.zeros(n, dtype=np.uint8)
+    masks[::7] = MASK_H
+    masks[5 * SEEN_BLOCK + 1] = masks[40 * SEEN_BLOCK + 1] = MASK_H | MASK_R1
+    masks[9 * SEEN_BLOCK + 2] = MASK_H | MASK_R2
+    rec = synthetic_records(masks, n)
+    est = estimate_g2(rec, "heralded_auto", block_triggers=SEEN_BLOCK, seed=3)
+    loop = bootstrap_ratio_loop(rec, estimators.RATIOS["g2_ac_heralded"], SEEN_BLOCK,
+                                estimators.BOOTSTRAP_RESAMPLES, 3)
+    assert est.value == 0.0 and est.standard_error == math.inf
+    assert est.dropped_resamples > 0
+    assert est == loop
+    # a numerator pattern that occurred once keeps a finite error
+    masks[9 * SEEN_BLOCK + 2] = MASK_H | MASK_R1 | MASK_R2
+    masks[9 * SEEN_BLOCK + 3] = MASK_H | MASK_R2
+    est = estimate_g2(synthetic_records(masks, n), "heralded_auto",
+                      block_triggers=SEEN_BLOCK, seed=3)
+    assert est.value > 0 and math.isfinite(est.standard_error)
+
+
 def test_numpy_integer_bootstrap_arguments_give_the_same_estimate():
     """block_triggers and resamples as numpy integers are accepted and change
     no bit of the value, the error or the dropped resamples."""
@@ -600,3 +639,4 @@ def test_memory_model_rejects_a_parameter_named_twice(primary):
     with pytest.raises(NonPhysicalParameter, match="'lifetime' is named more than once"):
         fit_memory_model(np.column_stack([t, y]), ("lifetime", "lifetime", "amplitude"),
                          primary)
+

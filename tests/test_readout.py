@@ -14,7 +14,7 @@ from fcsim.readout import (
     readout_curve,
     readout_probability,
 )
-from oracles import adaptive_overlap, xi_profile
+from oracles import adaptive_overlap, one_over_e_delay_full_range, xi_profile
 
 
 def test_erf_against_high_precision_oracle():
@@ -300,6 +300,64 @@ def test_one_over_e_delay_not_reached(primary):
     last = readout_probability(readout.ONE_OVER_E_MAX_CYCLES, cfg)[2]
     assert info.value.best == pytest.approx(last, rel=1e-12)
     assert last > readout_curve(cfg, [0])[2][0] / math.e
+
+
+def _ringdown(cfg, lifetime, **fields):
+    """cfg as a pure ring-down of the given lifetime, with further dotted fields."""
+    return cfg.replace_fields(**{"cavity.mismatch_ps_per_cycle": 0.0,
+                                 "cavity.dispersion_ps2_per_cycle": 0.0,
+                                 "cavity.ringdown_lifetime_cycles": lifetime, **fields})
+
+
+ONE_OVER_E_CASES = {
+    "primary": lambda primary, alternate: primary,
+    "alternate": lambda primary, alternate: alternate,
+    "lifetime_78": lambda primary, alternate: primary.replace_fields(
+        **{"cavity.ringdown_lifetime_cycles": 78.0}),
+    # crossings in the second, third and last 512-delay chunk
+    "ringdown_700": lambda primary, alternate: _ringdown(primary, 700.0),
+    "ringdown_1500": lambda primary, alternate: _ringdown(primary, 1500.0),
+    "ringdown_1999": lambda primary, alternate: _ringdown(alternate, 1999.7),
+    # a narrower envelope needs more nodes, so a chunk holds fewer delays
+    "narrow_ringdown_700": lambda primary, alternate: _ringdown(
+        primary, 700.0, **{"source.envelope_rms_ps": primary.source.envelope_rms_ps / 3}),
+    "never": lambda primary, alternate: _ringdown(primary, 1e9),
+}
+
+
+@pytest.mark.parametrize("case", ONE_OVER_E_CASES)
+def test_one_over_e_delay_matches_the_full_range_search(primary, alternate, case):
+    """Stopping at the first chunk that holds the crossing changes no bit of
+    the 1/e delay, nor of the best retrieval of a memory that never gets there."""
+    cfg = ONE_OVER_E_CASES[case](primary, alternate)
+    if case == "never":
+        with pytest.raises(NoConvergence) as want:
+            one_over_e_delay_full_range(cfg)
+        with pytest.raises(NoConvergence) as got:
+            readout.one_over_e_delay(cfg)
+        assert (str(got.value), got.value.best) == (str(want.value), want.value.best)
+    else:
+        assert readout.one_over_e_delay(cfg) == one_over_e_delay_full_range(cfg)
+
+
+@pytest.mark.parametrize("case, delays", [("primary", [512]), ("ringdown_700", [512, 512]),
+                                          ("never", [512, 512, 512, 465])])
+def test_one_over_e_delay_evaluates_up_to_its_crossing(primary, alternate, monkeypatch,
+                                                       case, delays):
+    """The shipped configs' 128 nodes make chunks of 512 delays: the primary
+    config crosses 1/e near delay 85 and evaluates the first chunk only."""
+    seen, real = [], readout.readout_curve
+
+    def counting(cfg, d):
+        seen.append(np.asarray(d).size)
+        return real(cfg, d)
+
+    monkeypatch.setattr(readout, "readout_curve", counting)
+    try:
+        readout.one_over_e_delay(ONE_OVER_E_CASES[case](primary, alternate))
+    except NoConvergence:
+        assert case == "never"
+    assert seen == delays
 
 
 def test_power_scan(primary):

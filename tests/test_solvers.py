@@ -1,4 +1,5 @@
-"""The numpy-only solvers against the scipy routines they replace (tests/oracles.py)."""
+"""The numpy-only solvers against the scipy routines they replace, and the memory
+fit against the one that calls the readout curve at every step (tests/oracles.py)."""
 
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from fcsim import estimators, fockstats, readout, solvers
 from fcsim.errors import NoConvergence, SingularFit
-from oracles import scipy_brentq, scipy_least_squares
+from oracles import memory_fit_every_step, scipy_brentq, scipy_least_squares
 
 PUBLISHED_TARGETS = {"g2_xc_hs": 26.0, "herald_rate_cps": 474.0, "g2_noise": 1.09,
                      "eta_conversion": 0.80, "heralded_prob": 0.096}
@@ -172,6 +173,32 @@ def test_decay_fit_evaluation_counts_are_pinned(primary, seed, evaluations):
     fit = estimators.fit_memory_model(_decay_series(primary, seed),
                                       ("amplitude", "lifetime"), primary)
     assert fit.evaluations == evaluations
+
+
+@pytest.mark.parametrize("free", [("amplitude", "lifetime"),
+                                  ("amplitude", "lifetime", "delta"),
+                                  ("amplitude", "lifetime", "delta", "psi2")])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_memory_fit_reuses_its_overlap_bit_for_bit(primary, seed, free):
+    """Computing each (delta, psi2) overlap once per fit changes no value,
+    error, R^2, residual or evaluation count of the fit that calls the
+    readout curve at every step."""
+    series = _decay_series(primary, seed)
+    assert estimators.fit_memory_model(series, free, primary) == memory_fit_every_step(
+        series, free, primary)
+
+
+def test_memory_fit_of_amplitude_and_lifetime_evaluates_the_overlap_once(primary,
+                                                                        monkeypatch):
+    series, calls, real = _decay_series(primary, 0), [], readout.readout_curve
+
+    def counting(cfg, delays):
+        calls.append(delays)
+        return real(cfg, delays)
+
+    monkeypatch.setattr(readout, "readout_curve", counting)
+    fit = estimators.fit_memory_model(series, ("amplitude", "lifetime"), primary)
+    assert fit.evaluations > 1 and len(calls) == 1
 
 
 def test_memory_fit_below_a_model_floor_is_singular(primary):

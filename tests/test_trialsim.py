@@ -47,6 +47,13 @@ def test_negative_or_bool_seed_is_nonphysical(primary, seed):
         simulate_run(primary, seed=seed, n_triggers=1000)
 
 
+@pytest.mark.parametrize("seed", [2.5, 3.0, np.float64(3.0), "3", None])
+def test_non_integer_seed_is_nonphysical(primary, seed):
+    """A seed that is not an integer is a typed error, not numpy's TypeError."""
+    with pytest.raises(NonPhysicalParameter, match="seed"):
+        simulate_run(primary, seed=seed, n_triggers=1000)
+
+
 def test_determinism_same_seed(primary):
     a = simulate_run(primary, seed=99, n_triggers=300_000)
     b = simulate_run(primary, seed=99, n_triggers=300_000)
