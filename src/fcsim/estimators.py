@@ -317,8 +317,7 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
         key = (c.cavity.mismatch_ps_per_cycle, c.cavity.dispersion_ps2_per_cycle)
         if key not in etas:
             etas[key] = readout.readout_curve(c, delays)[1]
-        # readout_curve's total, survival^T * eta, in its order of operations
-        return p["amplitude"] * (c.survival_per_cycle ** delays * etas[key])[index]
+        return p["amplitude"] * readout._retrieval(c, delays, etas[key])[1][index]
 
     fit = _fit(free, model_curve, np.array([defaults[name] for name in free]), y, weight,
                "memory-model fit", xtol=1e-8, max_nfev=500 * len(free))

@@ -95,11 +95,8 @@ def signal_branch_probs(cfg: ValidatedConfig, delays, total=None):
     if total is None:
         total = readout.readout_curve(cfg, d)[2]
     s = cfg.survival_per_cycle
-    q_mon = s ** (d - 1)
-    q_mon *= 1.0 - s
-    q_mon *= cfg.detectors.eta_s_path
-    chain = total * (1.0 - cfg.cavity.reflectivity_r)
-    chain *= cfg.detectors.eta_r_path
+    q_mon = (1.0 - s) * s ** (d - 1) * cfg.detectors.eta_s_path
+    chain = total * (1.0 - cfg.cavity.reflectivity_r) * cfg.detectors.eta_r_path
     return q_mon, chain
 
 

@@ -31,8 +31,8 @@ all delays as one matrix product. The nodes and xi/g on them are cached per
 erf; the weighted profile is cached per pulse setting, so a scan over
 delays or cavity fields evaluates it once. one_over_e_delay evaluates the
 curve in readout_curve's own chunks of delays and stops at the first chunk
-that holds the crossing, and the memory-model fit (fcsim.estimators)
-computes the overlap once per (delta, psi2) and reuses it for every lifetime.
+that holds the crossing; the memory-model fit (fcsim.estimators) computes
+the overlap once per (delta, psi2) and applies each lifetime via _retrieval.
 """
 
 from __future__ import annotations
@@ -142,9 +142,20 @@ def _profile(sigma0_ps, energy_p_nj, energy_q_nj, nonlinear_coeff,
     return t, profile
 
 
-def _rows(nodes: int) -> int:
-    """Delays per matrix product of readout_curve at this many quadrature nodes."""
-    return max(1, MAX_MATRIX_ENTRIES // nodes)
+def _quadrature(cfg: ValidatedConfig):
+    """Nodes t, weighted profile and delays per matrix product of readout_curve
+    (one_over_e_delay walks its delays in chunks of that size)."""
+    p = cfg.pulses
+    t, profile = _profile(cfg.source.envelope_rms_ps, p.energy_p_nj, p.energy_q_nj,
+                          p.nonlinear_coeff, cfg.cavity.walkoff_ps_per_m,
+                          cfg.control_tau_ps, cfg.walkoff_ratio)
+    return t, profile, max(1, MAX_MATRIX_ENTRIES // t.size)
+
+
+def _retrieval(cfg: ValidatedConfig, d, eta):
+    """(survival, total) at delays d for conversion efficiencies eta: total = survival^T * eta."""
+    survival = cfg.survival_per_cycle ** d
+    return survival, survival * eta
 
 
 def readout_curve(cfg: ValidatedConfig, delays):
@@ -157,16 +168,12 @@ def readout_curve(cfg: ValidatedConfig, delays):
     d = np.array(delays, dtype=float, ndmin=1, copy=None)
     if d.ndim != 1 or not (np.isfinite(d) & (d >= 0)).all():
         raise NonPhysicalParameter("readout delays must be a list of finite values >= 0")
-    p = cfg.pulses
-    t, profile = _profile(cfg.source.envelope_rms_ps, p.energy_p_nj, p.energy_q_nj,
-                          p.nonlinear_coeff, cfg.cavity.walkoff_ps_per_m,
-                          cfg.control_tau_ps, cfg.walkoff_ratio)
+    t, profile, rows = _quadrature(cfg)
     eta = np.empty(d.size)
-    rows = _rows(t.size)
     for i in range(0, d.size, rows):
         eta[i:i + rows] = envelope_intensity(cfg, d[i:i + rows, None], t) @ profile
-    survival = cfg.survival_per_cycle ** d
-    return survival, eta, survival * eta
+    survival, total = _retrieval(cfg, d, eta)
+    return survival, eta, total
 
 
 def conversion_efficiency(cfg: ValidatedConfig) -> float:
@@ -196,7 +203,7 @@ def one_over_e_delay(cfg: ValidatedConfig) -> float:
     # readout_curve's own chunks of 0..ONE_OVER_E_MAX_CYCLES, up to the one that holds
     # the crossing: the same matrix products as one call over all delays, so the same bits
     end = ONE_OVER_E_MAX_CYCLES + 1
-    rows = _rows(_nodes(cfg.source.envelope_rms_ps, cfg.control_tau_ps, cfg.walkoff_ratio)[0].size)
+    rows = _quadrature(cfg)[2]
     total = np.empty(0)
     for start in range(0, end, rows):
         chunk = np.arange(start, min(start + rows, end))
