@@ -137,47 +137,41 @@ def _bootstrap_sums(records: ClickRecords, block_triggers: int, resamples: int,
 _COLUMN = {name: i for i, name in enumerate(PATTERN_MASKS, start=1)}
 
 
-def _bootstrap_ratio(records: ClickRecords, ratio: tuple, block_triggers: int,
-                     resamples: int, seed: int) -> CorrelationEstimate:
-    """prod(p_num) / prod(p_den) of ratio = (num, den) pattern names, with
-    block-bootstrap error; resamples whose denominator vanishes are dropped
-    and counted in dropped_resamples."""
+def estimate(records: ClickRecords, name: str, block_triggers: int = BOOTSTRAP_BLOCK,
+             resamples: int = BOOTSTRAP_RESAMPLES, seed: int = 0) -> CorrelationEstimate:
+    """Ratio-of-frequencies estimate of the correlation RATIOS[name],
+    prod(p_num) / prod(p_den), with block-bootstrap error; resamples whose
+    denominator vanishes are dropped and counted in dropped_resamples."""
+    if name not in RATIOS:
+        raise NonPhysicalParameter(f"unknown correlation {name!r}")
     sums = _bootstrap_sums(records, block_triggers, resamples, seed)
-    num, den = ratio
-    for name in den:
-        if not sums[0, _COLUMN[name]]:
-            raise DivisionByZeroRate(f"pattern {name!r} never occurred")
-    p = {name: sums[:, _COLUMN[name]] / sums[:, 0] for name in {*num, *den}}
-    d = math.prod(p[name] for name in den)
+    num, den = RATIOS[name]
+    for pattern in den:
+        if not sums[0, _COLUMN[pattern]]:
+            raise DivisionByZeroRate(f"pattern {pattern!r} never occurred")
+    p = {pattern: sums[:, _COLUMN[pattern]] / sums[:, 0] for pattern in {*num, *den}}
+    d = math.prod(p[pattern] for pattern in den)
     ok = d > 0
-    values = math.prod(p[name] for name in num)[ok] / d[ok]
+    values = math.prod(p[pattern] for pattern in num)[ok] / d[ok]
     # a numerator pattern that never occurred makes every resample 0: no error estimate
-    seen = all(sums[0, _COLUMN[name]] for name in num)
+    seen = all(sums[0, _COLUMN[pattern]] for pattern in num)
     se = float(np.std(values[1:], ddof=1)) if values.size > 2 and seen else math.inf
     return CorrelationEstimate(value=float(values[0]), standard_error=se,
                                dropped_resamples=int(np.count_nonzero(~ok[1:])))
 
 
-def estimate_g2(records: ClickRecords, kind: str,
-                block_triggers: int = BOOTSTRAP_BLOCK,
-                resamples: int = BOOTSTRAP_RESAMPLES,
-                seed: int = 0) -> CorrelationEstimate:
-    """Ratio-of-frequencies estimate of the correlation G2_KINDS[kind], with
-    block-bootstrap error."""
+def estimate_g2(records: ClickRecords, kind: str, block_triggers: int = BOOTSTRAP_BLOCK,
+                resamples: int = BOOTSTRAP_RESAMPLES, seed: int = 0) -> CorrelationEstimate:
+    """estimate of the correlation G2_KINDS[kind]."""
     if kind not in G2_KINDS:
         raise NonPhysicalParameter(f"unknown correlation kind {kind!r}")
-    return _bootstrap_ratio(records, RATIOS[G2_KINDS[kind]], block_triggers, resamples, seed)
+    return estimate(records, G2_KINDS[kind], block_triggers, resamples, seed)
 
 
-def klyshko_efficiency(records: ClickRecords,
-                       block_triggers: int = BOOTSTRAP_BLOCK,
-                       resamples: int = BOOTSTRAP_RESAMPLES,
-                       seed: int = 0) -> CorrelationEstimate:
-    """Herald-arm efficiency from coincidences over signal-monitor singles.
-
-    eta_h = p(H and S) / p(S); independent of losses on the monitored arm.
-    """
-    return _bootstrap_ratio(records, (("hs",), ("s",)), block_triggers, resamples, seed)
+def klyshko_efficiency(records: ClickRecords, block_triggers: int = BOOTSTRAP_BLOCK,
+                       resamples: int = BOOTSTRAP_RESAMPLES, seed: int = 0) -> CorrelationEstimate:
+    """Herald-arm efficiency p(H and S) / p(S), independent of monitor-arm losses."""
+    return estimate(records, "klyshko_efficiency", block_triggers, resamples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .patterns import AT_LEAST, DETECTOR_BITS, PATTERN_MASKS, PATTERN_MATRIX, RATIOS
 from . import readout
+from .readout import signal_branch_probs
 
 _MASKS = np.arange(16)
 _HAS = (_MASKS[:, None] & np.array(list(DETECTOR_BITS.values()))) > 0  # (mask, detector)
@@ -81,24 +82,6 @@ def correlations(p: dict, controls: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # The click engine
 # ---------------------------------------------------------------------------
-
-def signal_branch_probs(cfg: ValidatedConfig, delays, total=None):
-    """(monitor, readout) per-photon branch probabilities as arrays over delays.
-
-    A stored photon leaks toward the monitor arm during the readout bin, is
-    read out and collected, or neither. total is the readout curve's
-    retrieval probability at the delays, computed when not given.
-    """
-    d = np.array(delays, dtype=float, ndmin=1, copy=None)
-    if not ((d >= 1) & (d == np.rint(d))).all():
-        raise NonPhysicalParameter(f"readout delays must be integers >= 1, got {delays}")
-    if total is None:
-        total = readout.readout_curve(cfg, d)[2]
-    s = cfg.survival_per_cycle
-    q_mon = (1.0 - s) * s ** (d - 1) * cfg.detectors.eta_s_path
-    chain = total * (1.0 - cfg.cavity.reflectivity_r) * cfg.detectors.eta_r_path
-    return q_mon, chain
-
 
 def no_click_table(cfg: ValidatedConfig, q_mon, chain, include_source: bool = True):
     """No-click probabilities Q(A) of the 16 detector sets, shape (branches, 16).

@@ -39,4 +39,5 @@ RATIOS = {
     "g2_ac_heralded": (("hr1r2", "h"), ("hr1", "hr2")),
     "g2_noise": (("r1r2",), ("r1", "r2")),
     "heralding_efficiency": (("hr",), ("h",)),
+    "klyshko_efficiency": (("hs",), ("s",)),
 }

@@ -181,14 +181,41 @@ def conversion_efficiency(cfg: ValidatedConfig) -> float:
     return float(readout_curve(cfg, 1)[1][0])
 
 
+def _check_delays(delays) -> int:
+    """How many delays there are; NonPhysicalParameter unless each is an integer >= 1."""
+    # in Python, and a plain int without numpy: a one-delay call costs about a scalar compare
+    values = [delays] if type(delays) is int else np.ravel(delays).tolist()
+    for x in values:
+        if type(x) is bool or not (x >= 1 and float(x).is_integer()):
+            raise NonPhysicalParameter(f"readout delays must be integers >= 1, got {delays}")
+    return len(values)
+
+
 def readout_probability(delay_cycles: int, cfg: ValidatedConfig):
     """(survival, conversion efficiency, total) at an integer delay >= 1.
 
     Monotone nonincreasing in T when mismatch and dispersion are >= 0.
     """
-    if delay_cycles < 1 or int(delay_cycles) != delay_cycles:
-        raise NonPhysicalParameter(f"readout delay must be an integer >= 1, got {delay_cycles}")
-    return tuple(float(a[0]) for a in readout_curve(cfg, delay_cycles))
+    if _check_delays(delay_cycles) != 1:
+        raise NonPhysicalParameter(f"readout delay must be one integer, got {delay_cycles}")
+    return tuple(a.item() for a in readout_curve(cfg, delay_cycles))
+
+
+def signal_branch_probs(cfg: ValidatedConfig, delays, total=None):
+    """(monitor, readout) per-photon branch probabilities as arrays over delays.
+
+    A stored photon leaks toward the monitor arm during the readout bin, is
+    read out and collected, or neither. total is the readout curve's
+    retrieval probability at the delays, computed when not given.
+    """
+    _check_delays(delays)
+    d = np.array(delays, dtype=float, ndmin=1, copy=None)
+    if total is None:
+        total = readout_curve(cfg, d)[2]
+    s = cfg.survival_per_cycle
+    q_mon = (1.0 - s) * s ** (d - 1) * cfg.detectors.eta_s_path
+    chain = total * (1.0 - cfg.cavity.reflectivity_r) * cfg.detectors.eta_r_path
+    return q_mon, chain
 
 
 def one_over_e_delay(cfg: ValidatedConfig) -> float:

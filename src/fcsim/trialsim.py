@@ -33,8 +33,8 @@ import numpy as np
 from . import atomic
 from .config import ValidatedConfig, config_hash
 from .errors import CorruptRecords, EmptyInput, NonPhysicalParameter
-from .fockstats import signal_branch_probs
 from .patterns import MASK_H, MASK_R1, MASK_R2, MASK_S
+from .readout import signal_branch_probs
 
 BLOCK_TRIGGERS = 1 << 20
 GENERATOR_NAME = "numpy-pcg64-sparse3"

@@ -60,11 +60,11 @@ MUTANTS = [
      "m * np.log1p(n_bar / m * e)",
      "m * np.log1p(n_bar * e)",
      "engine's noise photons ignore the mode count"),
-    ("src/fcsim/estimators.py",
-     '(("hs",), ("s",)), block_triggers',
-     '(("hs",), ("h",)), block_triggers',
+    ("src/fcsim/patterns.py",
+     '"klyshko_efficiency": (("hs",), ("s",)),',
+     '"klyshko_efficiency": (("hs",), ("h",)),',
      "Klyshko efficiency over herald singles, not monitor singles"),
-    ("src/fcsim/fockstats.py",
+    ("src/fcsim/readout.py",
      "s ** (d - 1)",
      "s ** d",
      "monitor leak one cycle late (shared by engine, Monte Carlo and oracle)"),
@@ -124,6 +124,18 @@ MUTANTS = [
      "if values.size > 2 and seen else math.inf",
      "if values.size > 2 else math.inf",
      "a numerator that never occurred claims a zero standard error"),
+    ("src/fcsim/estimators.py",
+     '    if name not in RATIOS:\n        raise NonPhysicalParameter(f"unknown correlation {name!r}")\n',
+     "",
+     "estimate takes an unknown name to an untyped KeyError"),
+    ("src/fcsim/readout.py",
+     "if type(x) is bool or not (",
+     "if not (",
+     "the readout-bin check takes a bool delay as delay 1"),
+    ("src/fcsim/readout.py",
+     "if _check_delays(delay_cycles) != 1:",
+     "if _check_delays(delay_cycles) < 1:",
+     "readout_probability answers a list of delays with its first delay's values"),
 ]
 
 

@@ -11,7 +11,7 @@ which shares its arithmetic:
 
 Only the container for the resulting no-click probabilities,
 fockstats.ClickProbabilities (indexed by record mask), and the per-photon
-branch probabilities of the readout (fockstats.signal_branch_probs) come
+branch probabilities of the readout (readout.signal_branch_probs) come
 from the package.
 
 Three further references replace fast package code with the plain version
@@ -277,7 +277,7 @@ def table_click_model(cfg, delay_cycles=1, include_source=True, n_max=16, k_max=
     mu = cfg.source.mean_pairs_per_pulse if include_source else 0.0
     dist = tmsv_state(mu, cfg.source.schmidt_modes, n_max)
     dist = apply_loss(dist, "herald", cfg.detectors.eta_herald_path)
-    q_mon, chain = (float(v[0]) for v in fockstats.signal_branch_probs(cfg, delay_cycles))
+    q_mon, chain = (float(v[0]) for v in readout.signal_branch_probs(cfg, delay_cycles))
     dist = split_mode(dist, "signal", q_mon, chain, labels=("monitor", "readout"))
     dist = add_thermal_noise(dist, "readout", cfg.noise_mean_per_trigger(),
                              cfg.noise.mode_count, k_max)
@@ -312,7 +312,7 @@ def heralded_signal_moments(cfg):
     any delay, while the mean scales with the retrieval probability.
     """
     mu, k = cfg.source.mean_pairs_per_pulse, cfg.source.schmidt_modes
-    chain = float(fockstats.signal_branch_probs(cfg, 1)[1][0])
+    chain = float(readout.signal_branch_probs(cfg, 1)[1][0])
     eta_h = cfg.detectors.eta_herald_path
     x = 1.0 - eta_h
     base = 1.0 + mu / k * eta_h  # G(x) = base^-k
@@ -476,9 +476,10 @@ def pattern_hits(name, mask):
 
 
 def bootstrap_ratio_loop(records, ratio, block_triggers, resamples, seed):
-    """estimators._bootstrap_ratio with its own per-block tally (np.add.at of
-    each record's pattern hits at its block), one rng.integers call and one
-    column sum per resample."""
+    """estimators.estimate of the correlation whose patterns are ratio =
+    (num, den), as patterns.RATIOS gives them, with its own per-block tally
+    (np.add.at of each record's pattern hits at its block), one rng.integers
+    call and one column sum per resample."""
     n = records.manifest.n_triggers
     if n < 1:
         raise EmptyInput("record stream covers zero triggers")

@@ -173,19 +173,15 @@ def test_criterion_6_oracle_equivalence(primary):
     for case in range(5):
         cfg = _random_test_config(primary, rng)
         delay = int(rng.integers(1, 8))
-        _, clicks = fockstats.click_model(cfg, delay)
-        corr = fockstats.correlations(fockstats.model_patterns(cfg, delay),
-                                      fockstats.model_patterns(cfg, include_source=False))
+        p = fockstats.model_patterns(cfg, delay)
+        corr = fockstats.correlations(p, fockstats.model_patterns(cfg, include_source=False))
         expected = {
-            "h": clicks.p("H") * clock,
-            "s": clicks.p("S") * clock,
-            "r": (1 - clicks.no_click[frozenset(["R1", "R2"])]) * clock,
-            "hs": clicks.p_all("H", "S") * clock,
+            **{name: p[name] * clock for name in ("h", "s", "r", "hs")},
             "cross_hr": corr["g2_xc_hr"],
             "cross_hs": corr["g2_xc_hs"],
             "heralded_auto": corr["g2_ac_heralded"],
             # herald-arm efficiency as seen through coincidences (dark included)
-            "klyshko": clicks.p_all("H", "S") / clicks.p("S"),
+            "klyshko": corr["klyshko_efficiency"],
         }
         pull_sums = dict.fromkeys(expected, 0.0)
         for r in range(C6_RUNS):
@@ -206,8 +202,7 @@ def test_criterion_6_oracle_equivalence(primary):
     # independent direct-sum enumeration against the closed-form engine
     from oracles import brute_click_patterns
     cfg = primary.replace_fields(**{"source.mean_pairs_per_pulse": 0.04})
-    _, clicks = fockstats.click_model(cfg, 2)
-    (q_mon,), (chain,) = fockstats.signal_branch_probs(cfg, 2)
+    (q_mon,), (chain,) = readout.signal_branch_probs(cfg, 2)
     brute = brute_click_patterns(
         mu=0.04, schmidt_modes=1.0, n_max=6,
         eta_herald=cfg.detectors.eta_herald_path,
@@ -218,7 +213,7 @@ def test_criterion_6_oracle_equivalence(primary):
         splitter=0.5,
     )
     max_diff = 0.0
-    for mask, p in enumerate(fockstats.EXACT @ clicks.q):
+    for mask, p in enumerate(fockstats.EXACT @ fockstats.no_click_table(cfg, q_mon, chain)[0]):
         pattern = frozenset(d for d, bit in fockstats.DETECTOR_BITS.items() if mask & bit)
         max_diff = max(max_diff, abs(p - brute.get(pattern, 0.0)))
     assert max_diff < 1e-6

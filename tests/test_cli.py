@@ -151,6 +151,8 @@ def test_stats_report(capsys):
     doc = json.loads(out)
     assert doc["rates"]["herald_cps"] == pytest.approx(474.0, abs=0.5)
     assert doc["correlations"]["g2_ac_heralded"] == pytest.approx(0.58, abs=0.05)
+    p = fockstats.model_patterns(load_config(CONFIG))
+    assert doc["correlations"]["klyshko_efficiency"] == p["hs"] / p["s"]
 
 
 def test_stats_out_config_without_calibrate(tmp_path, capsys):
@@ -454,7 +456,7 @@ SWEEP_60 = ["sweep", "--config", CONFIG, "--param", "readout_delay", "--from", "
 # modules that no command may load, and per command those it runs nothing of
 NEVER_LOADED = ("numpy.ma", "numpy.polynomial")
 UNUSED_BY = {"validate": ("numpy",),
-             "simulate": ("fcsim.multiplex", "fcsim.solvers"),
+             "simulate": ("fcsim.multiplex", "fcsim.solvers", "fcsim.fockstats"),
              "sweep": ("fcsim.estimators", "fcsim.fockstats", "fcsim.trialsim",
                        "fcsim.multiplex", "fcsim.solvers"),
              "stats": ("fcsim.estimators", "fcsim.trialsim", "fcsim.multiplex"),

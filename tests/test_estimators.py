@@ -328,10 +328,10 @@ def _bootstrap_or_error(estimate, *args):
 @pytest.mark.parametrize("stream", ["primary", "dense", "seen_in_two_blocks",
                                     "primary_20000_blocks"])
 def test_bootstrap_matches_resample_loop(primary, stream):
-    """Every estimate_g2 kind and klyshko_efficiency give the value, standard
-    error and dropped_resamples of the one-resample-at-a-time loop, bit for
-    bit: on 1000 blocks of the primary config, 100 blocks of a dense one, the
-    50 blocks of which only 2 hold the denominator, and 20000 blocks, whose
+    """The estimate of every RATIOS entry gives the value, standard error
+    and dropped_resamples of the one-resample-at-a-time loop, bit for bit:
+    on 1000 blocks of the primary config, 100 blocks of a dense one, the 50
+    blocks of which only 2 hold the denominator, and 20000 blocks, whose
     resamples are drawn in four chunks of at most 2^20 block indices."""
     block, seed = estimators.BOOTSTRAP_BLOCK, 11
     if stream == "primary":
@@ -344,20 +344,27 @@ def test_bootstrap_matches_resample_loop(primary, stream):
         records = trialsim.simulate_run(dense, seed=6, n_triggers=1_000_000)
     else:
         records, block, seed = seen_in_two_blocks(), SEEN_BLOCK, 3
-    cases = [(kind, estimators.RATIOS[estimators.G2_KINDS[kind]]) for kind in estimators.G2_KINDS]
-    cases.append(("klyshko", (("hs",), ("s",))))
-    for kind, ratio in cases:
-        if kind == "klyshko":
-            got = _bootstrap_or_error(klyshko_efficiency, records, block,
-                                      estimators.BOOTSTRAP_RESAMPLES, seed)
-        else:
-            got = _bootstrap_or_error(estimate_g2, records, kind, block,
-                                      estimators.BOOTSTRAP_RESAMPLES, seed)
+    for name, ratio in estimators.RATIOS.items():
+        got = _bootstrap_or_error(estimators.estimate, records, name, block,
+                                  estimators.BOOTSTRAP_RESAMPLES, seed)
         want = _bootstrap_or_error(bootstrap_ratio_loop, records, ratio, block,
                                    estimators.BOOTSTRAP_RESAMPLES, seed)
-        assert got == want, kind
+        assert got == want, name
     if stream == "seen_in_two_blocks":
         assert klyshko_efficiency(records, block, seed=seed).dropped_resamples > 0
+
+
+def test_g2_and_klyshko_are_estimates_of_their_ratio(primary):
+    """estimate_g2 and klyshko_efficiency give estimate's value, standard
+    error and dropped_resamples for their RATIOS entry; estimate takes only
+    a RATIOS name, not an estimate_g2 kind."""
+    records = trialsim.simulate_run(primary, seed=6, n_triggers=1_000_000)
+    for kind, name in estimators.G2_KINDS.items():
+        assert estimate_g2(records, kind) == estimators.estimate(records, name), kind
+    assert klyshko_efficiency(records) == estimators.estimate(records, "klyshko_efficiency")
+    for name in ("nope", "cross_hs"):
+        with pytest.raises(NonPhysicalParameter):
+            estimators.estimate(records, name)
 
 
 def test_bootstrap_sums_exact_beyond_float_precision():

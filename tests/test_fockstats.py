@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fcsim.config import DetectorParams
 from fcsim.errors import DivisionByZeroRate, NoConvergence, NonPhysicalParameter
-from fcsim import estimators, fockstats, readout
+from fcsim import estimators, fockstats, readout, trialsim
 from fcsim.fockstats import (
     DETECTOR_BITS,
     EXACT,
@@ -225,7 +225,7 @@ def test_clicks_match_bruteforce_enumeration(primary):
     """Full chain against the independent direct-sum oracle."""
     cfg = primary.replace_fields(**{"source.mean_pairs_per_pulse": 0.05})
     _, clicks = click_model(cfg, delay_cycles=3)
-    (q_mon,), (chain,) = fockstats.signal_branch_probs(cfg, 3)
+    (q_mon,), (chain,) = readout.signal_branch_probs(cfg, 3)
     brute = brute_click_patterns(
         mu=0.05, schmidt_modes=cfg.source.schmidt_modes, n_max=6,
         eta_herald=cfg.detectors.eta_herald_path,
@@ -334,7 +334,7 @@ def test_monitor_leak_is_one_cycle_of_loss_after_t_minus_one_stored(primary, lif
     oracle, which all take the leak from signal_branch_probs."""
     cfg = primary.replace_fields(**{"cavity.ringdown_lifetime_cycles": lifetime})
     delays = np.array([1, 2, 50])
-    q_mon, _ = fockstats.signal_branch_probs(cfg, delays)
+    q_mon, _ = readout.signal_branch_probs(cfg, delays)
     leak = ((1.0 - np.exp(-1.0 / lifetime)) * np.exp(-(delays - 1) / lifetime)
             * cfg.detectors.eta_s_path)
     assert np.allclose(q_mon, leak, rtol=1e-12, atol=0.0)
@@ -352,7 +352,7 @@ def test_klyshko_identity_lossless_chain(primary):
         "detectors.dark_prob_per_gate": 0.0,
         "source.mean_pairs_per_pulse": 1e-4,
     })
-    _, (chain,) = fockstats.signal_branch_probs(cfg, 1)
+    _, (chain,) = readout.signal_branch_probs(cfg, 1)
     _, clicks = click_model(cfg, 1)
     p_h = clicks.p("H")
     p_hr = p_h - (clicks.no_click[frozenset(["R1", "R2"])]
@@ -525,12 +525,12 @@ def test_engine_over_delays_equals_single_delay_rows(config_name, request):
     cfg = request.getfixturevalue(config_name)
     delays = np.arange(1, 301)
     total = readout.readout_curve(cfg, delays)[2]
-    q_mon, chain = fockstats.signal_branch_probs(cfg, delays, total)
+    q_mon, chain = readout.signal_branch_probs(cfg, delays, total)
     for include_source in (True, False):
         table = fockstats.no_click_table(cfg, q_mon, chain, include_source)
         assert table.shape == (delays.size, 16)
         for i, t in enumerate(delays):
-            branches = fockstats.signal_branch_probs(cfg, t, total[i:i + 1])
+            branches = readout.signal_branch_probs(cfg, t, total[i:i + 1])
             row = fockstats.no_click_table(cfg, *branches, include_source)
             assert np.array_equal(row, table[i:i + 1]), (t, include_source)
 
@@ -573,12 +573,19 @@ def test_heralded_g2_curve_rejects_bad_delays_and_vacuum(primary):
         fockstats.heralded_g2_curve(dark, [1, 5])
 
 
-@pytest.mark.parametrize("delay", [0, 1.5, -3])
+@pytest.mark.parametrize("delay", [0, 1.5, -3, True, math.inf])
 def test_model_rejects_delays_that_are_not_readout_bins(primary, delay):
-    with pytest.raises(NonPhysicalParameter):
-        fockstats.model_report(primary, delay)
-    with pytest.raises(NonPhysicalParameter):
-        click_model(primary, delay)
+    """Every caller of the one readout-bin check rejects the delay, alone
+    or as a list (a bool is no delay, not delay 1)."""
+    callers = (fockstats.model_report, click_model, readout.signal_branch_probs,
+               lambda cfg, d: readout.readout_probability(d, cfg),
+               lambda cfg, d: trialsim.simulate_run(cfg, 1, 1000, delay_cycles=d))
+    for call in callers:
+        with pytest.raises(NonPhysicalParameter):
+            call(primary, delay)
+    for call in (readout.signal_branch_probs, fockstats.heralded_g2_curve):
+        with pytest.raises(NonPhysicalParameter):
+            call(primary, [delay])
 
 
 def test_benchmark_facing_views_match_engine(primary):
@@ -586,7 +593,7 @@ def test_benchmark_facing_views_match_engine(primary):
     of the engine and of the pattern table."""
     assert estimators.PATTERNS == {"h": 1, "s": 2, "r1": 4, "r2": 8, "hs": 3,
                                    "hr1": 5, "hr2": 9, "r1r2": 12, "hr1r2": 13}
-    (q_mon,), (chain,) = fockstats.signal_branch_probs(primary, 7)
+    (q_mon,), (chain,) = readout.signal_branch_probs(primary, 7)
     for include_source in (True, False):
         _, clicks = click_model(primary, 7, include_source=include_source)
         q = fockstats.no_click_table(primary, q_mon, chain, include_source)[0]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcsim import readout
+from fcsim import fockstats, readout, trialsim
 from fcsim.errors import GridTooCoarse, NoConvergence, NonPhysicalParameter
 from fcsim.readout import (
     conversion_efficiency,
@@ -249,6 +249,18 @@ def test_readout_probability_first_bin(primary):
     assert survival == pytest.approx(math.exp(-1 / 111), rel=1e-12)
     assert eta == pytest.approx(0.8, abs=1e-6)
     assert total == pytest.approx(0.79, abs=0.005)
+
+
+def test_branch_probabilities_have_one_home():
+    """The click engine and the Monte Carlo call the readout's own function."""
+    assert (trialsim.signal_branch_probs is fockstats.signal_branch_probs
+            is readout.signal_branch_probs)
+
+
+def test_readout_probability_takes_one_delay(primary):
+    """A list of delays is an error, not the readout at its first delay."""
+    with pytest.raises(NonPhysicalParameter):
+        readout_probability([3, 5], primary)
 
 
 def test_readout_probability_monotone(primary):

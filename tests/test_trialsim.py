@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcsim import estimators, fockstats, trialsim
+from fcsim import estimators, fockstats, readout, trialsim
 from fcsim.errors import CorruptRecords, NonPhysicalParameter
 from fcsim.trialsim import (
     MASK_H,
@@ -746,7 +746,7 @@ def test_mask_histogram_matches_engine(primary, alternate, make, include_source,
                        controls_only=not include_source)
     observed = np.bincount(run.mask, minlength=16).astype(float)
     observed[0] = n - run.mask.size
-    branches = (fockstats.signal_branch_probs(cfg, delay) if include_source
+    branches = (readout.signal_branch_probs(cfg, delay) if include_source
                 else (0.0, 0.0))
     expected = n * (fockstats.EXACT @ fockstats.no_click_table(cfg, *branches,
                                                                include_source)[0])
