@@ -121,14 +121,17 @@ def _cmd_stats(args) -> int:
     cfg = _load(args)
     residuals = {}
     start = time.perf_counter()
+    diagnostics = {}
     if args.calibrate:
         targets = dict(_number_item("--calibrate", item) for item in args.calibrate)
-        cfg, residuals = fockstats.calibrate(cfg, targets)
+        cfg, residuals = fockstats.calibrate(cfg, targets, diagnostics)
     calibrated = time.perf_counter()
     report = fockstats.model_report(cfg, args.readout_delay)
     report["timings"] = {"calibrate_s": calibrated - start,
                          "report_s": time.perf_counter() - calibrated}
     report["residuals"] = residuals
+    if args.calibrate:
+        report["calibration"] = diagnostics
     report["config_hash"] = config_hash(cfg)
     if args.out_config:
         save_config(cfg, args.out_config)

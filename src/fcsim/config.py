@@ -154,12 +154,14 @@ class ValidatedConfig:
     spectral_rms_rad_per_ps: float = field(init=False)  # signal spectral RMS width
 
     def __post_init__(self) -> None:
-        for section, name, lo, hi in _FIELD_BOUNDS:
-            value = getattr(getattr(self, section), name)
-            # A float strictly inside its range passes here; _number decides the
-            # rest (other number types, bound values, nan, non-numbers).
-            if type(value) is not float or not lo < value < hi:
-                _number(f"{section}.{name}", value)
+        for section, bounds in _SECTION_BOUNDS:
+            values = vars(getattr(self, section))
+            for name, lo, hi in bounds:
+                value = values[name]
+                # A float strictly inside its range passes here; _number decides the
+                # rest (other number types, bound values, nan, non-numbers).
+                if type(value) is not float or not lo < value < hi:
+                    _number(f"{section}.{name}", value)
         lambda_r = _energy_conserving_lambda_r(self.scheme)
         cavity = self.cavity
         tau = self.pulses.control_fwhm_ps / FWHM_TO_TAU
@@ -183,16 +185,19 @@ class ValidatedConfig:
 
         Keys use section.field form, e.g. replace_fields(**{"source.mean_pairs_per_pulse": 0.1}).
         """
-        sections = {}
+        changes = {}
         for key, value in dotted.items():
-            section_name, _, name = key.partition(".")
-            if section_name not in _SECTION_TYPES:
-                raise UnknownConfigKey(f"no config section named {section_name!r}")
-            section = sections.get(section_name, getattr(self, section_name))
-            if name not in {f.name for f in dataclasses.fields(section)}:
-                raise UnknownConfigKey(f"no key {name!r} in section {section_name!r}")
-            sections[section_name] = dataclasses.replace(section, **{name: value})
-        return dataclasses.replace(self, **sections)
+            section, _, name = key.partition(".")
+            if section not in _FIELD_SETS:
+                raise UnknownConfigKey(f"no config section named {section!r}")
+            if name not in _FIELD_SETS[section]:
+                raise UnknownConfigKey(f"no key {name!r} in section {section!r}")
+            changes.setdefault(section, {})[name] = value
+        sections = {section: getattr(self, section) for section in _SECTION_TYPES}
+        for section, values in changes.items():
+            old = sections[section]
+            sections[section] = type(old)(**{**vars(old), **values})
+        return type(self)(**sections)
 
 
 _SECTION_TYPES = {
@@ -203,6 +208,11 @@ _SECTION_TYPES = {
     "noise": NoiseParams,
     "source": SourceParams,
 }
+
+# section -> the names of its fields, in declaration order
+_FIELD_NAMES = {section: tuple(f.name for f in dataclasses.fields(cls))
+                for section, cls in _SECTION_TYPES.items()}
+_FIELD_SETS = {section: frozenset(names) for section, names in _FIELD_NAMES.items()}
 
 
 # The range of every config field, as (lower bound, lower bound open, upper bound).
@@ -226,8 +236,10 @@ _BOUNDS = {
     for key in keys
 }
 
-# The table as validation loops over it: (section, field, lo, hi).
-_FIELD_BOUNDS = tuple((*key.split("."), lo, hi) for key, (lo, _, hi) in _BOUNDS.items())
+# The table as validation reads it: per section, (field, lo, hi) of each of its fields.
+_SECTION_BOUNDS = tuple(
+    (section, tuple((name, *_BOUNDS[f"{section}.{name}"][::2]) for name in names))
+    for section, names in _FIELD_NAMES.items())
 
 
 def _number(key: str, value) -> float:

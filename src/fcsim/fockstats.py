@@ -43,6 +43,8 @@ from .readout import signal_branch_probs
 _MASKS = np.arange(16)
 _HAS = (_MASKS[:, None] & np.array(list(DETECTOR_BITS.values()))) > 0  # (mask, detector)
 _SET_SIZE = _HAS.sum(axis=1)
+# 1.0 where the detector is in the set: the set memberships no_click_table weighs
+_H, _S, _R1, _R2 = _HAS.T.astype(float)
 # EXACT[c, a]: coefficient of Q(a) in P(exactly the detectors of c click); by
 # inclusion-exclusion, a is the silent set of c plus a subset s of c, with sign (-1)^|s|
 EXACT = np.where((_MASKS[:, None] | _MASKS[None, :]) == 15,
@@ -103,10 +105,9 @@ def no_click_table(cfg: ValidatedConfig, q_mon, chain, include_source: bool = Tr
     m = cfg.noise.mode_count
     det = cfg.detectors
     f = det.splitter_ratio
-    h, s, r1, r2 = _HAS.T
-    e = f * r1 + (1.0 - f) * r2
+    e = f * _R1 + (1.0 - f) * _R2
     q_mon, chain = (np.atleast_1d(v)[:, None] for v in (q_mon, chain))
-    z = (1.0 - det.eta_herald_path * h) * (1.0 - q_mon * s - chain * e)
+    z = (1.0 - det.eta_herald_path * _H) * (1.0 - q_mon * _S - chain * e)
     return (1.0 - det.dark_prob_per_gate) ** _SET_SIZE * np.exp(
         -k * np.log1p(mu / k * (1.0 - z)) - m * np.log1p(n_bar / m * e))
 
@@ -175,15 +176,14 @@ def heralded_g2_curve(cfg: ValidatedConfig, delays) -> list:
     over all delays (integers >= 1). Returns [(T, g2), ...]; raises
     DivisionByZeroRate where its denominator is zero.
     """
-    d = np.atleast_1d(np.asarray(delays))
-    p = pattern_probs(no_click_table(cfg, *signal_branch_probs(cfg, d)))
+    p = pattern_probs(no_click_table(cfg, *signal_branch_probs(cfg, delays)))
     num, den = RATIOS["g2_ac_heralded"]
     denominator = math.prod(p[n] for n in den)
     if np.any(denominator == 0):
         raise DivisionByZeroRate("no heralded readout clicks at some delay: "
                                  "g2_ac_heralded is undefined there")
     g2 = math.prod(p[n] for n in num) / denominator
-    return list(zip(d.astype(int).tolist(), g2.tolist()))
+    return list(zip(np.atleast_1d(np.asarray(delays)).astype(int).tolist(), g2.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,8 @@ class _Target(NamedTuple):
 
     field: str                     # the config field the target pins
     value: Callable                # (config, its readout_curve at [1]) -> model value
-    solve: Callable | None = None  # dedicated solver (config, target value) -> field,
+    solve: Callable | None = None  # dedicated solver (config, target value) ->
+                                   # (field, model evaluations it made),
     bracket: tuple = ()            # else brentq over this interval of the field,
     log: bool = False              # or of log(field) when log is set
 
@@ -211,14 +212,19 @@ def _g2_xc_hs(cfg: ValidatedConfig, curve) -> float:
     return (1.0 + 1.0 / k + 1.0 / mu) if mu > 0 else math.inf
 
 
-def _mu_for_g2_xc_hs(cfg: ValidatedConfig, value: float) -> float:
+def _mu_for_g2_xc_hs(cfg: ValidatedConfig, value: float):
     k = cfg.source.schmidt_modes
     floor = 1.0 + 1.0 / k
     if value <= floor:
         raise NoConvergence(
             f"g2_xc_hs target {value} is at or below the {floor:.3f} floor "
             f"of a {k}-mode source")
-    return 1.0 / (value - floor)
+    return 1.0 / (value - floor), 0  # closed form: no model evaluation
+
+
+def _coeff_for_eta_conversion(cfg: ValidatedConfig, value: float):
+    found = {}
+    return readout.solve_nonlinear_coeff(cfg, value, found), found["evaluations"]
 
 
 def _rate(pattern: str) -> Callable:
@@ -243,7 +249,7 @@ _TARGETS = {
     "g2_xc_hs": _Target("source.mean_pairs_per_pulse", _g2_xc_hs,
                         solve=_mu_for_g2_xc_hs),
     "eta_conversion": _Target("pulses.nonlinear_coeff", lambda cfg, curve: float(curve[1][0]),
-                              solve=readout.solve_nonlinear_coeff),
+                              solve=_coeff_for_eta_conversion),
     "herald_rate_cps": _Target("detectors.eta_herald_path", _rate("h"),
                                bracket=(1e-9, 1.0)),
     "g2_noise": _Target("noise.mode_count", _g2_noise,
@@ -266,21 +272,26 @@ SOLVE_TOL_FRACTION = 1e-2
 MAX_PASSES = 4
 
 
-def _solve_target(cfg: ValidatedConfig, name: str, value: float) -> ValidatedConfig:
-    """cfg with the field that target name pins solved so its model value equals value.
+def _solve_target(cfg: ValidatedConfig, name: str, value: float):
+    """(cfg with the field that target name pins solved so its model value
+    equals value, the model evaluations the solve made).
 
     NoConvergence if the bracket ends do not bracket the value. Each target
     moves at most in proportion to its field (g2_noise to log M), so the
-    field resolved to SOLVE_TOL_FRACTION * REL_TOL keeps its residual in REL_TOL.
+    field resolved to SOLVE_TOL_FRACTION * REL_TOL keeps its residual in
+    REL_TOL. brentq starts from the bracket ends evaluated here, and gets
+    their values back without a second evaluation.
     """
     target = _TARGETS[name]
     if target.solve is not None:
-        return cfg.replace_fields(**{target.field: target.solve(cfg, value)})
+        x, evaluations = target.solve(cfg, value)
+        return cfg.replace_fields(**{target.field: x}), evaluations
     from . import solvers
 
     to_field = math.exp if target.log else float
     curve = readout.readout_curve(cfg, [1])
 
+    @solvers.evaluated_once
     def model(x):
         return target.value(cfg.replace_fields(**{target.field: to_field(x)}), curve)
 
@@ -293,7 +304,7 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float) -> ValidatedCon
             f"{min(at_lo, at_hi):.6g} to {max(at_lo, at_hi):.6g}")
     tol = max(SOLVE_TOL_FRACTION * REL_TOL, 4.0 * sys.float_info.epsilon)
     x = solvers.brentq(lambda x: model(x) - value, lo, hi, xtol=1e-3 * tol, rtol=tol)
-    return cfg.replace_fields(**{target.field: to_field(x)})
+    return cfg.replace_fields(**{target.field: to_field(x)}), len(model.values)
 
 
 def _evaluate_targets(cfg: ValidatedConfig, targets: dict) -> dict:
@@ -301,7 +312,7 @@ def _evaluate_targets(cfg: ValidatedConfig, targets: dict) -> dict:
     return {name: _TARGETS[name].value(cfg, curve) - value for name, value in targets.items()}
 
 
-def calibrate(cfg: ValidatedConfig, targets: dict):
+def calibrate(cfg: ValidatedConfig, targets: dict, diagnostics: dict | None = None):
     """Solve the parameters the targets pin so the forward model reproduces them.
 
     Each target pins exactly one parameter (see CALIBRATION_PAIRS). The
@@ -311,6 +322,11 @@ def calibrate(cfg: ValidatedConfig, targets: dict):
     residuals); raises Underdetermined for a target with no pinned
     parameter, NonPhysicalParameter for a target value that is not finite,
     and NoConvergence if residuals remain after MAX_PASSES passes.
+
+    A diagnostics dict, if given, receives "passes" (the passes run),
+    "worst_relative_residual" (after each pass) and "model_evaluations"
+    (target -> the model values its solves computed, summed over the
+    passes), also when calibration fails to converge.
     """
     unknown = set(targets) - set(CALIBRATION_PAIRS)
     if unknown:
@@ -319,13 +335,20 @@ def calibrate(cfg: ValidatedConfig, targets: dict):
         if not math.isfinite(value):
             raise NonPhysicalParameter(f"calibration target {name} must be finite, got {value}")
     names = [n for n in _TARGETS if n in targets]
+    record = {} if diagnostics is None else diagnostics
+    record["passes"] = 0
+    worst = record["worst_relative_residual"] = []
+    evaluations = record["model_evaluations"] = dict.fromkeys(names, 0)
 
     for n_pass in range(MAX_PASSES):
         for name in names:
             if n_pass == 0 or _TARGETS[name].solve is None:
-                cfg = _solve_target(cfg, name, targets[name])
+                cfg, made = _solve_target(cfg, name, targets[name])
+                evaluations[name] += made
         residuals = _evaluate_targets(cfg, {n: targets[n] for n in names})
         relative = {n: abs(r) / max(abs(targets[n]), 1e-12) for n, r in residuals.items()}
+        record["passes"] = n_pass + 1
+        worst.append(max(relative.values(), default=0.0))
         off = [n for n, rel in relative.items() if rel > REL_TOL]
         if not off:
             return cfg, residuals

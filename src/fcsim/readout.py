@@ -32,7 +32,9 @@ erf; the weighted profile is cached per pulse setting, so a scan over
 delays or cavity fields evaluates it once. one_over_e_delay evaluates the
 curve in readout_curve's own chunks of delays and stops at the first chunk
 that holds the crossing; the memory-model fit (fcsim.estimators) computes
-the overlap once per (delta, psi2) and applies each lifetime via _retrieval.
+the overlap once per (delta, psi2) and applies each lifetime via _retrieval;
+solve_nonlinear_coeff computes the delay-1 envelope once and takes each
+trial coefficient's profile against it.
 """
 
 from __future__ import annotations
@@ -142,13 +144,18 @@ def _profile(sigma0_ps, energy_p_nj, energy_q_nj, nonlinear_coeff,
     return t, profile
 
 
+def _profile_at(cfg: ValidatedConfig, nonlinear_coeff: float):
+    """_profile of cfg with its nonlinear coefficient set to nonlinear_coeff."""
+    p = cfg.pulses
+    return _profile(cfg.source.envelope_rms_ps, p.energy_p_nj, p.energy_q_nj,
+                    nonlinear_coeff, cfg.cavity.walkoff_ps_per_m,
+                    cfg.control_tau_ps, cfg.walkoff_ratio)
+
+
 def _quadrature(cfg: ValidatedConfig):
     """Nodes t, weighted profile and delays per matrix product of readout_curve
     (one_over_e_delay walks its delays in chunks of that size)."""
-    p = cfg.pulses
-    t, profile = _profile(cfg.source.envelope_rms_ps, p.energy_p_nj, p.energy_q_nj,
-                          p.nonlinear_coeff, cfg.cavity.walkoff_ps_per_m,
-                          cfg.control_tau_ps, cfg.walkoff_ratio)
+    t, profile = _profile_at(cfg, cfg.pulses.nonlinear_coeff)
     return t, profile, max(1, MAX_MATRIX_ENTRIES // t.size)
 
 
@@ -181,12 +188,16 @@ def conversion_efficiency(cfg: ValidatedConfig) -> float:
     return float(readout_curve(cfg, 1)[1][0])
 
 
+_BOOLS = (bool, np.bool_)
+
+
 def _check_delays(delays) -> int:
     """How many delays there are; NonPhysicalParameter unless each is an integer >= 1."""
-    # in Python, and a plain int without numpy: a one-delay call costs about a scalar compare
-    values = [delays] if type(delays) is int else np.ravel(delays).tolist()
+    # in Python, and a plain int without numpy: a one-delay call costs about a scalar compare;
+    # as objects, so that numpy casts no bool in a list of numbers to an integer
+    values = [delays] if type(delays) is int else np.asarray(delays, object).ravel().tolist()
     for x in values:
-        if type(x) is bool or not (x >= 1 and float(x).is_integer()):
+        if type(x) in _BOOLS or not (x >= 1 and float(x).is_integer()):
             raise NonPhysicalParameter(f"readout delays must be integers >= 1, got {delays}")
     return len(values)
 
@@ -249,17 +260,26 @@ def one_over_e_delay(cfg: ValidatedConfig) -> float:
     return t - 1 + (math.log(prev) - math.log(target)) / (math.log(prev) - math.log(cur))
 
 
-def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float) -> float:
+def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float,
+                          diagnostics: dict | None = None) -> float:
     """Nonlinear coefficient that reaches target_eta at delay 1 (the eta_conversion target).
 
     Picks the lowest coefficient on the rising branch of the saturation
-    curve (before over-rotation of the conversion angle).
+    curve (before over-rotation of the conversion angle). Only the weighted
+    profile depends on the coefficient, so the delay-1 envelope on the nodes
+    is computed once and each trial coefficient costs one profile and the
+    product readout_curve forms, the same bits as conversion_efficiency of
+    cfg with that coefficient. A diagnostics dict, if given, receives
+    "evaluations": how many coefficients the solve evaluated.
     """
     from . import solvers
 
+    t = _nodes(cfg.source.envelope_rms_ps, cfg.control_tau_ps, cfg.walkoff_ratio)[0]
+    envelope = envelope_intensity(cfg, np.ones((1, 1)), t)
+
+    @solvers.evaluated_once
     def eta_for(coeff):
-        c = cfg.replace_fields(**{"pulses.nonlinear_coeff": coeff})
-        return conversion_efficiency(c)
+        return float((envelope @ _profile_at(cfg, coeff)[1])[0])
 
     lo, hi = 1e-4, 1.0
     # grow hi until past the maximum of the saturation curve
@@ -275,4 +295,7 @@ def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float) -> float:
     if prev < target_eta:
         raise NoConvergence(
             f"conversion saturates at {prev:.4f} < target {target_eta}", best=hi)
-    return solvers.brentq(lambda g: eta_for(g) - target_eta, lo, hi, xtol=1e-10)
+    coeff = solvers.brentq(lambda g: eta_for(g) - target_eta, lo, hi, xtol=1e-10)
+    if diagnostics is not None:
+        diagnostics["evaluations"] = len(eta_for.values)
+    return coeff

@@ -1,9 +1,11 @@
 """Scalar root finding and small nonlinear least squares, with numpy only.
 
 brentq is Brent's method in the operation order of scipy's brentq.c, so it
-returns the same iterates bit for bit; least_squares is plain
+returns the same iterates bit for bit; evaluated_once keeps a solve's
+values for one call, so brentq gets back bracket ends its caller has
+already evaluated without evaluating them again; least_squares is plain
 Levenberg-Marquardt (Marquardt's damping, no trust region) for fits of a
-few parameters. Neither imports scipy. The package imports this module
+few parameters. None of them imports scipy. The package imports this module
 inside the functions that solve, so a command that solves nothing does not
 compile it at start-up.
 """
@@ -20,6 +22,25 @@ from .errors import NoConvergence
 EPS = float(np.finfo(float).eps)
 BRENTQ_XTOL = 2e-12
 BRENTQ_RTOL = 4 * EPS
+
+
+def evaluated_once(f):
+    """f of one argument, with each value it gives kept for the life of the returned
+    function, in its dict `values` (argument -> value).
+
+    A solve that asks for a point twice, as brentq does for bracket ends its
+    caller has already evaluated, then computes it once; keys are the exact
+    arguments, so each value is the one f gives there.
+    """
+    values = {}
+
+    def once(x):
+        if x not in values:
+            values[x] = f(x)
+        return values[x]
+
+    once.values = values
+    return once
 
 
 def brentq(f, a: float, b: float, xtol: float = BRENTQ_XTOL, rtol: float = BRENTQ_RTOL,

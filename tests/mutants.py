@@ -129,13 +129,34 @@ MUTANTS = [
      "",
      "estimate takes an unknown name to an untyped KeyError"),
     ("src/fcsim/readout.py",
-     "if type(x) is bool or not (",
+     "if type(x) in _BOOLS or not (",
      "if not (",
      "the readout-bin check takes a bool delay as delay 1"),
     ("src/fcsim/readout.py",
      "if _check_delays(delay_cycles) != 1:",
      "if _check_delays(delay_cycles) < 1:",
      "readout_probability answers a list of delays with its first delay's values"),
+    ("src/fcsim/readout.py",
+     "np.asarray(delays, object).ravel().tolist()",
+     "np.ravel(delays).tolist()",
+     "the readout-bin check casts a list first: [True, 2] is the delays 1 and 2"),
+    ("src/fcsim/readout.py",
+     "envelope_intensity(cfg, np.ones((1, 1)), t)",
+     "envelope_intensity(cfg, np.zeros((1, 1)), t)",
+     "the conversion solve's envelope is taken at delay 0, not 1"),
+    ("src/fcsim/solvers.py",
+     "        if x not in values:\n            values[x] = f(x)\n        return values[x]\n",
+     "        if round(x, 6) not in values:\n            values[round(x, 6)] = f(x)\n"
+     "        return values[round(x, 6)]\n",
+     "a solve's kept values are keyed on the trial value rounded to 6 places"),
+    ("src/fcsim/config.py",
+     "for section, bounds in _SECTION_BOUNDS:",
+     "for section, bounds in _SECTION_BOUNDS[1:]:",
+     "config validation skips the wavelength section"),
+    ("src/fcsim/fockstats.py",
+     "_H, _S, _R1, _R2 = _HAS.T.astype(float)",
+     "_H, _S, _R2, _R1 = _HAS.T.astype(float)",
+     "the engine's R1 and R2 membership masks are swapped"),
 ]
 
 

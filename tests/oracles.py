@@ -29,6 +29,14 @@ evaluates the readout curve over every delay 0..ONE_OVER_E_MAX_CYCLES
 before looking for the 1/e crossing, and memory_fit_every_step calls
 readout.readout_curve at every evaluation of the memory-model fit.
 
+The calibration's plain versions rebuild everything at every trial value:
+replace_fields_by_dataclasses_replace builds a config by one
+dataclasses.replace per changed section and one of the config,
+solve_nonlinear_coeff_rebuilding takes readout.conversion_efficiency of
+such a config at every trial coefficient, and calibrate_rebuilding solves
+with them, its root searches evaluating each bracket end twice (once to
+check the bracket, once more inside brentq).
+
 scipy_brentq and scipy_least_squares are the scipy solvers the package's
 numpy-only ones (fcsim.solvers) replaced, called as the package calls its
 own: scipy is a dependency of the tests only.
@@ -40,14 +48,22 @@ signal and the thermal noise; it is the reference for the click engine's
 g2_ac_heralded over delays (fockstats.heralded_g2_curve).
 """
 
+import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from fcsim import estimators, fockstats, readout
-from fcsim.errors import DivisionByZeroRate, EmptyInput, NoConvergence, NonPhysicalParameter
+from fcsim import config, estimators, fockstats, readout, solvers
+from fcsim.errors import (
+    DivisionByZeroRate,
+    EmptyInput,
+    NoConvergence,
+    NonPhysicalParameter,
+    UnknownConfigKey,
+)
 from fcsim.trialsim import CSV_HEADER, MASK_H, MASK_R1, MASK_R2, MASK_S
 
 DETECTORS = ("H", "S", "R1", "R2")
@@ -425,6 +441,87 @@ def memory_fit_every_step(series, free, cfg):
 
     return estimators._fit(tuple(free), model, np.array([start[name] for name in free]), y,
                            weight, "memory-model fit", xtol=1e-8, max_nfev=500 * len(free))
+
+
+def replace_fields_by_dataclasses_replace(cfg, **dotted):
+    """cfg.replace_fields(**dotted) by dataclasses.replace: of each changed
+    section, one key at a time, and then of the config."""
+    sections = {}
+    for key, value in dotted.items():
+        section_name, _, name = key.partition(".")
+        if section_name not in config._SECTION_TYPES:
+            raise UnknownConfigKey(f"no config section named {section_name!r}")
+        section = sections.get(section_name, getattr(cfg, section_name))
+        if name not in {f.name for f in dataclasses.fields(section)}:
+            raise UnknownConfigKey(f"no key {name!r} in section {section_name!r}")
+        sections[section_name] = dataclasses.replace(section, **{name: value})
+    return dataclasses.replace(cfg, **sections)
+
+
+def solve_nonlinear_coeff_rebuilding(cfg, target_eta):
+    """readout.solve_nonlinear_coeff with every trial coefficient building its
+    config and taking readout.conversion_efficiency of it; brentq evaluates
+    the upper bracket end, found by the bracket growth, again."""
+    def eta_for(coeff):
+        c = replace_fields_by_dataclasses_replace(cfg, **{"pulses.nonlinear_coeff": coeff})
+        return readout.conversion_efficiency(c)
+
+    lo, hi = 1e-4, 1.0
+    prev = eta_for(hi)
+    for _ in range(40):
+        nxt = eta_for(hi * 1.3)
+        if nxt < prev:
+            break
+        prev = nxt
+        hi *= 1.3
+    else:
+        raise NoConvergence("could not bracket the conversion maximum")
+    if prev < target_eta:
+        raise NoConvergence(f"conversion saturates at {prev:.4f} < target {target_eta}")
+    return solvers.brentq(lambda g: eta_for(g) - target_eta, lo, hi, xtol=1e-10)
+
+
+def _solve_target_rebuilding(cfg, name, value):
+    """The field value that target name's solve finds from cfg: a closed form,
+    solve_nonlinear_coeff_rebuilding, or brentq over the target's bracket
+    with a config built at every trial value."""
+    target = fockstats._TARGETS[name]
+    if name == "eta_conversion":
+        return solve_nonlinear_coeff_rebuilding(cfg, value)
+    if target.solve is not None:
+        return target.solve(cfg, value)[0]
+    to_field = math.exp if target.log else float
+    curve = readout.readout_curve(cfg, [1])
+
+    def model(x):
+        c = replace_fields_by_dataclasses_replace(cfg, **{target.field: to_field(x)})
+        return target.value(c, curve)
+
+    lo, hi = target.bracket
+    if (model(lo) - value) * (model(hi) - value) > 0:
+        raise NoConvergence(f"{name} target {value!r} is unreachable")
+    tol = max(fockstats.SOLVE_TOL_FRACTION * fockstats.REL_TOL, 4.0 * sys.float_info.epsilon)
+    return to_field(solvers.brentq(lambda x: model(x) - value, lo, hi,
+                                   xtol=1e-3 * tol, rtol=tol))
+
+
+def calibrate_rebuilding(cfg, targets):
+    """fockstats.calibrate's passes over the same target table, each solve
+    rebuilding its configs and readout curves at every trial value; returns
+    (config, residuals)."""
+    names = [n for n in fockstats._TARGETS if n in targets]
+    for n_pass in range(fockstats.MAX_PASSES):
+        for name in names:
+            if n_pass == 0 or fockstats._TARGETS[name].solve is None:
+                x = _solve_target_rebuilding(cfg, name, targets[name])
+                cfg = replace_fields_by_dataclasses_replace(
+                    cfg, **{fockstats._TARGETS[name].field: x})
+        curve = readout.readout_curve(cfg, [1])
+        residuals = {n: fockstats._TARGETS[n].value(cfg, curve) - targets[n] for n in names}
+        if all(abs(r) / max(abs(targets[n]), 1e-12) <= fockstats.REL_TOL
+               for n, r in residuals.items()):
+            return cfg, residuals
+    raise NoConvergence(f"calibration did not converge in {fockstats.MAX_PASSES} passes")
 
 
 def csv_records_text(records):

@@ -510,8 +510,9 @@ def test_cli_loads_no_scipy(tmp_path, commands):
 
 
 def test_stats_and_fit_report_timings_and_evaluations(tmp_path, capsys):
-    """The timings and evaluation counts go into the command's JSON only,
-    not into the calibrated config."""
+    """The timings, evaluation counts and calibration diagnostics go into
+    the command's JSON only, not into the calibrated config; stats without
+    --calibrate has no calibration block."""
     calibrated = tmp_path / "calibrated.json"
     code, out, err = run_cli(capsys, "stats", "--config", CONFIG, *PUBLISHED_CALIBRATION,
                              "--out-config", str(calibrated))
@@ -520,8 +521,15 @@ def test_stats_and_fit_report_timings_and_evaluations(tmp_path, capsys):
     assert set(timings) == {"calibrate_s", "report_s"}
     assert all(v >= 0 for v in timings.values())
     assert not any(name in calibrated.read_text() for name in timings)
+    diagnostics = {}
+    targets = {k: float(v) for k, v in (a.split("=") for a in PUBLISHED_CALIBRATION[1::2])}
+    fockstats.calibrate(load_config(CONFIG), targets, diagnostics)
+    assert json.loads(out)["calibration"] == diagnostics
+    assert diagnostics["passes"] == 1
+    assert "calibration" not in calibrated.read_text()
     code, out, _ = run_cli(capsys, "stats", "--config", CONFIG)
     assert json.loads(out)["timings"]["calibrate_s"] < json.loads(out)["timings"]["report_s"]
+    assert "calibration" not in json.loads(out)
     sweep = tmp_path / "sweep.csv"
     assert run_cli(capsys, *[a.format(tmp=tmp_path) for a in SWEEP_60])[0] == 0
     for kind, extra in (("exponential", []), ("memory", ["--config", CONFIG])):

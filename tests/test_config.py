@@ -18,11 +18,13 @@ from fcsim.config import (
     loads_config,
 )
 from fcsim.errors import (
+    ConfigError,
     EnergyConservationViolated,
     MissingConfigKey,
     NonPhysicalParameter,
     UnknownConfigKey,
 )
+from oracles import replace_fields_by_dataclasses_replace
 
 
 def test_published_wavelengths_validate(primary):
@@ -268,6 +270,31 @@ def test_every_field_keeps_its_bound(primary, key):
             primary.replace_fields(**{key: value})
     for value in accepted:
         primary.replace_fields(**{key: value})
+
+
+def _replaced(replace, cfg, dotted):
+    """repr of the config replace(cfg, **dotted) builds, or the error it raises."""
+    try:
+        return repr(replace(cfg, **dotted))
+    except ConfigError as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("key", CONFIG_FIELDS)
+def test_replace_fields_equals_dataclasses_replace(primary, key):
+    """replace_fields builds the changed sections and the config with their
+    constructors, and gives the config, or raises the error, that the
+    dataclasses.replace calls give: for values in and out of range and of
+    other types, alone, next to a second key, and next to an unknown one."""
+    section, _, name = key.partition(".")
+    values = [0.5, 1.0, 0.0, 2, -1.0, 1e300, math.nan, math.inf, True, "0.5", None,
+              np.float64(0.25), np.int64(3), 10 ** 400]
+    for value in values:
+        for dotted in ({key: value}, {"pulses.energy_p_nj": 3.5, key: value},
+                       {key: value, "noise.mode_count": 0.5}, {key: value, "cavity.bogus": 1.0},
+                       {f"bogus.{name}": value}, {section: value}):
+            assert (_replaced(ValidatedConfig.replace_fields, primary, dotted)
+                    == _replaced(replace_fields_by_dataclasses_replace, primary, dotted))
 
 
 @pytest.mark.parametrize("bad", ["as_string", "true", "false"])

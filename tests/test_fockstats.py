@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcsim.config import DetectorParams
+from fcsim.config import DetectorParams, ValidatedConfig
 from fcsim.errors import DivisionByZeroRate, NoConvergence, NonPhysicalParameter
 from fcsim import estimators, fockstats, readout, trialsim
 from fcsim.fockstats import (
@@ -23,6 +23,7 @@ from oracles import (
     add_thermal_noise,
     apply_loss,
     brute_click_patterns,
+    calibrate_rebuilding,
     detect,
     g2_mixture,
     heralded_signal_moments,
@@ -461,15 +462,75 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 def test_calibrate_stops_at_first_converged_pass(primary, monkeypatch):
     """The published targets are solved in dependency order, so one pass and
-    one residual check reach them; a second pass would add about 40 engine
+    one residual check reach them; a second pass would add about 35 engine
     evaluations. The brentq fields do not enter the readout overlap, so each
-    solve and the residual check evaluate the readout curve once."""
+    of the three root searches and the residual check evaluate the readout
+    curve once, and the conversion solve evaluates none: it computes the
+    delay-1 envelope once and builds no config per trial. Each root search
+    evaluates its bracket ends once: 35 engine evaluations and 30 configs."""
     engine = _count_calls(monkeypatch, fockstats, "no_click_table")
     curves = _count_calls(monkeypatch, readout, "readout_curve")
+    configs = _count_calls(monkeypatch, ValidatedConfig, "replace_fields")
     _, resid = calibrate(primary, PUBLISHED_TARGETS)
     assert max(_relative_residuals(PUBLISHED_TARGETS, resid).values()) <= 1e-6
-    assert 0 < len(engine) <= 50
-    assert 0 < len(curves) <= 30
+    assert len(engine) == 35
+    assert len(curves) == 4
+    assert len(configs) == 30
+
+
+def _seeded_target_sets(seed, count):
+    """The published targets, the set that needs a second pass, and count
+    sets within 5% of the published targets."""
+    rng = np.random.default_rng(seed)
+    return [PUBLISHED_TARGETS, dict(PUBLISHED_TARGETS, r_rate_cps=3405.0 * 1.03)] + [
+        {k: v * (1.0 + rng.uniform(-0.05, 0.05)) for k, v in PUBLISHED_TARGETS.items()}
+        for _ in range(count)]
+
+
+@pytest.mark.parametrize("config_name", ["primary", "alternate"])
+def test_calibrate_equals_rebuilding_oracle(config_name, request):
+    """Each trial value costs one model evaluation, and the calibration
+    still gives the config and residuals, compared with ==, of the one that
+    builds a config and a readout curve at every trial value."""
+    cfg = request.getfixturevalue(config_name)
+    for targets in _seeded_target_sets(2028, 4):
+        got_cfg, got_resid = calibrate(cfg, targets)
+        want_cfg, want_resid = calibrate_rebuilding(cfg, targets)
+        assert got_cfg == want_cfg, targets
+        assert got_resid == want_resid, targets
+
+
+def test_calibrate_diagnostics(primary, monkeypatch):
+    """The diagnostics dict records the passes, the worst relative residual
+    after each and the model evaluations of each target's solves, which run
+    in the first pass only for g2_xc_hs (closed form, none) and
+    eta_conversion; a calibration that gives up leaves its record too."""
+    published = {}
+    _, resid = calibrate(primary, PUBLISHED_TARGETS, published)
+    assert published == {
+        "passes": 1,
+        "worst_relative_residual": [max(_relative_residuals(PUBLISHED_TARGETS, resid).values())],
+        "model_evaluations": {"g2_xc_hs": 0, "eta_conversion": 19, "herald_rate_cps": 6,
+                              "g2_noise": 13, "heralded_prob": 6}}
+    coupled = {}
+    targets = dict(PUBLISHED_TARGETS, r_rate_cps=3405.0 * 1.03)
+    _, resid = calibrate(primary, targets, coupled)
+    assert coupled["passes"] == 2
+    first, second = coupled["worst_relative_residual"]
+    assert first > fockstats.REL_TOL >= second
+    assert second == max(_relative_residuals(targets, resid).values())
+    evaluations = coupled["model_evaluations"]
+    assert set(evaluations) == set(targets)
+    assert (evaluations["g2_xc_hs"], evaluations["eta_conversion"]) == (0, 19)
+    assert evaluations["r_rate_cps"] > 0
+    assert all(evaluations[n] > published["model_evaluations"][n]
+               for n in ("herald_rate_cps", "g2_noise", "heralded_prob"))
+    monkeypatch.setattr(fockstats, "MAX_PASSES", 1)
+    failed = {}
+    with pytest.raises(NoConvergence):
+        calibrate(primary, targets, failed)
+    assert failed["passes"] == 1
+    assert failed["worst_relative_residual"] == [first]
 
 
 @pytest.mark.parametrize("config_name", ["primary", "alternate"])
@@ -576,7 +637,8 @@ def test_heralded_g2_curve_rejects_bad_delays_and_vacuum(primary):
 @pytest.mark.parametrize("delay", [0, 1.5, -3, True, math.inf])
 def test_model_rejects_delays_that_are_not_readout_bins(primary, delay):
     """Every caller of the one readout-bin check rejects the delay, alone
-    or as a list (a bool is no delay, not delay 1)."""
+    or in a list, also next to a valid delay (a bool is no delay, not
+    delay 1, and a list is not cast to numbers before the check)."""
     callers = (fockstats.model_report, click_model, readout.signal_branch_probs,
                lambda cfg, d: readout.readout_probability(d, cfg),
                lambda cfg, d: trialsim.simulate_run(cfg, 1, 1000, delay_cycles=d))
@@ -584,8 +646,9 @@ def test_model_rejects_delays_that_are_not_readout_bins(primary, delay):
         with pytest.raises(NonPhysicalParameter):
             call(primary, delay)
     for call in (readout.signal_branch_probs, fockstats.heralded_g2_curve):
-        with pytest.raises(NonPhysicalParameter):
-            call(primary, [delay])
+        for delays in ([delay], [delay, 2], [2, delay], np.array([delay, 2], dtype=object)):
+            with pytest.raises(NonPhysicalParameter):
+                call(primary, delays)
 
 
 def test_benchmark_facing_views_match_engine(primary):

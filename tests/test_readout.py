@@ -14,7 +14,12 @@ from fcsim.readout import (
     readout_curve,
     readout_probability,
 )
-from oracles import adaptive_overlap, one_over_e_delay_full_range, xi_profile
+from oracles import (
+    adaptive_overlap,
+    one_over_e_delay_full_range,
+    solve_nonlinear_coeff_rebuilding,
+    xi_profile,
+)
 
 
 def test_erf_against_high_precision_oracle():
@@ -242,6 +247,27 @@ def test_conversion_at_boosted_energies(primary):
     eta = conversion_efficiency(primary.replace_fields(
         **{"pulses.energy_p_nj": 6.9 * 1.4, "pulses.energy_q_nj": 8.6 * 1.4}))
     assert 0.95 < eta < 0.999
+
+
+@pytest.mark.parametrize("name", ["primary", "alternate"])
+def test_solve_nonlinear_coeff_equals_rebuilding_oracle(request, name, monkeypatch):
+    """The conversion solve takes the delay-1 envelope once and each trial
+    coefficient's profile once, and finds the coefficient, compared with ==,
+    of the solve that builds a config and its readout curve at every trial."""
+    cfg = request.getfixturevalue(name)
+    profiles, real = [], readout._profile_at
+
+    def counting(c, coeff):
+        profiles.append(coeff)
+        return real(c, coeff)
+
+    monkeypatch.setattr(readout, "_profile_at", counting)
+    for target in np.linspace(0.5, 0.9, 9):
+        profiles.clear()
+        found = {}
+        coeff = readout.solve_nonlinear_coeff(cfg, target, found)
+        assert len(set(profiles)) == len(profiles) == found["evaluations"]
+        assert coeff == solve_nonlinear_coeff_rebuilding(cfg, target), target
 
 
 def test_readout_probability_first_bin(primary):

@@ -44,6 +44,25 @@ def test_brentq_matches_scipy_on_published_calibrations(config_name, extra, requ
         assert scipy_brentq(f, a, b, xtol, rtol, maxiter).hex() == root.hex()
 
 
+def test_evaluated_once_keeps_each_exact_argument():
+    """A wrapped function evaluates each argument once, keyed on the exact
+    value (the next float is a new evaluation), and a new wrapper starts
+    with nothing kept."""
+    calls = []
+
+    def square(x):
+        calls.append(x)
+        return x * x
+
+    near = math.nextafter(0.5, 1.0)
+    once = solvers.evaluated_once(square)
+    assert [once(0.5), once(near), once(0.5), once(near)] == [0.25, near * near] * 2
+    assert calls == [0.5, near]
+    assert once.values == {0.5: 0.25, near: near * near}
+    assert solvers.evaluated_once(square)(0.5) == 0.25
+    assert calls == [0.5, near, 0.5]
+
+
 def _tanh(k, c):
     return lambda x: math.tanh(k * (x - c))
 
