@@ -33,6 +33,12 @@ FWHM_TO_TAU = math.sqrt(4.0 * math.log(2.0))
 # Gaussian sigma-to-FWHM factor, 2*sqrt(2 ln 2).
 SIGMA_TO_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
+# A field's declared type is its range: under `from __future__ import annotations` a
+# field's type is the name, which _RANGES maps to (lower bound, lower bound open, upper bound).
+Positive = NonNegative = UnitInterval = AtLeastOne = float
+_RANGES = {"Positive": (0.0, True, math.inf), "NonNegative": (0.0, False, math.inf),
+           "UnitInterval": (0.0, False, 1.0), "AtLeastOne": (1.0, False, math.inf)}
+
 
 @dataclass(frozen=True)
 class WavelengthScheme:
@@ -42,12 +48,12 @@ class WavelengthScheme:
     pair translates the stored signal to the output wavelength.
     """
 
-    lambda_pump_nm: float
-    lambda_s_nm: float
-    lambda_h_nm: float
-    lambda_p_nm: float
-    lambda_q_nm: float
-    lambda_r_nm: float
+    lambda_pump_nm: Positive
+    lambda_s_nm: Positive
+    lambda_h_nm: Positive
+    lambda_p_nm: Positive
+    lambda_q_nm: Positive
+    lambda_r_nm: Positive
 
 
 @dataclass(frozen=True)
@@ -56,12 +62,12 @@ class FiberCavityParams:
     counted in cavity cycles; the herald and stored-signal facet exit
     fractions are part of eta_herald_path and eta_s_path (DetectorParams)."""
 
-    length_m: float
-    ringdown_lifetime_cycles: float
-    walkoff_ps_per_m: float            # signal-control group velocity walk-off
-    dispersion_ps2_per_cycle: float    # second-order dispersion accumulated per cycle
-    mismatch_ps_per_cycle: float       # per-cycle slip between signal and control arrival
-    reflectivity_r: float
+    length_m: Positive
+    ringdown_lifetime_cycles: Positive
+    walkoff_ps_per_m: Positive               # signal-control group velocity walk-off
+    dispersion_ps2_per_cycle: NonNegative    # second-order dispersion accumulated per cycle
+    mismatch_ps_per_cycle: NonNegative       # per-cycle slip between signal and control arrival
+    reflectivity_r: UnitInterval
 
 
 @dataclass(frozen=True)
@@ -69,11 +75,11 @@ class PulseParams:
     """Control pulse energies (nJ) and duration, and the trigger rate
     clock_rate_khz; the pump energy is part of SourceParams.mean_pairs_per_pulse."""
 
-    energy_p_nj: float
-    energy_q_nj: float
-    control_fwhm_ps: float
-    nonlinear_coeff: float     # fitted scale in (ps/m)/sqrt(nJ); see readout module
-    clock_rate_khz: float
+    energy_p_nj: NonNegative
+    energy_q_nj: NonNegative
+    control_fwhm_ps: Positive
+    nonlinear_coeff: NonNegative  # fitted scale in (ps/m)/sqrt(nJ); see readout module
+    clock_rate_khz: Positive
 
 
 @dataclass(frozen=True)
@@ -88,11 +94,11 @@ class DetectorParams:
     carried separately by reflectivity_r).
     """
 
-    eta_herald_path: float
-    eta_r_path: float
-    eta_s_path: float
-    dark_prob_per_gate: float
-    splitter_ratio: float
+    eta_herald_path: UnitInterval
+    eta_r_path: UnitInterval
+    eta_s_path: UnitInterval
+    dark_prob_per_gate: UnitInterval
+    splitter_ratio: UnitInterval
 
 
 @dataclass(frozen=True)
@@ -104,8 +110,8 @@ class NoiseParams:
     (a pure noise mode then shows g2 = 1 + 1/mode_count).
     """
 
-    noise_mean_per_nj: float
-    mode_count: float
+    noise_mean_per_nj: NonNegative
+    mode_count: AtLeastOne
 
 
 @dataclass(frozen=True)
@@ -119,20 +125,20 @@ class SourceParams:
     transform limited, so duration and bandwidth are independent inputs.
     """
 
-    mean_pairs_per_pulse: float
-    schmidt_modes: float
-    envelope_rms_ps: float
-    bandwidth_fwhm_thz: float
+    mean_pairs_per_pulse: NonNegative
+    schmidt_modes: AtLeastOne
+    envelope_rms_ps: Positive
+    bandwidth_fwhm_thz: NonNegative
 
 
 @dataclass(frozen=True)
 class ValidatedConfig:
     """The six parameter sections, validated on construction, plus derived quantities.
 
-    Every field must lie in its range in _BOUNDS and the wavelengths must
-    conserve energy; a config that fails either check is never made, whether
-    it comes from load_config, replace_fields, dataclasses.replace or the
-    constructor. The fields with init=False are derived:
+    Every field must lie in the range its type names in _RANGES and the
+    wavelengths must conserve energy; a config that fails either check is
+    never made, whether it comes from load_config, replace_fields,
+    dataclasses.replace or the constructor. The fields with init=False are derived:
       control_tau_ps = control_fwhm_ps / sqrt(4 ln 2)
       walkoff_ratio  = walkoff * length / control_tau
       survival_per_cycle = exp(-1 / ringdown_lifetime)
@@ -154,14 +160,14 @@ class ValidatedConfig:
     spectral_rms_rad_per_ps: float = field(init=False)  # signal spectral RMS width
 
     def __post_init__(self) -> None:
-        for section, bounds in _SECTION_BOUNDS:
+        for section, ranges in _FIELDS.items():
             values = vars(getattr(self, section))
-            for name, lo, hi in bounds:
+            for name, bound in ranges.items():
                 value = values[name]
                 # A float strictly inside its range passes here; _number decides the
                 # rest (other number types, bound values, nan, non-numbers).
-                if type(value) is not float or not lo < value < hi:
-                    _number(f"{section}.{name}", value)
+                if type(value) is not float or not bound[0] < value < bound[2]:
+                    _number(f"{section}.{name}", value, bound)
         lambda_r = _energy_conserving_lambda_r(self.scheme)
         cavity = self.cavity
         tau = self.pulses.control_fwhm_ps / FWHM_TO_TAU
@@ -188,9 +194,9 @@ class ValidatedConfig:
         changes = {}
         for key, value in dotted.items():
             section, _, name = key.partition(".")
-            if section not in _FIELD_SETS:
+            if section not in _FIELDS:
                 raise UnknownConfigKey(f"no config section named {section!r}")
-            if name not in _FIELD_SETS[section]:
+            if name not in _FIELDS[section]:
                 raise UnknownConfigKey(f"no key {name!r} in section {section!r}")
             changes.setdefault(section, {})[name] = value
         sections = {section: getattr(self, section) for section in _SECTION_TYPES}
@@ -209,42 +215,14 @@ _SECTION_TYPES = {
     "source": SourceParams,
 }
 
-# section -> the names of its fields, in declaration order
-_FIELD_NAMES = {section: tuple(f.name for f in dataclasses.fields(cls))
-                for section, cls in _SECTION_TYPES.items()}
-_FIELD_SETS = {section: frozenset(names) for section, names in _FIELD_NAMES.items()}
+# section -> field -> its range, in declaration order
+_FIELDS = {section: {f.name: _RANGES[f.type] for f in dataclasses.fields(cls)}
+           for section, cls in _SECTION_TYPES.items()}
 
 
-# The range of every config field, as (lower bound, lower bound open, upper bound).
-_BOUNDS = {
-    key: bound
-    for bound, keys in {
-        (0.0, True, math.inf): (  # positive
-            "scheme.lambda_pump_nm", "scheme.lambda_s_nm", "scheme.lambda_h_nm",
-            "scheme.lambda_p_nm", "scheme.lambda_q_nm", "scheme.lambda_r_nm",
-            "cavity.length_m", "cavity.ringdown_lifetime_cycles", "cavity.walkoff_ps_per_m",
-            "pulses.control_fwhm_ps", "pulses.clock_rate_khz", "source.envelope_rms_ps"),
-        (0.0, False, math.inf): (  # non-negative
-            "cavity.dispersion_ps2_per_cycle", "cavity.mismatch_ps_per_cycle",
-            "pulses.energy_p_nj", "pulses.energy_q_nj", "pulses.nonlinear_coeff",
-            "noise.noise_mean_per_nj", "source.mean_pairs_per_pulse", "source.bandwidth_fwhm_thz"),
-        (0.0, False, 1.0): (  # [0, 1]
-            "cavity.reflectivity_r", "detectors.eta_herald_path", "detectors.eta_r_path",
-            "detectors.eta_s_path", "detectors.dark_prob_per_gate", "detectors.splitter_ratio"),
-        (1.0, False, math.inf): ("noise.mode_count", "source.schmidt_modes"),  # >= 1
-    }.items()
-    for key in keys
-}
-
-# The table as validation reads it: per section, (field, lo, hi) of each of its fields.
-_SECTION_BOUNDS = tuple(
-    (section, tuple((name, *_BOUNDS[f"{section}.{name}"][::2]) for name in names))
-    for section, names in _FIELD_NAMES.items())
-
-
-def _number(key: str, value) -> float:
+def _number(key: str, value, bound: tuple) -> float:
     """value as a float; NonPhysicalParameter naming key (section.field) unless
-    it is a finite number, not a bool or a string, inside the field's range."""
+    it is a finite number, not a bool or a string, inside bound (a _RANGES value)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise NonPhysicalParameter(f"{key} is not a number: {value!r}")
     try:
@@ -253,7 +231,7 @@ def _number(key: str, value) -> float:
         v = math.inf
     if not math.isfinite(v):
         raise NonPhysicalParameter(f"{key} must be finite, got {value!r}")
-    lo, lo_open, hi = _BOUNDS[key]
+    lo, lo_open, hi = bound
     if v < lo or (lo_open and v == lo):
         op = ">" if lo_open else ">="
         raise NonPhysicalParameter(f"{key} must be {op} {lo}, got {v}")
@@ -309,7 +287,7 @@ def _exact_keys(data, names, what: str, keys: str) -> dict:
 def config_from_dict(doc) -> ValidatedConfig:
     _exact_keys(doc, _SECTION_TYPES, "the config", "top-level key(s)")
     return ValidatedConfig(**{
-        name: cls(**_exact_keys(doc[name], [f.name for f in dataclasses.fields(cls)],
+        name: cls(**_exact_keys(doc[name], _FIELDS[name],
                                 f"section {name!r}", f"key(s) in section {name!r}"))
         for name, cls in _SECTION_TYPES.items()})
 

@@ -59,49 +59,33 @@ def _eta(plan: MultiplexPlan) -> list:
     return plan.readout_curve[first:last:plan.bin_spacing_cycles].tolist()
 
 
-def _single(p: float, eta: list) -> float:
-    """Output probability of a single attempt in the final bin."""
-    single = p * eta[0]
-    if single == 0.0:
-        raise DivisionByZeroRate(
-            "single-attempt reference probability is zero; cannot define enhancement")
-    return single
+def output_curve(plan: MultiplexPlan):
+    """(p_out, enhancement) as arrays over K = 1..plan.bins, in one pass.
 
-
-def multiplex_success(plan: MultiplexPlan) -> dict:
-    """Output probability under the first-herald-wins policy.
-
-    Bin k succeeds first with probability (1-p)^(k-1) p and its photon is
-    stored for (K-k)*spacing + latency cycles before the output slot.
+    Under the first-herald-wins policy bin k succeeds first with probability
+    (1-p)^(k-1) p, and its photon is stored for (K-k)*spacing + latency
+    cycles before the output slot. Adding a bin delays every earlier success
+    by one spacing: p_out(K) = (1-p) p_out(K-1) + p eta((K-1) spacing + latency).
     enhancement compares against a single attempt in the final bin.
     """
     p = plan.herald_prob
     eta = _eta(plan)
-    contributions = [(1.0 - p) ** (k - 1) * p * eta[plan.bins - k]
-                     for k in range(1, plan.bins + 1)]
-    p_out = float(sum(contributions))
-    return {
-        "p_out": p_out,
-        "enhancement": p_out / _single(p, eta),
-        "contributions": contributions,
-    }
-
-
-def output_curve(plan: MultiplexPlan):
-    """(p_out, enhancement) as arrays over K = 1..plan.bins, in one pass.
-
-    Adding a bin delays every earlier success by one spacing:
-    p_out(K) = (1-p) p_out(K-1) + p eta((K-1) spacing + latency). The values
-    agree with multiplex_success to the last few ulp (summation order).
-    """
-    p = plan.herald_prob
-    eta = _eta(plan)
+    single = p * eta[0]
+    if single == 0.0:
+        raise DivisionByZeroRate(
+            "single-attempt reference probability is zero; cannot define enhancement")
     p_out = np.empty(plan.bins)
     acc = 0.0
     for k, e in enumerate(eta):
         acc = (1.0 - p) * acc + p * e
         p_out[k] = acc
-    return p_out, p_out / _single(p, eta)
+    return p_out, p_out / single
+
+
+def multiplex_success(plan: MultiplexPlan) -> dict:
+    """p_out and enhancement of the plan's K = plan.bins: the last entries of output_curve."""
+    p_out, enhancement = output_curve(plan)
+    return {"p_out": float(p_out[-1]), "enhancement": float(enhancement[-1])}
 
 
 def optimal_K(plan: MultiplexPlan, max_K: int) -> int:

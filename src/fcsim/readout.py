@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .config import ValidatedConfig
-from .errors import GridTooCoarse, NoConvergence, NonPhysicalParameter
+from .errors import DivisionByZeroRate, GridTooCoarse, NoConvergence, NonPhysicalParameter
 
 # one_over_e_delay gives up if the retrieval has not fallen to 1/e by this delay
 ONE_OVER_E_MAX_CYCLES = 2000
@@ -236,7 +236,9 @@ def one_over_e_delay(cfg: ValidatedConfig) -> float:
     at its generation duration and position), so a pure ring-down decay
     returns exactly the configured lifetime. The crossing is the first
     integer delay at or below the target, interpolated linearly in log
-    space from the delay before it.
+    space from the delay before it; a retrieval that underflows to 0 there
+    returns that integer delay. A memory that retrieves nothing (a control
+    energy or the nonlinear coefficient 0) has no 1/e delay: DivisionByZeroRate.
     """
     # readout_curve's own chunks of 0..ONE_OVER_E_MAX_CYCLES, up to the one that holds
     # the crossing: the same matrix products as one call over all delays, so the same bits
@@ -253,6 +255,8 @@ def one_over_e_delay(cfg: ValidatedConfig) -> float:
     else:
         raise NoConvergence("retrieval probability stayed above 1/e up to "
                             f"{ONE_OVER_E_MAX_CYCLES} cycles", best=float(total[-1]))
+    if total[0] == 0.0:
+        raise DivisionByZeroRate("zero efficiency: the retrieval probability is 0 at delay 0")
     t = int(below[0]) + 1
     prev, cur = float(total[t - 1]), float(total[t])
     if prev <= 0 or cur <= 0:
@@ -291,7 +295,9 @@ def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float,
         prev = nxt
         hi *= 1.3
     else:
-        raise NoConvergence("could not bracket the conversion maximum")
+        zero = 0.0 in (cfg.pulses.energy_p_nj, cfg.pulses.energy_q_nj)
+        raise NoConvergence("the conversion is 0 at every coefficient: a control energy is 0"
+                            if zero else "could not bracket the conversion maximum")
     if prev < target_eta:
         raise NoConvergence(
             f"conversion saturates at {prev:.4f} < target {target_eta}", best=hi)

@@ -150,13 +150,29 @@ MUTANTS = [
      "        return values[round(x, 6)]\n",
      "a solve's kept values are keyed on the trial value rounded to 6 places"),
     ("src/fcsim/config.py",
-     "for section, bounds in _SECTION_BOUNDS:",
-     "for section, bounds in _SECTION_BOUNDS[1:]:",
+     "for section, ranges in _FIELDS.items():",
+     "for section, ranges in list(_FIELDS.items())[1:]:",
      "config validation skips the wavelength section"),
     ("src/fcsim/fockstats.py",
      "_H, _S, _R1, _R2 = _HAS.T.astype(float)",
      "_H, _S, _R2, _R1 = _HAS.T.astype(float)",
      "the engine's R1 and R2 membership masks are swapped"),
+    ("src/fcsim/config.py",
+     "    reflectivity_r: UnitInterval\n",
+     "    reflectivity_r: NonNegative\n",
+     "the facet reflectivity is declared non-negative, not in [0, 1]"),
+    ("src/fcsim/config.py",
+     '"UnitInterval": (0.0, False, 1.0),',
+     '"UnitInterval": (0.0, False, 1.5),',
+     "the unit interval's upper bound is 1.5"),
+    ("src/fcsim/multiplex.py",
+     'float(p_out[-1]), "enhancement": float(enhancement[-1])',
+     'float(p_out[0]), "enhancement": float(enhancement[0])',
+     "multiplex_success reads output_curve at one bin, not at the plan's K"),
+    ("src/fcsim/readout.py",
+     "    if total[0] == 0.0:\n        raise DivisionByZeroRate(",
+     "    if False:\n        raise DivisionByZeroRate(",
+     "a memory that retrieves nothing has a 1/e delay of 1"),
 ]
 
 

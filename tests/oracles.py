@@ -37,6 +37,10 @@ such a config at every trial coefficient, and calibrate_rebuilding solves
 with them, its root searches evaluating each bracket end twice (once to
 check the bracket, once more inside brentq).
 
+multiplex_sum is the multiplexing planner's per-bin form: p_out of one
+plan as the sum of its K contributions, the reference for the recurrence
+of multiplex.output_curve (and so for multiplex_success, its last entry).
+
 scipy_brentq and scipy_least_squares are the scipy solvers the package's
 numpy-only ones (fcsim.solvers) replaced, called as the package calls its
 own: scipy is a dependency of the tests only.
@@ -522,6 +526,18 @@ def calibrate_rebuilding(cfg, targets):
                for n, r in residuals.items()):
             return cfg, residuals
     raise NoConvergence(f"calibration did not converge in {fockstats.MAX_PASSES} passes")
+
+
+def multiplex_sum(plan):
+    """(p_out, contributions) of a multiplex.MultiplexPlan: bin k = 1..K
+    succeeds first with probability (1-p)^(k-1) p and its photon is stored
+    (K-k) spacing + latency cycles, read from the plan's curve at T = 1.."""
+    p = plan.herald_prob
+    contributions = [
+        (1.0 - p) ** (k - 1) * p * float(plan.readout_curve[
+            (plan.bins - k) * plan.bin_spacing_cycles + plan.switch_latency_cycles - 1])
+        for k in range(1, plan.bins + 1)]
+    return float(sum(contributions)), contributions
 
 
 def csv_records_text(records):

@@ -357,7 +357,7 @@ def test_bootstrap_matches_resample_loop(primary, stream):
 def test_g2_and_klyshko_are_estimates_of_their_ratio(primary):
     """estimate_g2 and klyshko_efficiency give estimate's value, standard
     error and dropped_resamples for their RATIOS entry; estimate takes only
-    a RATIOS name, not an estimate_g2 kind."""
+    a RATIOS name, not an estimate_g2 kind, and estimate_g2 only a kind."""
     records = trialsim.simulate_run(primary, seed=6, n_triggers=1_000_000)
     for kind, name in estimators.G2_KINDS.items():
         assert estimate_g2(records, kind) == estimators.estimate(records, name), kind
@@ -365,6 +365,8 @@ def test_g2_and_klyshko_are_estimates_of_their_ratio(primary):
     for name in ("nope", "cross_hs"):
         with pytest.raises(NonPhysicalParameter):
             estimators.estimate(records, name)
+    with pytest.raises(NonPhysicalParameter, match="unknown correlation kind 'bogus'"):
+        estimate_g2(records, "bogus")
 
 
 def test_bootstrap_sums_exact_beyond_float_precision():
@@ -498,6 +500,18 @@ def test_fit_exponential_rejects_constant():
         fit_exponential(np.column_stack([t, np.full_like(t, 2.5)]))
     with pytest.raises(SingularFit):
         fit_exponential(np.column_stack([t[:2], np.array([1.0, 0.5])]))
+
+
+@pytest.mark.parametrize("y, error, match", [
+    (np.r_[1.0, 0.0, np.ones(8)], SingularFit, "requires positive values"),
+    (np.exp(np.arange(1.0, 11.0) / 20), SingularFit, "does not decay"),
+    (None, NonPhysicalParameter, "series must be rows"),
+], ids=["non_positive", "rising", "one_dimensional"])
+def test_fit_exponential_rejects_a_series_it_cannot_fit(y, error, match):
+    """A zero value, a rising series and a bare array of delays are typed errors."""
+    t = np.arange(1.0, 11.0)
+    with pytest.raises(error, match=match):
+        fit_exponential(t if y is None else np.column_stack([t, y]))
 
 
 def test_fit_exponential_weighted_noisy():
@@ -636,6 +650,17 @@ def test_memory_model_counts_distinct_delays(primary):
     res = fit_memory_model(np.column_stack([t, y]), ("amplitude",), primary)
     assert res.values["amplitude"] == pytest.approx(0.5, rel=1e-9)
     assert res.n_points == t.size
+
+
+@pytest.mark.parametrize("free, error, match", [
+    (("amplitude", "bogus"), NonPhysicalParameter, r"unknown fit parameter\(s\) \['bogus'\]"),
+    ((), SingularFit, "no free parameters"),
+], ids=["unknown", "none"])
+def test_memory_model_rejects_free_parameters_it_cannot_fit(primary, free, error, match):
+    t = np.arange(1.0, 41.0)
+    y = 0.5 * readout.readout_curve(primary, t)[2]
+    with pytest.raises(error, match=match):
+        fit_memory_model(np.column_stack([t, y]), free, primary)
 
 
 def test_memory_model_rejects_a_parameter_named_twice(primary):

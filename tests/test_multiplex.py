@@ -6,6 +6,7 @@ import pytest
 from fcsim import fockstats, multiplex
 from fcsim.errors import CurveRangeExceeded, DivisionByZeroRate, NonPhysicalParameter
 from fcsim.multiplex import MultiplexPlan, multiplex_success, optimal_K
+from oracles import multiplex_sum
 
 
 def flat_curve(n, value=1.0):
@@ -33,11 +34,12 @@ def test_lossless_limit_saturates():
 
 
 def test_contributions_sum_exactly():
+    """The per-bin oracle: one contribution per bin, summed exactly."""
     curve = np.exp(-np.arange(1, 200) / 67.0) * 0.79
     plan = make_plan(60, curve, p=0.006)
-    res = multiplex_success(plan)
-    assert sum(res["contributions"]) == res["p_out"]
-    assert len(res["contributions"]) == 60
+    p_out, contributions = multiplex_sum(plan)
+    assert sum(contributions) == p_out
+    assert len(contributions) == 60
 
 
 def test_curve_range_guard():
@@ -98,6 +100,10 @@ def test_invalid_plans_rejected():
     with pytest.raises(NonPhysicalParameter):
         MultiplexPlan(bins=1, bin_spacing_cycles=0, herald_prob=0.1,
                       readout_curve=flat_curve(5))
+    with pytest.raises(NonPhysicalParameter, match="switch_latency_cycles must be >= 1"):
+        make_plan(1, flat_curve(5), latency=0)
+    with pytest.raises(NonPhysicalParameter, match="max_K must be >= 1"):
+        optimal_K(make_plan(1, flat_curve(5)), 0)
 
 
 def test_projection_for_configured_source(primary):
@@ -114,15 +120,17 @@ def test_projection_for_configured_source(primary):
 @pytest.mark.parametrize("spacing, latency", [(1, 1), (3, 2)])
 @pytest.mark.parametrize("config_name", ["primary", "alternate"])
 def test_output_curve_matches_multiplex_success(request, config_name, spacing, latency):
-    """The one-pass recurrence reproduces the per-K sums of multiplex_success."""
+    """The one-pass recurrence reproduces the per-K sums of the oracle, and
+    multiplex_success is its last entry."""
     cfg = request.getfixturevalue(config_name)
     bins = 400
     curve = multiplex.readout_curve(cfg, (bins - 1) * spacing + latency)
     plan = make_plan(bins, curve, p=fockstats.model_patterns(cfg)["h"],
                      spacing=spacing, latency=latency)
     p_out, enhancement = multiplex.output_curve(plan)
-    direct = np.array([multiplex_success(dataclasses.replace(plan, bins=k))["p_out"]
+    direct = np.array([multiplex_sum(dataclasses.replace(plan, bins=k))[0]
                        for k in range(1, bins + 1)])
+    assert multiplex_success(plan) == {"p_out": p_out[-1], "enhancement": enhancement[-1]}
     assert p_out.shape == enhancement.shape == (bins,)
     assert np.all(np.abs(p_out - direct) <= 1e-14 * direct)
     assert enhancement[0] == 1.0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcsim import fockstats, readout, trialsim
-from fcsim.errors import GridTooCoarse, NoConvergence, NonPhysicalParameter
+from fcsim.errors import DivisionByZeroRate, GridTooCoarse, NoConvergence, NonPhysicalParameter
 from fcsim.readout import (
     conversion_efficiency,
     envelope_intensity,
@@ -338,6 +338,37 @@ def test_one_over_e_delay_not_reached(primary):
     last = readout_probability(readout.ONE_OVER_E_MAX_CYCLES, cfg)[2]
     assert info.value.best == pytest.approx(last, rel=1e-12)
     assert last > readout_curve(cfg, [0])[2][0] / math.e
+
+
+@pytest.mark.parametrize("field", ["pulses.nonlinear_coeff", "pulses.energy_p_nj",
+                                   "pulses.energy_q_nj"])
+def test_one_over_e_delay_of_a_memory_that_retrieves_nothing(primary, field):
+    """Either control energy or the coefficient at 0 retrieves nothing at any
+    delay: there is no 1/e delay, not a crossing at delay 1."""
+    cfg = primary.replace_fields(**{field: 0.0})
+    assert not readout_curve(cfg, np.arange(10))[2].any()
+    with pytest.raises(DivisionByZeroRate, match="zero efficiency"):
+        readout.one_over_e_delay(cfg)
+
+
+def test_one_over_e_delay_of_a_retrieval_that_underflows(primary):
+    """A positive reference whose retrieval underflows to 0 at delay 1
+    crosses 1/e there: the integer delay, with nothing to interpolate."""
+    cfg = primary.replace_fields(**{"cavity.ringdown_lifetime_cycles": 1e-3})
+    total = readout_curve(cfg, [0, 1])[2]
+    assert total[0] > 0.0 and total[1] == 0.0
+    assert readout.one_over_e_delay(cfg) == 1.0
+
+
+@pytest.mark.parametrize("field", ["pulses.energy_p_nj", "pulses.energy_q_nj"])
+def test_conversion_solve_with_a_control_energy_of_zero(primary, field):
+    """No coefficient converts anything without both controls: the solve and
+    the calibration say so, not that the maximum could not be bracketed."""
+    cfg = primary.replace_fields(**{field: 0.0})
+    with pytest.raises(NoConvergence, match="conversion is 0 at every coefficient"):
+        readout.solve_nonlinear_coeff(cfg, 0.8)
+    with pytest.raises(NoConvergence, match="conversion is 0 at every coefficient"):
+        fockstats.calibrate(cfg, {"eta_conversion": 0.8})
 
 
 def _ringdown(cfg, lifetime, **fields):

@@ -123,6 +123,33 @@ def test_brentq_rejects_a_bracket_without_sign_change():
         solvers.brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("f, tol, match", [
+    (math.sin, {"xtol": 0.0}, "xtol too small"),
+    (math.sin, {"rtol": solvers.BRENTQ_RTOL / 2}, "rtol too small"),
+    (lambda x: math.nan if x > 0 else -1.0, {}, "is NaN"),
+], ids=["xtol_zero", "rtol_below_the_floor", "nan_value"])
+def test_brentq_rejects_what_scipy_rejects(f, tol, match):
+    """Where scipy's brentq raises a ValueError, the port raises one too."""
+    for solve in (solvers.brentq, scipy_brentq):
+        with pytest.raises(ValueError, match=match):
+            solve(f, -1.0, 1.0, tol.get("xtol", solvers.BRENTQ_XTOL),
+                  tol.get("rtol", solvers.BRENTQ_RTOL))
+
+
+@pytest.mark.parametrize("root", [-1.0, 1.0])
+def test_brentq_returns_a_root_at_a_bracket_end(root):
+    """A bracket end where f is 0 is the root, with no iteration."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - root
+
+    assert solvers.brentq(f, -1.0, 1.0) == root
+    assert calls == [-1.0, 1.0]
+    assert scipy_brentq(f, -1.0, 1.0, solvers.BRENTQ_XTOL, solvers.BRENTQ_RTOL) == root
+
+
 # ---------------------------------------------------------------------------
 # least_squares
 # ---------------------------------------------------------------------------
