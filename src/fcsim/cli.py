@@ -150,8 +150,7 @@ def _cmd_sweep(args) -> int:
     values = np.linspace(args.start, args.stop, max(args.steps, 0))
     if args.param == "readout_delay":
         values = np.sort(np.rint(values).astype(int))
-        values = values[values >= 1]
-        values = values[np.diff(values, prepend=0) != 0]  # each delay once
+        values = values[(values >= 1) & (np.diff(values, prepend=0) != 0)]  # each delay once
         rows = list(zip(values, *readout.readout_curve(cfg, values),
                         np.full(values.size, cfg.noise_mean_per_trigger())))
     else:

@@ -164,10 +164,9 @@ class ValidatedConfig:
             values = vars(getattr(self, section))
             for name, bound in ranges.items():
                 value = values[name]
-                # A float strictly inside its range passes here; _number decides the
-                # rest (other number types, bound values, nan, non-numbers).
+                # A float strictly inside its range passes here; number decides the rest.
                 if type(value) is not float or not bound[0] < value < bound[2]:
-                    _number(f"{section}.{name}", value, bound)
+                    number(f"{section}.{name}", value, bound)
         lambda_r = _energy_conserving_lambda_r(self.scheme)
         cavity = self.cavity
         tau = self.pulses.control_fwhm_ps / FWHM_TO_TAU
@@ -220,9 +219,9 @@ _FIELDS = {section: {f.name: _RANGES[f.type] for f in dataclasses.fields(cls)}
            for section, cls in _SECTION_TYPES.items()}
 
 
-def _number(key: str, value, bound: tuple) -> float:
-    """value as a float; NonPhysicalParameter naming key (section.field) unless
-    it is a finite number, not a bool or a string, inside bound (a _RANGES value)."""
+def number(key: str, value, bound: tuple = (-math.inf, False, math.inf)) -> float:
+    """value as a float; NonPhysicalParameter naming key unless it is a finite
+    number, not a bool or a string, inside bound (a _RANGES value; any finite real)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise NonPhysicalParameter(f"{key} is not a number: {value!r}")
     try:
@@ -238,6 +237,13 @@ def _number(key: str, value, bound: tuple) -> float:
     if v > hi:
         raise NonPhysicalParameter(f"{key} must be <= {hi}, got {v}")
     return v
+
+
+def integer(value, lo, hi=math.inf) -> bool:
+    """Whether value is an int or other numbers.Integral (numpy's too), not a bool, in
+    lo..hi; a plain int is tested first, as hot paths check readout delays one by one."""
+    return (type(value) is int or isinstance(value, numbers.Integral)
+            and not isinstance(value, bool)) and lo <= value <= hi
 
 
 def _energy_conserving_lambda_r(scheme: WavelengthScheme) -> float:

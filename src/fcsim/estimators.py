@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import ValidatedConfig
+from .config import ValidatedConfig, integer
 from .errors import (
     DivisionByZeroRate,
     EmptyInput,
@@ -105,12 +105,10 @@ def _bootstrap_sums(records: ClickRecords, block_triggers: int, resamples: int,
     row 0 over the whole stream, each further row over one resample, its
     blocks weighed by how often it drew them. Built once per (block_triggers,
     resamples, seed) of a record set and kept on it."""
-    if (not all(isinstance(v, (int, np.integer)) for v in (block_triggers, resamples))
-            or block_triggers < 1 or resamples < 0):
-        raise NonPhysicalParameter("bootstrap needs integers block_triggers >= 1 and "
-                                   f"resamples >= 0, got {block_triggers} and {resamples}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise NonPhysicalParameter(f"bootstrap seed must be an integer >= 0, got {seed!r}")
+    if not (integer(block_triggers, 1) and integer(resamples, 0) and integer(seed, 0)):
+        raise NonPhysicalParameter("bootstrap needs integers block_triggers >= 1, resamples >= 0 "
+                                   f"and seed >= 0, got {block_triggers} and {resamples} "
+                                   f"and seed {seed!r}")
     key = (block_triggers, resamples, seed)
     if key in records._bootstraps:
         return records._bootstraps[key]
@@ -281,6 +279,8 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
     delays, index = np.unique(t, return_inverse=True)
     if delays.size < 10:
         raise SingularFit("memory-model fit needs at least 10 distinct delays")
+    if isinstance(free_params, str):  # a tuple of it would be its letters
+        raise NonPhysicalParameter(f"free_params must list names, got the string {free_params!r}")
     free = tuple(free_params)
     bad = set(free) - set(MEMORY_FIT_PARAMS)
     if bad:

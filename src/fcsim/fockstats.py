@@ -29,11 +29,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import ValidatedConfig
+from .config import ValidatedConfig, number
 from .errors import (
     DivisionByZeroRate,
     NoConvergence,
-    NonPhysicalParameter,
     Underdetermined,
 )
 from .patterns import AT_LEAST, DETECTOR_BITS, PATTERN_MASKS, PATTERN_MATRIX, RATIOS
@@ -320,7 +319,7 @@ def calibrate(cfg: ValidatedConfig, targets: dict, diagnostics: dict | None = No
     coupled (see _Target); calibration stops after the first pass that
     leaves every relative residual within REL_TOL. Returns (config,
     residuals); raises Underdetermined for a target with no pinned
-    parameter, NonPhysicalParameter for a target value that is not finite,
+    parameter, NonPhysicalParameter for a target value that is not a finite number,
     and NoConvergence if residuals remain after MAX_PASSES passes.
 
     A diagnostics dict, if given, receives "passes" (the passes run),
@@ -332,8 +331,7 @@ def calibrate(cfg: ValidatedConfig, targets: dict, diagnostics: dict | None = No
     if unknown:
         raise Underdetermined(f"no rule to invert target(s) {sorted(unknown)}")
     for name, value in targets.items():
-        if not math.isfinite(value):
-            raise NonPhysicalParameter(f"calibration target {name} must be finite, got {value}")
+        number(f"calibration target {name}", value)
     names = [n for n in _TARGETS if n in targets]
     record = {} if diagnostics is None else diagnostics
     record["passes"] = 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ValidatedConfig
+from .config import ValidatedConfig, integer, number
 from .errors import CurveRangeExceeded, DivisionByZeroRate, NonPhysicalParameter
 from . import readout
 
@@ -33,18 +33,18 @@ class MultiplexPlan:
     switch_latency_cycles: int = 1
 
     def __post_init__(self):
-        if self.bins < 1:
-            raise NonPhysicalParameter("bins must be >= 1")
-        if self.bin_spacing_cycles < 1:
-            raise NonPhysicalParameter("bin_spacing_cycles must be >= 1")
-        if not 0.0 <= self.herald_prob <= 1.0:
-            raise NonPhysicalParameter("herald_prob must be in [0, 1]")
-        if self.switch_latency_cycles < 1:
-            raise NonPhysicalParameter("switch_latency_cycles must be >= 1")
+        for name in ("bins", "bin_spacing_cycles", "switch_latency_cycles"):
+            value = getattr(self, name)
+            if not integer(value, 1):
+                raise NonPhysicalParameter(f"{name} must be >= 1 and an integer, got {value!r}")
+        number("herald_prob", self.herald_prob, (0.0, False, 1.0))
 
 
 def readout_curve(cfg: ValidatedConfig, max_delay_cycles: int) -> np.ndarray:
     """Retrieval probability eta(T) for T = 1..max_delay_cycles."""
+    if not integer(max_delay_cycles, 0):
+        raise NonPhysicalParameter(
+            f"max_delay_cycles must be >= 0 and an integer, got {max_delay_cycles!r}")
     return readout.readout_curve(cfg, np.arange(1, max_delay_cycles + 1))[2]
 
 
@@ -90,7 +90,7 @@ def multiplex_success(plan: MultiplexPlan) -> dict:
 
 def optimal_K(plan: MultiplexPlan, max_K: int) -> int:
     """Bin count in [1, max_K] maximizing p_out; ties go to fewer bins."""
-    if max_K < 1:
-        raise NonPhysicalParameter("max_K must be >= 1")
+    if not integer(max_K, 1):
+        raise NonPhysicalParameter(f"max_K must be >= 1 and an integer, got {max_K!r}")
     p_out, _ = output_curve(replace(plan, bins=max_K))
     return 1 + int(np.argmax(p_out))

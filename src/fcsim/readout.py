@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .config import ValidatedConfig
+from .config import ValidatedConfig, integer
 from .errors import DivisionByZeroRate, GridTooCoarse, NoConvergence, NonPhysicalParameter
 
 # one_over_e_delay gives up if the retrieval has not fallen to 1/e by this delay
@@ -188,16 +188,13 @@ def conversion_efficiency(cfg: ValidatedConfig) -> float:
     return float(readout_curve(cfg, 1)[1][0])
 
 
-_BOOLS = (bool, np.bool_)
-
-
 def _check_delays(delays) -> int:
     """How many delays there are; NonPhysicalParameter unless each is an integer >= 1."""
     # in Python, and a plain int without numpy: a one-delay call costs about a scalar compare;
     # as objects, so that numpy casts no bool in a list of numbers to an integer
     values = [delays] if type(delays) is int else np.asarray(delays, object).ravel().tolist()
     for x in values:
-        if type(x) in _BOOLS or not (x >= 1 and float(x).is_integer()):
+        if not integer(x, 1):
             raise NonPhysicalParameter(f"readout delays must be integers >= 1, got {delays}")
     return len(values)
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic
-from .config import ValidatedConfig, config_hash
+from .config import ValidatedConfig, config_hash, integer
 from .errors import CorruptRecords, EmptyInput, NonPhysicalParameter
 from .patterns import MASK_H, MASK_R1, MASK_R2, MASK_S
 from .readout import signal_branch_probs
@@ -289,13 +289,13 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
     counts as positions, widening its indices as merge); the records and
     manifest never carry them.
     """
-    if n_triggers < 1:
-        raise NonPhysicalParameter("n_triggers must be >= 1")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not integer(n_triggers, 1):
+        raise NonPhysicalParameter(f"n_triggers must be an integer >= 1, got {n_triggers!r}")
+    if not integer(seed, 0):
         raise NonPhysicalParameter(f"seed must be an integer >= 0, got {seed!r}")
-    if not 1 <= delay_cycles <= MAX_DELAY:
-        raise NonPhysicalParameter(f"readout delay must be within 1..{MAX_DELAY} "
-                                   f"cycles, got {delay_cycles}")
+    if not integer(delay_cycles, 1, MAX_DELAY):
+        raise NonPhysicalParameter(f"readout delay must be an integer within 1..{MAX_DELAY} "
+                                   f"cycles, got {delay_cycles!r}")
     (q_mon,), (chain,) = signal_branch_probs(cfg, delay_cycles)
     pairs = None if controls_only else _number_table(cfg.source.mean_pairs_per_pulse,
                                                      cfg.source.schmidt_modes)

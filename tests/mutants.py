@@ -97,12 +97,12 @@ MUTANTS = [
      "int(np.searchsorted(cdf, _HEAD_CUT)) + 1",
      "photon-number head not capped: one pass per entry up to the cut"),
     ("src/fcsim/trialsim.py",
-     "if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:",
-     "if not isinstance(seed, (int, np.integer)) or seed < 0:",
+     "if not integer(seed, 0):",
+     "if not integer(seed, 0) and not isinstance(seed, bool):",
      "simulate_run runs a bool seed as 0 or 1"),
     ("src/fcsim/estimators.py",
-     "np.integer)) or seed < 0:",
-     "np.integer)) or seed < -1:",
+     "and integer(seed, 0)):",
+     "and integer(seed, -1)):",
      "bootstrap takes the seed -1 to numpy's untyped ValueError"),
     ("src/fcsim/readout.py",
      "for start in range(0, end, rows):",
@@ -113,12 +113,12 @@ MUTANTS = [
      "key = c.cavity.mismatch_ps_per_cycle",
      "memory-fit overlap memo drops psi2: a psi2 step reuses the old overlap"),
     ("src/fcsim/trialsim.py",
-     "if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:",
-     "if isinstance(seed, bool) or isinstance(seed, (int, np.integer)) and seed < 0:",
+     "if not integer(seed, 0):",
+     "if isinstance(seed, int) and not integer(seed, 0):",
      "simulate_run hands a float seed to numpy's untyped TypeError"),
     ("src/fcsim/estimators.py",
-     "if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:",
-     "if isinstance(seed, bool) or isinstance(seed, (int, np.integer)) and seed < 0:",
+     "and integer(seed, 0)):",
+     "and (integer(seed, 0) or isinstance(seed, float))):",
      "bootstrap answers a float seed from the memo of the equal integer seed"),
     ("src/fcsim/estimators.py",
      "if values.size > 2 and seen else math.inf",
@@ -129,8 +129,8 @@ MUTANTS = [
      "",
      "estimate takes an unknown name to an untyped KeyError"),
     ("src/fcsim/readout.py",
-     "if type(x) in _BOOLS or not (",
-     "if not (",
+     "if not integer(x, 1):",
+     "if not (integer(x, 1) or x is True):",
      "the readout-bin check takes a bool delay as delay 1"),
     ("src/fcsim/readout.py",
      "if _check_delays(delay_cycles) != 1:",
@@ -173,6 +173,22 @@ MUTANTS = [
      "    if total[0] == 0.0:\n        raise DivisionByZeroRate(",
      "    if False:\n        raise DivisionByZeroRate(",
      "a memory that retrieves nothing has a 1/e delay of 1"),
+    ("src/fcsim/config.py",
+     "and not isinstance(value, bool)) and lo <= value <= hi",
+     ") and lo <= value <= hi",
+     "the integer rule takes a bool for the integer 0 or 1"),
+    ("src/fcsim/trialsim.py",
+     "if not integer(delay_cycles, 1, MAX_DELAY):",
+     "if not integer(delay_cycles, 1):",
+     "simulate_run takes a delay beyond MAX_DELAY that its records cannot hold"),
+    ("src/fcsim/multiplex.py",
+     'number("herald_prob", self.herald_prob, (0.0, False, 1.0))',
+     'number("herald_prob", self.herald_prob, (0.0, False, 2.0))',
+     "a herald probability above 1 makes a plan"),
+    ("src/fcsim/estimators.py",
+     "    if isinstance(free_params, str):",
+     "    if False:",
+     "a string of free parameters is read letter by letter"),
 ]
 
 

@@ -586,6 +586,43 @@ def test_multiplex_optimal_K_is_first_argmax(tmp_path, capsys, alternate):
     assert doc["p_out_at_optimal_K"] == rows[47, 1]
 
 
+def test_multiplex_with_a_given_herald_probability(tmp_path, capsys, primary):
+    """--herald-prob replaces the model's herald probability in the plan."""
+    out_path = tmp_path / "mux.csv"
+    code, out, err = run_cli(capsys, "multiplex", "--config", CONFIG, "--max-bins", "30",
+                             "--herald-prob", "0.25", "--out", str(out_path))
+    assert code == 0, err
+    doc = json.loads(out)
+    plan = multiplex.MultiplexPlan(bins=30, bin_spacing_cycles=1, herald_prob=0.25,
+                                   readout_curve=multiplex.readout_curve(primary, 30))
+    p_out, enhancement = multiplex.output_curve(plan)
+    rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
+    assert doc["herald_prob"] == 0.25 and doc["herald_prob"] != fockstats.model_patterns(
+        primary)["h"]
+    assert rows[:, 1].tolist() == p_out.tolist() and rows[:, 2].tolist() == enhancement.tolist()
+    assert doc["optimal_K"] == multiplex.optimal_K(plan, 30)
+
+
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+def test_multiplex_herald_probability_outside_unit_interval_writes_nothing(tmp_path, capsys,
+                                                                          value):
+    code, out, err = run_cli(capsys, "multiplex", "--config", CONFIG, "--herald-prob", value,
+                             "--out", str(tmp_path / "mux.csv"))
+    assert code == 2
+    assert json.loads(err)["error"] == "NonPhysicalParameter"
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_fit_memory_without_config_is_usage_error(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, *[a.format(tmp=tmp_path) for a in SWEEP_60])
+    assert code == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", "--kind", "memory", "--data", str(tmp_path / "sweep.csv")])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--config is required for --kind memory" in captured.err and captured.out == ""
+
+
 def test_multiplex_zero_bins_writes_nothing(tmp_path, capsys):
     out_path = tmp_path / "mux.csv"
     code, out, err = run_cli(capsys, "multiplex", "--config", CONFIG,

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcsim import fockstats, multiplex, trialsim
 from fcsim.config import (
     FWHM_TO_TAU,
     ValidatedConfig,
     config_from_dict,
     config_to_dict,
     dumps_config,
+    integer,
     loads_config,
+    number,
 )
 from fcsim.errors import (
     ConfigError,
@@ -326,3 +329,66 @@ def test_integer_beyond_float_range_is_nonphysical(primary):
     doc["cavity"]["length_m"] = 10 ** 400
     with pytest.raises(NonPhysicalParameter, match=r"cavity\.length_m must be finite"):
         loads_config(json.dumps(doc))
+
+
+def test_integer_rule():
+    """An int or numpy integer in range is an integer; a bool, a float (also
+    an integral one), a string or None never is, in range or not."""
+    for value in (1, 7, np.int64(7), np.uint8(7), 2 ** 70):
+        assert integer(value, 1) and integer(value, 0, 2 ** 70)
+    assert not integer(0, 1) and not integer(8, 1, 7) and integer(7, 1, 7)
+    for value in (True, False, np.True_, 2.0, np.float64(2.0), 2.5, "3", None, math.inf):
+        assert not integer(value, -math.inf)
+
+
+def test_number_rule_defaults_to_any_finite_real():
+    assert number("x", -1e300) == -1e300 and number("x", np.int64(3)) == 3.0
+    for value, match in [(math.nan, "x must be finite, got nan"), (-math.inf, "finite"),
+                         (True, "x is not a number"), ("3", "not a number"),
+                         (None, "not a number")]:
+        with pytest.raises(NonPhysicalParameter, match=match):
+            number("x", value)
+
+
+def _plan(**changes):
+    return multiplex.MultiplexPlan(**{"bins": 3, "bin_spacing_cycles": 1, "herald_prob": 0.1,
+                                      "readout_curve": np.ones(5), **changes})
+
+
+NOT_NUMBERS = (True, np.True_, "3", None)
+NOT_INTEGERS = (*NOT_NUMBERS, 2.5, 2.0)
+
+# entry point and argument -> (a call that passes value there, the values it rejects);
+# the readout delays, seeds and bootstrap counts have tests of their own
+ARGUMENTS = {
+    "simulate_run.n_triggers": (lambda cfg, v: trialsim.simulate_run(cfg, 1, v),
+                                (*NOT_INTEGERS, 0)),
+    "MultiplexPlan.bins": (lambda cfg, v: _plan(bins=v), (*NOT_INTEGERS, 0)),
+    "MultiplexPlan.bin_spacing_cycles": (lambda cfg, v: _plan(bin_spacing_cycles=v),
+                                         (*NOT_INTEGERS, 0)),
+    "MultiplexPlan.switch_latency_cycles": (lambda cfg, v: _plan(switch_latency_cycles=v),
+                                            (*NOT_INTEGERS, 0)),
+    "MultiplexPlan.herald_prob": (lambda cfg, v: _plan(herald_prob=v),
+                                  (*NOT_INTEGERS, 2, -1, math.nan)),
+    "optimal_K.max_K": (lambda cfg, v: multiplex.optimal_K(_plan(), v), (*NOT_INTEGERS, 0)),
+    "multiplex.readout_curve.max_delay_cycles": (lambda cfg, v: multiplex.readout_curve(cfg, v),
+                                                 (*NOT_INTEGERS, -1)),
+    "calibrate.targets": (lambda cfg, v: fockstats.calibrate(cfg, {"g2_xc_hs": v}),
+                          (*NOT_NUMBERS, math.nan)),
+}
+
+
+@pytest.mark.parametrize("argument, value", [
+    (argument, value) for argument, (_, values) in ARGUMENTS.items() for value in values],
+    ids=lambda x: x if isinstance(x, str) and "." in x else repr(x))
+def test_argument_outside_its_domain_is_nonphysical(primary, tmp_path, monkeypatch,
+                                                    argument, value):
+    """A bool, a fraction, a string or None where an integer belongs, a
+    non-number where a real belongs, and a value outside the range are each
+    NonPhysicalParameter, never a raw TypeError or a silently wrong run, and
+    nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    call, _ = ARGUMENTS[argument]
+    with pytest.raises(NonPhysicalParameter):
+        call(primary, value)
+    assert list(tmp_path.iterdir()) == []

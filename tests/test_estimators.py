@@ -243,19 +243,22 @@ def test_bootstrap_counts_dropped_resamples():
 
 
 @pytest.mark.parametrize("block_triggers, resamples", [(0, 200), (-5, 200), (100, -3),
-                                                     (100.5, 200), (100, 2.5)])
+                                                     (100.5, 200), (100, 2.5), (True, 200),
+                                                     (100, np.True_), (100.0, 200),
+                                                     ("100", 200), (100, None)])
 @pytest.mark.parametrize("estimate", [lambda rec, **kw: estimate_g2(rec, "cross_hs", **kw),
                                       klyshko_efficiency], ids=["g2", "klyshko"])
 def test_bad_bootstrap_arguments_are_nonphysical(estimate, block_triggers, resamples):
-    """A block under one trigger or a negative resample count is a typed error
-    naming both, raised before a bootstrap is built or kept."""
+    """A block under one trigger, a negative resample count, or either not an
+    integer (a bool, a float, a string, None) is a typed error naming both,
+    raised before a bootstrap is built or kept."""
     rec = seen_in_two_blocks()
     with pytest.raises(NonPhysicalParameter, match=f"got {block_triggers} and {resamples}"):
         estimate(rec, block_triggers=block_triggers, resamples=resamples)
     assert rec._bootstraps == {}
 
 
-@pytest.mark.parametrize("seed", [-1, np.int64(-1), True, False])
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), True, False, np.True_])
 @pytest.mark.parametrize("estimate", [lambda rec, **kw: estimate_g2(rec, "cross_hs", **kw),
                                       klyshko_efficiency], ids=["g2", "klyshko"])
 def test_negative_or_bool_bootstrap_seed_is_nonphysical(estimate, seed):
@@ -267,7 +270,7 @@ def test_negative_or_bool_bootstrap_seed_is_nonphysical(estimate, seed):
     assert rec._bootstraps == {}
 
 
-@pytest.mark.parametrize("seed", [3.0, 2.5, np.float64(3.0), "3"])
+@pytest.mark.parametrize("seed", [3.0, 2.5, np.float64(3.0), "3", None])
 @pytest.mark.parametrize("estimate", [lambda rec, **kw: estimate_g2(rec, "cross_hs", **kw),
                                       klyshko_efficiency], ids=["g2", "klyshko"])
 def test_non_integer_bootstrap_seed_is_nonphysical(estimate, seed):
@@ -655,7 +658,8 @@ def test_memory_model_counts_distinct_delays(primary):
 @pytest.mark.parametrize("free, error, match", [
     (("amplitude", "bogus"), NonPhysicalParameter, r"unknown fit parameter\(s\) \['bogus'\]"),
     ((), SingularFit, "no free parameters"),
-], ids=["unknown", "none"])
+    ("lifetime", NonPhysicalParameter, "got the string 'lifetime'"),
+], ids=["unknown", "none", "string"])
 def test_memory_model_rejects_free_parameters_it_cannot_fit(primary, free, error, match):
     t = np.arange(1.0, 41.0)
     y = 0.5 * readout.readout_curve(primary, t)[2]

@@ -634,11 +634,12 @@ def test_heralded_g2_curve_rejects_bad_delays_and_vacuum(primary):
         fockstats.heralded_g2_curve(dark, [1, 5])
 
 
-@pytest.mark.parametrize("delay", [0, 1.5, -3, True, math.inf])
+@pytest.mark.parametrize("delay", [0, 1.5, -3, True, math.inf, np.True_, 2.5, 2.0, "3", None])
 def test_model_rejects_delays_that_are_not_readout_bins(primary, delay):
     """Every caller of the one readout-bin check rejects the delay, alone
     or in a list, also next to a valid delay (a bool is no delay, not
-    delay 1, and a list is not cast to numbers before the check)."""
+    delay 1, a list is not cast to numbers before the check, and an
+    integral float such as 2.0 is not the delay 2)."""
     callers = (fockstats.model_report, click_model, readout.signal_branch_probs,
                lambda cfg, d: readout.readout_probability(d, cfg),
                lambda cfg, d: trialsim.simulate_run(cfg, 1, 1000, delay_cycles=d))

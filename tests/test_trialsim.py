@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcsim import estimators, fockstats, readout, trialsim
-from fcsim.errors import CorruptRecords, NonPhysicalParameter
+from fcsim.errors import CorruptRecords, EmptyInput, NonPhysicalParameter
 from fcsim.trialsim import (
     MASK_H,
     MASK_R1,
@@ -39,7 +39,7 @@ def test_all_silent_without_source_noise_or_darks(primary):
     assert all(est.value == 0.0 for est in rates.values())
 
 
-@pytest.mark.parametrize("seed", [-1, np.int64(-1), True, False])
+@pytest.mark.parametrize("seed", [-1, np.int64(-1), True, False, np.True_])
 def test_negative_or_bool_seed_is_nonphysical(primary, seed):
     """A negative seed is a typed error, not numpy's ValueError, and a bool is
     not run as the seed 0 or 1."""
@@ -559,6 +559,15 @@ def test_malformed_manifest_is_corrupt_records(tmp_path, primary, text):
         text = json.dumps({**doc, "extra": 1})
     mpath.write_text(text, encoding="utf-8")
     with pytest.raises(CorruptRecords, match=str(mpath.name)):
+        read_records(path)
+
+
+@pytest.mark.parametrize("suffix", [".bin", ".csv"])
+def test_records_without_their_sidecar_are_empty_input(tmp_path, primary, suffix):
+    path = tmp_path / f"clicks{suffix}"
+    write_records(simulate_run(primary, seed=8, n_triggers=10_000), path)
+    trialsim.manifest_path(path).unlink()
+    with pytest.raises(EmptyInput, match="missing manifest sidecar"):
         read_records(path)
 
 
