@@ -243,12 +243,12 @@ def _cmd_multiplex(args) -> int:
 
         p_herald = fockstats.model_patterns(cfg)["h"]
     start = time.perf_counter()
-    max_delay = (args.max_bins - 1) * args.spacing + args.latency
-    # the plan is validated before anything is written
+    # the plan is validated before its curve is sized from it and before anything is written
     plan = multiplex.MultiplexPlan(bins=args.max_bins, bin_spacing_cycles=args.spacing,
-                                   herald_prob=p_herald,
-                                   readout_curve=multiplex.readout_curve(cfg, max_delay),
+                                   herald_prob=p_herald, readout_curve=None,
                                    switch_latency_cycles=args.latency)
+    plan = dataclasses.replace(
+        plan, readout_curve=multiplex.readout_curve(cfg, plan.max_delay_cycles))
     p_out, enhancement = multiplex.output_curve(plan)
     best = 1 + int(p_out.argmax())  # optimal_K's first-argmax rule, without a second curve
     multiplex_s = time.perf_counter() - start

@@ -39,6 +39,11 @@ class MultiplexPlan:
                 raise NonPhysicalParameter(f"{name} must be >= 1 and an integer, got {value!r}")
         number("herald_prob", self.herald_prob, (0.0, False, 1.0))
 
+    @property
+    def max_delay_cycles(self) -> int:
+        """Storage delay of bin 1, (bins - 1) * spacing + latency: the curve must reach it."""
+        return (self.bins - 1) * self.bin_spacing_cycles + self.switch_latency_cycles
+
 
 def readout_curve(cfg: ValidatedConfig, max_delay_cycles: int) -> np.ndarray:
     """Retrieval probability eta(T) for T = 1..max_delay_cycles."""
@@ -50,7 +55,7 @@ def readout_curve(cfg: ValidatedConfig, max_delay_cycles: int) -> np.ndarray:
 
 def _eta(plan: MultiplexPlan) -> list:
     """eta at the storage delays (k-1)*spacing + latency of bins k = 1..bins."""
-    last = (plan.bins - 1) * plan.bin_spacing_cycles + plan.switch_latency_cycles
+    last = plan.max_delay_cycles
     if last > plan.readout_curve.size:
         raise CurveRangeExceeded(
             f"plan needs eta at delay {last} but the curve covers "

@@ -35,6 +35,10 @@ that holds the crossing; the memory-model fit (fcsim.estimators) computes
 the overlap once per (delta, psi2) and applies each lifetime via _retrieval;
 solve_nonlinear_coeff computes the delay-1 envelope once and takes each
 trial coefficient's profile against it.
+
+A one-delay call costs several times what a batched call costs per delay
+(the README gives both), so a scan over many delays is one readout_curve
+call, not a loop of readout_probability.
 """
 
 from __future__ import annotations
@@ -83,16 +87,20 @@ def _window(x, walkoff_ratio):
 def envelope_intensity(cfg: ValidatedConfig, delay_cycles, t_ps) -> np.ndarray:
     """Stored envelope after delay_cycles, at times t_ps; integrates to 1 over t.
 
-    Delays and times broadcast against each other.
+    Delays and times broadcast against each other. One delay is taken as a
+    numpy scalar, so its center, width and norm cost scalar arithmetic, not
+    calls on one-element arrays; the bits are those of the array path.
     """
-    d = np.asarray(delay_cycles, dtype=float)
+    d = np.asarray(delay_cycles, dtype=float)[()]
     center = cfg.cavity.mismatch_ps_per_cycle * d
     s = np.hypot(cfg.source.envelope_rms_ps,
                  cfg.cavity.dispersion_ps2_per_cycle * cfg.spectral_rms_rad_per_ps * d)
     x = np.subtract(t_ps, center)
     x **= 2
     x /= -2.0 * s * s
-    x = np.exp(x)
+    # in place: a second (delays, nodes) array nearly doubles the cost of a batched
+    # curve; one time and one delay give a numpy scalar, which has no place
+    x = np.exp(x, out=x if isinstance(x, np.ndarray) else None)
     x /= s * math.sqrt(2.0 * math.pi)
     return x
 
@@ -175,10 +183,19 @@ def readout_curve(cfg: ValidatedConfig, delays):
     d = np.array(delays, dtype=float, ndmin=1, copy=None)
     if d.ndim != 1 or not (np.isfinite(d) & (d >= 0)).all():
         raise NonPhysicalParameter("readout delays must be a list of finite values >= 0")
+    return _curve(cfg, d)
+
+
+def _curve(cfg: ValidatedConfig, d):
+    """readout_curve at a 1-D float array d of delays its caller has checked."""
     t, profile, rows = _quadrature(cfg)
-    eta = np.empty(d.size)
-    for i in range(0, d.size, rows):
-        eta[i:i + rows] = envelope_intensity(cfg, d[i:i + rows, None], t) @ profile
+    if d.size == 1:
+        # scalar center, width and norm; the (1, nodes) product keeps a chunk's bits
+        eta = envelope_intensity(cfg, d[0], t)[None] @ profile
+    else:
+        eta = np.empty(d.size)
+        for i in range(0, d.size, rows):
+            eta[i:i + rows] = envelope_intensity(cfg, d[i:i + rows, None], t) @ profile
     survival, total = _retrieval(cfg, d, eta)
     return survival, eta, total
 
@@ -188,25 +205,32 @@ def conversion_efficiency(cfg: ValidatedConfig) -> float:
     return float(readout_curve(cfg, 1)[1][0])
 
 
-def _check_delays(delays) -> int:
-    """How many delays there are; NonPhysicalParameter unless each is an integer >= 1."""
-    # in Python, and a plain int without numpy: a one-delay call costs about a scalar compare;
-    # as objects, so that numpy casts no bool in a list of numbers to an integer
-    values = [delays] if type(delays) is int else np.asarray(delays, object).ravel().tolist()
+def _check_delays(delays) -> np.ndarray:
+    """The delays as a 1-D float array; NonPhysicalParameter unless they are
+    one integer >= 1 or a list of them."""
+    # in Python, and a plain int without an object array: a one-delay check costs about
+    # a scalar compare; as objects, so that numpy casts no bool in a list of numbers to
+    # an integer, and a nested list yields lists, which are no integers
+    values = [delays] if type(delays) is int else np.array(delays, object, ndmin=1).tolist()
     for x in values:
         if not integer(x, 1):
             raise NonPhysicalParameter(f"readout delays must be integers >= 1, got {delays}")
-    return len(values)
+    try:
+        return np.array(delays, dtype=float, ndmin=1)
+    except OverflowError:
+        raise NonPhysicalParameter(f"readout delays must fit a float, got {delays}") from None
 
 
 def readout_probability(delay_cycles: int, cfg: ValidatedConfig):
     """(survival, conversion efficiency, total) at an integer delay >= 1.
 
     Monotone nonincreasing in T when mismatch and dispersion are >= 0.
+    Equal to readout_curve(cfg, [delay_cycles]) bit for bit.
     """
-    if _check_delays(delay_cycles) != 1:
+    d = _check_delays(delay_cycles)
+    if d.size != 1:
         raise NonPhysicalParameter(f"readout delay must be one integer, got {delay_cycles}")
-    return tuple(a.item() for a in readout_curve(cfg, delay_cycles))
+    return tuple(a.item() for a in _curve(cfg, d))
 
 
 def signal_branch_probs(cfg: ValidatedConfig, delays, total=None):
@@ -216,10 +240,9 @@ def signal_branch_probs(cfg: ValidatedConfig, delays, total=None):
     read out and collected, or neither. total is the readout curve's
     retrieval probability at the delays, computed when not given.
     """
-    _check_delays(delays)
-    d = np.array(delays, dtype=float, ndmin=1, copy=None)
+    d = _check_delays(delays)
     if total is None:
-        total = readout_curve(cfg, d)[2]
+        total = _curve(cfg, d)[2]
     s = cfg.survival_per_cycle
     q_mon = (1.0 - s) * s ** (d - 1) * cfg.detectors.eta_s_path
     chain = total * (1.0 - cfg.cavity.reflectivity_r) * cfg.detectors.eta_r_path
@@ -243,8 +266,8 @@ def one_over_e_delay(cfg: ValidatedConfig) -> float:
     rows = _quadrature(cfg)[2]
     total = np.empty(0)
     for start in range(0, end, rows):
-        chunk = np.arange(start, min(start + rows, end))
-        total = np.concatenate([total, readout_curve(cfg, chunk)[2]])
+        chunk = np.arange(start, min(start + rows, end), dtype=float)
+        total = np.concatenate([total, _curve(cfg, chunk)[2]])
         target = total[0] / math.e
         below = np.flatnonzero(total[1:] <= target)
         if below.size:

@@ -133,12 +133,12 @@ MUTANTS = [
      "if not (integer(x, 1) or x is True):",
      "the readout-bin check takes a bool delay as delay 1"),
     ("src/fcsim/readout.py",
-     "if _check_delays(delay_cycles) != 1:",
-     "if _check_delays(delay_cycles) < 1:",
+     "if d.size != 1:",
+     "if d.size < 1:",
      "readout_probability answers a list of delays with its first delay's values"),
     ("src/fcsim/readout.py",
-     "np.asarray(delays, object).ravel().tolist()",
-     "np.ravel(delays).tolist()",
+     "np.array(delays, object, ndmin=1).tolist()",
+     "np.array(delays, ndmin=1).tolist()",
      "the readout-bin check casts a list first: [True, 2] is the delays 1 and 2"),
     ("src/fcsim/readout.py",
      "envelope_intensity(cfg, np.ones((1, 1)), t)",
@@ -189,6 +189,23 @@ MUTANTS = [
      "    if isinstance(free_params, str):",
      "    if False:",
      "a string of free parameters is read letter by letter"),
+    ("src/fcsim/readout.py",
+     "    survival, total = _retrieval(cfg, d, eta)\n    return survival, eta, total",
+     "    survival, total = _retrieval(cfg, d[0] if d.size == 1 else d, eta)\n"
+     "    return survival, eta, total",
+     "one-delay survival as a scalar power, not the batched array power"),
+    ("src/fcsim/readout.py",
+     "eta = envelope_intensity(cfg, d[0], t)[None] @ profile",
+     "eta = envelope_intensity(cfg, d[0], t) @ profile",
+     "one-delay overlap as a (nodes,) dot, not a chunk's (1, nodes) product"),
+    ("src/fcsim/readout.py",
+     "np.array(delays, object, ndmin=1).tolist()",
+     "np.array(delays, object, ndmin=1).ravel().tolist()",
+     "a nested list of delays passes the delay check"),
+    ("src/fcsim/multiplex.py",
+     "return (self.bins - 1) * self.bin_spacing_cycles + self.switch_latency_cycles",
+     "return (self.bins - 1) * self.bin_spacing_cycles + 1",
+     "a plan's longest delay ignores the switch latency"),
 ]
 
 

@@ -633,6 +633,20 @@ def test_multiplex_zero_bins_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [("--max-bins", "0", "--spacing", "3"),
+                                  ("--max-bins", "-1", "--latency", "2")])
+def test_multiplex_bad_bins_are_named(tmp_path, capsys, argv):
+    """The plan is validated before the curve is sized from it, so the error
+    names the bins given, not the curve length they imply."""
+    code, out, err = run_cli(capsys, "multiplex", "--config", CONFIG, *argv,
+                             "--out", str(tmp_path / "mux.csv"))
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "NonPhysicalParameter"
+    assert doc["message"].startswith("bins ") and "max_delay_cycles" not in doc["message"]
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("sweep", [
     ("pulses.energy_p_nj", "0", "10", "0"),
     ("pulses.energy_p_nj", "0", "10", "-1"),

@@ -110,6 +110,29 @@ def test_envelope_normalized(primary):
     assert integral == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("delay", [0, 1, 67, 300, 2000, 2.5, np.int64(13), np.float64(150.0)])
+def test_envelope_of_one_delay_is_the_array_path(primary, delay):
+    """A scalar delay gives the bits of the same delay as a (1, 1) array."""
+    t = readout._quadrature(primary)[0]
+    one = envelope_intensity(primary, delay, t)
+    assert one.shape == t.shape
+    assert one.tobytes() == envelope_intensity(primary, [[delay]], t)[0].tobytes()
+
+
+def test_envelope_leaves_the_times_unchanged(primary):
+    """The envelope is formed in place in an array of its own, never in t_ps."""
+    t = np.linspace(-60.0, 60.0, 241)
+    before = t.copy()
+    for delay in (7, [[1], [7]]):
+        envelope_intensity(primary, delay, t)
+        assert t.tobytes() == before.tobytes()
+
+
+def test_envelope_at_one_time_and_one_delay_is_a_scalar(primary):
+    one = envelope_intensity(primary, 7, 0.5)
+    assert np.ndim(one) == 0 and one == envelope_intensity(primary, 7, np.array([0.5]))[0]
+
+
 def test_overlap_narrow_envelope_reads_profile_peak(primary):
     """A very short wavepacket at the window center sees sin^2(xi(0))."""
     cfg = primary.replace_fields(**{"source.envelope_rms_ps": 0.05,
@@ -289,6 +312,68 @@ def test_readout_probability_takes_one_delay(primary):
         readout_probability([3, 5], primary)
 
 
+# readout_probability as float.hex (survival, eta, total); at 13 (primary) and
+# 150 (alternate) a scalar survival ** T differs from the array power in the last bit
+READOUT_PINS = {
+    "primary": {
+        1: ("0x1.fb68796a97fdap-1", "0x1.9999999999997p-1", "0x1.95ed2deedffdfp-1"),
+        13: ("0x1.c76a0e2fbe4b0p-1", "0x1.97a64fbbb46e6p-1", "0x1.6a98bc9560295p-1"),
+        67: ("0x1.17fb159017970p-1", "0x1.61c0f695c20eap-1", "0x1.82e442baecb13p-2"),
+        150: ("0x1.091a8161c0849p-2", "0x1.bc046e54c05b7p-2", "0x1.cbce8f10b6e9fp-4"),
+        300: ("0x1.1287e29ae9d13p-4", "0x1.c9f43d38ca64ap-3", "0x1.eb1a7eb1ced0ep-7"),
+        2000: ("0x1.00fa14d43404ap-26", "0x1.0e95706124f74p-5", "0x1.0f9dc454db594p-31"),
+    },
+    "alternate": {
+        1: ("0x1.d7100fbf669bdp-1", "0x1.9999999999997p-1", "0x1.78d9a632b87c8p-1"),
+        13: ("0x1.5a96ae2ea40a7p-2", "0x1.97a64fbbb46e6p-1", "0x1.13f35c49dc920p-2"),
+        67: ("0x1.ecd50a94b7966p-9", "0x1.61c0f695c20eap-1", "0x1.54829f0a0337ep-9"),
+        150: ("0x1.f42ed3f68e6d0p-19", "0x1.bc046e54c05b7p-2", "0x1.b1c4eff652934p-20"),
+        300: ("0x1.e8a37a45fc3acp-37", "0x1.c9f43d38ca64ap-3", "0x1.b50f02f96a17ep-39"),
+        2000: ("0x1.77054e462ead3p-241", "0x1.0e95706124f74p-5", "0x1.8c628345357c2p-246"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", ["primary", "alternate"])
+def test_readout_probability_bits_are_pinned(request, name):
+    cfg = request.getfixturevalue(name)
+    for delay, want in READOUT_PINS[name].items():
+        assert tuple(v.hex() for v in readout_probability(delay, cfg)) == want, delay
+
+
+def test_one_delay_readout_forms_a_chunks_product(primary, monkeypatch):
+    """Every one-delay caller forms the (1, nodes) @ (nodes,) product of a
+    chunk of delays, which a (nodes,) @ (nodes,) dot need not equal bit for
+    bit under another BLAS."""
+    nodes = readout._quadrature(primary)[0].size
+    products, real = [], readout.envelope_intensity
+
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            products.append((self.shape, np.shape(other)))
+            return np.asarray(self) @ other
+
+    monkeypatch.setattr(readout, "envelope_intensity", lambda *a: real(*a).view(Spy))
+    calls = (lambda d: readout_probability(d, primary),
+             lambda d: readout_curve(primary, [d]),
+             lambda d: readout.signal_branch_probs(primary, d))
+    for delay in (1, 13, 150):
+        for call in calls:
+            products.clear()
+            call(delay)
+            assert products == [((1, nodes), (nodes,))]
+        one = readout_probability(delay, primary)
+        assert one == tuple(v.item() for v in readout_curve(primary, [delay]))
+
+
+@pytest.mark.parametrize("delays", [[[3]], np.array([[2, 3]]), [[]]])
+def test_branch_probabilities_reject_nested_delays(primary, delays):
+    """Delays on more than one axis fail, also with a retrieval given."""
+    for total in (None, np.array([0.5])):
+        with pytest.raises(NonPhysicalParameter):
+            readout.signal_branch_probs(primary, delays, total)
+
+
 def test_readout_probability_monotone(primary):
     totals = [readout_probability(t, primary)[2] for t in range(1, 120, 6)]
     assert all(a >= b for a, b in zip(totals, totals[1:]))
@@ -415,13 +500,13 @@ def test_one_over_e_delay_evaluates_up_to_its_crossing(primary, alternate, monke
                                                        case, delays):
     """The shipped configs' 128 nodes make chunks of 512 delays: the primary
     config crosses 1/e near delay 85 and evaluates the first chunk only."""
-    seen, real = [], readout.readout_curve
+    seen, real = [], readout._curve
 
     def counting(cfg, d):
         seen.append(np.asarray(d).size)
         return real(cfg, d)
 
-    monkeypatch.setattr(readout, "readout_curve", counting)
+    monkeypatch.setattr(readout, "_curve", counting)
     try:
         readout.one_over_e_delay(ONE_OVER_E_CASES[case](primary, alternate))
     except NoConvergence:
