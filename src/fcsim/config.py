@@ -160,7 +160,12 @@ class ValidatedConfig:
     spectral_rms_rad_per_ps: float = field(init=False)  # signal spectral RMS width
 
     def __post_init__(self) -> None:
-        for section, ranges in _FIELDS.items():
+        self._finish(_FIELDS)
+
+    def _finish(self, fields: dict) -> None:
+        """Check fields (a _FIELDS subset, in its order) and the wavelengths; set
+        the derived fields."""
+        for section, ranges in fields.items():
             values = vars(getattr(self, section))
             for name, bound in ranges.items():
                 value = values[name]
@@ -198,11 +203,17 @@ class ValidatedConfig:
             if name not in _FIELDS[section]:
                 raise UnknownConfigKey(f"no key {name!r} in section {section!r}")
             changes.setdefault(section, {})[name] = value
-        sections = {section: getattr(self, section) for section in _SECTION_TYPES}
-        for section, values in changes.items():
-            old = sections[section]
-            sections[section] = type(old)(**{**vars(old), **values})
-        return type(self)(**sections)
+        # the constructor's work, checking only the fields set here: every other
+        # field is this config's, checked when it was made
+        new = object.__new__(type(self))
+        for section in _SECTION_TYPES:
+            old = getattr(self, section)
+            object.__setattr__(new, section, type(old)(**{**vars(old), **changes[section]})
+                               if section in changes else old)
+        new._finish({section: {name: bound for name, bound in ranges.items()
+                               if name in changes[section]}
+                     for section, ranges in _FIELDS.items() if section in changes})
+        return new
 
 
 _SECTION_TYPES = {

@@ -22,6 +22,7 @@ and ratio tables of fcsim.patterns turn them into the observables.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -60,29 +61,47 @@ def pattern_probs(q) -> dict:
     return dict(zip(PATTERN_MASKS, p.tolist() if p.ndim == 1 else p.T))
 
 
-def correlations(p: dict, controls: dict | None = None) -> dict:
-    """Every correlation of RATIOS from the pattern probabilities p.
+def ratio(p: dict, name: str, controls: dict | None = None):
+    """The correlation RATIOS[name] from the pattern probabilities p.
 
     With the pattern probabilities of a controls-only run, their readout
     click probability is subtracted from heralding_efficiency (background
-    subtraction by differencing). Quantities whose denominator vanishes are
-    None; no herald and no readout clicks at all raise DivisionByZeroRate.
+    subtraction by differencing). A correlation whose denominator vanishes
+    is None; no herald and no readout clicks at all raise DivisionByZeroRate.
     """
     if p["h"] == 0 and p["r"] == 0:
         raise DivisionByZeroRate(
             "no herald and no readout clicks: vacuum input or zero efficiency")
-    out = {}
-    for name, (num, den) in RATIOS.items():
-        d = math.prod(p[n] for n in den)
-        out[name] = math.prod(p[n] for n in num) / d if d > 0 else None
-    if controls is not None and out["heralding_efficiency"] is not None:
-        out["heralding_efficiency"] -= controls["r"]
-    return out
+    num, den = RATIOS[name]
+    d = math.prod(p[n] for n in den)
+    value = math.prod(p[n] for n in num) / d if d > 0 else None
+    if controls is not None and name == "heralding_efficiency" and value is not None:
+        value -= controls["r"]
+    return value
+
+
+def correlations(p: dict, controls: dict | None = None) -> dict:
+    """Every correlation of RATIOS from the pattern probabilities p, as ratio gives it."""
+    return {name: ratio(p, name, controls) for name in RATIOS}
 
 
 # ---------------------------------------------------------------------------
 # The click engine
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=32)
+def _detector_terms(n_bar: float, m: float, f: float, dark: float):
+    """Read-only factors of Q(A) that only the noise and the detectors set:
+    e_A, the noise exponent M log1p(nbar/M e_A), the dark powers (1-d)^|A|
+    and the source-off row (1-d)^|A| exp(-noise)."""
+    e = f * _R1 + (1.0 - f) * _R2
+    noise = m * np.log1p(n_bar / m * e)
+    dark_powers = (1.0 - dark) ** _SET_SIZE
+    source_off = (dark_powers * np.exp(-noise))[None]
+    for a in (e, noise, dark_powers, source_off):
+        a.flags.writeable = False
+    return e, noise, dark_powers, source_off
+
 
 def no_click_table(cfg: ValidatedConfig, q_mon, chain, include_source: bool = True):
     """No-click probabilities Q(A) of the 16 detector sets, shape (branches, 16).
@@ -96,19 +115,21 @@ def no_click_table(cfg: ValidatedConfig, q_mon, chain, include_source: bool = Tr
 
         Q(A) = (1-d)^|A| (1 + mu/k (1-z_A))^-k (1 + nbar/M e_A)^-M.
 
-    The powers go through log1p so Q stays accurate for large k and M.
+    The powers go through log1p so Q stays accurate for large k and M. The
+    factors without the source are cached per (nbar, M, f, d), so a root
+    search over a source or efficiency field computes them once; a source-off
+    table repeats their row on every branch, the bits of mu = 0.
     """
-    mu = cfg.source.mean_pairs_per_pulse if include_source else 0.0
-    k = cfg.source.schmidt_modes
-    n_bar = cfg.noise_mean_per_trigger()
-    m = cfg.noise.mode_count
     det = cfg.detectors
-    f = det.splitter_ratio
-    e = f * _R1 + (1.0 - f) * _R2
+    e, noise, dark_powers, source_off = _detector_terms(
+        cfg.noise_mean_per_trigger(), cfg.noise.mode_count, det.splitter_ratio,
+        det.dark_prob_per_gate)
+    if not include_source:
+        return np.repeat(source_off, np.broadcast(q_mon, chain).size, axis=0)
     q_mon, chain = (np.atleast_1d(v)[:, None] for v in (q_mon, chain))
+    mu, k = cfg.source.mean_pairs_per_pulse, cfg.source.schmidt_modes
     z = (1.0 - det.eta_herald_path * _H) * (1.0 - q_mon * _S - chain * e)
-    return (1.0 - det.dark_prob_per_gate) ** _SET_SIZE * np.exp(
-        -k * np.log1p(mu / k * (1.0 - z)) - m * np.log1p(n_bar / m * e))
+    return dark_powers * np.exp(-k * np.log1p(mu / k * (1.0 - z)) - noise)
 
 
 def model_patterns(cfg: ValidatedConfig, delay_cycles: int = 1, total=None,
@@ -234,12 +255,12 @@ def _rate(pattern: str) -> Callable:
 
 
 def _g2_noise(cfg: ValidatedConfig, curve) -> float:
-    return correlations(model_patterns(cfg, include_source=False))["g2_noise"]
+    return ratio(model_patterns(cfg, include_source=False), "g2_noise")
 
 
 def _heralded_prob(cfg: ValidatedConfig, curve) -> float:
-    return correlations(model_patterns(cfg, 1, curve[2]),
-                        model_patterns(cfg, include_source=False))["heralding_efficiency"]
+    return ratio(model_patterns(cfg, 1, curve[2]), "heralding_efficiency",
+                 model_patterns(cfg, include_source=False))
 
 
 # target name -> how it is pinned, in solving order within one pass

@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .config import ValidatedConfig, integer
+from .config import ValidatedConfig, integer, number
 from .errors import DivisionByZeroRate, GridTooCoarse, NoConvergence, NonPhysicalParameter
 
 # one_over_e_delay gives up if the retrieval has not fallen to 1/e by this delay
@@ -145,7 +145,9 @@ def _profile(sigma0_ps, energy_p_nj, energy_q_nj, nonlinear_coeff,
     The arguments are every scalar the profile depends on. The erf window
     comes from _nodes, so a new energy or coefficient costs no erf.
     """
-    g = nonlinear_coeff * math.sqrt(energy_p_nj * energy_q_nj) / (3.0 * walkoff_ps_per_m)
+    # two square roots: the product of two small energies can underflow to 0
+    root_energy = math.sqrt(energy_p_nj) * math.sqrt(energy_q_nj)
+    g = nonlinear_coeff * root_energy / (3.0 * walkoff_ps_per_m)
     t, w, window = _nodes(sigma0_ps, tau_ps, walkoff_ratio)
     profile = np.sin(g * window) ** 2 * w
     profile.flags.writeable = False
@@ -176,10 +178,16 @@ def _retrieval(cfg: ValidatedConfig, d, eta):
 def readout_curve(cfg: ValidatedConfig, delays):
     """(survival, conversion efficiency, total) as arrays over storage delays.
 
-    Delays are cycle counts >= 0 (not necessarily integers).
+    Delays are cycle counts >= 0 (not necessarily integers): a real number,
+    a list of them or a numpy integer or float array, which is checked
+    without a Python loop; anything else is NonPhysicalParameter.
     total = survival^T * eta_conv(T) is the intracavity retrieval
     probability; facet transmission and collection are applied downstream.
     """
+    if not (isinstance(delays, np.ndarray) and delays.dtype.kind in "iuf"):
+        # each element's own type, as objects: a float cast reads "3" and True as numbers
+        for x in np.array(delays, object, ndmin=1).ravel().tolist():
+            number("readout delay", x)
     d = np.array(delays, dtype=float, ndmin=1, copy=None)
     if d.ndim != 1 or not (np.isfinite(d) & (d >= 0)).all():
         raise NonPhysicalParameter("readout delays must be a list of finite values >= 0")

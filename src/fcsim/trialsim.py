@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic
-from .config import ValidatedConfig, config_hash, integer
+from .config import ValidatedConfig, config_hash, integer, number
 from .errors import CorruptRecords, EmptyInput, NonPhysicalParameter
 from .patterns import MASK_H, MASK_R1, MASK_R2, MASK_S
 from .readout import signal_branch_probs
@@ -50,8 +50,6 @@ _DIGITS4 = 0x30303030 + sum(np.arange(10000, dtype=np.uint32) // 10**(3 - j) % 1
                             for j in range(4))
 BINARY_DTYPE = np.dtype([("trigger", "<u8"), ("mask", "u1")])
 MAX_DELAY = 65535  # largest readout delay of a run (its manifest's range)
-# JSON types each annotated manifest field accepts; bool never stands for a number
-_MANIFEST_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -71,25 +69,28 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        """Manifest of a JSON object; ValueError or TypeError if it is not one
-        or a value is one no run can have written."""
+        """Manifest of a JSON object; ValueError, TypeError or NonPhysicalParameter
+        naming the field if it is not one or a value is one no run can have written.
+        The counts and the delay follow the integer rule, the clock the real one."""
         manifest = cls(**json.loads(text))
-        for field in dataclasses.fields(cls):
-            value = getattr(manifest, field.name)
-            if (not isinstance(value, _MANIFEST_TYPES[field.type])
-                    or isinstance(value, bool) != (field.type == "bool")):
-                raise TypeError(f"field {field.name!r} must be {field.type}, got {value!r}")
-        in_range = {
-            "clock_rate_khz": math.isfinite(manifest.clock_rate_khz)
-                              and manifest.clock_rate_khz > 0,
-            "seed": manifest.seed >= 0,
-            "n_triggers": manifest.n_triggers >= 0,
-            "n_records": 0 <= manifest.n_records <= manifest.n_triggers,
-            "readout_delay": 1 <= manifest.readout_delay <= MAX_DELAY,
+        number("field 'clock_rate_khz'", manifest.clock_rate_khz, (0.0, True, math.inf))
+        valid = {
+            "config_hash": isinstance(manifest.config_hash, str),
+            "seed": integer(manifest.seed, 0),
+            "n_triggers": integer(manifest.n_triggers, 0),
+            "n_records": integer(manifest.n_records, 0),
+            "readout_delay": integer(manifest.readout_delay, 1, MAX_DELAY),
+            "controls_only": isinstance(manifest.controls_only, bool),
+            "generator": isinstance(manifest.generator, str),
+            "created": isinstance(manifest.created, str),
         }
-        for name, ok in in_range.items():
+        for name, ok in valid.items():
             if not ok:
-                raise ValueError(f"field {name!r} is out of range: {getattr(manifest, name)!r}")
+                raise ValueError(f"field {name!r} is no value a run writes: "
+                                 f"{getattr(manifest, name)!r}")
+        if manifest.n_records > manifest.n_triggers:
+            raise ValueError(f"field 'n_records' is {manifest.n_records}, more than "
+                             f"the {manifest.n_triggers} triggers")
         return manifest
 
 
@@ -505,7 +506,7 @@ def read_records(path) -> ClickRecords:
         raise EmptyInput(f"missing manifest sidecar {mpath}")
     try:
         manifest = RunManifest.from_json(mpath.read_text(encoding="utf-8"))
-    except (TypeError, ValueError) as exc:  # not JSON, not an object, or wrong keys
+    except (TypeError, ValueError, NonPhysicalParameter) as exc:  # not JSON, wrong keys or values
         raise CorruptRecords(f"{mpath}: not a run manifest: {exc}") from None
     data = p.read_bytes()
     if p.suffix == ".bin":

@@ -150,8 +150,8 @@ MUTANTS = [
      "        return values[round(x, 6)]\n",
      "a solve's kept values are keyed on the trial value rounded to 6 places"),
     ("src/fcsim/config.py",
-     "for section, ranges in _FIELDS.items():",
-     "for section, ranges in list(_FIELDS.items())[1:]:",
+     "for section, ranges in fields.items():",
+     "for section, ranges in list(fields.items())[1:]:",
      "config validation skips the wavelength section"),
     ("src/fcsim/fockstats.py",
      "_H, _S, _R1, _R2 = _HAS.T.astype(float)",
@@ -206,6 +206,38 @@ MUTANTS = [
      "return (self.bins - 1) * self.bin_spacing_cycles + self.switch_latency_cycles",
      "return (self.bins - 1) * self.bin_spacing_cycles + 1",
      "a plan's longest delay ignores the switch latency"),
+    ("src/fcsim/trialsim.py",
+     "p_monitor + p_readout * det.splitter_ratio",
+     "p_monitor + p_readout * (1.0 - det.splitter_ratio)",
+     "signal photons reach R1 with chance 1 - f, not f"),
+    ("src/fcsim/fockstats.py",
+     "source_off = (dark_powers * np.exp(-noise))[None]",
+     "source_off = np.exp(-noise)[None]",
+     "a source-off table drops the dark counts"),
+    ("src/fcsim/fockstats.py",
+     "num, den = RATIOS[name]",
+     "den, num = RATIOS[name]",
+     "ratio reads a correlation upside down"),
+    ("src/fcsim/readout.py",
+     "math.sqrt(energy_p_nj) * math.sqrt(energy_q_nj)",
+     "math.sqrt(energy_p_nj * energy_q_nj)",
+     "the conversion scale takes the root of the energy product, which can underflow"),
+    ("src/fcsim/readout.py",
+     'number("readout delay", x)',
+     "float(x)",
+     "readout_curve reads a string or a bool delay as a number"),
+    ("src/fcsim/readout.py",
+     'if not (isinstance(delays, np.ndarray) and delays.dtype.kind in "iuf"):',
+     "if True:",
+     "readout_curve checks a numpy array element by element"),
+    ("src/fcsim/config.py",
+     "if name in changes[section]}",
+     "if name in ()}",
+     "replace_fields checks none of the fields it sets"),
+    ("src/fcsim/trialsim.py",
+     "        if manifest.n_records > manifest.n_triggers:",
+     "        if False:",
+     "a manifest may count more records than triggers"),
 ]
 
 

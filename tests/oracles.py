@@ -37,6 +37,11 @@ such a config at every trial coefficient, and calibrate_rebuilding solves
 with them, its root searches evaluating each bracket end twice (once to
 check the bracket, once more inside brentq).
 
+no_click_table_direct is the click engine as one expression, every
+factor computed at every call (fockstats.no_click_table keeps the factors
+that only the noise and the detectors set, and answers a source-off table
+with their row).
+
 multiplex_sum is the multiplexing planner's per-bin form: p_out of one
 plan as the sum of its K contributions, the reference for the recurrence
 of multiplex.output_curve (and so for multiplex_success, its last entry).
@@ -526,6 +531,25 @@ def calibrate_rebuilding(cfg, targets):
                for n, r in residuals.items()):
             return cfg, residuals
     raise NoConvergence(f"calibration did not converge in {fockstats.MAX_PASSES} passes")
+
+
+def no_click_table_direct(cfg, q_mon, chain, include_source=True):
+    """fockstats.no_click_table with every factor computed at this call; a
+    source-off table is the same expression with mu = 0."""
+    mu = cfg.source.mean_pairs_per_pulse if include_source else 0.0
+    k = cfg.source.schmidt_modes
+    n_bar = cfg.noise_mean_per_trigger()
+    m = cfg.noise.mode_count
+    det = cfg.detectors
+    f = det.splitter_ratio
+    # 1.0 where detector i is in the set of record mask A (bit i of A)
+    h, s, r1, r2 = (np.array([a >> i & 1 for a in range(16)], dtype=float) for i in range(4))
+    set_size = np.array([bin(a).count("1") for a in range(16)])
+    e = f * r1 + (1.0 - f) * r2
+    q_mon, chain = (np.atleast_1d(v)[:, None] for v in (q_mon, chain))
+    z = (1.0 - det.eta_herald_path * h) * (1.0 - q_mon * s - chain * e)
+    return (1.0 - det.dark_prob_per_gate) ** set_size * np.exp(
+        -k * np.log1p(mu / k * (1.0 - z)) - m * np.log1p(n_bar / m * e))
 
 
 def multiplex_sum(plan):

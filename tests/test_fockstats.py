@@ -28,6 +28,7 @@ from oracles import (
     g2_mixture,
     heralded_signal_moments,
     mixture_g2_curve,
+    no_click_table_direct,
     split_mode,
     table_click_model,
     thin_pmf,
@@ -594,6 +595,39 @@ def test_engine_over_delays_equals_single_delay_rows(config_name, request):
             branches = readout.signal_branch_probs(cfg, t, total[i:i + 1])
             row = fockstats.no_click_table(cfg, *branches, include_source)
             assert np.array_equal(row, table[i:i + 1]), (t, include_source)
+
+
+def _random_engine_config(rng, cfg):
+    """cfg with every field the engine reads drawn in its range, its ends included."""
+    def unit():
+        return float(rng.choice([0.0, 1.0, rng.uniform()], p=[0.1, 0.1, 0.8]))
+    return cfg.replace_fields(**{
+        "source.mean_pairs_per_pulse": float(rng.choice([0.0, rng.uniform(0, 2)], p=[0.1, 0.9])),
+        "source.schmidt_modes": float(rng.uniform(1, 50)),
+        "noise.noise_mean_per_nj": float(rng.choice([0.0, rng.uniform(0, 0.5)], p=[0.1, 0.9])),
+        "noise.mode_count": float(rng.uniform(1, 1e4)),
+        "detectors.eta_herald_path": unit(),
+        "detectors.dark_prob_per_gate": float(rng.choice([0.0, rng.uniform(0, 0.05)])),
+        "detectors.splitter_ratio": unit()})
+
+
+def test_engine_equals_direct_formula(primary, alternate):
+    """The engine, which keeps its noise and detector factors between calls
+    and answers a source-off table with their row, gives the bits of the
+    formula computed whole at each call: random in-range configs, one and
+    many branches, the source on and off, each asked twice."""
+    rng = np.random.default_rng(2032)
+    configs = [primary, alternate] + [_random_engine_config(rng, primary) for _ in range(40)]
+    for cfg in configs:
+        q_mon = rng.uniform(0, 0.5, 7)
+        chain = rng.uniform(0, 0.5, 7)
+        for branches in ((q_mon[0], chain[0]), (q_mon[:1], chain[:1]), (q_mon, chain),
+                         (0.0, chain), readout.signal_branch_probs(cfg, [1, 7, 300])):
+            for include_source in (True, False, True, False):
+                got = fockstats.no_click_table(cfg, *branches, include_source)
+                want = no_click_table_direct(cfg, *branches, include_source)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (cfg, branches, include_source)
 
 
 def test_exact_heralded_g2_follows_mixture_curve(primary):

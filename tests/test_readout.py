@@ -224,9 +224,35 @@ def test_energy_arguments_miss_cache(primary, kwargs):
     assert not np.array_equal(warm, base)
 
 
-def test_readout_curve_rejects_negative_delay(primary):
+@pytest.mark.parametrize("delays", [
+    "3", [1, "2"], "abc", True, [1, True], np.array([True, False]), None, [None],
+    10**400, [1, 10**400], 1 + 2j, [[1], [2, 3]], [[1, 2]], [3, -1], math.nan,
+    np.array([1.0, math.inf]), np.array([[1, 2]]), np.array(["1"]),
+], ids=lambda delays: repr(delays)[:24])
+def test_readout_curve_rejects_what_is_no_delay(primary, delays):
+    """A string, a bool, None, a complex number, an integer too large for a
+    float, a nested list or a value that is not finite and >= 0: none is read
+    as a number, and none escapes as an untyped error."""
     with pytest.raises(NonPhysicalParameter):
-        readout_curve(primary, [3, -1])
+        readout_curve(primary, delays)
+
+
+def test_readout_curve_checks_numpy_arrays_without_a_loop(primary, monkeypatch):
+    """Integer and float arrays, which fit_memory_model and sweep pass at
+    every residual and scan, skip the per-element rule: their check is one
+    vectorised test, and rejects what the rule would."""
+    delays = (np.arange(1, 60), np.arange(1, 60, dtype=np.uint16), np.arange(0, 30) / 2.0)
+    want = [readout_curve(primary, d) for d in delays]
+
+    def per_element(*args):
+        raise AssertionError("a numpy array checked element by element")
+
+    monkeypatch.setattr(readout, "number", per_element)
+    for d, w in zip(delays, want):
+        assert all(np.array_equal(a, b) for a, b in zip(readout_curve(primary, d), w))
+    for bad in (np.array([1.0, -1.0]), np.array([1.0, math.nan]), np.array([-3])):
+        with pytest.raises(NonPhysicalParameter):
+            readout_curve(primary, bad)
 
 
 @settings(deadline=None, max_examples=40)
@@ -454,6 +480,22 @@ def test_conversion_solve_with_a_control_energy_of_zero(primary, field):
         readout.solve_nonlinear_coeff(cfg, 0.8)
     with pytest.raises(NoConvergence, match="conversion is 0 at every coefficient"):
         fockstats.calibrate(cfg, {"eta_conversion": 0.8})
+
+
+def test_tiny_control_energies_convert_by_their_scale(primary):
+    """The conversion scale takes each energy's square root: energies of
+    1e-170 nJ, whose product underflows to 0, with a coefficient of 1e170
+    convert as energies of 1 nJ with a coefficient of 1."""
+    def at(energy, coeff):
+        return primary.replace_fields(**{"pulses.energy_p_nj": energy,
+                                         "pulses.energy_q_nj": energy,
+                                         "pulses.nonlinear_coeff": coeff})
+    tiny, unit = at(1e-170, 1e170), at(1.0, 1.0)
+    assert 1e-170 * 1e-170 == 0.0
+    assert conversion_efficiency(unit) > 0.0
+    assert conversion_efficiency(tiny) == pytest.approx(conversion_efficiency(unit), rel=1e-12)
+    assert readout.one_over_e_delay(tiny) == pytest.approx(readout.one_over_e_delay(unit),
+                                                           rel=1e-12)
 
 
 def _ringdown(cfg, lifetime, **fields):

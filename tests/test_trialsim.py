@@ -598,6 +598,8 @@ def test_manifest_without_record_count_is_corrupt_records(tmp_path, primary):
     ("n_triggers", "20000"),
     ("clock_rate_khz", "76.8"),
     ("readout_delay", None),
+    ("readout_delay", 2.0),  # an integral float is no integer
+    ("clock_rate_khz", True),
     ("controls_only", 0),
     ("generator", None),
     ("created", 5),
@@ -745,7 +747,9 @@ def _dense(primary):
     (lambda cfg, alt: cfg.replace_fields(**{"detectors.dark_prob_per_gate": 0.02}), True, 1),
     (lambda cfg, alt: cfg, True, 50),
     (lambda cfg, alt: alt, True, 1),
-], ids=["primary", "dense", "controls_only", "dark_0.02", "primary_T50", "alternate"])
+    (lambda cfg, alt: cfg.replace_fields(**{"detectors.splitter_ratio": 0.2}), True, 1),
+], ids=["primary", "dense", "controls_only", "dark_0.02", "primary_T50", "alternate",
+        "splitter_0.2"])
 def test_mask_histogram_matches_engine(primary, alternate, make, include_source, delay):
     """Pearson chi-square of the 16-mask histogram against EXACT @ Q; masks
     expected fewer than 25 times are pooled with the no-click mask."""
