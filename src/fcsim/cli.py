@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import __version__, atomic
-from .config import ValidatedConfig, config_hash, load_config, save_config
+from .config import ValidatedConfig, config_hash, load_config, number, save_config
 from .errors import ConfigError, EmptyInput, FcsimError, NonPhysicalParameter
 
 EXIT_CONFIG_INVALID = 2
@@ -146,6 +146,10 @@ def _cmd_sweep(args) -> int:
     from . import readout
 
     cfg = _load(args)
+    # a delay grid stays where every float is an exact integer, so it casts exactly
+    span = 2.0**53 if args.param == "readout_delay" else float("inf")
+    number("--from", args.start, (-span, False, span))
+    number("--to", args.stop, (-span, False, span))
     start = time.perf_counter()
     values = np.linspace(args.start, args.stop, max(args.steps, 0))
     if args.param == "readout_delay":
@@ -181,7 +185,7 @@ def _read_series(path) -> np.ndarray:
 
     header, rows = [], []
     with open(path, encoding="utf-8", errors="replace") as fh:
-        for number, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(fh, start=1):
             text = line.split("#")[0].rstrip("\n")
             if not text:
                 continue
@@ -193,9 +197,9 @@ def _read_series(path) -> np.ndarray:
                     header = [name.strip() for name in fields]
                     continue
                 raise NonPhysicalParameter(
-                    f"{path}: line {number} holds a value that is not a number") from None
+                    f"{path}: line {lineno} holds a value that is not a number") from None
             if rows and len(row) != len(rows[0]):
-                raise NonPhysicalParameter(f"{path}: line {number} has {len(row)} values, "
+                raise NonPhysicalParameter(f"{path}: line {lineno} has {len(row)} values, "
                                            f"the rows above it {len(rows[0])}")
             rows.append(row)
     if not rows:

@@ -250,11 +250,14 @@ def number(key: str, value, bound: tuple = (-math.inf, False, math.inf)) -> floa
     return v
 
 
-def integer(value, lo, hi=math.inf) -> bool:
-    """Whether value is an int or other numbers.Integral (numpy's too), not a bool, in
-    lo..hi; a plain int is tested first, as hot paths check readout delays one by one."""
-    return (type(value) is int or isinstance(value, numbers.Integral)
-            and not isinstance(value, bool)) and lo <= value <= hi
+def integer(key: str, value, lo, hi=math.inf) -> None:
+    """NonPhysicalParameter naming key unless value is an int or other numbers.Integral
+    (numpy's too), not a bool, in lo..hi; a plain int is tested first, as hot paths
+    check readout delays one by one."""
+    if not ((type(value) is int or isinstance(value, numbers.Integral)
+             and not isinstance(value, bool)) and lo <= value <= hi):
+        within = f">= {lo}" if hi == math.inf else f"within {lo}..{hi}"
+        raise NonPhysicalParameter(f"{key} must be {within} and an integer, got {value!r}")
 
 
 def _energy_conserving_lambda_r(scheme: WavelengthScheme) -> float:

@@ -105,10 +105,9 @@ def _bootstrap_sums(records: ClickRecords, block_triggers: int, resamples: int,
     row 0 over the whole stream, each further row over one resample, its
     blocks weighed by how often it drew them. Built once per (block_triggers,
     resamples, seed) of a record set and kept on it."""
-    if not (integer(block_triggers, 1) and integer(resamples, 0) and integer(seed, 0)):
-        raise NonPhysicalParameter("bootstrap needs integers block_triggers >= 1, resamples >= 0 "
-                                   f"and seed >= 0, got {block_triggers} and {resamples} "
-                                   f"and seed {seed!r}")
+    integer("block_triggers", block_triggers, 1)
+    integer("resamples", resamples, 0)
+    integer("seed", seed, 0)
     key = (block_triggers, resamples, seed)
     if key in records._bootstraps:
         return records._bootstraps[key]
@@ -260,7 +259,7 @@ _MODEL_FLOORS = {"lifetime": 1e-6, "delta": 0.0, "psi2": 0.0}
 def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
     """Nonlinear fit of the storage decay model to (T, value) data.
 
-    Delays T are whole numbers of cycles, at least 10 distinct ones.
+    Delays T are whole numbers of cycles >= 0, at least 10 distinct ones.
     Free parameters are a subset of {amplitude, lifetime, delta, psi2},
     each named once; the remaining ones are held at the config values.
     Convergence follows a damped least-squares iteration with relative step
@@ -271,11 +270,11 @@ def fit_memory_model(series, free_params, cfg: ValidatedConfig) -> FitResult:
     from . import readout
 
     t, y, weight = _series_arrays(series)
-    fractional = t != np.rint(t)
-    if fractional.any():
-        row = int(fractional.argmax())
-        raise NonPhysicalParameter(
-            f"series row {row + 1}: delay {float(t[row])!r} is not a whole number of cycles")
+    bad = (t != np.rint(t)) | (t < 0)
+    if bad.any():
+        row = int(bad.argmax())
+        raise NonPhysicalParameter(f"series row {row + 1}: delay {float(t[row])!r} is not "
+                                   "a whole number of cycles >= 0")
     delays, index = np.unique(t, return_inverse=True)
     if delays.size < 10:
         raise SingularFit("memory-model fit needs at least 10 distinct delays")

@@ -192,18 +192,21 @@ def model_report(cfg: ValidatedConfig, delay_cycles: int = 1) -> dict:
 def heralded_g2_curve(cfg: ValidatedConfig, delays) -> list:
     """Heralded auto-correlation g2_ac_heralded versus readout delay.
 
-    The same ratio model_report gives at each delay, from one engine call
-    over all delays (integers >= 1). Returns [(T, g2), ...]; raises
-    DivisionByZeroRate where its denominator is zero.
+    From one engine call over all delays (integers >= 1). Returns
+    [(T, g2), ...], each g2 the ratio model_report gives at T. Where its
+    denominator is zero, model_report gives None for this one entry of its
+    report; the curve, one quantity, raises DivisionByZeroRate naming the
+    first such delay.
     """
     p = pattern_probs(no_click_table(cfg, *signal_branch_probs(cfg, delays)))
+    ts = np.atleast_1d(np.asarray(delays)).astype(int).tolist()
     num, den = RATIOS["g2_ac_heralded"]
     denominator = math.prod(p[n] for n in den)
-    if np.any(denominator == 0):
-        raise DivisionByZeroRate("no heralded readout clicks at some delay: "
+    zero = np.flatnonzero(denominator == 0)
+    if zero.size:
+        raise DivisionByZeroRate(f"no heralded readout clicks at delay {ts[zero[0]]}: "
                                  "g2_ac_heralded is undefined there")
-    g2 = math.prod(p[n] for n in num) / denominator
-    return list(zip(np.atleast_1d(np.asarray(delays)).astype(int).tolist(), g2.tolist()))
+    return list(zip(ts, (math.prod(p[n] for n in num) / denominator).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ValidatedConfig, integer, number
-from .errors import CurveRangeExceeded, DivisionByZeroRate, NonPhysicalParameter
+from .errors import CurveRangeExceeded, DivisionByZeroRate
 from . import readout
 
 # Published storage-loop benchmark used purely as context in reports:
@@ -34,9 +34,7 @@ class MultiplexPlan:
 
     def __post_init__(self):
         for name in ("bins", "bin_spacing_cycles", "switch_latency_cycles"):
-            value = getattr(self, name)
-            if not integer(value, 1):
-                raise NonPhysicalParameter(f"{name} must be >= 1 and an integer, got {value!r}")
+            integer(name, getattr(self, name), 1)
         number("herald_prob", self.herald_prob, (0.0, False, 1.0))
 
     @property
@@ -47,9 +45,7 @@ class MultiplexPlan:
 
 def readout_curve(cfg: ValidatedConfig, max_delay_cycles: int) -> np.ndarray:
     """Retrieval probability eta(T) for T = 1..max_delay_cycles."""
-    if not integer(max_delay_cycles, 0):
-        raise NonPhysicalParameter(
-            f"max_delay_cycles must be >= 0 and an integer, got {max_delay_cycles!r}")
+    integer("max_delay_cycles", max_delay_cycles, 0)
     return readout.readout_curve(cfg, np.arange(1, max_delay_cycles + 1))[2]
 
 
@@ -95,7 +91,6 @@ def multiplex_success(plan: MultiplexPlan) -> dict:
 
 def optimal_K(plan: MultiplexPlan, max_K: int) -> int:
     """Bin count in [1, max_K] maximizing p_out; ties go to fewer bins."""
-    if not integer(max_K, 1):
-        raise NonPhysicalParameter(f"max_K must be >= 1 and an integer, got {max_K!r}")
+    integer("max_K", max_K, 1)
     p_out, _ = output_curve(replace(plan, bins=max_K))
     return 1 + int(np.argmax(p_out))

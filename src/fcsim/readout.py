@@ -221,8 +221,7 @@ def _check_delays(delays) -> np.ndarray:
     # an integer, and a nested list yields lists, which are no integers
     values = [delays] if type(delays) is int else np.array(delays, object, ndmin=1).tolist()
     for x in values:
-        if not integer(x, 1):
-            raise NonPhysicalParameter(f"readout delays must be integers >= 1, got {delays}")
+        integer("readout delay", x, 1)
     try:
         return np.array(delays, dtype=float, ndmin=1)
     except OverflowError:

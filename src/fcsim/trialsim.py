@@ -74,18 +74,12 @@ class RunManifest:
         The counts and the delay follow the integer rule, the clock the real one."""
         manifest = cls(**json.loads(text))
         number("field 'clock_rate_khz'", manifest.clock_rate_khz, (0.0, True, math.inf))
-        valid = {
-            "config_hash": isinstance(manifest.config_hash, str),
-            "seed": integer(manifest.seed, 0),
-            "n_triggers": integer(manifest.n_triggers, 0),
-            "n_records": integer(manifest.n_records, 0),
-            "readout_delay": integer(manifest.readout_delay, 1, MAX_DELAY),
-            "controls_only": isinstance(manifest.controls_only, bool),
-            "generator": isinstance(manifest.generator, str),
-            "created": isinstance(manifest.created, str),
-        }
-        for name, ok in valid.items():
-            if not ok:
+        for name in ("seed", "n_triggers", "n_records"):
+            integer(f"field {name!r}", getattr(manifest, name), 0)
+        integer("field 'readout_delay'", manifest.readout_delay, 1, MAX_DELAY)
+        for name, kind in (("config_hash", str), ("controls_only", bool), ("generator", str),
+                           ("created", str)):
+            if not isinstance(getattr(manifest, name), kind):
                 raise ValueError(f"field {name!r} is no value a run writes: "
                                  f"{getattr(manifest, name)!r}")
         if manifest.n_records > manifest.n_triggers:
@@ -290,13 +284,9 @@ def simulate_run(cfg: ValidatedConfig, seed: int, n_triggers: int,
     counts as positions, widening its indices as merge); the records and
     manifest never carry them.
     """
-    if not integer(n_triggers, 1):
-        raise NonPhysicalParameter(f"n_triggers must be an integer >= 1, got {n_triggers!r}")
-    if not integer(seed, 0):
-        raise NonPhysicalParameter(f"seed must be an integer >= 0, got {seed!r}")
-    if not integer(delay_cycles, 1, MAX_DELAY):
-        raise NonPhysicalParameter(f"readout delay must be an integer within 1..{MAX_DELAY} "
-                                   f"cycles, got {delay_cycles!r}")
+    integer("n_triggers", n_triggers, 1)
+    integer("seed", seed, 0)
+    integer("readout delay", delay_cycles, 1, MAX_DELAY)
     (q_mon,), (chain,) = signal_branch_probs(cfg, delay_cycles)
     pairs = None if controls_only else _number_table(cfg.source.mean_pairs_per_pulse,
                                                      cfg.source.schmidt_modes)

@@ -1,6 +1,6 @@
 """Mutation check: does tier-1 notice a wrong line in src/?
 
-    python3 tests/mutants.py            # every mutant, a few minutes
+    python3 tests/mutants.py            # every mutant, about 20 minutes
     python3 tests/mutants.py 3 10       # rows 3 and 10 only
 
 Each row of MUTANTS replaces one piece of text in one source file. The
@@ -97,12 +97,12 @@ MUTANTS = [
      "int(np.searchsorted(cdf, _HEAD_CUT)) + 1",
      "photon-number head not capped: one pass per entry up to the cut"),
     ("src/fcsim/trialsim.py",
-     "if not integer(seed, 0):",
-     "if not integer(seed, 0) and not isinstance(seed, bool):",
+     '    integer("seed", seed, 0)\n',
+     '    if not isinstance(seed, bool):\n        integer("seed", seed, 0)\n',
      "simulate_run runs a bool seed as 0 or 1"),
     ("src/fcsim/estimators.py",
-     "and integer(seed, 0)):",
-     "and integer(seed, -1)):",
+     'integer("seed", seed, 0)',
+     'integer("seed", seed, -1)',
      "bootstrap takes the seed -1 to numpy's untyped ValueError"),
     ("src/fcsim/readout.py",
      "for start in range(0, end, rows):",
@@ -113,12 +113,12 @@ MUTANTS = [
      "key = c.cavity.mismatch_ps_per_cycle",
      "memory-fit overlap memo drops psi2: a psi2 step reuses the old overlap"),
     ("src/fcsim/trialsim.py",
-     "if not integer(seed, 0):",
-     "if isinstance(seed, int) and not integer(seed, 0):",
+     '    integer("seed", seed, 0)\n',
+     '    if isinstance(seed, int):\n        integer("seed", seed, 0)\n',
      "simulate_run hands a float seed to numpy's untyped TypeError"),
     ("src/fcsim/estimators.py",
-     "and integer(seed, 0)):",
-     "and (integer(seed, 0) or isinstance(seed, float))):",
+     '    integer("seed", seed, 0)\n',
+     '    if not isinstance(seed, float):\n        integer("seed", seed, 0)\n',
      "bootstrap answers a float seed from the memo of the equal integer seed"),
     ("src/fcsim/estimators.py",
      "if values.size > 2 and seen else math.inf",
@@ -129,8 +129,8 @@ MUTANTS = [
      "",
      "estimate takes an unknown name to an untyped KeyError"),
     ("src/fcsim/readout.py",
-     "if not integer(x, 1):",
-     "if not (integer(x, 1) or x is True):",
+     '        integer("readout delay", x, 1)\n',
+     '        if x is not True:\n            integer("readout delay", x, 1)\n',
      "the readout-bin check takes a bool delay as delay 1"),
     ("src/fcsim/readout.py",
      "if d.size != 1:",
@@ -178,8 +178,8 @@ MUTANTS = [
      ") and lo <= value <= hi",
      "the integer rule takes a bool for the integer 0 or 1"),
     ("src/fcsim/trialsim.py",
-     "if not integer(delay_cycles, 1, MAX_DELAY):",
-     "if not integer(delay_cycles, 1):",
+     'integer("readout delay", delay_cycles, 1, MAX_DELAY)',
+     'integer("readout delay", delay_cycles, 1)',
      "simulate_run takes a delay beyond MAX_DELAY that its records cannot hold"),
     ("src/fcsim/multiplex.py",
      'number("herald_prob", self.herald_prob, (0.0, False, 1.0))',
@@ -238,6 +238,10 @@ MUTANTS = [
      "        if manifest.n_records > manifest.n_triggers:",
      "        if False:",
      "a manifest may count more records than triggers"),
+    ("src/fcsim/config.py",
+     "and lo <= value <= hi):",
+     "and lo <= value):",
+     "the integer rule drops its upper bound"),
 ]
 
 

@@ -663,6 +663,37 @@ def test_sweep_without_points_writes_nothing(tmp_path, capsys, sweep):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("param, start, stop, message", [
+    ("readout_delay", "1", "1e30", "--to must be <= 9007199254740992.0, got 1e+30"),
+    ("readout_delay", "-1e30", "5", "--from must be >= -9007199254740992.0, got -1e+30"),
+    ("readout_delay", "nan", "5", "--from must be finite, got nan"),
+    ("pulses.energy_p_nj", "1", "inf", "--to must be finite, got inf"),
+], ids=["delay_past_2_53", "delay_below_minus_2_53", "delay_nan", "field_inf"])
+def test_sweep_bound_outside_its_range_writes_nothing(tmp_path, capsys, param, start, stop,
+                                                      message):
+    """A bound that is not finite, or a delay bound where floats are no longer
+    exact integers, names its flag before the grid is cast: such delays used
+    to overflow the cast with a RuntimeWarning and drop out of a CSV."""
+    code, out, err = run_cli(capsys, "sweep", "--config", CONFIG, "--param", param,
+                             f"--from={start}", f"--to={stop}", "--steps", "3",
+                             "--out", str(tmp_path / "sweep.csv"))
+    assert code == 2
+    assert json.loads(err) == {"error": "NonPhysicalParameter", "message": message}
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_delay_sweep_up_to_2_53_keeps_every_delay(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(capsys, "sweep", "--config", CONFIG, "--param", "readout_delay",
+                           "--from", "1", "--to", str(2**53), "--steps", "3",
+                           "--out", str(out_path))
+    assert code == 0 and json.loads(out)["points"] == 3
+    delays = [line.split(",")[0] for line in out_path.read_text().splitlines()[1:]]
+    assert delays == ["1", str(2**52), str(2**53)]
+
+
 @pytest.mark.parametrize("section, field, value", [
     ("cavity", "length_m", "4.9"),
     ("source", "schmidt_modes", "2"),

@@ -1,15 +1,17 @@
+import ast
 import dataclasses
 import json
 import math
 import re
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcsim import fockstats, multiplex, trialsim
+from fcsim import config, fockstats, multiplex, trialsim
 from fcsim.config import (
     FWHM_TO_TAU,
     ValidatedConfig,
@@ -333,12 +335,35 @@ def test_integer_beyond_float_range_is_nonphysical(primary):
 
 def test_integer_rule():
     """An int or numpy integer in range is an integer; a bool, a float (also
-    an integral one), a string or None never is, in range or not."""
+    an integral one), a string or None never is, in range or not. The error
+    names the argument, its range and the value."""
     for value in (1, 7, np.int64(7), np.uint8(7), 2 ** 70):
-        assert integer(value, 1) and integer(value, 0, 2 ** 70)
-    assert not integer(0, 1) and not integer(8, 1, 7) and integer(7, 1, 7)
+        assert integer("x", value, 1) is None and integer("x", value, 0, 2 ** 70) is None
+    integer("x", 7, 1, 7)
+    for lo, hi, value, match in [(1, math.inf, 0, "x must be >= 1 and an integer, got 0"),
+                                 (1, 7, 8, r"x must be within 1\.\.7 and an integer, got 8")]:
+        with pytest.raises(NonPhysicalParameter, match=match):
+            integer("x", value, lo, hi)
     for value in (True, False, np.True_, 2.0, np.float64(2.0), 2.5, "3", None, math.inf):
-        assert not integer(value, -math.inf)
+        with pytest.raises(NonPhysicalParameter, match=f"x must be >= -inf and an integer, "
+                                                       f"got {re.escape(repr(value))}$"):
+            integer("x", value, -math.inf)
+
+
+def test_argument_rules_are_statements_of_their_own():
+    """integer and number raise the one error naming the argument, so no
+    module uses either as a value or inside a condition: that is a
+    predicate with a second, hand-written message beside it."""
+    misuse = []
+    for path in sorted(Path(config.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        statements = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and id(node) not in statements
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in ("integer", "number")):
+                misuse.append(f"{path.name}:{node.lineno}")
+    assert misuse == []
 
 
 def test_number_rule_defaults_to_any_finite_real():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -250,10 +251,15 @@ def test_bootstrap_counts_dropped_resamples():
                                       klyshko_efficiency], ids=["g2", "klyshko"])
 def test_bad_bootstrap_arguments_are_nonphysical(estimate, block_triggers, resamples):
     """A block under one trigger, a negative resample count, or either not an
-    integer (a bool, a float, a string, None) is a typed error naming both,
-    raised before a bootstrap is built or kept."""
+    integer (a bool, a float, a string, None) is a typed error naming the
+    argument that is wrong and its value, raised before a bootstrap is built
+    or kept."""
     rec = seen_in_two_blocks()
-    with pytest.raises(NonPhysicalParameter, match=f"got {block_triggers} and {resamples}"):
+    block_ok = type(block_triggers) is int and block_triggers >= 1
+    name, lo, value = ("resamples", 0, resamples) if block_ok else ("block_triggers", 1,
+                                                                      block_triggers)
+    with pytest.raises(NonPhysicalParameter,
+                       match=re.escape(f"{name} must be >= {lo} and an integer, got {value!r}")):
         estimate(rec, block_triggers=block_triggers, resamples=resamples)
     assert rec._bootstraps == {}
 
@@ -606,6 +612,14 @@ def test_memory_model_rejects_fractional_delays(primary):
     t = np.append(np.arange(50, 60) / 10, 6.4)
     y = np.exp(-t / 50)
     with pytest.raises(NonPhysicalParameter, match=r"row 2: delay 5\.1 "):
+        fit_memory_model(np.column_stack([t, y]), ("amplitude",), primary)
+
+
+def test_memory_model_names_the_row_of_a_negative_delay(primary):
+    """A delay below 0 is named by its row before any readout curve is taken."""
+    t = np.array([5.0, -1.0, *range(6, 16)])
+    y = np.exp(-np.abs(t) / 50)
+    with pytest.raises(NonPhysicalParameter, match=r"row 2: delay -1\.0 "):
         fit_memory_model(np.column_stack([t, y]), ("amplitude",), primary)
 
 

@@ -668,6 +668,23 @@ def test_heralded_g2_curve_rejects_bad_delays_and_vacuum(primary):
         fockstats.heralded_g2_curve(dark, [1, 5])
 
 
+def test_heralded_g2_curve_names_the_delay_where_model_report_gives_none(primary):
+    """With no noise, no dark counts and a 1-cycle lifetime, nothing is read
+    out at T = 2000: model_report gives None for that one entry of its
+    report, while the curve, one quantity, raises naming the delay; at T = 1
+    both give the same ratio."""
+    cfg = primary.replace_fields(**{"noise.noise_mean_per_nj": 0.0,
+                                    "detectors.dark_prob_per_gate": 0.0,
+                                    "cavity.ringdown_lifetime_cycles": 1.0})
+    at_1 = fockstats.model_report(cfg, 1)["correlations"]["g2_ac_heralded"]
+    assert at_1 == pytest.approx(0.1403, abs=5e-5)
+    assert fockstats.model_report(cfg, 2000)["correlations"]["g2_ac_heralded"] is None
+    assert fockstats.heralded_g2_curve(cfg, [1]) == [(1, at_1)]
+    for delays, first in (([1, 2000], 2000), ([3000, 1, 2000], 3000)):
+        with pytest.raises(DivisionByZeroRate, match=f"at delay {first}: "):
+            fockstats.heralded_g2_curve(cfg, delays)
+
+
 @pytest.mark.parametrize("delay", [0, 1.5, -3, True, math.inf, np.True_, 2.5, 2.0, "3", None,
                                    pytest.param(10**400, id="10**400")])
 def test_model_rejects_delays_that_are_not_readout_bins(primary, delay):
