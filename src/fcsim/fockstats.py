@@ -217,8 +217,9 @@ class _Target(NamedTuple):
     """How a calibration target is pinned.
 
     No brentq field enters the readout curve, so a solve evaluates it once.
-    No other target's field enters a field that has a dedicated solve, so
-    calibrate runs those solves in the first pass only.
+    A dedicated solve reads no field a later target sets (the herald
+    efficiency's reads only mu, k and the dark count), so calibrate runs
+    those solves in the first pass only.
     """
 
     field: str                     # the config field the target pins
@@ -243,6 +244,27 @@ def _mu_for_g2_xc_hs(cfg: ValidatedConfig, value: float):
             f"g2_xc_hs target {value} is at or below the {floor:.3f} floor "
             f"of a {k}-mode source")
     return 1.0 / (value - floor), 0  # closed form: no model evaluation
+
+
+def _eta_herald_for_rate(cfg: ValidatedConfig, value: float):
+    # p(H) = 1 - (1-d) (1 + mu eta_h / k)^-k, inverted: no model evaluation
+    mu, k = cfg.source.mean_pairs_per_pulse, cfg.source.schmidt_modes
+    dark = cfg.detectors.dark_prob_per_gate
+    clock = cfg.pulses.clock_rate_khz * 1e3
+
+    def rate(eta_h):
+        return -math.expm1(math.log1p(-dark) - k * math.log1p(mu * eta_h / k)) * clock
+
+    lo, hi = rate(0.0), rate(1.0)
+    # the engine's own rate at an end can round to just outside [lo, hi]; the end
+    # reproduces a target within REL_TOL of it
+    if not lo * (1.0 - REL_TOL) <= value <= hi * (1.0 + REL_TOL):
+        raise _unreachable("herald_rate_cps", value, lo, hi)
+    if lo == hi:  # mu = 0 or d = 1: every efficiency gives the rate
+        return cfg.detectors.eta_herald_path, 0
+    p = min(max(value, lo), hi) / clock
+    x = k / mu * math.expm1((math.log1p(-dark) - math.log1p(-p)) / k)
+    return min(max(x, 0.0), 1.0), 0
 
 
 def _coeff_for_eta_conversion(cfg: ValidatedConfig, value: float):
@@ -274,7 +296,7 @@ _TARGETS = {
     "eta_conversion": _Target("pulses.nonlinear_coeff", lambda cfg, curve: float(curve[1][0]),
                               solve=_coeff_for_eta_conversion),
     "herald_rate_cps": _Target("detectors.eta_herald_path", _rate("h"),
-                               bracket=(1e-9, 1.0)),
+                               solve=_eta_herald_for_rate),
     "g2_noise": _Target("noise.mode_count", _g2_noise,
                         bracket=(0.0, math.log(1e6)), log=True),
     "r_rate_cps": _Target("noise.noise_mean_per_nj", _rate("r"), bracket=(0.0, 2.0)),
@@ -293,6 +315,12 @@ SOLVE_TOL_FRACTION = 1e-2
 
 # calibration gives up if the residuals are not within REL_TOL after this many passes
 MAX_PASSES = 4
+
+
+def _unreachable(name: str, value: float, lo: float, hi: float) -> NoConvergence:
+    return NoConvergence(
+        f"{name} target {value!r} is unreachable: varying {_TARGETS[name].field} over "
+        f"its range gives {name} only from {lo:.6g} to {hi:.6g}")
 
 
 def _solve_target(cfg: ValidatedConfig, name: str, value: float):
@@ -321,10 +349,7 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float):
     lo, hi = target.bracket
     at_lo, at_hi = model(lo), model(hi)
     if (at_lo - value) * (at_hi - value) > 0:
-        raise NoConvergence(
-            f"{name} target {value!r} is unreachable: varying "
-            f"{target.field} over its bracket gives {name} only from "
-            f"{min(at_lo, at_hi):.6g} to {max(at_lo, at_hi):.6g}")
+        raise _unreachable(name, value, min(at_lo, at_hi), max(at_lo, at_hi))
     tol = max(SOLVE_TOL_FRACTION * REL_TOL, 4.0 * sys.float_info.epsilon)
     x = solvers.brentq(lambda x: model(x) - value, lo, hi, xtol=1e-3 * tol, rtol=tol)
     return cfg.replace_fields(**{target.field: to_field(x)}), len(model.values)

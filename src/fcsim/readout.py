@@ -295,40 +295,60 @@ def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float,
                           diagnostics: dict | None = None) -> float:
     """Nonlinear coefficient that reaches target_eta at delay 1 (the eta_conversion target).
 
-    Picks the lowest coefficient on the rising branch of the saturation
-    curve (before over-rotation of the conversion angle). Only the weighted
-    profile depends on the coefficient, so the delay-1 envelope on the nodes
-    is computed once and each trial coefficient costs one profile and the
-    product readout_curve forms, the same bits as conversion_efficiency of
-    cfg with that coefficient. A diagnostics dict, if given, receives
-    "evaluations": how many coefficients the solve evaluated.
+    The conversion angle on a node is coeff * scale * window, with scale =
+    sqrt(E_p) sqrt(E_q) / (3 walkoff). Up to rise, where it is pi/2 on the
+    node of the widest window, every node's sin^2 rises, and so does eta:
+    a target up to eta(rise) is bracketed on [lo, rise], lo = 1e-4 (or
+    rise / 2 if that is lower), and the root found is the lowest. A higher
+    one is bracketed on [rise, peak], the coefficient where the slope of eta
+    on the same nodes turns negative. Only the weighted profile depends on
+    the coefficient, so the delay-1 envelope on the nodes is computed once
+    and each trial coefficient costs one profile and the product
+    readout_curve forms, the same bits as conversion_efficiency of cfg with
+    that coefficient. A target outside [eta(lo), eta(peak)] is NoConvergence
+    naming that range. A diagnostics dict, if given, receives "evaluations":
+    at how many coefficients the solve evaluated eta or its slope.
     """
     from . import solvers
 
-    t = _nodes(cfg.source.envelope_rms_ps, cfg.control_tau_ps, cfg.walkoff_ratio)[0]
+    p = cfg.pulses
+    t, w, window = _nodes(cfg.source.envelope_rms_ps, cfg.control_tau_ps, cfg.walkoff_ratio)
+    scale = (math.sqrt(p.energy_p_nj) * math.sqrt(p.energy_q_nj)
+             / (3.0 * cfg.cavity.walkoff_ps_per_m))
+    if scale == 0.0:
+        raise NoConvergence("the conversion is 0 at every coefficient: a control energy is 0")
+    rise = math.pi / 2.0 / (float(window.max()) * scale)
     envelope = envelope_intensity(cfg, np.ones((1, 1)), t)
+    slope_weights = (envelope * w * window)[0]
 
     @solvers.evaluated_once
     def eta_for(coeff):
         return float((envelope @ _profile_at(cfg, coeff)[1])[0])
 
-    lo, hi = 1e-4, 1.0
-    # grow hi until past the maximum of the saturation curve
-    prev = eta_for(hi)
-    for _ in range(40):
-        nxt = eta_for(hi * 1.3)
-        if nxt < prev:
-            break
-        prev = nxt
-        hi *= 1.3
-    else:
-        zero = 0.0 in (cfg.pulses.energy_p_nj, cfg.pulses.energy_q_nj)
-        raise NoConvergence("the conversion is 0 at every coefficient: a control energy is 0"
-                            if zero else "could not bracket the conversion maximum")
-    if prev < target_eta:
+    @solvers.evaluated_once
+    def slope(coeff):  # d eta / d coeff, divided by scale
+        return float(slope_weights @ np.sin(2.0 * coeff * scale * window))
+
+    def peak():
+        """The coefficient past rise where the slope of eta turns negative."""
+        c = rise
+        for _ in range(40):
+            if slope(c * 1.3) < 0.0:
+                return solvers.brentq(slope, c, c * 1.3)
+            c *= 1.3
+        raise NoConvergence("could not bracket the conversion maximum")
+
+    lo, hi = min(1e-4, rise / 2.0), rise
+    if target_eta > eta_for(rise):
+        lo, hi = rise, peak()
+        if eta_for(hi) < target_eta:
+            raise NoConvergence(
+                f"conversion saturates at {eta_for(hi):.4f} < target {target_eta}", best=hi)
+    elif target_eta < eta_for(lo):
         raise NoConvergence(
-            f"conversion saturates at {prev:.4f} < target {target_eta}", best=hi)
+            f"conversion target {target_eta} is unreachable: the conversion reaches only "
+            f"{eta_for(lo):.4g} to {eta_for(peak()):.4f}", best=lo)
     coeff = solvers.brentq(lambda g: eta_for(g) - target_eta, lo, hi, xtol=1e-10)
     if diagnostics is not None:
-        diagnostics["evaluations"] = len(eta_for.values)
+        diagnostics["evaluations"] = len(eta_for.values) + len(slope.values)
     return coeff

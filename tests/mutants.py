@@ -242,6 +242,22 @@ MUTANTS = [
      "and lo <= value <= hi):",
      "and lo <= value):",
      "the integer rule drops its upper bound"),
+    ("src/fcsim/fockstats.py",
+     "math.expm1((math.log1p(-dark) - math.log1p(-p)) / k)",
+     "math.expm1(-math.log1p(-p) / k)",
+     "herald efficiency inverted without the dark counts"),
+    ("src/fcsim/readout.py",
+     "rise = math.pi / 2.0 / (",
+     "rise = math.pi / (",
+     "conversion bracketed up to an angle of pi, past the rising branch"),
+    ("src/fcsim/readout.py",
+     "np.sin(2.0 * coeff * scale * window)",
+     "np.sin(coeff * scale * window)",
+     "conversion slope at half the angle: the maximum lands past the peak"),
+    ("src/fcsim/readout.py",
+     "lo, hi = min(1e-4, rise / 2.0), rise",
+     "lo, hi = 1e-4, rise",
+     "conversion bracket starts at 1e-4 even where the rising branch ends below it"),
 ]
 
 

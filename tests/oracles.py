@@ -470,23 +470,40 @@ def replace_fields_by_dataclasses_replace(cfg, **dotted):
 def solve_nonlinear_coeff_rebuilding(cfg, target_eta):
     """readout.solve_nonlinear_coeff with every trial coefficient building its
     config and taking readout.conversion_efficiency of it; brentq evaluates
-    the upper bracket end, found by the bracket growth, again."""
+    the bracket ends again. The slope that locates the conversion maximum is
+    summed on the readout's nodes as the package sums it."""
     def eta_for(coeff):
         c = replace_fields_by_dataclasses_replace(cfg, **{"pulses.nonlinear_coeff": coeff})
         return readout.conversion_efficiency(c)
 
-    lo, hi = 1e-4, 1.0
-    prev = eta_for(hi)
-    for _ in range(40):
-        nxt = eta_for(hi * 1.3)
-        if nxt < prev:
-            break
-        prev = nxt
-        hi *= 1.3
-    else:
+    p = cfg.pulses
+    t, w, window = readout._nodes(cfg.source.envelope_rms_ps, cfg.control_tau_ps,
+                                  cfg.walkoff_ratio)
+    scale = (math.sqrt(p.energy_p_nj) * math.sqrt(p.energy_q_nj)
+             / (3.0 * cfg.cavity.walkoff_ps_per_m))
+    envelope = readout.envelope_intensity(cfg, np.ones((1, 1)), t)[0]
+    # sin^2 of every node's conversion angle rises up to rise
+    rise = math.pi / 2.0 / (float(window.max()) * scale)
+
+    def slope(coeff):
+        return float((envelope * w * window) @ np.sin(2.0 * coeff * scale * window))
+
+    def peak():
+        c = rise
+        for _ in range(40):
+            if slope(c * 1.3) < 0.0:
+                return solvers.brentq(slope, c, c * 1.3)
+            c *= 1.3
         raise NoConvergence("could not bracket the conversion maximum")
-    if prev < target_eta:
-        raise NoConvergence(f"conversion saturates at {prev:.4f} < target {target_eta}")
+
+    lo, hi = min(1e-4, rise / 2.0), rise
+    if target_eta > eta_for(rise):
+        lo, hi = rise, peak()
+        if eta_for(hi) < target_eta:
+            raise NoConvergence(
+                f"conversion saturates at {eta_for(hi):.4f} < target {target_eta}")
+    elif target_eta < eta_for(lo):
+        raise NoConvergence(f"conversion target {target_eta} is unreachable")
     return solvers.brentq(lambda g: eta_for(g) - target_eta, lo, hi, xtol=1e-10)
 
 

@@ -430,7 +430,21 @@ def test_stats_with_unreachable_eta_conversion_exits_3(capsys):
                              "--calibrate", "eta_conversion=0.9999")
     assert code == 3
     assert json.loads(err) == {"error": "NoConvergence",
-                               "message": "conversion saturates at 0.9475 < target 0.9999"}
+                               "message": "conversion saturates at 0.9878 < target 0.9999"}
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "1e-12", "-0.1"])
+def test_stats_with_eta_conversion_below_its_range_exits_3(capsys, value):
+    """A conversion target below what the smallest coefficient gives is
+    NoConvergence naming the range the model reaches, not brentq's ValueError."""
+    code, out, err = run_cli(capsys, "stats", "--config", CONFIG,
+                             "--calibrate", f"eta_conversion={value}")
+    assert code == 3
+    assert json.loads(err) == {
+        "error": "NoConvergence",
+        "message": f"conversion target {float(value)} is unreachable: the conversion "
+                   "reaches only 1.341e-09 to 0.9878"}
     assert out == ""
 
 

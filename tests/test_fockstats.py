@@ -400,10 +400,71 @@ def test_calibrate_g2_xc_hs_at_or_below_the_floor(primary, value):
 
 
 def test_calibrate_eta_conversion_beyond_saturation(primary):
-    """The conversion efficiency at delay 1 saturates at 0.9475 on the primary
-    config; a higher target names that maximum."""
-    with pytest.raises(NoConvergence, match=r"saturates at 0\.9475 < target 0\.9999"):
+    """The conversion efficiency at delay 1 saturates at 0.9878 on the primary
+    config (coefficient 4.27, where its slope changes sign); a higher target
+    names that maximum."""
+    with pytest.raises(NoConvergence, match=r"saturates at 0\.9878 < target 0\.9999"):
         calibrate(primary, {"eta_conversion": 0.9999})
+
+
+@pytest.mark.parametrize("config_name", ["primary", "alternate"])
+@pytest.mark.parametrize("value", [0.95, 0.96, 0.986, 0.9877])
+def test_calibrate_eta_conversion_near_saturation(config_name, value, request):
+    """Targets between the 0.9475 a coefficient grid in x1.3 steps saw and the
+    true maximum 0.9878 calibrate: 0.95 and 0.96 on the rising branch below
+    the coefficient where the widest node's angle is pi/2, 0.986 and 0.9877
+    between it and the maximum."""
+    cal, resid = calibrate(request.getfixturevalue(config_name), {"eta_conversion": value})
+    assert abs(resid["eta_conversion"]) / value <= 1e-6
+    assert cal.pulses.nonlinear_coeff < 4.271
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-12, -0.1])
+def test_calibrate_eta_conversion_below_its_range(primary, value):
+    """A target below the conversion at the smallest coefficient is
+    NoConvergence naming the range the model reaches."""
+    with pytest.raises(NoConvergence, match=rf"conversion target {value} is unreachable: "
+                                            r"the conversion reaches only 1\.341e-09 to 0\.9878"):
+        calibrate(primary, {"eta_conversion": value})
+
+
+def _herald_rate(cfg) -> float:
+    return fockstats._TARGETS["herald_rate_cps"].value(cfg, readout.readout_curve(cfg, [1]))
+
+
+def test_herald_efficiency_inverts_the_engine_rate(primary):
+    """The closed-form herald efficiency, solved for the engine's own herald
+    rate at random in-range (mu, k, d), at a random eta_h and at both ends
+    eta_h = 0 and 1, gives that rate back."""
+    rng = np.random.default_rng(34)
+    worst = 0.0
+    for _ in range(2000):
+        mu, k, dark = rng.uniform(0.0, 2.0), rng.uniform(1.0, 20.0), rng.uniform(0.0, 0.5)
+        cfg = primary.replace_fields(**{
+            "source.mean_pairs_per_pulse": mu, "source.schmidt_modes": k,
+            "detectors.dark_prob_per_gate": dark})
+        for eta in (rng.uniform(0.0, 1.0), 0.0, 1.0):
+            rate = _herald_rate(cfg.replace_fields(**{"detectors.eta_herald_path": eta}))
+            solved, evaluations = fockstats._eta_herald_for_rate(cfg, rate)
+            assert evaluations == 0
+            again = _herald_rate(cfg.replace_fields(**{"detectors.eta_herald_path": solved}))
+            worst = max(worst, abs(again - rate) / rate)
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.02])
+def test_herald_rate_outside_its_range_is_unreachable(primary, mu):
+    """A herald rate below the dark counts' (eta_h = 0) or above the one at
+    eta_h = 1, by more than REL_TOL, is NoConvergence naming that range; with
+    mu = 0 the range is the dark-count rate alone."""
+    cfg = primary.replace_fields(**{"source.mean_pairs_per_pulse": mu})
+    clock = cfg.pulses.clock_rate_khz * 1e3
+    low = cfg.detectors.dark_prob_per_gate * clock
+    high = _herald_rate(cfg.replace_fields(**{"detectors.eta_herald_path": 1.0}))
+    for value in (low * (1.0 - 2e-6), high * (1.0 + 2e-6)):
+        with pytest.raises(NoConvergence, match=rf"herald_rate_cps target {value!r} is "
+                                                rf"unreachable: .* from {low:.6g} to {high:.6g}$"):
+            calibrate(cfg, {"herald_rate_cps": value})
 
 
 PUBLISHED_TARGETS = {"g2_xc_hs": 26.0, "herald_rate_cps": 474.0, "g2_noise": 1.09,
@@ -463,20 +524,21 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 def test_calibrate_stops_at_first_converged_pass(primary, monkeypatch):
     """The published targets are solved in dependency order, so one pass and
-    one residual check reach them; a second pass would add about 35 engine
+    one residual check reach them; a second pass would add about 29 engine
     evaluations. The brentq fields do not enter the readout overlap, so each
-    of the three root searches and the residual check evaluate the readout
+    of the two root searches and the residual check evaluate the readout
     curve once, and the conversion solve evaluates none: it computes the
-    delay-1 envelope once and builds no config per trial. Each root search
-    evaluates its bracket ends once: 35 engine evaluations and 30 configs."""
+    delay-1 envelope once and builds no config per trial. The herald
+    efficiency is a closed form, and each root search evaluates its bracket
+    ends once: 29 engine evaluations and 24 configs."""
     engine = _count_calls(monkeypatch, fockstats, "no_click_table")
     curves = _count_calls(monkeypatch, readout, "readout_curve")
     configs = _count_calls(monkeypatch, ValidatedConfig, "replace_fields")
     _, resid = calibrate(primary, PUBLISHED_TARGETS)
     assert max(_relative_residuals(PUBLISHED_TARGETS, resid).values()) <= 1e-6
-    assert len(engine) == 35
-    assert len(curves) == 4
-    assert len(configs) == 30
+    assert len(engine) == 29
+    assert len(curves) == 3
+    assert len(configs) == 24
 
 
 def _seeded_target_sets(seed, count):
@@ -504,14 +566,14 @@ def test_calibrate_equals_rebuilding_oracle(config_name, request):
 def test_calibrate_diagnostics(primary, monkeypatch):
     """The diagnostics dict records the passes, the worst relative residual
     after each and the model evaluations of each target's solves, which run
-    in the first pass only for g2_xc_hs (closed form, none) and
-    eta_conversion; a calibration that gives up leaves its record too."""
+    in the first pass only for g2_xc_hs and herald_rate_cps (closed forms,
+    none) and eta_conversion; a calibration that gives up leaves its record too."""
     published = {}
     _, resid = calibrate(primary, PUBLISHED_TARGETS, published)
     assert published == {
         "passes": 1,
         "worst_relative_residual": [max(_relative_residuals(PUBLISHED_TARGETS, resid).values())],
-        "model_evaluations": {"g2_xc_hs": 0, "eta_conversion": 19, "herald_rate_cps": 6,
+        "model_evaluations": {"g2_xc_hs": 0, "eta_conversion": 10, "herald_rate_cps": 0,
                               "g2_noise": 13, "heralded_prob": 6}}
     coupled = {}
     targets = dict(PUBLISHED_TARGETS, r_rate_cps=3405.0 * 1.03)
@@ -522,10 +584,11 @@ def test_calibrate_diagnostics(primary, monkeypatch):
     assert second == max(_relative_residuals(targets, resid).values())
     evaluations = coupled["model_evaluations"]
     assert set(evaluations) == set(targets)
-    assert (evaluations["g2_xc_hs"], evaluations["eta_conversion"]) == (0, 19)
+    assert [evaluations[n] for n in ("g2_xc_hs", "eta_conversion", "herald_rate_cps")] \
+        == [0, 10, 0]
     assert evaluations["r_rate_cps"] > 0
     assert all(evaluations[n] > published["model_evaluations"][n]
-               for n in ("herald_rate_cps", "g2_noise", "heralded_prob"))
+               for n in ("g2_noise", "heralded_prob"))
     monkeypatch.setattr(fockstats, "MAX_PASSES", 1)
     failed = {}
     with pytest.raises(NoConvergence):
@@ -536,20 +599,25 @@ def test_calibrate_diagnostics(primary, monkeypatch):
 
 @pytest.mark.parametrize("config_name", ["primary", "alternate"])
 def test_calibrate_solves_independent_targets_once(config_name, request, monkeypatch):
-    """g2_xc_hs and eta_conversion depend on no other target's field, so a
-    calibration that needs more passes still solves them only in the first."""
+    """g2_xc_hs, eta_conversion and herald_rate_cps depend on no later
+    target's field, so a calibration that needs more passes still solves
+    them only in the first."""
     cfg = request.getfixturevalue(config_name)
     calls = []
-    target = fockstats._TARGETS["eta_conversion"]
 
-    def counting(*args):
-        calls.append(args)
-        return target.solve(*args)
+    def counting(solve):
+        def solve_counted(*args):
+            calls.append(args[1])
+            return solve(*args)
+        return solve_counted
 
-    monkeypatch.setitem(fockstats._TARGETS, "eta_conversion", target._replace(solve=counting))
+    for name in ("g2_xc_hs", "eta_conversion", "herald_rate_cps"):
+        target = fockstats._TARGETS[name]
+        monkeypatch.setitem(fockstats._TARGETS, name,
+                            target._replace(solve=counting(target.solve)))
     targets = dict(PUBLISHED_TARGETS, r_rate_cps=3405.0 * 1.03)
     _, resid = calibrate(cfg, targets)
-    assert len(calls) == 1
+    assert calls == [26.0, 0.80, 474.0]
     assert max(_relative_residuals(targets, resid).values()) <= 1e-6
 
 

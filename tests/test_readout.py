@@ -319,6 +319,50 @@ def test_solve_nonlinear_coeff_equals_rebuilding_oracle(request, name, monkeypat
         assert coeff == solve_nonlinear_coeff_rebuilding(cfg, target), target
 
 
+@pytest.mark.parametrize("name", ["primary", "alternate"])
+def test_solve_past_the_rising_branch_equals_rebuilding_oracle(request, name):
+    """Targets above the conversion where the widest node's angle is pi/2
+    are bracketed up to the maximum, and the solve still finds the
+    coefficient of the oracle that rebuilds its config at every trial."""
+    cfg = request.getfixturevalue(name)
+    for target in (0.986, 0.987, 0.9877, 0.98779):
+        found = {}
+        coeff = readout.solve_nonlinear_coeff(cfg, target, found)
+        assert coeff == solve_nonlinear_coeff_rebuilding(cfg, target), target
+        assert found["evaluations"] > 10
+
+
+@pytest.mark.parametrize("fields", [
+    {}, {"source.envelope_rms_ps": 20.0}, {"source.envelope_rms_ps": 200.0},
+    {"cavity.walkoff_ps_per_m": 3.0}, {"cavity.walkoff_ps_per_m": 12.0}])
+def test_conversion_maximum_is_the_root_of_its_slope(primary, fields):
+    """The saturation a too-high target names is the conversion at the root
+    of its slope: no point of a 2001-point coefficient grid around it
+    converts more, and the grid's best point is within two steps of it."""
+    cfg = primary.replace_fields(**fields)
+    with pytest.raises(NoConvergence, match="saturates") as err:
+        readout.solve_nonlinear_coeff(cfg, 1.0)
+    peak = err.value.best
+    t = readout._nodes(cfg.source.envelope_rms_ps, cfg.control_tau_ps, cfg.walkoff_ratio)[0]
+    envelope = readout.envelope_intensity(cfg, 1, t)
+    grid = np.linspace(0.8 * peak, 1.2 * peak, 2001)
+    etas = np.array([envelope @ readout._profile_at(cfg, c)[1] for c in grid])
+    at_peak = conversion_efficiency(cfg.replace_fields(**{"pulses.nonlinear_coeff": peak}))
+    assert etas.max() <= at_peak + 1e-12
+    assert abs(grid[etas.argmax()] - peak) <= 2 * (grid[1] - grid[0])
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e-3, 1e3, 1e6])
+def test_conversion_solve_scales_with_the_control_energies(primary, factor):
+    """The angle is coefficient times sqrt(E_p E_q), so energies scaled by a
+    factor need the coefficient divided by it; the rising branch is found at
+    every scale, also where it ends below the lowest bracket end 1e-4."""
+    cfg = primary.replace_fields(**{"pulses.energy_p_nj": primary.pulses.energy_p_nj * factor,
+                                    "pulses.energy_q_nj": primary.pulses.energy_q_nj * factor})
+    assert readout.solve_nonlinear_coeff(cfg, 0.8) == \
+        pytest.approx(readout.solve_nonlinear_coeff(primary, 0.8) / factor, rel=1e-6)
+
+
 def test_readout_probability_first_bin(primary):
     survival, eta, total = readout_probability(1, primary)
     assert survival == pytest.approx(math.exp(-1 / 111), rel=1e-12)

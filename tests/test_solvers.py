@@ -20,14 +20,20 @@ PUBLISHED_TARGETS = {"g2_xc_hs": 26.0, "herald_rate_cps": 474.0, "g2_noise": 1.0
 # brentq
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("extra", [{}, {"r_rate_cps": 3507.15}],
-                         ids=["published", "with_r_rate"])
+@pytest.mark.parametrize("extra, searches", [
+    ({}, {"primary": 3, "alternate": 3}),
+    ({"r_rate_cps": 3507.15}, {"primary": 7, "alternate": 10}),
+    ({"eta_conversion": 0.986}, {"primary": 4, "alternate": 4})],
+    ids=["published", "with_r_rate", "conversion_past_rise"])
 @pytest.mark.parametrize("config_name", ["primary", "alternate"])
-def test_brentq_matches_scipy_on_published_calibrations(config_name, extra, request,
-                                                        monkeypatch):
+def test_brentq_matches_scipy_on_published_calibrations(config_name, extra, searches,
+                                                        request, monkeypatch):
     """Every root a published calibration asks for, replayed through scipy,
-    comes back bit for bit: the conversion coefficient and each bracketed
-    target."""
+    comes back bit for bit: the conversion coefficient, the conversion
+    maximum when the target lies past the rising branch, and each bracketed
+    target (g2_noise, heralded_prob and r_rate_cps in each pass: two on the
+    primary config, three on the alternate); the herald efficiency is a
+    closed form and searches nothing."""
     calls, real = [], solvers.brentq
 
     def recording(f, a, b, xtol=solvers.BRENTQ_XTOL, rtol=solvers.BRENTQ_RTOL,
@@ -39,7 +45,7 @@ def test_brentq_matches_scipy_on_published_calibrations(config_name, extra, requ
     monkeypatch.setattr(solvers, "brentq", recording)
     fockstats.calibrate(request.getfixturevalue(config_name),
                         dict(PUBLISHED_TARGETS, **extra))
-    assert len(calls) >= 4 + len(extra)
+    assert len(calls) == searches[config_name]
     for f, a, b, xtol, rtol, maxiter, root in calls:
         assert scipy_brentq(f, a, b, xtol, rtol, maxiter).hex() == root.hex()
 
