@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import __version__, atomic
-from .config import ValidatedConfig, config_hash, load_config, number, save_config
+from .config import ValidatedConfig, config_hash, integer, load_config, number, save_config
 from .errors import ConfigError, EmptyInput, FcsimError, NonPhysicalParameter
 
 EXIT_CONFIG_INVALID = 2
@@ -158,11 +158,12 @@ def _cmd_sweep(args) -> int:
         rows = list(zip(values, *readout.readout_curve(cfg, values),
                         np.full(values.size, cfg.noise_mean_per_trigger())))
     else:
+        integer("readout delay", args.readout_delay, 1)
         rows = []
         for v in values:
             c = cfg.replace_fields(**{args.param: float(v)})
-            rows.append((float(v), *readout.readout_probability(args.readout_delay, c),
-                         c.noise_mean_per_trigger()))
+            curve = readout.readout_curve(c, [args.readout_delay])
+            rows.append((float(v), *(a[0] for a in curve), c.noise_mean_per_trigger()))
     if not rows:
         raise NonPhysicalParameter(
             f"sweep of {args.param} has no points: --steps must be >= 1, and a "
@@ -237,7 +238,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_multiplex(args) -> int:
-    from . import multiplex
+    import numpy as np
+
+    from . import multiplex, readout
 
     cfg = _load(args)
     if args.herald_prob is not None:
@@ -251,10 +254,10 @@ def _cmd_multiplex(args) -> int:
     plan = multiplex.MultiplexPlan(bins=args.max_bins, bin_spacing_cycles=args.spacing,
                                    herald_prob=p_herald, readout_curve=None,
                                    switch_latency_cycles=args.latency)
-    plan = dataclasses.replace(
-        plan, readout_curve=multiplex.readout_curve(cfg, plan.max_delay_cycles))
+    delays = np.arange(1, plan.max_delay_cycles + 1)
+    plan = dataclasses.replace(plan, readout_curve=readout.readout_curve(cfg, delays)[2])
     p_out, enhancement = multiplex.output_curve(plan)
-    best = 1 + int(p_out.argmax())  # optimal_K's first-argmax rule, without a second curve
+    best = 1 + int(p_out.argmax())  # the first maximum: ties go to fewer bins
     multiplex_s = time.perf_counter() - start
     _write_csv(args.out, ("K", "p_out", "enhancement"),
                zip(range(1, plan.bins + 1), p_out, enhancement))

@@ -31,11 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import ValidatedConfig, number
-from .errors import (
-    DivisionByZeroRate,
-    NoConvergence,
-    Underdetermined,
-)
+from .errors import DivisionByZeroRate, NoConvergence, Underdetermined
 from .patterns import AT_LEAST, DETECTOR_BITS, PATTERN_MASKS, PATTERN_MATRIX, RATIOS
 from . import readout
 from .readout import signal_branch_probs
@@ -93,52 +89,54 @@ def correlations(p: dict, controls: dict | None = None) -> dict:
 def _detector_terms(n_bar: float, m: float, f: float, dark: float):
     """Read-only factors of Q(A) that only the noise and the detectors set:
     e_A, the noise exponent M log1p(nbar/M e_A), the dark powers (1-d)^|A|
-    and the source-off row (1-d)^|A| exp(-noise)."""
+    and the controls-only row (1-d)^|A| exp(-noise)."""
     e = f * _R1 + (1.0 - f) * _R2
     noise = m * np.log1p(n_bar / m * e)
     dark_powers = (1.0 - dark) ** _SET_SIZE
-    source_off = (dark_powers * np.exp(-noise))[None]
-    for a in (e, noise, dark_powers, source_off):
+    controls = dark_powers * np.exp(-noise)
+    for a in (e, noise, dark_powers, controls):
         a.flags.writeable = False
-    return e, noise, dark_powers, source_off
+    return e, noise, dark_powers, controls
 
 
-def no_click_table(cfg: ValidatedConfig, q_mon, chain, include_source: bool = True):
+def _terms(cfg: ValidatedConfig):
+    det = cfg.detectors
+    return _detector_terms(cfg.noise_mean_per_trigger(), cfg.noise.mode_count,
+                           det.splitter_ratio, det.dark_prob_per_gate)
+
+
+def controls_table(cfg: ValidatedConfig) -> np.ndarray:
+    """No-click probabilities (1-d)^|A| (1 + nbar/M e_A)^-M of a controls-only trigger
+    (no pairs), by record mask: one read-only row, cached per (nbar, M, f, d)."""
+    return _terms(cfg)[3]
+
+
+def no_click_table(cfg: ValidatedConfig, q_mon, chain):
     """No-click probabilities Q(A) of the 16 detector sets, shape (branches, 16).
 
     Row i has the branch probabilities (q_mon[i], chain[i]), column A is the
-    record mask of the set; include_source=False turns the pair source off
-    (controls-only run), and the branches do not enter. With
-    e_A = f [R1 in A] + (1-f) [R2 in A] the chance that a readout photon
-    reaches A and z_A = (1 - eta_h [H in A]) (1 - q_mon [S in A] - c e_A)
-    the chance that no photon of one pair does,
+    record mask of the set. With e_A = f [R1 in A] + (1-f) [R2 in A] the
+    chance that a readout photon reaches A and z_A = (1 - eta_h [H in A])
+    (1 - q_mon [S in A] - c e_A) the chance that no photon of one pair does,
 
         Q(A) = (1-d)^|A| (1 + mu/k (1-z_A))^-k (1 + nbar/M e_A)^-M.
 
     The powers go through log1p so Q stays accurate for large k and M. The
     factors without the source are cached per (nbar, M, f, d), so a root
-    search over a source or efficiency field computes them once; a source-off
-    table repeats their row on every branch, the bits of mu = 0.
+    search over a source or efficiency field computes them once.
     """
-    det = cfg.detectors
-    e, noise, dark_powers, source_off = _detector_terms(
-        cfg.noise_mean_per_trigger(), cfg.noise.mode_count, det.splitter_ratio,
-        det.dark_prob_per_gate)
-    if not include_source:
-        return np.repeat(source_off, np.broadcast(q_mon, chain).size, axis=0)
+    e, noise, dark_powers, _ = _terms(cfg)
     q_mon, chain = (np.atleast_1d(v)[:, None] for v in (q_mon, chain))
     mu, k = cfg.source.mean_pairs_per_pulse, cfg.source.schmidt_modes
-    z = (1.0 - det.eta_herald_path * _H) * (1.0 - q_mon * _S - chain * e)
+    z = (1.0 - cfg.detectors.eta_herald_path * _H) * (1.0 - q_mon * _S - chain * e)
     return dark_powers * np.exp(-k * np.log1p(mu / k * (1.0 - z)) - noise)
 
 
-def model_patterns(cfg: ValidatedConfig, delay_cycles: int = 1, total=None,
-                   include_source: bool = True) -> dict:
+def model_patterns(cfg: ValidatedConfig, delay_cycles: int = 1, total=None) -> dict:
     """Pattern name -> click probability of one trigger at a readout delay;
-    total as in signal_branch_probs. A controls-only run needs no readout."""
-    branches = (signal_branch_probs(cfg, delay_cycles, total) if include_source
-                else (0.0, 0.0))
-    return pattern_probs(no_click_table(cfg, *branches, include_source)[0])
+    total as in signal_branch_probs."""
+    branches = signal_branch_probs(cfg, delay_cycles, total)
+    return pattern_probs(no_click_table(cfg, *branches)[0])
 
 
 @dataclass(frozen=True)
@@ -161,17 +159,15 @@ class ClickProbabilities:
     p = p_all  # p(name): P(that detector clicks)
 
 
-def click_model(cfg: ValidatedConfig, delay_cycles: int = 1,
-                include_source: bool = True):
+def click_model(cfg: ValidatedConfig, delay_cycles: int = 1):
     """(means, clicks) of one trigger: the mean detected photon numbers of the
     modes 'herald', 'monitor' and 'readout', and a view of its no_click_table
-    row. With include_source=False the pair source is off (controls-only run).
-    """
-    mu = cfg.source.mean_pairs_per_pulse if include_source else 0.0
+    row."""
+    mu = cfg.source.mean_pairs_per_pulse
     q_mon, chain = (float(v[0]) for v in signal_branch_probs(cfg, delay_cycles))
     means = {"herald": mu * cfg.detectors.eta_herald_path, "monitor": mu * q_mon,
              "readout": mu * chain + cfg.noise_mean_per_trigger()}
-    return means, ClickProbabilities(no_click_table(cfg, q_mon, chain, include_source)[0])
+    return means, ClickProbabilities(no_click_table(cfg, q_mon, chain)[0])
 
 
 def model_report(cfg: ValidatedConfig, delay_cycles: int = 1) -> dict:
@@ -185,7 +181,7 @@ def model_report(cfg: ValidatedConfig, delay_cycles: int = 1) -> dict:
         "herald_readout_cps": p["hr"] * clock,
         "triple_cps": p["hr1r2"] * clock,
     }
-    corr = correlations(p, model_patterns(cfg, include_source=False))
+    corr = correlations(p, pattern_probs(controls_table(cfg)))
     return {"delay_cycles": delay_cycles, "rates": rates, "correlations": corr}
 
 
@@ -224,8 +220,8 @@ class _Target(NamedTuple):
 
     field: str                     # the config field the target pins
     value: Callable                # (config, its readout_curve at [1]) -> model value
-    solve: Callable | None = None  # dedicated solver (config, target value) ->
-                                   # (field, model evaluations it made),
+    solve: Callable | None = None  # dedicated solver, as readout.solve_nonlinear_coeff:
+                                   # (config, target value, diagnostics) -> field,
     bracket: tuple = ()            # else brentq over this interval of the field,
     log: bool = False              # or of log(field) when log is set
 
@@ -236,17 +232,17 @@ def _g2_xc_hs(cfg: ValidatedConfig, curve) -> float:
     return (1.0 + 1.0 / k + 1.0 / mu) if mu > 0 else math.inf
 
 
-def _mu_for_g2_xc_hs(cfg: ValidatedConfig, value: float):
+def _mu_for_g2_xc_hs(cfg: ValidatedConfig, value: float, diagnostics=None):
     k = cfg.source.schmidt_modes
     floor = 1.0 + 1.0 / k
     if value <= floor:
         raise NoConvergence(
             f"g2_xc_hs target {value} is at or below the {floor:.3f} floor "
             f"of a {k}-mode source")
-    return 1.0 / (value - floor), 0  # closed form: no model evaluation
+    return 1.0 / (value - floor)  # closed form: no model evaluation
 
 
-def _eta_herald_for_rate(cfg: ValidatedConfig, value: float):
+def _eta_herald_for_rate(cfg: ValidatedConfig, value: float, diagnostics=None):
     # p(H) = 1 - (1-d) (1 + mu eta_h / k)^-k, inverted: no model evaluation
     mu, k = cfg.source.mean_pairs_per_pulse, cfg.source.schmidt_modes
     dark = cfg.detectors.dark_prob_per_gate
@@ -261,15 +257,10 @@ def _eta_herald_for_rate(cfg: ValidatedConfig, value: float):
     if not lo * (1.0 - REL_TOL) <= value <= hi * (1.0 + REL_TOL):
         raise _unreachable("herald_rate_cps", value, lo, hi)
     if lo == hi:  # mu = 0 or d = 1: every efficiency gives the rate
-        return cfg.detectors.eta_herald_path, 0
+        return cfg.detectors.eta_herald_path
     p = min(max(value, lo), hi) / clock
     x = k / mu * math.expm1((math.log1p(-dark) - math.log1p(-p)) / k)
-    return min(max(x, 0.0), 1.0), 0
-
-
-def _coeff_for_eta_conversion(cfg: ValidatedConfig, value: float):
-    found = {}
-    return readout.solve_nonlinear_coeff(cfg, value, found), found["evaluations"]
+    return min(max(x, 0.0), 1.0)
 
 
 def _rate(pattern: str) -> Callable:
@@ -280,12 +271,12 @@ def _rate(pattern: str) -> Callable:
 
 
 def _g2_noise(cfg: ValidatedConfig, curve) -> float:
-    return ratio(model_patterns(cfg, include_source=False), "g2_noise")
+    return ratio(pattern_probs(controls_table(cfg)), "g2_noise")
 
 
 def _heralded_prob(cfg: ValidatedConfig, curve) -> float:
     return ratio(model_patterns(cfg, 1, curve[2]), "heralding_efficiency",
-                 model_patterns(cfg, include_source=False))
+                 pattern_probs(controls_table(cfg)))
 
 
 # target name -> how it is pinned, in solving order within one pass
@@ -294,7 +285,7 @@ _TARGETS = {
     "g2_xc_hs": _Target("source.mean_pairs_per_pulse", _g2_xc_hs,
                         solve=_mu_for_g2_xc_hs),
     "eta_conversion": _Target("pulses.nonlinear_coeff", lambda cfg, curve: float(curve[1][0]),
-                              solve=_coeff_for_eta_conversion),
+                              solve=readout.solve_nonlinear_coeff),
     "herald_rate_cps": _Target("detectors.eta_herald_path", _rate("h"),
                                solve=_eta_herald_for_rate),
     "g2_noise": _Target("noise.mode_count", _g2_noise,
@@ -335,8 +326,9 @@ def _solve_target(cfg: ValidatedConfig, name: str, value: float):
     """
     target = _TARGETS[name]
     if target.solve is not None:
-        x, evaluations = target.solve(cfg, value)
-        return cfg.replace_fields(**{target.field: x}), evaluations
+        found = {}
+        x = target.solve(cfg, value, found)
+        return cfg.replace_fields(**{target.field: x}), found.get("evaluations", 0)
     from . import solvers
 
     to_field = math.exp if target.log else float

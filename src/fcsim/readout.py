@@ -348,7 +348,9 @@ def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float,
         raise NoConvergence(
             f"conversion target {target_eta} is unreachable: the conversion reaches only "
             f"{eta_for(lo):.4g} to {eta_for(peak()):.4f}", best=lo)
-    coeff = solvers.brentq(lambda g: eta_for(g) - target_eta, lo, hi, xtol=1e-10)
+    # the coefficient scales as 1 / sqrt(E_p E_q): below rise = 1 the tolerance scales with it
+    coeff = solvers.brentq(lambda g: eta_for(g) - target_eta, lo, hi,
+                           xtol=1e-10 * min(1.0, rise))
     if diagnostics is not None:
         diagnostics["evaluations"] = len(eta_for.values) + len(slope.values)
     return coeff

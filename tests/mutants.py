@@ -7,8 +7,10 @@ Each row of MUTANTS replaces one piece of text in one source file. The
 script copies src/, tests/, bench/ (which tier-1 reads) and pyproject.toml
 to a temporary directory, checks that tier-1 passes there unmutated, then
 applies each row in turn and runs tier-1 on the copy with the documented
-criterion-5 failure deselected. A mutant is killed when a test fails; the first failing test
-is printed. The repository itself is never edited.
+criterion-5 failure deselected, and with tests/test_mutants.py's check of
+this table, which a mutated file fails by construction (this script checks
+each row's text before applying it). A mutant is killed when a test fails;
+the first failing test is printed. The repository itself is never edited.
 
 pytest does not collect this file (its name does not start with test_),
 and it is not part of tier-1. Exit status 0 if every mutant was killed.
@@ -25,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_5_noise_convergence_tail"
+TABLE_CHECK = "tests/test_mutants.py::test_every_mutant_row_names_text_that_occurs_once"
 
 # (file, old text, new text, what it breaks)
 MUTANTS = [
@@ -211,9 +214,9 @@ MUTANTS = [
      "p_monitor + p_readout * (1.0 - det.splitter_ratio)",
      "signal photons reach R1 with chance 1 - f, not f"),
     ("src/fcsim/fockstats.py",
-     "source_off = (dark_powers * np.exp(-noise))[None]",
-     "source_off = np.exp(-noise)[None]",
-     "a source-off table drops the dark counts"),
+     "controls = dark_powers * np.exp(-noise)",
+     "controls = np.exp(-noise)",
+     "a controls-only table drops the dark counts"),
     ("src/fcsim/fockstats.py",
      "num, den = RATIOS[name]",
      "den, num = RATIOS[name]",
@@ -258,6 +261,22 @@ MUTANTS = [
      "lo, hi = min(1e-4, rise / 2.0), rise",
      "lo, hi = 1e-4, rise",
      "conversion bracket starts at 1e-4 even where the rising branch ends below it"),
+    ("src/fcsim/readout.py",
+     "xtol=1e-10 * min(1.0, rise))",
+     "xtol=1e-10)",
+     "conversion solve ends at an absolute tolerance: large energies solve roughly"),
+    ("src/fcsim/fockstats.py",
+     'found.get("evaluations", 0)',
+     'found.get("evaluations", 1)',
+     "a closed-form calibration solve counts a model evaluation"),
+    ("src/fcsim/cli.py",
+     'integer("readout delay", args.readout_delay, 1)',
+     'integer("readout delay", args.readout_delay, 0)',
+     "a field sweep reads out at delay 0"),
+    ("src/fcsim/cli.py",
+     "readout_curve=readout.readout_curve(cfg, delays)[2]",
+     "readout_curve=readout.readout_curve(cfg, delays)[1]",
+     "multiplex plans with the conversion efficiency, not the retrieval"),
 ]
 
 
@@ -266,7 +285,7 @@ def run_tier1(root: Path) -> str | None:
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--deselect", KNOWN_FAILURE],
+         "--deselect", KNOWN_FAILURE, "--deselect", TABLE_CHECK],
         cwd=root, env=env, capture_output=True, text=True)
     if proc.returncode == 0:
         return None

@@ -504,7 +504,8 @@ def solve_nonlinear_coeff_rebuilding(cfg, target_eta):
                 f"conversion saturates at {eta_for(hi):.4f} < target {target_eta}")
     elif target_eta < eta_for(lo):
         raise NoConvergence(f"conversion target {target_eta} is unreachable")
-    return solvers.brentq(lambda g: eta_for(g) - target_eta, lo, hi, xtol=1e-10)
+    return solvers.brentq(lambda g: eta_for(g) - target_eta, lo, hi,
+                          xtol=1e-10 * min(1.0, rise))
 
 
 def _solve_target_rebuilding(cfg, name, value):
@@ -515,7 +516,7 @@ def _solve_target_rebuilding(cfg, name, value):
     if name == "eta_conversion":
         return solve_nonlinear_coeff_rebuilding(cfg, value)
     if target.solve is not None:
-        return target.solve(cfg, value)[0]
+        return target.solve(cfg, value)
     to_field = math.exp if target.log else float
     curve = readout.readout_curve(cfg, [1])
 

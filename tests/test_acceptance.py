@@ -174,7 +174,7 @@ def test_criterion_6_oracle_equivalence(primary):
         cfg = _random_test_config(primary, rng)
         delay = int(rng.integers(1, 8))
         p = fockstats.model_patterns(cfg, delay)
-        corr = fockstats.correlations(p, fockstats.model_patterns(cfg, include_source=False))
+        corr = fockstats.correlations(p, fockstats.pattern_probs(fockstats.controls_table(cfg)))
         expected = {
             **{name: p[name] * clock for name in ("h", "s", "r", "hs")},
             "cross_hr": corr["g2_xc_hr"],

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fcsim
-from fcsim import default_config_path, fockstats, load_config, multiplex
+from fcsim import default_config_path, fockstats, load_config, multiplex, readout
 from fcsim.cli import main
 from fcsim.config import ValidatedConfig, dumps_config
 
@@ -706,6 +706,35 @@ def test_delay_sweep_up_to_2_53_keeps_every_delay(tmp_path, capsys):
     assert code == 0 and json.loads(out)["points"] == 3
     delays = [line.split(",")[0] for line in out_path.read_text().splitlines()[1:]]
     assert delays == ["1", str(2**52), str(2**53)]
+
+
+def test_field_sweep_rows_are_the_readout_curve_at_the_delay(tmp_path, capsys, primary):
+    """Each row of a field sweep is readout_curve of the config with that field
+    set, at --readout-delay, to the bit in the CSV's 17 digits."""
+    out_path = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", CONFIG, "--param", "pulses.energy_q_nj",
+                           "--from", "2", "--to", "12", "--steps", "6", "--readout-delay", "9",
+                           "--out", str(out_path))
+    assert code == 0, err
+    rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
+    assert rows.shape == (6, 5)
+    for value, *curve, noise in rows.tolist():
+        c = primary.replace_fields(**{"pulses.energy_q_nj": value})
+        assert curve == [a[0] for a in readout.readout_curve(c, [9])], value
+        assert noise == c.noise_mean_per_trigger()
+
+
+@pytest.mark.parametrize("delay", ["0", "-4"])
+def test_field_sweep_at_a_delay_that_is_no_readout_bin_writes_nothing(tmp_path, capsys, delay):
+    """A field sweep checks --readout-delay with the readout-bin rule (an
+    integer >= 1), which readout_curve alone, taking any delay >= 0, would not."""
+    code, out, err = run_cli(capsys, "sweep", "--config", CONFIG, "--param", "pulses.energy_q_nj",
+                             "--from", "2", "--to", "12", "--steps", "3",
+                             "--readout-delay", delay, "--out", str(tmp_path / "sweep.csv"))
+    assert code == 2
+    assert json.loads(err) == {"error": "NonPhysicalParameter", "message":
+                               f"readout delay must be >= 1 and an integer, got {delay}"}
+    assert out == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("section, field, value", [

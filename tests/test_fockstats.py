@@ -11,8 +11,10 @@ from fcsim import estimators, fockstats, readout, trialsim
 from fcsim.fockstats import (
     DETECTOR_BITS,
     EXACT,
+    ClickProbabilities,
     calibrate,
     click_model,
+    controls_table,
     correlations,
     model_patterns,
     pattern_probs,
@@ -258,7 +260,8 @@ def test_clicks_match_bruteforce_enumeration(primary):
 def test_closed_form_matches_table_oracle(primary, mu, schmidt, eta_h, eta_r, eta_s,
                                           dark, splitter, noise, modes, lifetime,
                                           delay, include_source):
-    """All 16 no-click probabilities agree with the photon-number tables.
+    """All 16 no-click probabilities agree with the photon-number tables:
+    click_model's with the source on, controls_table's with it off.
 
     At mu <= 0.2 the pair table cut at 16 photons leaves out less than
     1e-12 of the probability, and the noise table cut at 40 far less.
@@ -270,7 +273,11 @@ def test_closed_form_matches_table_oracle(primary, mu, schmidt, eta_h, eta_r, et
         "detectors.splitter_ratio": splitter, "noise.noise_mean_per_nj": noise,
         "noise.mode_count": modes, "cavity.ringdown_lifetime_cycles": lifetime,
     })
-    means, clicks = click_model(cfg, delay, include_source=include_source)
+    if include_source:
+        means, clicks = click_model(cfg, delay)
+    else:  # controls-only: the noise photons alone reach the readout
+        means = {"herald": 0.0, "monitor": 0.0, "readout": cfg.noise_mean_per_trigger()}
+        clicks = ClickProbabilities(controls_table(cfg))
     table, oracle = table_click_model(cfg, delay, include_source=include_source)
     assert set(clicks.no_click) == set(oracle.no_click)
     for subset, q in oracle.no_click.items():
@@ -375,7 +382,7 @@ def test_calibrate_mode_count(primary):
 def test_calibrate_heralded_prob(primary):
     cal, resid = calibrate(primary, {"heralded_prob": 0.096})
     assert abs(resid["heralded_prob"]) < 1e-9
-    corr = correlations(model_patterns(cal), model_patterns(cal, include_source=False))
+    corr = correlations(model_patterns(cal), pattern_probs(controls_table(cal)))
     assert corr["heralding_efficiency"] == pytest.approx(0.096, abs=1e-9)
 
 
@@ -445,9 +452,9 @@ def test_herald_efficiency_inverts_the_engine_rate(primary):
             "detectors.dark_prob_per_gate": dark})
         for eta in (rng.uniform(0.0, 1.0), 0.0, 1.0):
             rate = _herald_rate(cfg.replace_fields(**{"detectors.eta_herald_path": eta}))
-            solved, evaluations = fockstats._eta_herald_for_rate(cfg, rate)
+            solved, evaluations = fockstats._solve_target(cfg, "herald_rate_cps", rate)
             assert evaluations == 0
-            again = _herald_rate(cfg.replace_fields(**{"detectors.eta_herald_path": solved}))
+            again = _herald_rate(solved)
             worst = max(worst, abs(again - rate) / rate)
     assert worst <= 1e-10
 
@@ -530,13 +537,15 @@ def test_calibrate_stops_at_first_converged_pass(primary, monkeypatch):
     curve once, and the conversion solve evaluates none: it computes the
     delay-1 envelope once and builds no config per trial. The herald
     efficiency is a closed form, and each root search evaluates its bracket
-    ends once: 29 engine evaluations and 24 configs."""
+    ends once: 29 engine evaluations, 21 of them controls-only rows (g2_noise
+    reads only that row, heralded_prob subtracts it), and 24 configs."""
     engine = _count_calls(monkeypatch, fockstats, "no_click_table")
+    controls = _count_calls(monkeypatch, fockstats, "controls_table")
     curves = _count_calls(monkeypatch, readout, "readout_curve")
     configs = _count_calls(monkeypatch, ValidatedConfig, "replace_fields")
     _, resid = calibrate(primary, PUBLISHED_TARGETS)
     assert max(_relative_residuals(PUBLISHED_TARGETS, resid).values()) <= 1e-6
-    assert len(engine) == 29
+    assert (len(engine), len(controls)) == (8, 21)
     assert len(curves) == 3
     assert len(configs) == 24
 
@@ -656,13 +665,18 @@ def test_engine_over_delays_equals_single_delay_rows(config_name, request):
     delays = np.arange(1, 301)
     total = readout.readout_curve(cfg, delays)[2]
     q_mon, chain = readout.signal_branch_probs(cfg, delays, total)
-    for include_source in (True, False):
-        table = fockstats.no_click_table(cfg, q_mon, chain, include_source)
-        assert table.shape == (delays.size, 16)
-        for i, t in enumerate(delays):
-            branches = readout.signal_branch_probs(cfg, t, total[i:i + 1])
-            row = fockstats.no_click_table(cfg, *branches, include_source)
-            assert np.array_equal(row, table[i:i + 1]), (t, include_source)
+    table = fockstats.no_click_table(cfg, q_mon, chain)
+    assert table.shape == (delays.size, 16)
+    for i, t in enumerate(delays):
+        branches = readout.signal_branch_probs(cfg, t, total[i:i + 1])
+        row = fockstats.no_click_table(cfg, *branches)
+        assert np.array_equal(row, table[i:i + 1]), t
+    # with the source off every delay gives the one controls-only row
+    off = fockstats.no_click_table(
+        cfg.replace_fields(**{"source.mean_pairs_per_pulse": 0.0}), q_mon, chain)
+    assert controls_table(cfg).shape == (16,)
+    assert not controls_table(cfg).flags.writeable  # the cached row, shared by every caller
+    assert np.array_equal(off, np.tile(controls_table(cfg), (delays.size, 1)))
 
 
 def _random_engine_config(rng, cfg):
@@ -680,10 +694,11 @@ def _random_engine_config(rng, cfg):
 
 
 def test_engine_equals_direct_formula(primary, alternate):
-    """The engine, which keeps its noise and detector factors between calls
-    and answers a source-off table with their row, gives the bits of the
-    formula computed whole at each call: random in-range configs, one and
-    many branches, the source on and off, each asked twice."""
+    """The engine, which keeps its noise and detector factors between calls,
+    and controls_table, their cached row, give the bits of the formula
+    computed whole at each call: random in-range configs, one and many
+    branches, the source on and off (the formula at mu = 0 on every branch),
+    each asked twice."""
     rng = np.random.default_rng(2032)
     configs = [primary, alternate] + [_random_engine_config(rng, primary) for _ in range(40)]
     for cfg in configs:
@@ -692,8 +707,9 @@ def test_engine_equals_direct_formula(primary, alternate):
         for branches in ((q_mon[0], chain[0]), (q_mon[:1], chain[:1]), (q_mon, chain),
                          (0.0, chain), readout.signal_branch_probs(cfg, [1, 7, 300])):
             for include_source in (True, False, True, False):
-                got = fockstats.no_click_table(cfg, *branches, include_source)
                 want = no_click_table_direct(cfg, *branches, include_source)
+                got = (fockstats.no_click_table(cfg, *branches) if include_source
+                       else np.tile(controls_table(cfg), (want.shape[0], 1)))
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (cfg, branches, include_source)
 
@@ -774,14 +790,19 @@ def test_model_rejects_delays_that_are_not_readout_bins(primary, delay):
 
 
 def test_benchmark_facing_views_match_engine(primary):
-    """click_model's no_click, p and p_all, and estimators.PATTERNS, are views
-    of the engine and of the pattern table."""
+    """click_model's no_click, p and p_all (and those of a controls_table
+    row), and estimators.PATTERNS, are views of the engine and of the
+    pattern table."""
     assert estimators.PATTERNS == {"h": 1, "s": 2, "r1": 4, "r2": 8, "hs": 3,
                                    "hr1": 5, "hr2": 9, "r1r2": 12, "hr1r2": 13}
     (q_mon,), (chain,) = readout.signal_branch_probs(primary, 7)
     for include_source in (True, False):
-        _, clicks = click_model(primary, 7, include_source=include_source)
-        q = fockstats.no_click_table(primary, q_mon, chain, include_source)[0]
+        if include_source:
+            _, clicks = click_model(primary, 7)
+            q = fockstats.no_click_table(primary, q_mon, chain)[0]
+        else:
+            q = controls_table(primary)
+            clicks = ClickProbabilities(q)
         p = pattern_probs(q)
         assert clicks.no_click == {
             frozenset(d for d, bit in DETECTOR_BITS.items() if mask & bit): q[mask]

@@ -352,15 +352,16 @@ def test_conversion_maximum_is_the_root_of_its_slope(primary, fields):
     assert abs(grid[etas.argmax()] - peak) <= 2 * (grid[1] - grid[0])
 
 
-@pytest.mark.parametrize("factor", [1e-6, 1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("factor", [1e-6, 1e-3, 1e3, 1e6, 1e9, 1e12])
 def test_conversion_solve_scales_with_the_control_energies(primary, factor):
     """The angle is coefficient times sqrt(E_p E_q), so energies scaled by a
     factor need the coefficient divided by it; the rising branch is found at
-    every scale, also where it ends below the lowest bracket end 1e-4."""
+    every scale, also where it ends below the lowest bracket end 1e-4, and
+    the root to the same relative precision."""
     cfg = primary.replace_fields(**{"pulses.energy_p_nj": primary.pulses.energy_p_nj * factor,
                                     "pulses.energy_q_nj": primary.pulses.energy_q_nj * factor})
     assert readout.solve_nonlinear_coeff(cfg, 0.8) == \
-        pytest.approx(readout.solve_nonlinear_coeff(primary, 0.8) / factor, rel=1e-6)
+        pytest.approx(readout.solve_nonlinear_coeff(primary, 0.8) / factor, rel=1e-12)
 
 
 def test_readout_probability_first_bin(primary):

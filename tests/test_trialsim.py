@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcsim import estimators, fockstats, readout, trialsim
+from fcsim import config, estimators, fockstats, readout, trialsim
 from fcsim.errors import CorruptRecords, EmptyInput, NonPhysicalParameter
 from fcsim.trialsim import (
     MASK_H,
@@ -101,7 +101,7 @@ def test_noise_rate_linear_in_energy(primary):
 def test_controls_only_noise_autocorrelation(primary):
     run = simulate_run(primary, seed=31, n_triggers=6_000_000, controls_only=True)
     est = estimators.estimate_g2(run, "unheralded_auto")
-    controls = fockstats.model_patterns(primary, include_source=False)
+    controls = fockstats.pattern_probs(fockstats.controls_table(primary))
     expected = fockstats.correlations(controls)["g2_noise"]
     assert abs(est.value - expected) < 3 * est.standard_error
     assert expected == pytest.approx(1.09, abs=0.01)
@@ -740,6 +740,20 @@ def _dense(primary):
                                      "noise.noise_mean_per_nj": 0.2})
 
 
+def _mask_counts(cfg, seed, n, delay, controls_only):
+    """(observed, expected) counts of the 16 record masks in a run of n
+    triggers; mask 0 counts the triggers without a record, and the expected
+    counts are n * EXACT @ Q of the engine's row (controls_table's for a
+    controls-only run)."""
+    run = simulate_run(cfg, seed=seed, n_triggers=n, delay_cycles=delay,
+                       controls_only=controls_only)
+    observed = np.bincount(run.mask, minlength=16).astype(float)
+    observed[0] = n - run.mask.size
+    q = (fockstats.controls_table(cfg) if controls_only
+         else fockstats.no_click_table(cfg, *readout.signal_branch_probs(cfg, delay))[0])
+    return observed, n * (fockstats.EXACT @ q)
+
+
 @pytest.mark.parametrize("make, include_source, delay", [
     (lambda cfg, alt: cfg, True, 1),
     (lambda cfg, alt: _dense(cfg), True, 1),
@@ -754,18 +768,75 @@ def test_mask_histogram_matches_engine(primary, alternate, make, include_source,
     """Pearson chi-square of the 16-mask histogram against EXACT @ Q; masks
     expected fewer than 25 times are pooled with the no-click mask."""
     cfg = make(primary, alternate)
-    n = 1 << 22
-    run = simulate_run(cfg, seed=4, n_triggers=n, delay_cycles=delay,
-                       controls_only=not include_source)
-    observed = np.bincount(run.mask, minlength=16).astype(float)
-    observed[0] = n - run.mask.size
-    branches = (readout.signal_branch_probs(cfg, delay) if include_source
-                else (0.0, 0.0))
-    expected = n * (fockstats.EXACT @ fockstats.no_click_table(cfg, *branches,
-                                                               include_source)[0])
+    observed, expected = _mask_counts(cfg, 4, 1 << 22, delay, not include_source)
     group = np.where(expected >= 25, np.arange(16), 0)
     kept = np.unique(group)
     obs = np.bincount(group, weights=observed, minlength=16)[kept]
     exp = np.bincount(group, weights=expected, minlength=16)[kept]
     statistic = float(np.sum((obs - exp) ** 2 / exp))
     assert scipy.stats.chi2.sf(statistic, kept.size - 1) > 1e-3, statistic
+
+
+# field -> the values the domain test draws for it, inside its config._FIELDS
+# range: an interval drawn uniformly, or a list of values drawn from. The ranges
+# are clipped to where 2e6 triggers sample every config in well under a second.
+DOMAIN_FIELDS = {
+    "source.mean_pairs_per_pulse": (0.001, 0.5),
+    "source.schmidt_modes": [1.0, 1.5, 3.0, 10.0],
+    "detectors.eta_herald_path": (0.01, 1.0),
+    "detectors.eta_s_path": (0.01, 1.0),
+    "detectors.eta_r_path": (0.01, 1.0),
+    "detectors.dark_prob_per_gate": [0.0, 1e-5, 1e-3, 0.02],
+    "detectors.splitter_ratio": (0.05, 0.95),
+    "noise.noise_mean_per_nj": (0.0, 0.05),
+    "noise.mode_count": (1.0, 100.0),
+    "cavity.ringdown_lifetime_cycles": (5.0, 300.0),
+}
+DOMAIN_CONFIGS = 40
+DOMAIN_TRIGGERS = 2_000_000
+# an unbiased sampler fails the summed chi-square with this chance, to the
+# accuracy of the chi-square law for pooled cells of at least 5 expected counts
+DOMAIN_P_BOUND = 1e-6
+
+
+def test_domain_fields_lie_in_their_config_ranges():
+    for key, values in DOMAIN_FIELDS.items():
+        section, _, name = key.partition(".")
+        lo, lo_open, hi = config._FIELDS[section][name]
+        for v in values:  # a list's values, an interval's ends
+            assert (lo < v if lo_open else lo <= v) and v <= hi, (key, v)
+
+
+def _domain_config(primary, rng):
+    return primary.replace_fields(**{
+        key: float(rng.choice(values) if isinstance(values, list) else rng.uniform(*values))
+        for key, values in DOMAIN_FIELDS.items()})
+
+
+def test_mask_histogram_matches_engine_over_the_config_domain(primary):
+    """Pearson chi-square of the 16-mask histogram against EXACT @ Q over
+    random configs from DOMAIN_FIELDS at delays 1..399, summed over the
+    configs; every fifth run is controls-only, against controls_table. Per
+    config, masks expected fewer than 5 times are pooled into one cell, and
+    that cell joins mask 0 if it is still under 5. A record in a mask the
+    model gives probability 0 fails outright."""
+    rng = np.random.default_rng(35)
+    statistic, dof, per_config = 0.0, 0, []
+    for i in range(DOMAIN_CONFIGS):
+        cfg = _domain_config(primary, rng)
+        delay = int(rng.integers(1, 400))
+        observed, expected = _mask_counts(cfg, 100 + i, DOMAIN_TRIGGERS, delay, i % 5 == 4)
+        impossible = expected <= 1e-15 * DOMAIN_TRIGGERS  # zero up to rounding
+        assert not observed[impossible].any(), (i, delay, np.flatnonzero(observed * impossible))
+        group = np.where(expected >= 5, np.arange(16), 16)
+        if expected[group == 16].sum() < 5:
+            group[group == 16] = 0
+        kept = np.unique(group)
+        obs = np.bincount(group, weights=observed, minlength=17)[kept]
+        exp = np.bincount(group, weights=expected, minlength=17)[kept]
+        chi2 = float(np.sum((obs - exp) ** 2 / exp))
+        statistic += chi2
+        dof += kept.size - 1
+        per_config.append((chi2, kept.size - 1, i))
+    worst = max(per_config, key=lambda c: (c[0] - c[1]) / math.sqrt(2 * max(c[1], 1)))
+    assert scipy.stats.chi2.sf(statistic, dof) > DOMAIN_P_BOUND, (statistic, dof, worst)
