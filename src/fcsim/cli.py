@@ -40,8 +40,9 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _emit(doc: dict, out_path=None) -> None:
-    """Write doc, stamped with the package version, as JSON to out_path or stdout."""
-    text = json.dumps({**doc, "version": __version__}, indent=2, sort_keys=True) + "\n"
+    """Write doc, stamped with the package version, as strict JSON to out_path or stdout."""
+    text = json.dumps({**doc, "version": __version__}, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if out_path:
         atomic.write_text(out_path, text)
     else:

@@ -266,7 +266,7 @@ def _energy_conserving_lambda_r(scheme: WavelengthScheme) -> float:
     lhs = 2.0 / scheme.lambda_pump_nm
     rhs = 1.0 / scheme.lambda_s_nm + 1.0 / scheme.lambda_h_nm
     rel = abs(lhs - rhs) / lhs
-    if rel > ENERGY_REL_TOL:
+    if not rel <= ENERGY_REL_TOL:  # NaN too
         raise EnergyConservationViolated(
             "pair generation: |2/l_pump - 1/l_s - 1/l_h| / (2/l_pump) = "
             f"{rel:.3e} exceeds {ENERGY_REL_TOL:.0e}"
@@ -274,11 +274,12 @@ def _energy_conserving_lambda_r(scheme: WavelengthScheme) -> float:
 
     # Frequency translation: 1/l_r = 1/l_s - (1/l_q - 1/l_p).
     inv = 1.0 / scheme.lambda_s_nm - (1.0 / scheme.lambda_q_nm - 1.0 / scheme.lambda_p_nm)
-    if inv <= 0:
-        raise NonPhysicalParameter("translation relation gives non-positive output wavenumber")
+    if not 0.0 < inv < math.inf:
+        raise NonPhysicalParameter("translation relation gives non-positive output "
+                                   "wavenumber, or one that is not finite")
     lambda_r = 1.0 / inv
     rel = abs(1.0 / scheme.lambda_r_nm - 1.0 / lambda_r) * lambda_r
-    if rel > ENERGY_REL_TOL:
+    if not rel <= ENERGY_REL_TOL:
         raise EnergyConservationViolated(
             "frequency translation: declared lambda_r_nm disagrees with "
             f"1/l_s - (1/l_q - 1/l_p) by {rel:.3e} relative (> {ENERGY_REL_TOL:.0e})"

@@ -23,7 +23,7 @@ from .errors import (
     NonPhysicalParameter,
     SingularFit,
 )
-from .patterns import PATTERN_MASKS, PATTERN_MATRIX, PATTERNS, RATIOS  # PATTERNS: bench/ reads it
+from .patterns import PATTERN_MASKS, PATTERN_MATRIX, PATTERNS, RATIOS, ratio  # PATTERNS: bench/
 
 if TYPE_CHECKING:  # records come from trialsim, which fitting never loads
     from .trialsim import ClickRecords
@@ -130,10 +130,6 @@ def _bootstrap_sums(records: ClickRecords, block_triggers: int, resamples: int,
     return sums
 
 
-# pattern name -> its column in _block_counts and _bootstrap_sums
-_COLUMN = {name: i for i, name in enumerate(PATTERN_MASKS, start=1)}
-
-
 def estimate(records: ClickRecords, name: str, block_triggers: int = BOOTSTRAP_BLOCK,
              resamples: int = BOOTSTRAP_RESAMPLES, seed: int = 0) -> CorrelationEstimate:
     """Ratio-of-frequencies estimate of the correlation RATIOS[name],
@@ -142,17 +138,14 @@ def estimate(records: ClickRecords, name: str, block_triggers: int = BOOTSTRAP_B
     if name not in RATIOS:
         raise NonPhysicalParameter(f"unknown correlation {name!r}")
     sums = _bootstrap_sums(records, block_triggers, resamples, seed)
-    num, den = RATIOS[name]
-    for pattern in den:
-        if not sums[0, _COLUMN[pattern]]:
-            raise DivisionByZeroRate(f"pattern {pattern!r} never occurred")
-    p = {pattern: sums[:, _COLUMN[pattern]] / sums[:, 0] for pattern in {*num, *den}}
-    d = math.prod(p[pattern] for pattern in den)
-    ok = d > 0
-    values = math.prod(p[pattern] for pattern in num)[ok] / d[ok]
-    # a numerator pattern that never occurred makes every resample 0: no error estimate
-    seen = all(sums[0, _COLUMN[pattern]] for pattern in num)
-    se = float(np.std(values[1:], ddof=1)) if values.size > 2 and seen else math.inf
+    p = dict(zip(PATTERN_MASKS, (sums[:, 1:] / sums[:, :1]).T))
+    value, ok = ratio(p, name)
+    if not ok[0]:
+        never = next(pattern for pattern in RATIOS[name][1] if not p[pattern][0])
+        raise DivisionByZeroRate(f"pattern {never!r} never occurred")
+    values = value[ok]
+    # a numerator pattern that never occurred makes every value 0: no error estimate
+    se = float(np.std(values[1:], ddof=1)) if values.size > 2 and values[0] else math.inf
     return CorrelationEstimate(value=float(values[0]), standard_error=se,
                                dropped_resamples=int(np.count_nonzero(~ok[1:])))
 

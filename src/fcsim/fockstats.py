@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import ValidatedConfig, number
 from .errors import DivisionByZeroRate, NoConvergence, Underdetermined
-from .patterns import AT_LEAST, DETECTOR_BITS, PATTERN_MASKS, PATTERN_MATRIX, RATIOS
+from .patterns import AT_LEAST, DETECTOR_BITS, PATTERN_MASKS, PATTERN_MATRIX, RATIOS, ratio
 from . import readout
 from .readout import signal_branch_probs
 
@@ -57,28 +57,19 @@ def pattern_probs(q) -> dict:
     return dict(zip(PATTERN_MASKS, p.tolist() if p.ndim == 1 else p.T))
 
 
-def ratio(p: dict, name: str, controls: dict | None = None):
-    """The correlation RATIOS[name] from the pattern probabilities p.
-
-    With the pattern probabilities of a controls-only run, their readout
-    click probability is subtracted from heralding_efficiency (background
-    subtraction by differencing). A correlation whose denominator vanishes
-    is None; no herald and no readout clicks at all raise DivisionByZeroRate.
-    """
+def correlations(p: dict, controls: dict | None = None) -> dict:
+    """Every correlation of RATIOS from the pattern probabilities p, None where its
+    denominator is zero; no herald and no readout clicks at all raise DivisionByZeroRate.
+    With the pattern probabilities of a controls-only run, their readout click probability
+    is subtracted from heralding_efficiency (background subtraction by differencing)."""
     if p["h"] == 0 and p["r"] == 0:
         raise DivisionByZeroRate(
             "no herald and no readout clicks: vacuum input or zero efficiency")
-    num, den = RATIOS[name]
-    d = math.prod(p[n] for n in den)
-    value = math.prod(p[n] for n in num) / d if d > 0 else None
-    if controls is not None and name == "heralding_efficiency" and value is not None:
-        value -= controls["r"]
-    return value
-
-
-def correlations(p: dict, controls: dict | None = None) -> dict:
-    """Every correlation of RATIOS from the pattern probabilities p, as ratio gives it."""
-    return {name: ratio(p, name, controls) for name in RATIOS}
+    values = {name: ratio(p, name) for name in RATIOS}
+    out = {name: value if defined else None for name, (value, defined) in values.items()}
+    if controls is not None and out["heralding_efficiency"] is not None:
+        out["heralding_efficiency"] -= controls["r"]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +187,11 @@ def heralded_g2_curve(cfg: ValidatedConfig, delays) -> list:
     """
     p = pattern_probs(no_click_table(cfg, *signal_branch_probs(cfg, delays)))
     ts = np.atleast_1d(np.asarray(delays)).astype(int).tolist()
-    num, den = RATIOS["g2_ac_heralded"]
-    denominator = math.prod(p[n] for n in den)
-    zero = np.flatnonzero(denominator == 0)
-    if zero.size:
-        raise DivisionByZeroRate(f"no heralded readout clicks at delay {ts[zero[0]]}: "
+    g2, defined = ratio(p, "g2_ac_heralded")
+    if not defined.all():
+        raise DivisionByZeroRate(f"no heralded readout clicks at delay {ts[defined.argmin()]}: "
                                  "g2_ac_heralded is undefined there")
-    return list(zip(ts, (math.prod(p[n] for n in num) / denominator).tolist()))
+    return list(zip(ts, g2.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +259,23 @@ def _rate(pattern: str) -> Callable:
     return value
 
 
+def _target_ratio(target: str, p: dict, name: str) -> float:
+    """Correlation name of p, a target's model value; DivisionByZeroRate if undefined."""
+    value, defined = ratio(p, name)
+    if not defined:
+        raise DivisionByZeroRate(f"calibration target {target} is undefined: "
+                                 f"the denominator of {name} is zero")
+    return value
+
+
 def _g2_noise(cfg: ValidatedConfig, curve) -> float:
-    return ratio(pattern_probs(controls_table(cfg)), "g2_noise")
+    return _target_ratio("g2_noise", pattern_probs(controls_table(cfg)), "g2_noise")
 
 
 def _heralded_prob(cfg: ValidatedConfig, curve) -> float:
-    return ratio(model_patterns(cfg, 1, curve[2]), "heralding_efficiency",
-                 pattern_probs(controls_table(cfg)))
+    efficiency = _target_ratio("heralded_prob", model_patterns(cfg, 1, curve[2]),
+                               "heralding_efficiency")
+    return efficiency - pattern_probs(controls_table(cfg))["r"]
 
 
 # target name -> how it is pinned, in solving order within one pass

@@ -2,6 +2,8 @@
 masks) and the correlations (ratios of pattern probabilities), which the
 click engine (fockstats) computes and the record estimators count alike."""
 
+import math
+
 import numpy as np
 
 # record mask bit of each detector; a detector set A is indexed by its mask
@@ -41,3 +43,12 @@ RATIOS = {
     "heralding_efficiency": (("hr",), ("h",)),
     "klyshko_efficiency": (("hs",), ("s",)),
 }
+
+
+def ratio(p: dict, name: str):
+    """(value, defined) of the correlation RATIOS[name] from pattern probabilities
+    or frequencies p, floats or arrays alike: prod(p_num) / prod(p_den) where
+    defined = prod(p_den) > 0, else prod(p_num); each caller gives that its meaning."""
+    num, den = RATIOS[name]
+    d = math.prod(p[n] for n in den)
+    return math.prod(p[n] for n in num) / (d + (d <= 0)), d > 0

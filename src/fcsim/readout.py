@@ -124,11 +124,12 @@ def _nodes(sigma0_ps: float, tau_ps: float, walkoff_ratio: float):
     x, w = _gauss_legendre()
     nodes = (x + 1.0) / 2.0
     gap = max(np.diff(nodes).max(), 2.0 * nodes[0])
-    panels = max(MIN_PANELS, math.ceil(2.0 * half_ps * gap * PANEL_MARGIN / sigma0_ps))
-    if panels * PANEL_NODES > MAX_NODES:
+    panels = 2.0 * half_ps * gap * PANEL_MARGIN / sigma0_ps
+    if not panels * PANEL_NODES <= MAX_NODES:  # before the ceil, which fails on inf and NaN
         raise GridTooCoarse(
-            f"envelope RMS {sigma0_ps:.3g} ps needs {panels * PANEL_NODES} quadrature "
+            f"envelope RMS {sigma0_ps:.3g} ps needs {panels * PANEL_NODES:.3g} quadrature "
             f"nodes on a {2 * half_ps:.3g} ps window, more than {MAX_NODES}")
+    panels = max(MIN_PANELS, math.ceil(panels))
     width = 2.0 * half_ps / panels
     t = (-half_ps + width * np.arange(panels)[:, None] + width * nodes).ravel()
     weights = np.tile(width * w / 2.0, panels)
@@ -315,8 +316,9 @@ def solve_nonlinear_coeff(cfg: ValidatedConfig, target_eta: float,
     t, w, window = _nodes(cfg.source.envelope_rms_ps, cfg.control_tau_ps, cfg.walkoff_ratio)
     scale = (math.sqrt(p.energy_p_nj) * math.sqrt(p.energy_q_nj)
              / (3.0 * cfg.cavity.walkoff_ps_per_m))
-    if scale == 0.0:
-        raise NoConvergence("the conversion is 0 at every coefficient: a control energy is 0")
+    if scale * float(window.max()) == 0.0:
+        raise NoConvergence("the conversion is 0 at every coefficient: a control energy "
+                            "or the walk-off window is 0 on every node")
     rise = math.pi / 2.0 / (float(window.max()) * scale)
     envelope = envelope_intensity(cfg, np.ones((1, 1)), t)
     slope_weights = (envelope * w * window)[0]

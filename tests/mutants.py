@@ -124,7 +124,7 @@ MUTANTS = [
      '    if not isinstance(seed, float):\n        integer("seed", seed, 0)\n',
      "bootstrap answers a float seed from the memo of the equal integer seed"),
     ("src/fcsim/estimators.py",
-     "if values.size > 2 and seen else math.inf",
+     "if values.size > 2 and values[0] else math.inf",
      "if values.size > 2 else math.inf",
      "a numerator that never occurred claims a zero standard error"),
     ("src/fcsim/estimators.py",
@@ -217,7 +217,7 @@ MUTANTS = [
      "controls = dark_powers * np.exp(-noise)",
      "controls = np.exp(-noise)",
      "a controls-only table drops the dark counts"),
-    ("src/fcsim/fockstats.py",
+    ("src/fcsim/patterns.py",
      "num, den = RATIOS[name]",
      "den, num = RATIOS[name]",
      "ratio reads a correlation upside down"),
@@ -277,6 +277,38 @@ MUTANTS = [
      "readout_curve=readout.readout_curve(cfg, delays)[2]",
      "readout_curve=readout.readout_curve(cfg, delays)[1]",
      "multiplex plans with the conversion efficiency, not the retrieval"),
+    ("src/fcsim/patterns.py",
+     "/ (d + (d <= 0)), d > 0",
+     "/ (d + (d <= 0)), d >= 0",
+     "a ratio with a zero denominator counts as defined"),
+    ("src/fcsim/fockstats.py",
+     "ts[defined.argmin()]",
+     "ts[defined.argmax()]",
+     "the g2 curve names the first delay where it is defined, not undefined"),
+    ("src/fcsim/fockstats.py",
+     "    if not defined:\n        raise DivisionByZeroRate(f\"calibration target",
+     "    if False:\n        raise DivisionByZeroRate(f\"calibration target",
+     "the calibration solves on an undefined ratio's numerator"),
+    ("src/fcsim/cli.py",
+     "allow_nan=False",
+     "allow_nan=True",
+     "the CLI prints Infinity and NaN, which strict JSON rejects"),
+    ("src/fcsim/config.py",
+     "if not rel <= ENERGY_REL_TOL:  # NaN too",
+     "if rel > ENERGY_REL_TOL:  # NaN too",
+     "a NaN pair-generation error passes the energy check"),
+    ("src/fcsim/config.py",
+     "if not 0.0 < inv < math.inf:",
+     "if not 0.0 < inv:",
+     "an infinite output wavenumber divides by zero in the energy check"),
+    ("src/fcsim/readout.py",
+     "panels = 2.0 * half_ps * gap * PANEL_MARGIN / sigma0_ps",
+     "panels = math.ceil(2.0 * half_ps * gap * PANEL_MARGIN / sigma0_ps)",
+     "the panel count is rounded up before its check: an infinite one is an OverflowError"),
+    ("src/fcsim/readout.py",
+     "if scale * float(window.max()) == 0.0:",
+     "if scale == 0.0:",
+     "a walk-off window 0 on every node divides by zero in the conversion solve"),
 ]
 
 

@@ -791,3 +791,80 @@ def test_no_temp_files_left(tmp_path, capsys):
             "--jobs", "1")
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def _strict_json(text: str):
+    """text parsed as JSON that holds no Infinity, -Infinity or NaN."""
+    def reject(constant):
+        raise ValueError(f"non-finite constant {constant} in the JSON output")
+    return json.loads(text, parse_constant=reject)
+
+
+FUZZ_VALUES = ("0", "-0", "1", "1e-300", "5e-324", "1e300", "1e308", "0.5", "2", "1e-9",
+               "100", "inf", "nan", "-1")
+FUZZ_COMMANDS = {
+    "validate": ["validate"],
+    "stats": ["stats"],
+    "stats_calibrate": ["stats", *PUBLISHED_CALIBRATION],
+    "sweep_delay": ["sweep", "--param", "readout_delay", "--from", "1", "--to", "300",
+                    "--steps", "300", "--out", "{tmp}/sweep.csv"],
+    "multiplex": ["multiplex", "--out", "{tmp}/mux.csv"],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+def test_one_field_at_any_value_runs_or_fails_typed(tmp_path, capsys, primary, command):
+    """Every config field set to each of FUZZ_VALUES in turn: no exception
+    escapes main, the exit code is 0, 2 or 3, a failure writes a JSON error
+    body, and what is printed is strict JSON (no non-finite constant).
+    simulate is left out: a huge mean builds an unbounded photon-number table."""
+    fields = [f"{section.name}.{f.name}" for section in dataclasses.fields(primary)
+              if section.init for f in dataclasses.fields(getattr(primary, section.name))]
+    extra = [a.format(tmp=tmp_path) for a in FUZZ_COMMANDS[command][1:]]
+    faults = []
+    for field in fields:
+        for value in FUZZ_VALUES:
+            argv = [FUZZ_COMMANDS[command][0], "--config", CONFIG,
+                    "--set", f"{field}={value}", *extra]
+            try:
+                code, out, err = run_cli(capsys, *argv)
+                if code not in (0, 2, 3):
+                    raise AssertionError(f"exit code {code}")
+                if code:
+                    assert set(_strict_json(err)) == {"error", "message"}, err
+                if code == 0 or out:
+                    _strict_json(out)
+            except Exception as exc:  # each fault is collected, and all are reported at once
+                capsys.readouterr()
+                faults.append(f"{field}={value}: {type(exc).__name__}: {exc}"[:200])
+    assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("sets, command, code, error", [
+    (["detectors.eta_herald_path=0", "detectors.dark_prob_per_gate=0"],
+     ["stats", "--calibrate", "heralded_prob=0.096"], 3, "DivisionByZeroRate"),
+    (["noise.noise_mean_per_nj=1e308"], ["stats", *PUBLISHED_CALIBRATION],
+     3, "DivisionByZeroRate"),
+    (["scheme.lambda_pump_nm=5e-324"], ["validate"], 2, "EnergyConservationViolated"),
+    (["scheme.lambda_p_nm=5e-324"], ["validate"], 2, "NonPhysicalParameter"),
+    (["pulses.control_fwhm_ps=1e308"], ["stats"], 3, "GridTooCoarse"),
+    (["cavity.length_m=1e-300"], ["stats", "--calibrate", "eta_conversion=0.8"],
+     3, "NoConvergence"),
+    (["cavity.length_m=1e308"], ["validate"], 3, "ValueError"),
+    (["pulses.clock_rate_khz=1e308"], ["stats"], 3, "ValueError"),
+], ids=["calibrate_no_herald", "calibrate_noise_1e308", "pump_5e-324", "p_control_5e-324",
+        "fwhm_1e308", "conversion_length_1e-300", "validate_infinite_walkoff",
+        "stats_infinite_rate"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_former_tracebacks_fail_typed(capsys, sets, command, code, error):
+    """Inputs that ended in a traceback, printed non-strict JSON or passed
+    validation with a NaN energy check: each fails with its typed error
+    and prints nothing on stdout."""
+    argv = [command[0], "--config", CONFIG, *(a for s in sets for a in ("--set", s)),
+            *command[1:]]
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert json.loads(err)["error"] == error
+    if error == "DivisionByZeroRate":
+        assert "calibration target" in json.loads(err)["message"]

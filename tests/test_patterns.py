@@ -1,10 +1,14 @@
 """The record layout lives in fcsim.patterns alone, and loading it loads no engine."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from fcsim import estimators, fockstats, patterns, trialsim
 
@@ -44,3 +48,43 @@ def test_layout_is_assigned_in_one_module():
                     for target in node.targets for n in ast.walk(target)
                     if isinstance(n, ast.Name)}
         assert assigned & LAYOUT == (LAYOUT if path.name == "patterns.py" else set()), path.name
+
+
+def _ratio_sites(tree) -> list:
+    """Lines of the tree that call math.prod or unpack a RATIOS entry."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "prod" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "math"
+            or isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript)
+            and isinstance(node.value.value, ast.Name) and node.value.value.id == "RATIOS"
+            and any(isinstance(target, ast.Tuple) for target in node.targets)]
+
+
+def test_ratio_arithmetic_is_written_in_one_module():
+    """Only fcsim.patterns multiplies the patterns of a correlation: every
+    other module takes a RATIOS value from patterns.ratio."""
+    for path in Path(patterns.__file__).parent.glob("*.py"):
+        sites = _ratio_sites(ast.parse(path.read_text(encoding="utf-8")))
+        assert bool(sites) == (path.name == "patterns.py"), (path.name, sites)
+
+
+@pytest.mark.parametrize("name", sorted(patterns.RATIOS))
+def test_ratio_on_arrays_is_the_ratio_of_each_row(name):
+    """patterns.ratio over arrays gives each row the bits it gives that row's
+    floats, zero denominators included; floats come back as float and bool.
+    A defined value is prod(p_num) / prod(p_den), an undefined one prod(p_num)."""
+    rng = np.random.default_rng(36)
+    rows = rng.random((64, len(patterns.PATTERN_MASKS)))
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    value, defined = patterns.ratio(dict(zip(patterns.PATTERN_MASKS, rows.T)), name)
+    assert defined.any() and not defined.all()
+    num, den = patterns.RATIOS[name]
+    for row, v, ok in zip(rows.tolist(), value.tolist(), defined.tolist()):
+        p = dict(zip(patterns.PATTERN_MASKS, row))
+        got, got_ok = patterns.ratio(p, name)
+        assert type(got) is float and type(got_ok) is bool
+        assert (got.hex(), got_ok) == (v.hex(), ok)
+        d = math.prod(p[n] for n in den)
+        assert ok == (d > 0)
+        assert got == math.prod(p[n] for n in num) / (d if ok else 1.0)
